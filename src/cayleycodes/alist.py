@@ -15,7 +15,7 @@ validates both perspectives against each other.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 def dumps_alist(row_supports: Sequence[Sequence[int]], ncols: int) -> str:
@@ -41,6 +41,33 @@ def dumps_alist(row_supports: Sequence[Sequence[int]], ncols: int) -> str:
         padded = [str(ci + 1) for ci in r] + ["0"] * (max_row - len(r))
         out.append(" ".join(padded))
     return "\n".join(out) + "\n"
+
+
+def first_difference(text: str, expected: str) -> Optional[str]:
+    """Where `text` departs from the alist `expected`, or None when the
+    two are equal.
+
+    Row lines are compared first and the first differing one is named
+    by its 0-based row: one flipped entry changes one row line but also
+    two column lines, which come earlier in the file.  When every row
+    line agrees, the first differing header or column line is named.
+    """
+    if text == expected:
+        return None
+    got, want = text.splitlines(), expected.splitlines()
+    n, m = (int(t) for t in want[0].split())
+
+    def differs(i: int) -> bool:
+        return i >= len(got) or got[i] != want[i]
+
+    for ri in range(m):
+        if differs(4 + n + ri):
+            return f"row {ri} differs (line {5 + n + ri})"
+    for i in range(4 + n):
+        if differs(i):
+            part = "header" if i < 4 else f"column {i - 4}"
+            return f"{part} differs (line {i + 1})"
+    return "line count or line endings differ"
 
 
 def loads_alist(text: str) -> tuple[int, int, list[list[int]]]:

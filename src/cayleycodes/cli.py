@@ -192,62 +192,31 @@ def cmd_verify(args) -> int:
     inst = build_parity_check(graph, inner)
     expected = alist.dumps_alist(
         [inst.row_support(i) for i in range(inst.matrix.nrows)], inst.n)
-    results["alist_exact"] = alist_path.read_text() == expected
+    # byte equality makes the shipped matrix the rebuilt H itself, so the
+    # rank and invariance checks on H below cover the shipped constraints
+    where = alist.first_difference(alist_path.read_text(), expected)
+    results["alist_exact"] = where is None
 
     results["rank_matches"] = inst.rank == report.bounds["rank"]
     rate = measured_rate(inst)
     results["rate_bound"] = f"{rate.numerator}/{rate.denominator}" == report.bounds["measured_rate"]
 
-    # semantic checks on the shipped constraints: the alist rows must
-    # span the same space as the recomputed ones and stay invariant
-    # under the symmetry generators, so a tampered file fails on its
-    # mathematical content, not only on the byte comparison
-    n_al, m_al, row_lists = alist.read_alist(alist_path)
-    if n_al != inst.n:
-        raise CheckFailure("alist column count disagrees with the graph")
-    from .gf2 import Gf2Matrix
-    shipped = Gf2Matrix.from_supports(n_al, row_lists)
-    shipped_inst = CayleyCodeInstanceShim(inst, shipped)
     perms = symmetry_edge_permutations(graph, gens)
     inv = verify_invariance(
-        shipped_inst,  # type: ignore[arg-type]
-        {"left_gamma": perms["left_s0"], "torus_t0": perms["torus_t0"]},
+        inst, {"left_gamma": perms["left_s0"], "torus_t0": perms["torus_t0"]},
         trials=args.trials, seed=p["seed"])
     results["invariance"] = inv.passed
-    results["shipped_rank"] = shipped_inst.echelon.rank == inst.rank
-    in_span = True
-    for lo in range(0, shipped.nrows, 8192):
-        if inst.echelon.reduce_batch(shipped.data[lo:lo + 8192]).any():
-            in_span = False
-            break
-    results["shipped_rows_in_span"] = in_span
 
     for name, ok in results.items():
         print(f"{name}: {'pass' if ok else 'FAIL'}")
-    if not all(results.values()):
-        raise CheckFailure("verification failed")
+    failed = [name for name, ok in results.items() if not ok]
+    if failed:
+        message = f"verification failed: {', '.join(failed)}"
+        if where is not None:
+            message += f"; {alist_path.name}: {where}"
+        raise CheckFailure(message)
     print("all checks passed")
     return 0
-
-
-class CayleyCodeInstanceShim:
-    """Instance view over externally supplied rows (the shipped alist),
-    sharing the graph and inner code of a rebuilt instance."""
-
-    def __init__(self, inst, matrix):
-        self.graph = inst.graph
-        self.inner = inst.inner
-        self.matrix = matrix
-        self._echelon = None
-
-    @property
-    def echelon(self):
-        if self._echelon is None:
-            self._echelon = self.matrix.echelon()
-        return self._echelon
-
-    def row_support(self, i):
-        return self.matrix.row_support(i)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from . import gf2poly
 from .errors import CheckFailure, ConstructionError
@@ -231,6 +231,28 @@ def dual_basis_rows(code: CyclicCode) -> list[int]:
 # Minimum distance measurement
 # ---------------------------------------------------------------------------
 
+def gray_codewords(basis: Sequence[int]) -> Iterator[int]:
+    """The nonzero words of span(basis), integer-encoded, in Gray-code
+    order: step i flips basis[lowest set bit of i].  Each word appears
+    once when the basis is independent."""
+    word = 0
+    for i in range(1, 1 << len(basis)):
+        word ^= basis[(i & -i).bit_length() - 1]
+        yield word
+
+
+def lightest_codeword(basis: Sequence[int]) -> tuple[Optional[int], Optional[int]]:
+    """(minimum weight, first word of that weight in Gray-code order)
+    over the nonzero words of span(basis); (None, None) when empty."""
+    best = None
+    witness = None
+    for word in gray_codewords(basis):
+        w = word.bit_count()
+        if best is None or w < best:
+            best, witness = w, word
+    return best, witness
+
+
 @dataclass(frozen=True)
 class DistanceReport:
     mode: str                  # "exact" or "sampled"
@@ -256,16 +278,7 @@ def min_distance(code: CyclicCode, mode: str = "exact", trials: int = 10000,
             raise ValueError(
                 f"exact enumeration capped at dim {EXACT_DISTANCE_MAX_DIM}, code has {k}"
             )
-        basis = code.basis()
-        best = None
-        witness = None
-        word = 0
-        for i in range(1, 1 << k):
-            word ^= basis[(i & -i).bit_length() - 1]
-            w = word.bit_count()
-            if best is None or w < best:
-                best, witness = w, word
-        return DistanceReport("exact", best, witness)
+        return DistanceReport("exact", *lightest_codeword(code.basis()))
     if mode == "sampled":
         best = None
         witness = None

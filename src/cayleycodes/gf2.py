@@ -19,13 +19,6 @@ def _n_words(ncols: int) -> int:
     return (ncols + 63) >> 6
 
 
-def pack_support(ncols: int, support: Iterable[int]) -> np.ndarray:
-    row = np.zeros(_n_words(ncols), dtype=np.uint64)
-    for c in support:
-        row[c >> 6] |= _ONE << np.uint64(c & 63)
-    return row
-
-
 def pack_int(ncols: int, value: int) -> np.ndarray:
     nw = _n_words(ncols)
     data = value.to_bytes(nw * 8, "little")
@@ -34,10 +27,6 @@ def pack_int(ncols: int, value: int) -> np.ndarray:
 
 def unpack_int(row: np.ndarray) -> int:
     return int.from_bytes(row.tobytes(), "little")
-
-
-def row_weight(row: np.ndarray) -> int:
-    return int(np.bitwise_count(row).sum())
 
 
 class Gf2Matrix:

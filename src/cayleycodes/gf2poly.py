@@ -57,12 +57,6 @@ def gcd(a: int, b: int) -> int:
     return a
 
 
-def lcm(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return mul(divmod_(a, gcd(a, b))[0], b)
-
-
 def x_pow_n_minus_1(n: int) -> int:
     """x^n - 1 over GF(2), i.e. x^n + 1."""
     return (1 << n) | 1

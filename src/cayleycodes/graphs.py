@@ -266,9 +266,11 @@ def symmetry_edge_permutations(graph: CayleyGraph, gens: GeneratorSet
     return perms
 
 
-def edge_orbit(perms: Sequence[np.ndarray], n_edges: int, start: int = 0) -> int:
-    """Size of the orbit of one edge id under the given permutations."""
-    seen = np.zeros(n_edges, dtype=bool)
+def edge_orbit(perms: Sequence[np.ndarray], n_points: int, start: int = 0) -> int:
+    """Size of the orbit of one point under permutations of
+    range(n_points): edge ids for the edge action, vertex ids for the
+    vertex action."""
+    seen = np.zeros(n_points, dtype=bool)
     seen[start] = True
     frontier = [start]
     count = 1
@@ -297,21 +299,7 @@ def verify_vertex_transitive(graph: CayleyGraph) -> bool:
     """Left translations act transitively on vertices (orbit of vertex 0
     under v -> s * v covers everything)."""
     maps = [left_translation_vertex_map(graph, s) for s in graph.gens]
-    seen = np.zeros(graph.n_vertices, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    count = 1
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for m in maps:
-                w = int(m[v])
-                if not seen[w]:
-                    seen[w] = True
-                    nxt.append(w)
-                    count += 1
-        frontier = nxt
-    return count == graph.n_vertices
+    return edge_orbit(maps, graph.n_vertices) == graph.n_vertices
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ def built_instance_dir(tmp_path_factory, inner20):
     return outdir
 
 
-def test_criterion_8a_tampered_alist_fails_verify(built_instance_dir, tmp_path):
+def test_criterion_8a_tampered_alist_fails_verify(built_instance_dir, tmp_path, capsys):
     t0 = time.time()
     pristine = cli.main(["verify", str(built_instance_dir), "--trials", "20"])
     assert pristine == 0
@@ -192,8 +192,10 @@ def test_criterion_8a_tampered_alist_fails_verify(built_instance_dir, tmp_path):
     c = rows[100][0]
     rows[100][0] = (c + 1) % n if (c + 1) % n not in rows[100] else (c + 2) % n
     alist.write_alist(bad / "code.alist", rows, n)
+    capsys.readouterr()
     tampered = cli.main(["verify", str(bad), "--trials", "20"])
     assert tampered == 1
+    assert "code.alist: row 100 differs" in capsys.readouterr().err
     missing = cli.main(["verify", str(tmp_path / "nope")])
     assert missing == 2
     print(f"CRITERION 8a (tampered alist rejected): PASS  [{time.time() - t0:.1f}s]")

@@ -1,6 +1,6 @@
 import pytest
 
-from cayleycodes.alist import dumps_alist, loads_alist
+from cayleycodes.alist import dumps_alist, first_difference, loads_alist
 
 
 def test_round_trip():
@@ -49,3 +49,19 @@ def test_damage_detected():
 def test_column_out_of_range():
     with pytest.raises(ValueError):
         dumps_alist([[9]], 7)
+
+
+def test_first_difference_names_row_before_columns():
+    rows = [[0, 3, 5], [1, 2], [0, 1, 2, 6]]
+    text = dumps_alist(rows, 7)
+    assert first_difference(text, text) is None
+    # one moved entry changes row 1 and two column lines that come first
+    moved = dumps_alist([[0, 3, 5], [1, 4], [0, 1, 2, 6]], 7)
+    assert first_difference(moved, text) == "row 1 differs (line 13)"
+    lines = text.splitlines()
+    lines[5] += " "                      # column 1, row lines untouched
+    assert first_difference("\n".join(lines) + "\n", text) == "column 1 differs (line 6)"
+    lines[1] = "9 9"
+    assert first_difference("\n".join(lines) + "\n", text) == "header differs (line 2)"
+    assert first_difference(text.rstrip("\n"), text) == "line count or line endings differ"
+    assert first_difference(text.rsplit("\n", 2)[0], text) == "row 2 differs (line 14)"

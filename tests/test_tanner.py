@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleycodes.cyclic import CyclicCode
 from cayleycodes.errors import CheckFailure, ConstructionError
 from cayleycodes.gf2 import Gf2Matrix
-from cayleycodes.gf2poly import mul
+from cayleycodes.gf2poly import divmod_, mul, x_pow_n_minus_1
 from cayleycodes.graphs import (AddGroupElement, edge_permutation,
                                 generate_group, left_translation_vertex_map)
 from cayleycodes.tanner import (all_views_in_inner, build_parity_check,
@@ -167,6 +170,29 @@ def test_invariance_detects_broken_permutation():
         rep.require()
 
 
+def factor_x_pow_n_minus_1(n):
+    """Irreducible factors of x^n - 1 over GF(2), with multiplicity
+    (trial division in increasing order finds irreducibles first)."""
+    rest, out, f = x_pow_n_minus_1(n), [], 3
+    while rest != 1:
+        quot, rem = divmod_(rest, f)
+        if rem:
+            f += 1
+        else:
+            out.append(f)
+            rest = quot
+    return out
+
+
+def orbit_oracle(inst, perms):
+    """The global route, kept as an independent check of the local
+    certificate: (rank of the raw orbit rows, whether every orbit row
+    reduces to zero against the echelon form of H)."""
+    orbit = Gf2Matrix.from_supports(inst.n, row_orbit(inst, perms))
+    in_span = not inst.echelon.reduce_batch(orbit.data).any()
+    return orbit.rank(), in_span
+
+
 def test_single_orbit_toy_even_weight():
     """T trivial, inner = even-weight code: the orbit of the single
     all-ones star row under translations is exactly the row set."""
@@ -177,8 +203,8 @@ def test_single_orbit_toy_even_weight():
     rep = verify_single_orbit(inst, perms)
     assert rep.passed
     assert rep.orbit_rank == rep.rank_h == 5
-    # cross-check the reduced-rank path against the raw orbit matrix
-    assert Gf2Matrix.from_supports(inst.n, orbit).rank() == rep.rank_h
+    # the global route agrees with the local certificate
+    assert orbit_oracle(inst, perms) == (rep.rank_h, True)
 
 
 def test_single_orbit_toy_torus():
@@ -186,10 +212,10 @@ def test_single_orbit_toy_torus():
     perms = toy_perms(inst.graph, mult=2)
     rep = verify_single_orbit(inst, perms)
     assert rep.passed
-    assert rep.membership_ok and rep.local_spans_ok
+    assert rep.orbit_rank == rep.rank_h
+    assert rep.bad_vertex is None and rep.bad_row is None
     assert rep.start_weight <= inst.graph.degree
-    orbit = row_orbit(inst, perms)
-    assert Gf2Matrix.from_supports(inst.n, orbit).rank() == rep.rank_h
+    assert orbit_oracle(inst, perms) == (rep.rank_h, True)
 
 
 def test_single_orbit_fails_without_torus():
@@ -199,9 +225,66 @@ def test_single_orbit_fails_without_torus():
     perms = toy_perms(inst.graph)  # translations only
     rep = verify_single_orbit(inst, perms)
     assert not rep.passed
-    assert rep.orbit_rank < rep.rank_h
-    with pytest.raises(CheckFailure):
+    assert rep.orbit_rank is None
+    assert rep.bad_vertex is not None and rep.bad_row is None
+    orbit_rank, _ = orbit_oracle(inst, perms)
+    assert orbit_rank < rep.rank_h
+    with pytest.raises(CheckFailure, match=f"at vertex {rep.bad_vertex} "):
         rep.require()
+
+
+def test_single_orbit_names_non_local_row():
+    """A permutation that moves one edge of the starting star elsewhere
+    makes an orbit row that is not vertex-local; the report names it."""
+    inst = z17_torus_instance()
+    perms = toy_perms(inst.graph, mult=2)
+    start = inst.row_support(0)
+    far = next(e for e in range(inst.n) if e not in inst.graph.star_edge_ids(0)
+               and not set(inst.graph.endpoint_vertices(e))
+               & set(inst.graph.endpoint_vertices(start[0])))
+    swap = np.arange(inst.n, dtype=np.int64)
+    swap[[start[0], far]] = swap[[far, start[0]]]
+    rep = verify_single_orbit(inst, [swap] + perms)
+    assert not rep.passed and rep.orbit_rank is None
+    assert rep.bad_row == 1 and rep.bad_vertex is None
+    with pytest.raises(CheckFailure, match="orbit row 1 "):
+        rep.require()
+
+
+@given(st.integers(min_value=5, max_value=16), st.data())
+@settings(deadline=None, max_examples=60)
+def test_single_orbit_pass_implies_global_oracle(n, data):
+    """Whenever the local certificate passes on a toy Z_n instance, the
+    global route agrees: the raw orbit rows have rank(H) and every one
+    of them lies in the row space of H."""
+    steps = data.draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=6))
+    steps = sorted(steps | {n - s for s in steps})
+    graph = zn_graph(n, steps)
+    deg = graph.degree
+    factors = factor_x_pow_n_minus_1(deg)
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(factors),
+                                max_size=len(factors)))
+    chosen[0] = chosen[0] and not all(chosen)  # the zero code is excluded
+    h = 1
+    for f, take in zip(factors, chosen):
+        if take:
+            h = mul(h, f)
+    inst = build_parity_check(graph, CyclicCode(deg, h))
+    if inst.matrix.nrows == 0:
+        return
+    units = [u for u in range(2, n) if gcd(u, n) == 1
+             and {u * s % n for s in steps} == set(steps)]
+    all_perms = toy_perms(graph, mult=data.draw(st.sampled_from([None] + units)))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(all_perms),
+                              max_size=len(all_perms)))
+    perms = [p for p, k in zip(all_perms, keep) if k] or all_perms[:1]
+    rep = verify_single_orbit(inst, perms)
+    if rep.passed:
+        assert rep.orbit_rank == rep.rank_h == inst.rank
+        assert orbit_oracle(inst, perms) == (rep.rank_h, True)
+    else:
+        assert rep.orbit_rank is None
+        assert (rep.bad_vertex is None) != (rep.bad_row is None)
 
 
 def test_code_distance_toy():
