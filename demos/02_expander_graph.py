@@ -6,12 +6,13 @@ element gamma (the image of 1 + z^-1 under a quaternion-algebra
 splitting).  That symmetry makes the graph edge transitive, and its
 normalized spectrum meets the optimal-expansion bound 2 sqrt(q)/(q+1).
 
-Runs in about fifteen seconds.
+Runs in a few seconds.
 """
 
 from cayleycodes import (build_generators, choose_ideal, classify,
                          is_ramanujan, ramanujan_bound, spectrum,
-                         verify_edge_transitive, verify_vertex_transitive)
+                         symmetry_edge_permutations, verify_edge_transitive,
+                         verify_vertex_transitive)
 from cayleycodes.graphs import graph_from_generators
 
 params = choose_ideal(19, 1, "psl")
@@ -37,6 +38,6 @@ print(f"independent Lanczos route agrees: "
       f"{abs(rep_it.lambda2 - rep.lambda2) < 1e-8}")
 
 print(f"vertex transitive: {verify_vertex_transitive(graph)}")
-ok, orbit = verify_edge_transitive(graph, gens)
+ok, orbit = verify_edge_transitive(graph, symmetry_edge_permutations(graph, gens))
 print(f"edge transitive: {ok} (orbit of one edge covers {orbit} of "
       f"{graph.n_edges} edges)")

@@ -10,12 +10,11 @@ parity-check matrix.
 """
 
 from cayleycodes.cyclic import CyclicCode
-from cayleycodes.graphs import AddGroupElement, generate_group
+from cayleycodes.graphs import ZnGroup, generate_group
 from cayleycodes.tanner import (build_parity_check, codeword_set_brute_force,
                                 codeword_set_from_nullspace, local_view)
 
-gens = [AddGroupElement(8, s) for s in (1, 7, 4)]
-graph = generate_group(gens, AddGroupElement(8, 0), cap=9)
+graph = generate_group(ZnGroup(8), [1, 7, 4], cap=9)
 inner = CyclicCode(3, 0b11)
 inst = build_parity_check(graph, inner)
 print(f"graph: {graph.n_vertices} vertices, {graph.n_edges} edges; "

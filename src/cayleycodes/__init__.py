@@ -9,10 +9,11 @@ from .fields import (FieldElem, FiniteField, ext_field, find_nonsquare,
                      is_square, minimal_polynomial, prime_field,
                      primitive_element, sqrt)
 from .gf2 import Gf2Matrix
-from .graphs import (CayleyGraph, generate_group, graph_from_generators,
-                     verify_edge_transitive, verify_vertex_transitive)
-from .projective import (ProjectiveMatrix, SdpElement, TorusElement,
-                         nonsplit_torus, proj, torus_generator)
+from .graphs import (CayleyGraph, ZnGroup, generate_group, graph_from_generators,
+                     symmetry_edge_permutations, verify_edge_transitive,
+                     verify_vertex_transitive)
+from .projective import (PglGroup, ProjectiveMatrix, TorusElement,
+                         nonsplit_torus, torus_generator)
 from .quaternion import (GeneratorSet, ResidueParams, build_generators,
                          choose_ideal, classify, residue_params,
                          split_quaternion)

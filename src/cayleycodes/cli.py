@@ -17,6 +17,7 @@ from pathlib import Path
 from . import alist, cyclic, gf2poly
 from .errors import CheckFailure
 from .graphs import graph_from_generators, symmetry_edge_permutations
+from .projective import require_key_fits
 from .quaternion import build_generators, choose_ideal, residue_params
 from .spectra import is_ramanujan, ramanujan_bound, spectrum
 from .tanner import (VerificationReport, build_parity_check, measured_rate,
@@ -62,6 +63,7 @@ def cmd_double(args) -> int:
 
 
 def _make_params(args):
+    require_key_fits(args.q ** args.e)
     delta = None if args.delta == "auto" else int(args.delta)
     if args.ybar == "auto":
         return choose_ideal(args.q, args.e, args.variant, delta)
@@ -140,8 +142,7 @@ def cmd_build(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(report.to_json())
     (outdir / "graph.edges").write_text(graph.export_edges())
-    supports = [inst.row_support(i) for i in range(inst.matrix.nrows)]
-    (outdir / "code.alist").write_text(alist.dumps_alist(supports, inst.n))
+    (outdir / "code.alist").write_text(alist.dumps_alist(inst.supports, inst.n))
     (outdir / "inner.code").write_text(cyclic.dumps_code(inner))
     for name in ("classification", "regular", "ramanujan", "edge_transitive",
                  "rate_bound", "invariance", "single_orbit"):
@@ -169,6 +170,7 @@ def cmd_verify(args) -> int:
     if gf2poly.from_hex(p["inner"]["h_hex"]) != inner.h or p["inner"]["n"] != inner.n:
         raise CheckFailure("inner.code disagrees with the report parameters")
 
+    require_key_fits(p["q"] ** p["e"])
     if p["e"] == 1:
         params = residue_params(p["q"], int(p["ybar"][0]), int(p["delta"][0]))
     else:
@@ -190,8 +192,7 @@ def cmd_verify(args) -> int:
     results["spectrum_matches"] = abs(spec.lambda2 - report.spectrum["lambda2"]) < 1e-5
 
     inst = build_parity_check(graph, inner)
-    expected = alist.dumps_alist(
-        [inst.row_support(i) for i in range(inst.matrix.nrows)], inst.n)
+    expected = alist.dumps_alist(inst.supports, inst.n)
     # byte equality makes the shipped matrix the rebuilt H itself, so the
     # rank and invariance checks on H below cover the shipped constraints
     where = alist.first_difference(alist_path.read_text(), expected)

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import ConstructionError
 
 
@@ -490,6 +492,54 @@ def primitive_element(field: FiniteField) -> FieldElem:
         if all(a ** (n // r) != field.one for r in primes):
             return a
     raise AssertionError("unreachable: cyclic group has generators")
+
+
+class FieldTables:
+    """Arithmetic on the integer encodings of F_{p^k}, vectorized over
+    numpy int64 arrays.
+
+    Products and inverses go through log/antilog tables of the
+    primitive element (the antilog table is doubled so a sum of two
+    logs needs no reduction); sums and negatives act digit by digit in
+    base p, which is coefficient-wise arithmetic mod p.
+    """
+
+    def __init__(self, field: FiniteField):
+        self.p, self.k, self.order = field.p, field.k, field.order
+        n = field.order - 1
+        g = primitive_element(field)
+        exp = np.empty(2 * n, dtype=np.int64)
+        cur = field.one
+        for i in range(n):
+            exp[i] = cur.encode()
+            cur = cur * g
+        exp[n:] = exp[:n]
+        self.exp = exp
+        self.log = np.zeros(field.order, dtype=np.int64)
+        self.log[exp[:n]] = np.arange(n)
+
+    def mul(self, x, y):
+        return np.where((x == 0) | (y == 0), 0, self.exp[self.log[x] + self.log[y]])
+
+    def inv(self, x):
+        if np.any(x == 0):
+            raise ZeroDivisionError("inversion of zero")
+        return self.exp[self.order - 1 - self.log[x]]
+
+    def _digitwise(self, op, *xs):
+        if self.k == 1:
+            return op(*xs) % self.p
+        p, place, out = self.p, 1, 0
+        for _ in range(self.k):
+            out = out + op(*(x // place % p for x in xs)) % p * place
+            place *= p
+        return out
+
+    def add(self, x, y):
+        return self._digitwise(np.add, x, y)
+
+    def neg(self, x):
+        return self._digitwise(np.negative, x)
 
 
 def minimal_polynomial(a: FieldElem) -> int:

@@ -1,10 +1,12 @@
 """Cayley graphs by breadth-first closure, with indexed undirected edges.
 
-Vertices are group elements reached from the identity by right
-multiplication with the generator list; vertex numbering is BFS order,
-so every downstream index is reproducible.  Elements only need to be
-hashable and to support `*` and `.inverse()`, which covers projective
-matrices as well as the additive toy groups used in tests and demos.
+Group elements are int64 keys and a group is an object with an
+`identity` key and numpy-broadcasting `mul` and `inverse` on key
+arrays: PglGroup for the projective matrix groups, ZnGroup for the toy
+groups used in tests and demos.  Vertices are the elements reached from
+the identity by right multiplication with the generator list; vertex
+numbering is BFS order, so every downstream index is reproducible.
+Vertex ids of keys are found by binary search in the sorted keys.
 
 The undirected edge {(g, s_i), (g s_i, s_i^-1)} is keyed by the smaller
 of the two directed forms (vertex id, generator index) in lexicographic
@@ -22,57 +24,67 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConstructionError
-from .projective import ProjectiveMatrix, SdpElement
+from .projective import PglGroup
 from .quaternion import GeneratorSet
 
 
-class AddGroupElement:
-    """Element of Z_n written multiplicatively; toy group for tests."""
+class ZnGroup:
+    """Z_n written multiplicatively on integer keys; toy group for tests."""
 
-    __slots__ = ("n", "v")
-
-    def __init__(self, n: int, v: int):
+    def __init__(self, n: int):
         self.n = n
-        self.v = v % n
+        self.identity = 0
 
-    def __mul__(self, other: "AddGroupElement") -> "AddGroupElement":
-        if other.n != self.n:
-            raise ValueError("mixed cyclic groups")
-        return AddGroupElement(self.n, self.v + other.v)
+    def mul(self, x, y) -> np.ndarray:
+        return np.add(x, y, dtype=np.int64) % self.n
 
-    def inverse(self) -> "AddGroupElement":
-        return AddGroupElement(self.n, -self.v)
+    def inverse(self, x) -> np.ndarray:
+        return np.negative(x, dtype=np.int64) % self.n
 
-    def __eq__(self, other):
-        return isinstance(other, AddGroupElement) and other.n == self.n and other.v == self.v
 
-    def __hash__(self):
-        return hash((self.n, self.v))
+class KeyIndex:
+    """Positions of int64 keys in a key list, by binary search."""
 
-    def __repr__(self):
-        return f"{self.v} (mod {self.n})"
+    def __init__(self, keys: np.ndarray):
+        self.order = np.argsort(keys, kind="stable")
+        self.sorted = keys[self.order]
+
+    def find(self, keys) -> np.ndarray:
+        """Position of each key in the list, -1 where it is absent."""
+        pos = np.minimum(np.searchsorted(self.sorted, keys), len(self.sorted) - 1)
+        return np.where(self.sorted[pos] == keys, self.order[pos], -1)
 
 
 @dataclass
 class CayleyGraph:
-    gens: list
-    vertices: list
-    vindex: dict
+    group: object              # key arithmetic: identity, mul, inverse
+    gens: np.ndarray           # generator keys, in generator order
+    keys: np.ndarray           # vertex keys, in vertex id (BFS) order
+    index: KeyIndex            # vertex ids of keys
     adj: np.ndarray            # (|V|, degree) target vertex ids
-    inv_gen: list[int]         # index of each generator's inverse
+    inv_gen: np.ndarray        # index of each generator's inverse
     eid: np.ndarray            # (|V|, degree) undirected edge ids
-    edge_canonical: list[tuple[int, int]]  # canonical directed rep per edge id
+    edge_canonical: np.ndarray  # (|E|, 2) canonical directed rep (v, i) per edge id
     n_edges: int
     bipartite: bool
     color: np.ndarray | None   # 2-coloring when bipartite
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.keys)
 
     @property
     def degree(self) -> int:
         return len(self.gens)
+
+    def vertex_ids(self, keys) -> np.ndarray:
+        """Vertex ids of group elements given by key; raises when one
+        is not a vertex."""
+        ids = self.index.find(keys)
+        if (ids < 0).any():
+            raise ConstructionError(
+                f"{int((ids < 0).sum())} group elements are not vertices of the graph")
+        return ids
 
     def edge_id(self, v: int, i: int) -> int:
         return int(self.eid[v, i])
@@ -83,7 +95,7 @@ class CayleyGraph:
 
     def endpoint_vertices(self, e: int) -> tuple[int, int]:
         v, i = self.edge_canonical[e]
-        return v, int(self.adj[v, i])
+        return int(v), int(self.adj[v, i])
 
     def adjacency(self) -> sp.csr_matrix:
         n = self.n_vertices
@@ -93,93 +105,86 @@ class CayleyGraph:
         return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
     def export_edges(self) -> str:
+        v, i = self.edge_canonical.T
         lines = [f"{self.n_vertices} {self.n_edges} {self.degree}"]
-        for e in range(self.n_edges):
-            v, i = self.edge_canonical[e]
-            lines.append(f"{v} {self.adj[v, i]} {i}")
+        lines += [f"{a} {b} {c}" for a, b, c in
+                  zip(v.tolist(), self.adj[v, i].tolist(), i.tolist())]
         return "\n".join(lines) + "\n"
 
 
-def generate_group(gens: Sequence, identity, cap: int) -> CayleyGraph:
-    """Closure of the generator set from the identity, as a Cayley graph.
+def generate_group(group, gens: Sequence[int], cap: int) -> CayleyGraph:
+    """Closure of the generator keys from the identity, as a Cayley graph.
 
     Validates before any work: generators distinct, closed under
     inverse, identity excluded (loops must not occur).  Raises when the
     closure exceeds `cap` vertices.
+
+    The closure runs one BFS frontier at a time: the whole frontier is
+    multiplied by all generators at once, the products are read in
+    row-major (vertex, generator) order, products that are already
+    vertices are dropped, and the new keys are numbered in order of
+    first encounter (np.unique with return_index).  This is exactly the
+    numbering of the sequential BFS that pops one vertex at a time and
+    numbers each unseen g * s on sight.  In that BFS every vertex at
+    distance k + 1 from the identity is first met while vertices at
+    distance k are popped, and those are popped in id order after all
+    vertices at distance < k and before any at distance > k; so the
+    sequential numbering is level by level, and inside a level it is
+    the first-encounter order of the unseen products over (frontier
+    vertex in id order, generator in list order) -- the order used
+    here.  adj, eid and edge_canonical therefore do not depend on which
+    of the two loops built them.
     """
-    gens = list(gens)
-    if not gens:
+    gens = np.asarray(gens, dtype=np.int64)
+    if not len(gens):
         raise ValueError("empty generator set")
-    if len(set(gens)) != len(gens):
+    if len(np.unique(gens)) != len(gens):
         raise ConstructionError("generator set has repeated elements")
-    if identity in gens:
+    if (gens == group.identity).any():
         raise ConstructionError("identity in generator set would create loops")
-    lookup = {s: i for i, s in enumerate(gens)}
-    inv_gen = []
-    for i, s in enumerate(gens):
-        j = lookup.get(s.inverse())
-        if j is None:
-            raise ConstructionError(
-                f"generator set is not symmetric: inverse of generator {i} is missing"
-            )
-        inv_gen.append(j)
+    inv_gen = KeyIndex(gens).find(group.inverse(gens))
+    if (inv_gen < 0).any():
+        raise ConstructionError(
+            "generator set is not symmetric: inverse of generator "
+            f"{int(np.argmax(inv_gen < 0))} is missing"
+        )
 
     t = len(gens)
-    vindex = {identity: 0}
-    vertices = [identity]
-    adj_rows: list[list[int]] = []
-    head = 0
-    while head < len(vertices):
-        g = vertices[head]
-        row = []
-        for s in gens:
-            h = g * s
-            j = vindex.get(h)
-            if j is None:
-                j = len(vertices)
-                if j >= cap:
-                    raise ConstructionError(f"group closure exceeded cap = {cap}")
-                vindex[h] = j
-                vertices.append(h)
-            row.append(j)
-        adj_rows.append(row)
-        head += 1
+    frontier = np.array([group.identity], dtype=np.int64)
+    levels, products, seen = [frontier], [], frontier
+    while frontier.size:
+        prod = group.mul(frontier[:, None], gens[None, :]).reshape(-1)
+        products.append(prod)
+        fresh = prod[~np.isin(prod, seen)]
+        new, first = np.unique(fresh, return_index=True)
+        if len(seen) + len(new) > cap:
+            raise ConstructionError(f"group closure exceeded cap = {cap}")
+        frontier = fresh[np.sort(first)]
+        levels.append(frontier)
+        seen = np.concatenate([seen, new])
 
-    n = len(vertices)
-    adj = np.array(adj_rows, dtype=np.int32)
+    keys = np.concatenate(levels)
+    n = len(keys)
+    index = KeyIndex(keys)
+    adj = index.find(np.concatenate(products)).reshape(n, t).astype(np.int32)
 
-    eid = np.full((n, t), -1, dtype=np.int32)
-    edge_canonical: list[tuple[int, int]] = []
-    for v in range(n):
-        for i in range(t):
-            if eid[v, i] >= 0:
-                continue
-            w = int(adj[v, i])
-            j = inv_gen[i]
-            key = min((v, i), (w, j))
-            e = len(edge_canonical)
-            edge_canonical.append(key)
-            eid[v, i] = e
-            eid[w, j] = e
+    # the edge with directed forms f = (v, i) < partner (w, j) gets the
+    # number of such canonical forms before it, in (v, i) order
+    flat = np.arange(n * t)
+    partner = (adj.astype(np.int64) * t + inv_gen).reshape(-1)
+    canonical = flat < partner
+    first_id = np.cumsum(canonical) - 1
+    eid = np.where(canonical, first_id, first_id[partner]).reshape(n, t).astype(np.int32)
+    edge_canonical = np.stack(np.divmod(flat[canonical], t), axis=1)
     n_edges = len(edge_canonical)
-    if 2 * n_edges != n * t:
+    if 2 * n_edges != n * t or not np.array_equal(partner[partner], flat):
         raise AssertionError("handshake failed: directed edges did not pair up")
 
-    # bipartition by 2-coloring
-    color = np.full(n, -1, dtype=np.int8)
-    color[0] = 0
-    stack = [0]
-    bipartite = True
-    while stack:
-        v = stack.pop()
-        cv = color[v]
-        for w in adj[v]:
-            if color[w] == -1:
-                color[w] = 1 - cv
-                stack.append(int(w))
-            elif color[w] == cv:
-                bipartite = False
-    return CayleyGraph(gens, vertices, vindex, adj, inv_gen, eid,
+    # the graph is connected, so it is bipartite exactly when the parity
+    # of the BFS level is a proper 2-coloring
+    color = np.repeat(np.arange(len(levels)) % 2, [len(lv) for lv in levels]).astype(np.int8)
+    bipartite = bool((color[adj] != color[:, None]).all())
+    return CayleyGraph(group, gens, keys, index, adj, inv_gen, eid,
                        edge_canonical, n_edges, bipartite,
                        color if bipartite else None)
 
@@ -191,8 +196,8 @@ def graph_from_generators(gens: GeneratorSet, cap: int | None = None) -> CayleyG
 
     if cap is None:
         cap = expected_group_order(gens.params.q, gens.params.e, "pgl")
-    ident = ProjectiveMatrix.identity(gens.field)
-    return generate_group(gens.elements, ident, cap)
+    group = PglGroup(gens.field)
+    return generate_group(group, [group.encode(s) for s in gens.elements], cap)
 
 
 # ---------------------------------------------------------------------------
@@ -204,117 +209,66 @@ def edge_permutation(graph: CayleyGraph, vertex_map: Sequence[int],
     """Permutation of undirected edge ids induced by a graph map acting
     as `vertex_map` on vertices and `gen_perm` on generator indices.
     Verified to be a bijection."""
-    perm = np.empty(graph.n_edges, dtype=np.int64)
-    for e, (v, i) in enumerate(graph.edge_canonical):
-        v2 = vertex_map[v]
-        i2 = gen_perm[i]
-        perm[e] = graph.eid[v2, i2]
-    if len(np.unique(perm)) != graph.n_edges:
+    v, i = graph.edge_canonical.T
+    perm = graph.eid[np.asarray(vertex_map)[v], np.asarray(gen_perm)[i]].astype(np.int64)
+    if np.bincount(perm, minlength=graph.n_edges).max() != 1:
         raise ConstructionError("edge action is not a bijection")
     return perm
 
 
-def left_translation_vertex_map(graph: CayleyGraph, g) -> np.ndarray:
-    """Vertex permutation v -> g * v (left multiplication)."""
-    out = np.empty(graph.n_vertices, dtype=np.int64)
-    for v, elem in enumerate(graph.vertices):
-        out[v] = graph.vindex[g * elem]
-    return out
-
-
-def sdp_vertex_map(graph: CayleyGraph, h: SdpElement) -> np.ndarray:
-    """Vertex map v -> h.g * (t v t^-1) of a semi-direct product element."""
-    t_mat = h.t_mat
-    t_inv = t_mat.inverse()
-    out = np.empty(graph.n_vertices, dtype=np.int64)
-    for v, elem in enumerate(graph.vertices):
-        out[v] = graph.vindex[h.g * (t_mat * elem * t_inv)]
-    return out
-
-
-def sdp_gen_perm(graph: CayleyGraph, h: SdpElement) -> list[int]:
-    """Permutation of generator indices s -> t s t^-1; raises when the
-    conjugate leaves the generator set."""
-    lookup = {s: i for i, s in enumerate(graph.gens)}
-    t_mat = h.t_mat
-    perm = []
-    for s in graph.gens:
-        img = s.conjugate_by(t_mat)
-        j = lookup.get(img)
-        if j is None:
-            raise ConstructionError("torus conjugation left the generator set")
-        perm.append(j)
-    return perm
-
-
-def sdp_edge_permutation(graph: CayleyGraph, h: SdpElement) -> np.ndarray:
-    return edge_permutation(graph, sdp_vertex_map(graph, h), sdp_gen_perm(graph, h))
+def left_translation_maps(graph: CayleyGraph) -> np.ndarray:
+    """Row i is the vertex permutation v -> s_i * v."""
+    return graph.vertex_ids(graph.group.mul(graph.gens[:, None], graph.keys[None, :]))
 
 
 def symmetry_edge_permutations(graph: CayleyGraph, gens: GeneratorSet
                                ) -> dict[str, np.ndarray]:
     """Edge permutations of the standard generators of the semi-direct
-    product: one left translation per s in S, plus the torus generator."""
-    identity_perm = list(range(graph.degree))
-    perms: dict[str, np.ndarray] = {}
-    for i, s in enumerate(graph.gens):
-        vm = left_translation_vertex_map(graph, s)
-        perms[f"left_s{i}"] = edge_permutation(graph, vm, identity_perm)
-    ident = ProjectiveMatrix.identity(gens.field)
-    h_t0 = SdpElement(ident, gens.t0, gens.t0_embedded)
-    perms["torus_t0"] = sdp_edge_permutation(graph, h_t0)
+    product: one left translation per s in S, plus the torus generator
+    t0, which acts on directed edges by (v, s) -> (t0 v t0^-1, t0 s t0^-1).
+    Each map is a whole-array product over all vertex keys."""
+    identity_perm = np.arange(graph.degree)
+    perms: dict[str, np.ndarray] = {
+        f"left_s{i}": edge_permutation(graph, vm, identity_perm)
+        for i, vm in enumerate(left_translation_maps(graph))
+    }
+    group = graph.group
+    t0 = group.encode(gens.t0_embedded)
+    t0_inv = group.inverse(t0)
+    gen_perm = KeyIndex(graph.gens).find(group.mul(group.mul(t0, graph.gens), t0_inv))
+    if (gen_perm < 0).any():
+        raise ConstructionError("torus conjugation left the generator set")
+    vertex_map = graph.vertex_ids(group.mul(group.mul(t0, graph.keys), t0_inv))
+    perms["torus_t0"] = edge_permutation(graph, vertex_map, gen_perm)
     return perms
 
 
 def edge_orbit(perms: Sequence[np.ndarray], n_points: int, start: int = 0) -> int:
     """Size of the orbit of one point under permutations of
     range(n_points): edge ids for the edge action, vertex ids for the
-    vertex action."""
+    vertex action.  Breadth first, one frontier at a time."""
+    perms = np.asarray(perms)
     seen = np.zeros(n_points, dtype=bool)
     seen[start] = True
-    frontier = [start]
-    count = 1
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for perm in perms:
-                f = int(perm[e])
-                if not seen[f]:
-                    seen[f] = True
-                    nxt.append(f)
-                    count += 1
-        frontier = nxt
-    return count
+    frontier = np.array([start])
+    while frontier.size:
+        reached = np.zeros(n_points, dtype=bool)
+        reached[perms[:, frontier]] = True
+        frontier = np.flatnonzero(reached & ~seen)
+        seen |= reached
+    return int(seen.sum())
 
 
-def verify_edge_transitive(graph: CayleyGraph, gens: GeneratorSet) -> tuple[bool, int]:
-    """Whether the semi-direct product generators reach every undirected
+def verify_edge_transitive(graph: CayleyGraph, perms: dict[str, np.ndarray]
+                           ) -> tuple[bool, int]:
+    """Whether the semi-direct product generators, given by their edge
+    permutations (symmetry_edge_permutations), reach every undirected
     edge from edge 0."""
-    perms = list(symmetry_edge_permutations(graph, gens).values())
-    size = edge_orbit(perms, graph.n_edges)
+    size = edge_orbit(list(perms.values()), graph.n_edges)
     return size == graph.n_edges, size
 
 
 def verify_vertex_transitive(graph: CayleyGraph) -> bool:
     """Left translations act transitively on vertices (orbit of vertex 0
     under v -> s * v covers everything)."""
-    maps = [left_translation_vertex_map(graph, s) for s in graph.gens]
-    return edge_orbit(maps, graph.n_vertices) == graph.n_vertices
-
-
-# ---------------------------------------------------------------------------
-# Edge list import/export
-# ---------------------------------------------------------------------------
-
-def parse_edge_list(text: str) -> tuple[int, int, int, list[tuple[int, int, int]]]:
-    """Parse the text export: header "|V| |E| degree", then one
-    "u v gen_index" line per edge."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    try:
-        n, m, deg = (int(tok) for tok in lines[0].split())
-        edges = [tuple(int(tok) for tok in ln.split()) for ln in lines[1:]]
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"malformed edge list: {exc}") from exc
-    if len(edges) != m:
-        raise ValueError(f"edge list header says {m} edges, found {len(edges)}")
-    return n, m, deg, edges  # type: ignore[return-value]
+    return edge_orbit(left_translation_maps(graph), graph.n_vertices) == graph.n_vertices

@@ -5,23 +5,28 @@ the canonical form whose first nonzero entry (row-major) is 1, so
 equality and hashing are entry-wise.  The canonical form works
 uniformly for PGL and PSL; membership in PSL is decided by quadratic
 residuosity of the determinant, which is well defined because
-rescaling multiplies the determinant by a square.
+rescaling multiplies the determinant by a square.  The objects build
+generator sets; PglGroup does the same arithmetic on int64 keys, a
+whole array of elements at a time, for the group closure and the
+symmetry permutations.
 
 The nonsplit torus of order q + 1 inside PGL_2(q) is realized as the
 matrices [[x, d*y], [y, x]] with d a fixed nonsquare: the left-regular
 representation of F_q[alpha] (alpha^2 = d) on the basis {1, alpha},
 with projective points (x : y) as representatives.  The semi-direct
 product of a vertex group with the torus acts on directed Cayley-graph
-edges by (g', s) -> (g * (t g' t^-1), t s t^-1).
+edges by (g', s) -> (g * (t g' t^-1), t s t^-1) (see graphs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ConstructionError
-from .fields import FieldElem, FiniteField, find_nonsquare, is_square
+from .fields import FieldElem, FieldTables, FiniteField, find_nonsquare, is_square
 
 
 class ProjectiveMatrix:
@@ -107,10 +112,6 @@ class ProjectiveMatrix:
         return f"[[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]]"
 
 
-def proj(field: FiniteField, entries: Sequence) -> ProjectiveMatrix:
-    return ProjectiveMatrix.make(field, entries)
-
-
 # ---------------------------------------------------------------------------
 # The nonsplit torus
 # ---------------------------------------------------------------------------
@@ -193,75 +194,71 @@ def torus_generator(torus: list[TorusElement]) -> tuple[int, TorusElement]:
     raise AssertionError("nonsplit torus is cyclic; a generator must exist")
 
 
-def conj_action(t: ProjectiveMatrix, g: ProjectiveMatrix) -> ProjectiveMatrix:
-    """t g t^-1 with t given over the base field and g over the ambient
-    field; t is embedded first when the fields differ."""
-    if t.field != g.field:
-        t = t.embed(g.field)
-    return g.conjugate_by(t)
-
-
 # ---------------------------------------------------------------------------
-# Semi-direct product elements and the directed-edge action
+# PGL_2 on integer keys
 # ---------------------------------------------------------------------------
 
-class SdpElement:
-    """Pair (g, t) with g in the ambient matrix group and t in the
-    torus; product (g1, t1)(g2, t2) = (g1 * t1 g2 t1^-1, t1 t2)."""
-
-    __slots__ = ("g", "t", "t_mat")
-
-    def __init__(self, g: ProjectiveMatrix, t: TorusElement,
-                 t_mat: ProjectiveMatrix | None = None):
-        self.g = g
-        self.t = t
-        # the torus matrix embedded into g's field, cached for the action
-        self.t_mat = t.matrix.embed(g.field) if t_mat is None else t_mat
-
-    @classmethod
-    def identity(cls, field: FiniteField, torus: list[TorusElement]) -> "SdpElement":
-        ident = next(t for t in torus if t.is_identity())
-        return cls(ProjectiveMatrix.identity(field), ident)
-
-    def __mul__(self, other: "SdpElement") -> "SdpElement":
-        g = self.g * other.g.conjugate_by(self.t_mat)
-        t = self.t * other.t
-        return SdpElement(g, t)
-
-    def inverse(self) -> "SdpElement":
-        t_inv = self.t.inverse()
-        t_inv_mat = self.t_mat.inverse()
-        return SdpElement(self.g.inverse().conjugate_by(t_inv_mat), t_inv, t_inv_mat)
-
-    def __eq__(self, other):
-        return (isinstance(other, SdpElement)
-                and other.g == self.g and other.t.matrix == self.t.matrix)
-
-    def __hash__(self):
-        return hash((self.g, self.t.matrix))
-
-    def __repr__(self):
-        return f"SdpElement(g={self.g!r}, t=({self.t.x!r}:{self.t.y!r}))"
+KEY_ORDER_LIMIT = 55109  # smallest field order Q with Q**4 > 2**63 - 1
 
 
-def sdp_act_directed_edge(
-    h: SdpElement,
-    vertex: ProjectiveMatrix,
-    gen_index: int,
-    gens: Sequence[ProjectiveMatrix],
-    gen_lookup: dict[ProjectiveMatrix, int],
-) -> tuple[ProjectiveMatrix, int]:
-    """Image of the directed edge (vertex, gens[gen_index]) under h:
-    (g * t vertex t^-1, index of t s t^-1).
-
-    The torus must permute the generator set; a conjugate falling
-    outside it signals a broken orbit setup and raises.
-    """
-    new_vertex = h.g * vertex.conjugate_by(h.t_mat)
-    s_conj = gens[gen_index].conjugate_by(h.t_mat)
-    new_index = gen_lookup.get(s_conj)
-    if new_index is None:
-        raise ConstructionError(
-            "torus conjugation left the generator set (mis-ordered or broken S)"
+def require_key_fits(order: int) -> None:
+    """Refuse a field whose PGL_2 keys would overflow int64; called
+    before any table or array is allocated."""
+    if order >= KEY_ORDER_LIMIT:
+        raise ValueError(
+            f"field order q^e = {order} is too large for int64 group keys: "
+            f"(q^e)^4 must stay below 2^63, so q^e < {KEY_ORDER_LIMIT}"
         )
-    return new_vertex, new_index
+
+
+class PglGroup:
+    """PGL_2 over a finite field on int64 keys, vectorized over numpy
+    arrays.
+
+    The key of a canonical matrix [[a, b], [c, d]] (first nonzero entry
+    1, as in ProjectiveMatrix) is ((a Q + b) Q + c) Q + d with Q the
+    field order and entries by their FieldElem.encode() integers, so
+    equal keys are equal group elements.  Products and inverses are
+    canonicalized before they are keyed.  mul and inverse broadcast
+    like numpy arithmetic.
+    """
+
+    def __init__(self, field: FiniteField):
+        require_key_fits(field.order)
+        self.field = field
+        self.tables = FieldTables(field)
+        self.identity = self.encode(ProjectiveMatrix.identity(field))
+
+    def encode(self, m: ProjectiveMatrix) -> int:
+        key = 0
+        for x in m.entries():
+            key = key * self.field.order + x.encode()
+        return key
+
+    def entries(self, keys) -> tuple[np.ndarray, ...]:
+        q = self.field.order
+        rest, d = np.divmod(np.asarray(keys, dtype=np.int64), q)
+        rest, c = np.divmod(rest, q)
+        a, b = np.divmod(rest, q)
+        return a, b, c, d
+
+    def canonical_key(self, a, b, c, d) -> np.ndarray:
+        """Key of the class of the nonsingular [[a, b], [c, d]], entries
+        given by their encodings."""
+        # a nonsingular matrix has a nonzero entry in its first row
+        mul, q = self.tables.mul, self.field.order
+        inv = self.tables.inv(np.where(a != 0, a, b))
+        return ((mul(a, inv) * q + mul(b, inv)) * q + mul(c, inv)) * q + mul(d, inv)
+
+    def mul(self, x, y) -> np.ndarray:
+        a, b, c, d = self.entries(x)
+        e, f, g, h = self.entries(y)
+        mul, add = self.tables.mul, self.tables.add
+        return self.canonical_key(add(mul(a, e), mul(b, g)), add(mul(a, f), mul(b, h)),
+                                  add(mul(c, e), mul(d, g)), add(mul(c, f), mul(d, h)))
+
+    def inverse(self, x) -> np.ndarray:
+        # the adjugate is a scalar multiple of the inverse
+        a, b, c, d = self.entries(x)
+        neg = self.tables.neg
+        return self.canonical_key(d, neg(b), neg(c), a)

@@ -44,6 +44,7 @@ class CayleyCodeInstance:
     dual_rows: list[int]                 # basis of B-dual, integer words
     matrix: Gf2Matrix                    # H, one row per (vertex, dual word)
     row_meta: list[tuple[int, int]]      # (vertex, dual shift index)
+    supports: list[list[int]]            # sorted column indices of each row of H
 
     @property
     def n(self) -> int:
@@ -61,9 +62,6 @@ class CayleyCodeInstance:
     def dim(self) -> int:
         return self.n - self.rank
 
-    def row_support(self, idx: int) -> list[int]:
-        return self.matrix.row_support(idx)
-
 
 def build_parity_check(graph: CayleyGraph, inner: CyclicCode) -> CayleyCodeInstance:
     """Vertex-local constraint rows from the dual basis of the inner code."""
@@ -73,15 +71,13 @@ def build_parity_check(graph: CayleyGraph, inner: CyclicCode) -> CayleyCodeInsta
         )
     d = dual_generator(inner)
     rows = dual_basis_rows(inner)
-    supports = []
-    meta = []
-    for v in range(graph.n_vertices):
-        star = graph.star_edge_ids(v)
-        for j, word in enumerate(rows):
-            supports.append([star[i] for i in range(inner.n) if (word >> i) & 1])
-            meta.append((v, j))
+    # per dual word, the sorted edge ids under its bits on every star
+    per_word = [np.sort(graph.eid[:, [i for i in range(inner.n) if (word >> i) & 1]],
+                        axis=1).tolist() for word in rows]
+    supports = [sup for row in zip(*per_word) for sup in row]
+    meta = [(v, j) for v in range(graph.n_vertices) for j in range(len(rows))]
     matrix = Gf2Matrix.from_supports(graph.n_edges, supports)
-    inst = CayleyCodeInstance(graph, inner, d, rows, matrix, meta)
+    inst = CayleyCodeInstance(graph, inner, d, rows, matrix, meta, supports)
     for sup in supports:
         if len(sup) > graph.degree:
             raise AssertionError("row locality violated")
@@ -176,7 +172,7 @@ def verify_invariance(inst: CayleyCodeInstance, perms: dict[str, np.ndarray],
         perm = perms[name]
         batch = np.zeros((len(sample), inst.matrix.data.shape[1]), dtype=np.uint64)
         for bi, ri in enumerate(sample):
-            for c in inst.row_support(ri):
+            for c in inst.supports[ri]:
                 img = int(perm[c])
                 batch[bi, img >> 6] |= np.uint64(1 << (img & 63))
         residual = inst.echelon.reduce_batch(batch)
@@ -218,7 +214,7 @@ def row_orbit(inst: CayleyCodeInstance, perms: Sequence[np.ndarray],
     """Orbit of one constraint row under the edge permutations, as
     deduplicated support tuples, in BFS discovery order."""
     plists = [perm.tolist() for perm in perms]
-    start = tuple(sorted(inst.row_support(start_row)))
+    start = tuple(inst.supports[start_row])
     seen = {start}
     queue = [start]
     head = 0
@@ -446,7 +442,8 @@ def run_verification(gens, graph: CayleyGraph, inner: CyclicCode,
     spec = spectrum(graph, mode=spectrum_mode, seed=seed)
     ram = is_ramanujan(spec, q)
 
-    et_ok, orbit_edges = verify_edge_transitive(graph, gens)
+    perms = symmetry_edge_permutations(graph, gens)
+    et_ok, orbit_edges = verify_edge_transitive(graph, perms)
 
     inst = build_parity_check(graph, inner)
     rate = measured_rate(inst)
@@ -461,7 +458,6 @@ def run_verification(gens, graph: CayleyGraph, inner: CyclicCode,
         delta_source = "unknown"
     rate_lb, dist_lb = edge_code_bounds(inner.rate, delta_b, spec.lambda2)
 
-    perms = symmetry_edge_permutations(graph, gens)
     inv = verify_invariance(
         inst, {"left_gamma": perms["left_s0"], "torus_t0": perms["torus_t0"]},
         trials=invariance_trials, seed=seed)

@@ -21,6 +21,13 @@ def q19_psl_graph(q19_psl_gens):
 
 
 @pytest.fixture(scope="session")
+def q19_psl_objects(q19_psl_graph):
+    """The q19 PSL vertices as ProjectiveMatrix objects, and their ids."""
+    from group_reference import object_vertices
+    return object_vertices(q19_psl_graph)
+
+
+@pytest.fixture(scope="session")
 def q19_pgl_gens():
     return build_generators(choose_ideal(19, 1, "pgl"))
 

@@ -19,9 +19,9 @@ from cayleycodes import cli, cyclic, gf2poly
 from cayleycodes.cyclic import CyclicCode
 from cayleycodes.errors import ConstructionError
 from cayleycodes.gf2 import Gf2Matrix
-from cayleycodes.graphs import (AddGroupElement, generate_group,
+from cayleycodes.graphs import (ZnGroup, generate_group, symmetry_edge_permutations,
                                 verify_edge_transitive)
-from cayleycodes.projective import ProjectiveMatrix
+from cayleycodes.projective import PglGroup, ProjectiveMatrix
 from cayleycodes.quaternion import (build_generators, classify,
                                     residue_params, split_quaternion,
                                     _raw_mul, _raw_scalar)
@@ -103,7 +103,8 @@ def test_criterion_3_ramanujan_certification(q19_psl_graph, q19_pgl_graph):
 
 def test_criterion_4_edge_transitivity(q19_psl_graph, q19_psl_gens):
     t0 = time.time()
-    ok, orbit = verify_edge_transitive(q19_psl_graph, q19_psl_gens)
+    perms = symmetry_edge_permutations(q19_psl_graph, q19_psl_gens)
+    ok, orbit = verify_edge_transitive(q19_psl_graph, perms)
     assert ok and orbit == 34200 == q19_psl_graph.n_edges
     _report(4, "edge transitivity", t0, 60)
 
@@ -128,9 +129,7 @@ def test_criterion_5_structural_code_checks(q19_instance, q19_perms):
 
 def test_criterion_6_brute_force_equivalence():
     t0 = time.time()
-    graph = generate_group(
-        [AddGroupElement(8, 1), AddGroupElement(8, 7), AddGroupElement(8, 4)],
-        AddGroupElement(8, 0), cap=9)
+    graph = generate_group(ZnGroup(8), [1, 7, 4], cap=9)
     inst = build_parity_check(graph, CyclicCode(3, 0b11))
     assert graph.n_vertices <= 60 and inst.dim <= 20
     assert codeword_set_from_nullspace(inst) == codeword_set_brute_force(inst)
@@ -204,10 +203,10 @@ def test_criterion_8a_tampered_alist_fails_verify(built_instance_dir, tmp_path, 
 def test_criterion_8b_broken_generator_set_reported(q19_psl_gens):
     t0 = time.time()
     gens = q19_psl_gens
-    ident = ProjectiveMatrix.identity(gens.field)
+    group = PglGroup(gens.field)
     # one element removed: no longer symmetric, refused with a report
     with pytest.raises(ConstructionError, match="not symmetric"):
-        generate_group(gens.elements[:-1], ident, cap=10000)
+        generate_group(group, [group.encode(s) for s in gens.elements[:-1]], cap=10000)
     # the validator names both failures
     import copy
     broken = copy.copy(gens)
@@ -220,6 +219,6 @@ def test_criterion_8b_broken_generator_set_reported(q19_psl_gens):
     # which the regularity expectation q + 1 catches
     s0 = gens.elements[0]
     pair_removed = [s for s in gens.elements if s not in (s0, s0.inverse())]
-    graph = generate_group(pair_removed, ident, cap=10000)
+    graph = generate_group(group, [group.encode(s) for s in pair_removed], cap=10000)
     assert graph.degree == 18 != gens.params.q + 1
     print(f"CRITERION 8b (broken generator set reported): PASS  [{time.time() - t0:.1f}s]")

@@ -2,27 +2,29 @@ import numpy as np
 import pytest
 
 from cayleycodes.errors import ConstructionError
-from cayleycodes.graphs import (AddGroupElement, edge_orbit, edge_permutation,
+from cayleycodes.graphs import (ZnGroup, edge_orbit, edge_permutation,
                                 generate_group, graph_from_generators,
-                                left_translation_vertex_map, parse_edge_list,
-                                sdp_edge_permutation,
-                                symmetry_edge_permutations,
-                                verify_edge_transitive,
+                                left_translation_maps, verify_edge_transitive,
                                 verify_vertex_transitive)
-from cayleycodes.projective import ProjectiveMatrix, SdpElement
+from cayleycodes.projective import PglGroup
+
+from group_reference import SdpElement, object_vertices, parse_edge_list, sdp_edge_permutation
 
 
 def zn_graph(n, steps):
     """Cayley graph of Z_n with the given generator steps (must be
     closed under negation)."""
-    gens = [AddGroupElement(n, s) for s in steps]
-    return generate_group(gens, AddGroupElement(n, 0), cap=n + 1)
+    return generate_group(ZnGroup(n), steps, cap=n + 1)
 
 
 def test_cycle_graph():
     g = zn_graph(8, [1, 7])
     assert g.n_vertices == 8 and g.n_edges == 8 and g.degree == 2
     assert g.bipartite
+    # 501 BFS levels: the 2-coloring is the level parity, past any int8 count
+    g = zn_graph(1000, [1, 999])
+    assert g.bipartite and (g.color == g.keys % 2).all()
+    assert not zn_graph(999, [1, 998]).bipartite
 
 
 def test_complete_graph_k4():
@@ -37,21 +39,28 @@ def test_involution_generator_pairing():
     assert g.n_edges == 12
     assert 2 * g.n_edges == g.n_vertices * g.degree
     for v in range(8):
-        i = g.gens.index(AddGroupElement(8, 4))
+        i = g.gens.tolist().index(4)
         w = int(g.adj[v, i])
         assert g.edge_id(v, i) == g.edge_id(w, i)
 
 
 def test_generator_validation():
-    ident = AddGroupElement(8, 0)
+    z8 = ZnGroup(8)
     with pytest.raises(ConstructionError):
-        generate_group([AddGroupElement(8, 1)], ident, cap=10)  # no inverse
+        generate_group(z8, [1], cap=10)  # no inverse
     with pytest.raises(ConstructionError):
-        generate_group([AddGroupElement(8, 1), AddGroupElement(8, 7), ident],
-                       ident, cap=10)  # identity would create loops
+        generate_group(z8, [1, 7, 0], cap=10)  # identity would create loops
     with pytest.raises(ConstructionError):
-        generate_group([AddGroupElement(8, 1), AddGroupElement(8, 7)],
-                       ident, cap=4)  # cap exceeded
+        generate_group(z8, [1, 7], cap=4)  # cap exceeded
+    with pytest.raises(ConstructionError):
+        generate_group(z8, [1, 7, 1], cap=10)  # repeated generator
+
+
+def test_vertex_ids_reject_non_vertices():
+    g = zn_graph(8, [2, 6])  # the subgroup {0, 2, 4, 6}
+    assert g.vertex_ids([4, 0]).tolist() == [3, 0]  # BFS order 0, 2, 6, 4
+    with pytest.raises(ConstructionError, match="not vertices"):
+        g.vertex_ids([4, 1])
 
 
 def test_edge_ids_consistent():
@@ -104,8 +113,9 @@ def test_edge_permutation_bijection_and_composition(q19_psl_graph, q19_psl_gens)
     gens = q19_psl_gens
     graph = q19_psl_graph
     rng = random.Random(21)
-    h1 = SdpElement(rng.choice(graph.vertices), rng.choice(gens.torus))
-    h2 = SdpElement(rng.choice(graph.vertices), rng.choice(gens.torus))
+    vertices, _ = object_vertices(graph)
+    h1 = SdpElement(rng.choice(vertices), rng.choice(gens.torus))
+    h2 = SdpElement(rng.choice(vertices), rng.choice(gens.torus))
     p1 = sdp_edge_permutation(graph, h1)
     p2 = sdp_edge_permutation(graph, h2)
     p12 = sdp_edge_permutation(graph, h1 * h2)
@@ -113,8 +123,8 @@ def test_edge_permutation_bijection_and_composition(q19_psl_graph, q19_psl_gens)
     assert np.array_equal(p12, p1[p2])
 
 
-def test_edge_transitive_q19(q19_psl_graph, q19_psl_gens):
-    ok, size = verify_edge_transitive(q19_psl_graph, q19_psl_gens)
+def test_edge_transitive_q19(q19_psl_graph, q19_perms):
+    ok, size = verify_edge_transitive(q19_psl_graph, q19_perms)
     assert ok and size == 34200
 
 
@@ -122,8 +132,7 @@ def test_toy_edge_orbit_under_translations_only():
     # the cycle C_8 is edge transitive under rotations alone
     g = zn_graph(8, [1, 7])
     ident_gen_perm = list(range(g.degree))
-    perms = [edge_permutation(g, left_translation_vertex_map(g, s), ident_gen_perm)
-             for s in g.gens]
+    perms = [edge_permutation(g, vm, ident_gen_perm) for vm in left_translation_maps(g)]
     assert edge_orbit(perms, g.n_edges) == g.n_edges
 
 
@@ -135,6 +144,6 @@ def test_broken_generator_set_is_rejected(q19_psl_gens):
     """Dropping one element breaks S = S^-1 and the expected degree;
     the graph builder refuses instead of silently accepting."""
     gens = q19_psl_gens
-    ident = ProjectiveMatrix.identity(gens.field)
+    group = PglGroup(gens.field)
     with pytest.raises(ConstructionError):
-        generate_group(gens.elements[:-1], ident, cap=10000)
+        generate_group(group, [group.encode(s) for s in gens.elements[:-1]], cap=10000)

@@ -1,0 +1,160 @@
+"""The keyed group layer against the object reference: field tables
+against FieldElem, PglGroup against ProjectiveMatrix, and the Cayley
+graphs and symmetry permutations against the sequential object BFS."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cayleycodes import cli
+from cayleycodes.fields import FieldTables, ext_field, prime_field
+from cayleycodes.graphs import (ZnGroup, edge_permutation, generate_group,
+                                graph_from_generators, left_translation_maps,
+                                symmetry_edge_permutations)
+from cayleycodes.projective import (KEY_ORDER_LIMIT, PglGroup, ProjectiveMatrix,
+                                    require_key_fits)
+from cayleycodes.quaternion import build_generators, choose_ideal
+
+from group_reference import (AddGroupElement, left_translation_vertex_map,
+                             reference_closure, reference_edge_permutation,
+                             reference_symmetry_permutations)
+
+FIELDS = {"F_19": prime_field(19), "F_25": ext_field(5, 2), "F_49": ext_field(7, 2)}
+GROUPS = {name: PglGroup(field) for name, field in FIELDS.items()}
+
+field_names = st.sampled_from(sorted(FIELDS))
+
+
+@settings(max_examples=30, deadline=None)
+@given(field_names, st.data())
+def test_field_tables_match_field_elements(name, data):
+    field = FIELDS[name]
+    tables = GROUPS[name].tables
+    elems = st.integers(0, field.order - 1)
+    pairs = data.draw(st.lists(st.tuples(elems, elems), min_size=1, max_size=40))
+    x = np.array([a for a, _ in pairs])
+    y = np.array([b for _, b in pairs])
+    fx = [field.from_int(a) for a, _ in pairs]
+    fy = [field.from_int(b) for _, b in pairs]
+    assert tables.mul(x, y).tolist() == [(a * b).encode() for a, b in zip(fx, fy)]
+    assert tables.add(x, y).tolist() == [(a + b).encode() for a, b in zip(fx, fy)]
+    assert tables.neg(x).tolist() == [(-a).encode() for a in fx]
+    nz = x != 0
+    assert tables.inv(x[nz]).tolist() == [a.inverse().encode() for a in fx if not a.is_zero()]
+
+
+def test_field_tables_reject_zero_inverse():
+    with pytest.raises(ZeroDivisionError):
+        FieldTables(prime_field(7)).inv(np.array([3, 0]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(field_names, st.data())
+def test_pgl_keys_match_projective_matrices(name, data):
+    """Products, inverses and the canonical form of arbitrary scalar
+    multiples agree with ProjectiveMatrix, key for key."""
+    field, group = FIELDS[name], GROUPS[name]
+    elems = st.integers(0, field.order - 1)
+    quads = data.draw(st.lists(st.tuples(elems, elems, elems, elems), max_size=24))
+    xs = [ProjectiveMatrix.identity(field)]
+    for quad in quads:
+        a, b, c, d = (field.from_int(x) for x in quad)
+        if not (a * d - b * c).is_zero():
+            xs.append(ProjectiveMatrix.make(field, (a, b, c, d)))
+    ys = xs[::-1]
+    kx = np.array([group.encode(m) for m in xs])
+    ky = np.array([group.encode(m) for m in ys])
+    assert group.mul(kx, ky).tolist() == [group.encode(a * b) for a, b in zip(xs, ys)]
+    assert group.inverse(kx).tolist() == [group.encode(a.inverse()) for a in xs]
+    # rescaling by a nonzero scalar does not change the key
+    scale = data.draw(st.integers(1, field.order - 1))
+    entries = np.array([[e.encode() for e in m.entries()] for m in xs]).T
+    scaled = [group.tables.mul(column, scale) for column in entries]
+    assert group.canonical_key(*scaled).tolist() == kx.tolist()
+    assert group.mul(kx[:, None], ky[None, :]).shape == (len(xs), len(ys))
+    assert group.identity == group.encode(ProjectiveMatrix.identity(field))
+
+
+def test_key_guard_names_the_limit():
+    require_key_fits(KEY_ORDER_LIMIT - 1)
+    assert (KEY_ORDER_LIMIT - 1) ** 4 < 2**63 <= KEY_ORDER_LIMIT ** 4
+    with pytest.raises(ValueError, match=str(KEY_ORDER_LIMIT)):
+        require_key_fits(KEY_ORDER_LIMIT)
+    with pytest.raises(ValueError, match=str(KEY_ORDER_LIMIT)):
+        require_key_fits(10**6)
+
+
+def test_cli_refuses_oversized_field(capsys):
+    assert cli.main(["graph", "--q", "55117"]) == 2
+    assert str(KEY_ORDER_LIMIT) in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Graphs and permutations against the object reference
+# ---------------------------------------------------------------------------
+
+INSTANCES = {"q19_psl": (19, 1, "psl"), "q19_pgl": (19, 1, "pgl"), "q5e2_psl": (5, 2, "psl")}
+
+
+@pytest.fixture(scope="module", params=sorted(INSTANCES))
+def keyed_and_reference(request):
+    q, e, variant = INSTANCES[request.param]
+    gens = build_generators(choose_ideal(q, e, variant))
+    graph = graph_from_generators(gens)
+    ref = reference_closure(gens.elements, ProjectiveMatrix.identity(gens.field))
+    return gens, graph, ref
+
+
+def _assert_same_graph(graph, ref):
+    assert graph.adj.dtype == ref.adj.dtype and np.array_equal(graph.adj, ref.adj)
+    assert graph.eid.dtype == ref.eid.dtype and np.array_equal(graph.eid, ref.eid)
+    assert graph.edge_canonical.tolist() == [list(f) for f in ref.edge_canonical]
+    assert graph.inv_gen.tolist() == ref.inv_gen
+    assert graph.bipartite == ref.bipartite
+    if ref.bipartite:
+        assert graph.color.dtype == ref.color.dtype and np.array_equal(graph.color, ref.color)
+    else:
+        assert graph.color is None
+
+
+def test_closure_matches_object_bfs(keyed_and_reference):
+    gens, graph, ref = keyed_and_reference
+    _assert_same_graph(graph, ref)
+    assert graph.keys.tolist() == [graph.group.encode(g) for g in ref.vertices]
+
+
+def test_symmetry_permutations_match_object_reference(keyed_and_reference):
+    gens, graph, ref = keyed_and_reference
+    perms = symmetry_edge_permutations(graph, gens)
+    expected = reference_symmetry_permutations(ref, gens)
+    assert list(perms) == list(expected)
+    for name, perm in expected.items():
+        assert perms[name].dtype == perm.dtype and np.array_equal(perms[name], perm), name
+
+
+@st.composite
+def zn_generators(draw):
+    n = draw(st.integers(3, 40))
+    half = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4))
+    steps = sorted({s % n for h in half for s in (h, -h)})
+    return n, draw(st.permutations(steps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(zn_generators())
+def test_toy_groups_match_object_reference(case):
+    """Random Z_n generator sets, cap = |subgroup|: the keyed closure,
+    its edges and the left-translation edge permutations equal the
+    object construction."""
+    n, steps = case
+    ref = reference_closure([AddGroupElement(n, s) for s in steps], AddGroupElement(n, 0))
+    graph = generate_group(ZnGroup(n), steps, cap=len(ref.vertices))
+    _assert_same_graph(graph, ref)
+    assert graph.keys.tolist() == [g.v for g in ref.vertices]
+    ident = list(range(len(steps)))
+    for vm, s in zip(left_translation_maps(graph), ref.gens):
+        ref_vm = left_translation_vertex_map(ref, s)
+        assert np.array_equal(vm, ref_vm)
+        assert np.array_equal(edge_permutation(graph, vm, ident),
+                              reference_edge_permutation(ref, ref_vm, ident))

@@ -4,10 +4,11 @@ import pytest
 
 from cayleycodes.errors import ConstructionError
 from cayleycodes.fields import prime_field, ext_field, find_nonsquare
-from cayleycodes.projective import (ProjectiveMatrix, SdpElement, TorusElement,
-                                    conj_action, nonsplit_torus, proj,
-                                    sdp_act_directed_edge, torus_element_order,
-                                    torus_generator)
+from cayleycodes.projective import (ProjectiveMatrix, TorusElement, nonsplit_torus,
+                                    torus_element_order, torus_generator)
+
+from group_reference import (SdpElement, conj_action, proj, sdp_act_directed_edge,
+                             sdp_maps)
 
 
 def test_scalar_collapse():
@@ -114,31 +115,32 @@ def _random_sdp(rng, gens, graph_vertices):
     return SdpElement(g, t)
 
 
-def test_sdp_group_axioms(q19_psl_gens, q19_psl_graph):
+def test_sdp_group_axioms(q19_psl_gens, q19_psl_objects):
     gens = q19_psl_gens
-    graph = q19_psl_graph
+    vertices, _ = q19_psl_objects
     rng = random.Random(77)
     ident = SdpElement.identity(gens.field, gens.torus)
     for _ in range(200):
-        h1 = _random_sdp(rng, gens, graph.vertices)
-        h2 = _random_sdp(rng, gens, graph.vertices)
-        h3 = _random_sdp(rng, gens, graph.vertices)
+        h1 = _random_sdp(rng, gens, vertices)
+        h2 = _random_sdp(rng, gens, vertices)
+        h3 = _random_sdp(rng, gens, vertices)
         assert (h1 * h2) * h3 == h1 * (h2 * h3)
         assert h1.inverse() * h1 == ident
         assert h1 * h1.inverse() == ident
 
 
-def test_sdp_edge_action_well_defined(q19_psl_gens, q19_psl_graph):
+def test_sdp_edge_action_well_defined(q19_psl_gens, q19_psl_graph, q19_psl_objects):
     """Acting by a product equals acting twice, and both directed forms
     of an edge land on the same undirected edge."""
     gens = q19_psl_gens
     graph = q19_psl_graph
+    vertices, vindex = q19_psl_objects
     lookup = {s: i for i, s in enumerate(gens.elements)}
     rng = random.Random(5)
     for _ in range(1000):
-        h1 = _random_sdp(rng, gens, graph.vertices)
-        h2 = _random_sdp(rng, gens, graph.vertices)
-        v = rng.choice(graph.vertices)
+        h1 = _random_sdp(rng, gens, vertices)
+        h2 = _random_sdp(rng, gens, vertices)
+        v = rng.choice(vertices)
         i = rng.randrange(graph.degree)
         # composition: e^(h1 h2) == (e^h2)^h1
         mid = sdp_act_directed_edge(h2, v, i, gens.elements, lookup)
@@ -146,28 +148,27 @@ def test_sdp_edge_action_well_defined(q19_psl_gens, q19_psl_graph):
         once = sdp_act_directed_edge(h1 * h2, v, i, gens.elements, lookup)
         assert twice == once
         # reversed-edge consistency: (v s_i, s_i^-1) maps to the reverse
-        vi = graph.vindex[v]
-        w = graph.vertices[graph.adj[vi, i]]
+        vi = vindex[v]
+        w = vertices[graph.adj[vi, i]]
         j = graph.inv_gen[i]
         img_v, img_i = sdp_act_directed_edge(h1, v, i, gens.elements, lookup)
         img_w, img_j = sdp_act_directed_edge(h1, w, j, gens.elements, lookup)
-        img_vi = graph.vindex[img_v]
-        img_wi = graph.vindex[img_w]
+        img_vi = vindex[img_v]
+        img_wi = vindex[img_w]
         assert graph.adj[img_vi, img_i] == img_wi
         assert graph.inv_gen[img_i] == img_j
 
 
-def test_sdp_pairing_preserved_on_all_edges(q19_psl_gens, q19_psl_graph):
+def test_sdp_pairing_preserved_on_all_edges(q19_psl_gens, q19_psl_graph,
+                                            q19_psl_objects):
     """Both directed forms of every edge map to the same undirected
     edge, exhaustively over all 68400 directed edges for a fixed h."""
     import numpy as np
-    from cayleycodes.graphs import sdp_gen_perm, sdp_vertex_map
 
     gens = q19_psl_gens
     graph = q19_psl_graph
-    h = SdpElement(graph.vertices[17], gens.torus[5])
-    vmap = sdp_vertex_map(graph, h)
-    gperm = np.array(sdp_gen_perm(graph, h))
+    h = SdpElement(q19_psl_objects[0][17], gens.torus[5])
+    vmap, gperm = sdp_maps(graph, h)
     direct = graph.eid[vmap][:, gperm]             # (v, i) -> image edge id
     # entry (v, i) of the gather is direct[adj[v, i], inv_gen[i]], the
     # image of the reversed directed form
@@ -176,17 +177,17 @@ def test_sdp_pairing_preserved_on_all_edges(q19_psl_gens, q19_psl_graph):
     assert np.array_equal(direct, reversed_form)
 
 
-def test_sdp_restriction_is_left_multiplication(q19_psl_gens, q19_psl_graph):
+def test_sdp_restriction_is_left_multiplication(q19_psl_gens, q19_psl_objects):
     gens = q19_psl_gens
-    graph = q19_psl_graph
+    vertices, _ = q19_psl_objects
     lookup = {s: i for i, s in enumerate(gens.elements)}
     rng = random.Random(6)
     torus_ident = next(t for t in gens.torus if t.is_identity())
     for _ in range(100):
-        g = rng.choice(graph.vertices)
+        g = rng.choice(vertices)
         h = SdpElement(g, torus_ident)
-        v = rng.choice(graph.vertices)
-        i = rng.randrange(graph.degree)
+        v = rng.choice(vertices)
+        i = rng.randrange(gens.degree)
         img_v, img_i = sdp_act_directed_edge(h, v, i, gens.elements, lookup)
         assert img_v == g * v and img_i == i
 
@@ -197,13 +198,13 @@ def test_torus_orbit_size_of_gamma(q19_psl_gens):
     assert len(orbit) == 20
 
 
-def test_sdp_act_rejects_broken_generator_set(q19_psl_gens, q19_psl_graph):
+def test_sdp_act_rejects_broken_generator_set(q19_psl_gens, q19_psl_objects):
     gens = q19_psl_gens
-    graph = q19_psl_graph
+    vertices, _ = q19_psl_objects
     truncated = gens.elements[:-1]
     lookup = {s: i for i, s in enumerate(truncated)}
     h = SdpElement(ProjectiveMatrix.identity(gens.field), gens.t0, gens.t0_embedded)
     # conjugating the last remaining generator lands on the dropped one
     with pytest.raises(ConstructionError):
-        sdp_act_directed_edge(h, graph.vertices[0], len(truncated) - 1,
+        sdp_act_directed_edge(h, vertices[0], len(truncated) - 1,
                               truncated, lookup)

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cayleycodes.graphs import AddGroupElement, generate_group
+from cayleycodes.graphs import ZnGroup, generate_group
 from cayleycodes.spectra import (is_ramanujan, ramanujan_bound, spectrum,
                                  spectrum_dense, spectrum_lanczos)
 
 
 def zn_graph(n, steps):
-    gens = [AddGroupElement(n, s) for s in steps]
-    return generate_group(gens, AddGroupElement(n, 0), cap=n + 1)
+    return generate_group(ZnGroup(n), steps, cap=n + 1)
 
 
 def test_cycle_c8_analytic():

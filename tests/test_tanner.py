@@ -11,8 +11,8 @@ from cayleycodes.cyclic import CyclicCode
 from cayleycodes.errors import CheckFailure, ConstructionError
 from cayleycodes.gf2 import Gf2Matrix
 from cayleycodes.gf2poly import divmod_, mul, x_pow_n_minus_1
-from cayleycodes.graphs import (AddGroupElement, edge_permutation,
-                                generate_group, left_translation_vertex_map)
+from cayleycodes.graphs import (KeyIndex, ZnGroup, edge_permutation, generate_group,
+                                left_translation_maps)
 from cayleycodes.tanner import (all_views_in_inner, build_parity_check,
                                 code_distance, codeword_set_brute_force,
                                 codeword_set_from_nullspace, local_view,
@@ -21,8 +21,7 @@ from cayleycodes.tanner import (all_views_in_inner, build_parity_check,
 
 
 def zn_graph(n, steps):
-    gens = [AddGroupElement(n, s) for s in steps]
-    return generate_group(gens, AddGroupElement(n, 0), cap=n + 1)
+    return generate_group(ZnGroup(n), steps, cap=n + 1)
 
 
 def toy_perms(graph, mult=None):
@@ -30,12 +29,11 @@ def toy_perms(graph, mult=None):
     translations, plus multiplication by `mult` (an automorphism of
     Z_n) permuting both vertices and generator positions."""
     ident = list(range(graph.degree))
-    perms = [edge_permutation(graph, left_translation_vertex_map(graph, s), ident)
-             for s in graph.gens]
+    perms = [edge_permutation(graph, vm, ident) for vm in left_translation_maps(graph)]
     if mult is not None:
-        n = graph.vertices[0].n
-        vmap = [graph.vindex[AddGroupElement(n, mult * g.v)] for g in graph.vertices]
-        gp = [graph.gens.index(AddGroupElement(n, mult * s.v)) for s in graph.gens]
+        n = graph.group.n
+        vmap = graph.vertex_ids(mult * graph.keys % n)
+        gp = KeyIndex(graph.gens).find(mult * graph.gens % n)
         perms.append(edge_permutation(graph, vmap, gp))
     return perms
 
@@ -238,7 +236,7 @@ def test_single_orbit_names_non_local_row():
     makes an orbit row that is not vertex-local; the report names it."""
     inst = z17_torus_instance()
     perms = toy_perms(inst.graph, mult=2)
-    start = inst.row_support(0)
+    start = inst.supports[0]
     far = next(e for e in range(inst.n) if e not in inst.graph.star_edge_ids(0)
                and not set(inst.graph.endpoint_vertices(e))
                & set(inst.graph.endpoint_vertices(start[0])))
