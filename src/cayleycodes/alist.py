@@ -114,11 +114,6 @@ def loads_alist(text: str) -> tuple[int, int, list[list[int]]]:
     return n, m, row_lists
 
 
-def write_alist(path, row_supports: Sequence[Sequence[int]], ncols: int) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_alist(row_supports, ncols))
-
-
 def read_alist(path) -> tuple[int, int, list[list[int]]]:
     with open(path) as fh:
         return loads_alist(fh.read())

@@ -66,16 +66,6 @@ class CyclicCode:
     def shift(self, word: int, amount: int = 1) -> int:
         return gf2poly.cyclic_shift(word, self.n, amount)
 
-    def random_codeword(self, rng: random.Random) -> int:
-        word = 0
-        mask = rng.getrandbits(self.dim)
-        basis = self.basis()
-        while mask:
-            low = (mask & -mask).bit_length() - 1
-            word ^= basis[low]
-            mask &= mask - 1
-        return word
-
 
 @dataclass(frozen=True)
 class CodeParams:
@@ -155,10 +145,6 @@ def bch_designed_params(m: int, r: int) -> CodeParams:
     Vandermonde designed-distance bound d >= r + 1."""
     code = bch_code(m, r)
     return CodeParams(n=code.n, k=code.dim, d_lower=r + 1)
-
-
-def code_from_generator(n: int, h: int) -> CyclicCode:
-    return CyclicCode(n, h)
 
 
 # ---------------------------------------------------------------------------

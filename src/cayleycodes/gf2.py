@@ -1,9 +1,38 @@
 """GF(2) linear algebra on word-packed bit matrices.
 
 Rows are numpy uint64 arrays, 64 columns per word, column c stored in
-bit c & 63 of word c >> 6.  Elimination is vectorized across rows, so
-rank of the desk-scale parity-check matrices (tens of thousands of rows
-and columns) takes seconds.
+bit c & 63 of word c >> 6.
+
+Gf2Matrix.echelon eliminates one 64-column word at a time, after Bard,
+"Accelerating cryptanalysis with the Method of Four Russians" (2006).
+A row is free until it becomes a pivot.  For word w the free rows that
+are nonzero there (the block) are gathered once; on their word-w values
+the next pivot column is the smallest lowest set bit, and its hit rows
+are exactly those whose lowest set bit it is, so untouched columns cost
+nothing.  The first hit row becomes the pivot and is XORed into the
+other hit rows from word w on.  A block of at least 2^8 rows (as many
+as a table has entries) defers those XORs: a mask per row records the
+block pivots it absorbed, and at the end of the word each row takes its
+combination of the pivot rows, as gathered, from tables of all XOR
+combinations of 8 pivot rows: one XOR per 8 pivots, the same row
+operations.  Pivot rows are tracked by index and compacted in place at
+the end, so nothing of the size of H is allocated beyond its one copy.
+
+Before column c every free row is zero in all columns before c: a pivot
+at bit b clears b from every free row, and none has a lower set bit.
+So XORing only words >= w is exact.  Row operations preserve the row
+space of every prefix H[:, :k]; the pivot rows have distinct leading
+columns below c and the free rows vanish on H[:, :c], so rank H[:, :c]
+is the number of pivots so far, and rank H[:, :c+1] is one more exactly
+when some free row has bit c, that is, when c becomes a pivot.  Column c
+is a pivot iff rank H[:, :c+1] > rank H[:, :c] whatever the row
+operations, so rank and pivot columns equal those of column-at-a-time
+elimination.  When the pivot at column c is chosen every free row with
+bit c is cleared, and later pivot rows come only from rows free then,
+so column c is zero in the row of every later pivot (the Echelon
+invariant): reducing a row against the pivots in order clears each
+pivot column for good, and the residual is zero iff the row is in the
+row space, as Echelon.reduce_batch relies on.
 """
 
 from __future__ import annotations
@@ -13,16 +42,35 @@ from typing import Iterable, Sequence
 import numpy as np
 
 _ONE = np.uint64(1)
+_TABLE_BITS = 8        # pivots per Four-Russians table (2^8 entries)
+_CHUNK_ROWS = 256      # rows per step wherever a step copies rows of H
 
 
 def _n_words(ncols: int) -> int:
     return (ncols + 63) >> 6
 
 
-def pack_int(ncols: int, value: int) -> np.ndarray:
-    nw = _n_words(ncols)
-    data = value.to_bytes(nw * 8, "little")
-    return np.frombuffer(data, dtype=np.uint64).copy()
+def _trailing_zeros(words: np.ndarray) -> np.ndarray:
+    """Index of the lowest set bit of each word; 64 for a zero word."""
+    return np.bitwise_count(~words & (words - _ONE))
+
+
+def _apply_tables(m: np.ndarray, idx: np.ndarray, block: list[int],
+                  comb: np.ndarray, start: int) -> None:
+    """XOR into row idx[i] of m, from word `start` on, the block pivot
+    rows named by the bits of comb[i], read from Four-Russians tables."""
+    pivots = m[idx[block], start:]
+    mask = np.uint64((1 << _TABLE_BITS) - 1)
+    for g in range(0, len(block), _TABLE_BITS):
+        rows = pivots[g:g + _TABLE_BITS]
+        table = np.zeros((1 << len(rows), rows.shape[1]), dtype=np.uint64)
+        for t, row in enumerate(rows):
+            table[1 << t:2 << t] = table[:1 << t] ^ row
+        key = (comb >> np.uint64(g)) & mask
+        sel = np.flatnonzero(key)
+        for s in range(0, sel.size, _CHUNK_ROWS):
+            part = sel[s:s + _CHUNK_ROWS]
+            m[idx[part], start:] ^= table[key[part]]
 
 
 def unpack_int(row: np.ndarray) -> int:
@@ -51,24 +99,9 @@ class Gf2Matrix:
                 data[i, c >> 6] |= _ONE << np.uint64(c & 63)
         return cls(ncols, data)
 
-    @classmethod
-    def from_ints(cls, ncols: int, rows: Sequence[int]) -> "Gf2Matrix":
-        data = np.zeros((len(rows), _n_words(ncols)), dtype=np.uint64)
-        for i, r in enumerate(rows):
-            if r < 0 or r >> ncols:
-                raise ValueError(f"row {i} does not fit in {ncols} columns")
-            data[i] = pack_int(ncols, r)
-        return cls(ncols, data)
-
     @property
     def nrows(self) -> int:
         return self.data.shape[0]
-
-    def copy(self) -> "Gf2Matrix":
-        return Gf2Matrix(self.ncols, self.data.copy())
-
-    def row_as_int(self, i: int) -> int:
-        return unpack_int(self.data[i])
 
     def to_ints(self) -> list[int]:
         return [unpack_int(r) for r in self.data]
@@ -83,41 +116,62 @@ class Gf2Matrix:
                 word ^= low
         return out
 
-    def rank(self) -> int:
-        return self.echelon().rank
-
     def echelon(self) -> "Echelon":
-        """Forward Gaussian elimination on a copy; the input is unmodified."""
+        """Forward elimination on a copy, one 64-column word at a time
+        (kernel and proofs in the module docstring)."""
         m = self.data.copy()
         nrows = m.shape[0]
-        pivots: list[tuple[int, int]] = []
-        r = 0
-        for col in range(self.ncols):
-            if r == nrows:
+        free = np.ones(nrows, dtype=bool)
+        pivot_rows, pivot_cols = [], []
+        for w in range(m.shape[1]):
+            if len(pivot_rows) == nrows:
                 break
-            w = col >> 6
-            b = np.uint64(col & 63)
-            nz = np.nonzero((m[r:, w] >> b) & _ONE)[0]
-            if nz.size == 0:
+            idx = np.flatnonzero(free & (m[:, w] != 0))
+            if idx.size == 0:
                 continue
-            piv = r + int(nz[0])
-            if piv != r:
-                m[[r, piv]] = m[[piv, r]]
-            hit = r + nz[1:]
-            if hit.size:
-                m[hit] ^= m[r]
-            pivots.append((r, col))
-            r += 1
-        return Echelon(self.ncols, m[:r], pivots)
+            word = m[idx, w]
+            low = _trailing_zeros(word)
+            # comb[i]: the block pivots row idx[i] absorbed, when deferred
+            deferred = idx.size >= 1 << _TABLE_BITS
+            comb = np.zeros(idx.size, dtype=np.uint64)
+            block: list[int] = []
+            while True:
+                j = int(low.argmin())
+                b = int(low[j])
+                if b == 64:
+                    break
+                p = int(idx[j])
+                pivot_rows.append(p)
+                pivot_cols.append((w << 6) + b)
+                free[p] = False
+                low[j] = 64
+                hit = np.flatnonzero(low == b)
+                if hit.size:
+                    if deferred:
+                        comb[hit] ^= comb[j] | _ONE << np.uint64(len(block))
+                    else:
+                        m[idx[hit], w:] ^= m[p, w:]
+                    word[hit] ^= word[j]
+                    low[hit] = _trailing_zeros(word[hit])
+                block.append(j)
+            if deferred:
+                m[idx, w] = word
+                _apply_tables(m, idx, block, comb, w + 1)
+        # move the pivot rows to the front in ascending row order: row
+        # keep[i] >= i, so no step overwrites a row a later step reads
+        keep = np.sort(np.array(pivot_rows, dtype=np.int64))
+        for s in range(0, keep.size, _CHUNK_ROWS):
+            step = keep[s:s + _CHUNK_ROWS]
+            m[s:s + step.size] = m[step]
+        position = np.searchsorted(keep, pivot_rows).tolist()
+        return Echelon(self.ncols, m[:keep.size], list(zip(position, pivot_cols)))
 
 
 class Echelon:
-    """Result of forward elimination: staircase rows, one per pivot.
-
-    Each pivot column is zero in every other retained row at or below
-    it, so reducing a vector against the pivots in order decides row
-    space membership.
-    """
+    """Result of forward elimination: one row per pivot.  pivots lists
+    (index into rows, pivot column) by increasing column; each pivot
+    column is zero in the row of every later pivot, so reducing a vector
+    against the pivots in order decides row space membership."""
 
     def __init__(self, ncols: int, rows: np.ndarray, pivots: list[tuple[int, int]]):
         self.ncols = ncols
@@ -127,14 +181,6 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def reduce(self, row: np.ndarray) -> np.ndarray:
-        """Residual of a packed row after reduction against the pivots."""
-        v = row.copy()
-        for i, col in self.pivots:
-            if (int(v[col >> 6]) >> (col & 63)) & 1:
-                v ^= self.rows[i]
-        return v
 
     def reduce_batch(self, mat: np.ndarray) -> np.ndarray:
         """Residuals of many packed rows at once (vectorized)."""
@@ -147,43 +193,34 @@ class Echelon:
                 m[hit] ^= self.rows[i]
         return m
 
-    def contains(self, row: np.ndarray) -> bool:
-        return not self.reduce(row).any()
-
-    def contains_int(self, value: int) -> bool:
-        return self.contains(pack_int(self.ncols, value))
-
 
 def rref(matrix: Gf2Matrix) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form: (packed rows, pivot column list)."""
+    """Reduced row echelon form: (packed rows, pivot column list), the
+    i-th row holding the i-th pivot."""
     ech = matrix.echelon()
-    m = ech.rows.copy()
-    for i, col in reversed(ech.pivots):
-        w = col >> 6
-        b = np.uint64(col & 63)
-        hit = np.nonzero((m[:i, w] >> b) & _ONE)[0]
+    m = ech.rows[[i for i, _ in ech.pivots]]
+    cols = [c for _, c in ech.pivots]
+    for i in reversed(range(len(cols))):
+        hit = np.flatnonzero((m[:i, cols[i] >> 6] >> np.uint64(cols[i] & 63)) & _ONE)
         if hit.size:
             m[hit] ^= m[i]
-    return m, [c for _, c in ech.pivots]
+    return m, cols
 
 
 def nullspace(matrix: Gf2Matrix) -> Gf2Matrix:
     """Basis of the right nullspace {x : M x = 0}, one packed row per
-    free column, in free-column order."""
+    free column, in free-column order: the basis vector of free column
+    f has bit f and the pivot columns of the rref rows with bit f."""
     m, pivot_cols = rref(matrix)
     ncols = matrix.ncols
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = np.zeros((len(free_cols), _n_words(ncols)), dtype=np.uint64)
-    for bi, f in enumerate(free_cols):
-        basis[bi, f >> 6] |= _ONE << np.uint64(f & 63)
-        fw = f >> 6
-        fb = np.uint64(f & 63)
-        for ri, c in enumerate(pivot_cols):
-            if (int(m[ri, fw]) >> (f & 63)) & 1:
-                basis[bi, c >> 6] |= _ONE << np.uint64(c & 63)
+    pivots = np.array(pivot_cols, dtype=np.int64)
+    free_cols = np.setdiff1d(np.arange(ncols), pivots)
+    basis = np.zeros((free_cols.size, _n_words(ncols)), dtype=np.uint64)
+    basis[np.arange(free_cols.size), free_cols >> 6] = _ONE << (free_cols & 63).astype(np.uint64)
+    for bi, f in enumerate(free_cols.tolist()):
+        cols = pivots[np.flatnonzero((m[:, f >> 6] >> np.uint64(f & 63)) & _ONE)]
+        np.bitwise_or.at(basis[bi], cols >> 6, _ONE << (cols & 63).astype(np.uint64))
     return Gf2Matrix(ncols, basis)
-
 
 
 def int_rank(rows: Sequence[int]) -> int:

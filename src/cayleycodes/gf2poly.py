@@ -81,21 +81,6 @@ def cyclic_shift(word: int, n: int, amount: int = 1) -> int:
     return ((word << amount) | (word >> (n - amount))) & mask
 
 
-def from_coeffs(coeffs) -> int:
-    """Build from a coefficient sequence, lowest degree first."""
-    r = 0
-    for i, c in enumerate(coeffs):
-        if c & 1:
-            r |= 1 << i
-    return r
-
-
-def to_coeffs(a: int, length: int | None = None) -> list[int]:
-    """Coefficient list, lowest degree first, padded to `length` if given."""
-    n = max(a.bit_length(), length or 0)
-    return [(a >> i) & 1 for i in range(n)]
-
-
 def to_hex(a: int) -> str:
     """Hex string of the coefficient bit string, lowest degree in the
     least significant nibble (plain hex of the integer encoding)."""

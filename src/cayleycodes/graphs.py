@@ -86,9 +86,6 @@ class CayleyGraph:
                 f"{int((ids < 0).sum())} group elements are not vertices of the graph")
         return ids
 
-    def edge_id(self, v: int, i: int) -> int:
-        return int(self.eid[v, i])
-
     def star_edge_ids(self, v: int) -> list[int]:
         """Edge ids incident to v, in generator order (the local view order)."""
         return [int(e) for e in self.eid[v]]

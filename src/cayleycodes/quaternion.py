@@ -236,9 +236,6 @@ class GeneratorSet:
     def degree(self) -> int:
         return self.params.q + 1
 
-    def index_of(self, s: ProjectiveMatrix) -> int:
-        return self.lookup[s]
-
     def __post_init__(self):
         self.lookup = {s: i for i, s in enumerate(self.elements)}
 

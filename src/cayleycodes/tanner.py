@@ -93,13 +93,6 @@ def local_view(inst: CayleyCodeInstance, word: int, vertex: int) -> int:
     return view
 
 
-def all_views_in_inner(inst: CayleyCodeInstance, word: int) -> bool:
-    return all(
-        inst.inner.contains(local_view(inst, word, v))
-        for v in range(inst.graph.n_vertices)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Rate and the unconditional counting bound
 # ---------------------------------------------------------------------------
@@ -210,23 +203,27 @@ class SingleOrbitReport:
 
 
 def row_orbit(inst: CayleyCodeInstance, perms: Sequence[np.ndarray],
-              start_row: int = 0) -> list[tuple[int, ...]]:
-    """Orbit of one constraint row under the edge permutations, as
-    deduplicated support tuples, in BFS discovery order."""
-    plists = [perm.tolist() for perm in perms]
-    start = tuple(inst.supports[start_row])
-    seen = {start}
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        sup = queue[head]
-        head += 1
-        for plist in plists:
-            img = tuple(sorted(plist[c] for c in sup))
-            if img not in seen:
-                seen.add(img)
-                queue.append(img)
-    return queue
+              start_row: int = 0) -> np.ndarray:
+    """Orbit of one constraint row under the edge permutations, one
+    sorted support per row, in the order of the sequential BFS: one
+    frontier at a time, images read in (frontier row, permutation) order,
+    unseen ones kept in order of first encounter, which is that order by
+    the argument in graphs.generate_group."""
+    table = np.stack(perms).astype(np.int32)
+    frontier = np.array([inst.supports[start_row]], dtype=np.int32)
+    k = frontier.shape[1]
+    as_key = np.dtype((np.void, 4 * k))   # a support as one opaque value
+    levels, seen = [frontier], frontier.view(as_key).ravel()
+    while frontier.size:
+        images = np.ascontiguousarray(table.T[frontier].swapaxes(1, 2)).reshape(-1, k)
+        images.sort(axis=1)
+        keys = images.view(as_key).ravel()
+        fresh = ~np.isin(keys, seen)
+        new, first = np.unique(keys[fresh], return_index=True)
+        frontier = images[fresh][np.sort(first)]
+        levels.append(frontier)
+        seen = np.concatenate([seen, new])
+    return np.concatenate(levels)
 
 
 def _locate_row_vertex(inst: CayleyCodeInstance, support: tuple[int, ...]
@@ -278,7 +275,7 @@ def verify_single_orbit(inst: CayleyCodeInstance, perms: Sequence[np.ndarray],
                                  **where)
 
     local_masks: dict[int, list[int]] = {}
-    for idx, sup in enumerate(orbit):
+    for idx, sup in enumerate(orbit.tolist()):
         located = _locate_row_vertex(inst, sup)
         if located is None:
             return failed(bad_row=idx)

@@ -1,0 +1,116 @@
+"""Slow reference for the GF(2) layer.
+
+cayleycodes.gf2 eliminates one 64-column word at a time.  This module
+keeps the textbook column-at-a-time elimination (one strided pivot
+search per column, a row swap per pivot, full-width row XORs), the
+rref and the double-loop nullspace built on it, and the one-row
+membership helpers the tests use, as an independent oracle; plus the
+integer and coefficient-list conversions the tests build inputs with.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from cayleycodes.gf2 import Echelon, Gf2Matrix, unpack_int
+
+_ONE = np.uint64(1)
+
+
+def pack_int(ncols: int, value: int) -> np.ndarray:
+    nw = (ncols + 63) >> 6
+    return np.frombuffer(value.to_bytes(nw * 8, "little"), dtype=np.uint64).copy()
+
+
+def from_ints(ncols: int, rows) -> Gf2Matrix:
+    """A packed matrix from integer-encoded rows (bit c = column c)."""
+    data = np.zeros((len(rows), (ncols + 63) >> 6), dtype=np.uint64)
+    for i, r in enumerate(rows):
+        if r < 0 or r >> ncols:
+            raise ValueError(f"row {i} does not fit in {ncols} columns")
+        data[i] = pack_int(ncols, r)
+    return Gf2Matrix(ncols, data)
+
+
+def from_coeffs(coeffs) -> int:
+    """GF(2) polynomial from a coefficient sequence, lowest degree first."""
+    return sum(1 << i for i, c in enumerate(coeffs) if c & 1)
+
+
+def to_coeffs(a: int, length: int | None = None) -> list[int]:
+    """Coefficient list, lowest degree first, padded to `length` if given."""
+    return [(a >> i) & 1 for i in range(max(a.bit_length(), length or 0))]
+
+
+def reference_echelon(matrix: Gf2Matrix) -> Echelon:
+    """Forward Gaussian elimination, one column at a time, on a copy;
+    row i of the result holds the i-th pivot."""
+    m = matrix.data.copy()
+    nrows = m.shape[0]
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for col in range(matrix.ncols):
+        if r == nrows:
+            break
+        w = col >> 6
+        b = np.uint64(col & 63)
+        nz = np.nonzero((m[r:, w] >> b) & _ONE)[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            m[[r, piv]] = m[[piv, r]]
+        hit = r + nz[1:]
+        if hit.size:
+            m[hit] ^= m[r]
+        pivots.append((r, col))
+        r += 1
+    return Echelon(matrix.ncols, m[:r], pivots)
+
+
+def reference_rref(matrix: Gf2Matrix) -> tuple[np.ndarray, list[int]]:
+    ech = reference_echelon(matrix)
+    m = ech.rows.copy()
+    for i, col in reversed(ech.pivots):
+        w = col >> 6
+        b = np.uint64(col & 63)
+        hit = np.nonzero((m[:i, w] >> b) & _ONE)[0]
+        if hit.size:
+            m[hit] ^= m[i]
+    return m, [c for _, c in ech.pivots]
+
+
+def reference_nullspace(matrix: Gf2Matrix) -> Gf2Matrix:
+    """Nullspace basis, one row per free column, one bit at a time."""
+    m, pivot_cols = reference_rref(matrix)
+    ncols = matrix.ncols
+    pivot_set = set(pivot_cols)
+    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    basis = np.zeros((len(free_cols), (ncols + 63) >> 6), dtype=np.uint64)
+    for bi, f in enumerate(free_cols):
+        basis[bi, f >> 6] |= _ONE << np.uint64(f & 63)
+        for ri, c in enumerate(pivot_cols):
+            if (int(m[ri, f >> 6]) >> (f & 63)) & 1:
+                basis[bi, c >> 6] |= _ONE << np.uint64(c & 63)
+    return Gf2Matrix(ncols, basis)
+
+
+def reduce(ech: Echelon, row: np.ndarray) -> np.ndarray:
+    """Residual of one packed row after reduction against the pivots."""
+    v = row.copy()
+    for i, col in ech.pivots:
+        if (int(v[col >> 6]) >> (col & 63)) & 1:
+            v ^= ech.rows[i]
+    return v
+
+
+def contains(ech: Echelon, row: np.ndarray) -> bool:
+    return not reduce(ech, row).any()
+
+
+def contains_int(ech: Echelon, value: int) -> bool:
+    return contains(ech, pack_int(ech.ncols, value))
+
+
+def row_as_int(matrix: Gf2Matrix, i: int) -> int:
+    return unpack_int(matrix.data[i])

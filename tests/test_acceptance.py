@@ -190,7 +190,7 @@ def test_criterion_8a_tampered_alist_fails_verify(built_instance_dir, tmp_path, 
     n, m, rows = alist.read_alist(bad / "code.alist")
     c = rows[100][0]
     rows[100][0] = (c + 1) % n if (c + 1) % n not in rows[100] else (c + 2) % n
-    alist.write_alist(bad / "code.alist", rows, n)
+    (bad / "code.alist").write_text(alist.dumps_alist(rows, n))
     capsys.readouterr()
     tampered = cli.main(["verify", str(bad), "--trials", "20"])
     assert tampered == 1

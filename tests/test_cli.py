@@ -102,3 +102,30 @@ def test_paper_instance(capsys):
 
 def test_unknown_command():
     assert cli.main(["frobnicate"]) == 2
+
+
+def test_tampered_verify_fails_before_elimination(tmp_path, monkeypatch, capsys):
+    """A code.alist that differs from the rebuilt H fails verify with
+    the row named, before any elimination or invariance batch runs."""
+    from cayleycodes import alist, gf2
+
+    inner = tmp_path / "inner6.code"
+    inner.write_text("6 4\n7\n")
+    out = tmp_path / "q5e2"
+    assert cli.main(["build", "--q", "5", "--e", "2", "--inner", str(inner),
+                     "--out", str(out)]) == 0
+    n, _, rows = alist.read_alist(out / "code.alist")
+    rows[100][0] = next(c for c in range(n) if c not in rows[100])
+    (out / "code.alist").write_text(alist.dumps_alist(rows, n))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify eliminated H after the alist mismatch")
+
+    monkeypatch.setattr(gf2.Gf2Matrix, "echelon", forbidden)
+    monkeypatch.setattr(gf2.Echelon, "reduce_batch", forbidden)
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "code.alist: row 100 differs" in captured.err
+    assert "alist_exact: FAIL" in captured.out
+    assert "rank_matches" not in captured.out and "invariance" not in captured.out

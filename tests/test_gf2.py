@@ -2,24 +2,34 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cayleycodes.gf2 import (Gf2Matrix, int_rank, int_span_equal, nullspace,
-                             pack_int, rref, unpack_int)
+from cayleycodes.cyclic import CyclicCode
+from cayleycodes.gf2 import (Gf2Matrix, int_rank, int_span_equal, nullspace, rref,
+                             unpack_int)
+from cayleycodes.gf2poly import gcd, x_pow_n_minus_1
+from cayleycodes.graphs import ZnGroup, generate_group
+from cayleycodes.tanner import build_parity_check
+
+from gf2_reference import (contains_int, from_ints, pack_int, reduce, reference_echelon,
+                           reference_nullspace, reference_rref, row_as_int)
 
 
 def test_pack_round_trip():
     v = (1 << 200) | (1 << 63) | 1
     assert unpack_int(pack_int(250, v)) == v
-    m = Gf2Matrix.from_ints(250, [v, 0, 3])
+    m = from_ints(250, [v, 0, 3])
     assert m.to_ints() == [v, 0, 3]
+    assert row_as_int(m, 0) == v
     assert m.row_support(0) == [0, 63, 200]
 
 
 def test_rank_identity_and_repeats():
-    eye = Gf2Matrix.from_ints(5, [1 << i for i in range(5)])
-    assert eye.rank() == 5
-    rep = Gf2Matrix.from_ints(5, [0b10101, 0b10101])
-    assert rep.rank() == 1
+    eye = from_ints(5, [1 << i for i in range(5)])
+    assert eye.echelon().rank == 5
+    rep = from_ints(5, [0b10101, 0b10101])
+    assert rep.echelon().rank == 1
 
 
 def test_rank_known_construction():
@@ -27,54 +37,54 @@ def test_rank_known_construction():
     rng = random.Random(42)
     basis = [(1 << i) | (rng.getrandbits(50) << 50) for i in range(50)]
     sums = [basis[rng.randrange(50)] ^ basis[rng.randrange(50)] for _ in range(50)]
-    m = Gf2Matrix.from_ints(100, basis + sums)
-    assert m.rank() == 50
+    m = from_ints(100, basis + sums)
+    assert m.echelon().rank == 50
 
 
 def test_rank_input_unmodified():
     rows = [0b110, 0b011, 0b101]
-    m = Gf2Matrix.from_ints(3, rows)
+    m = from_ints(3, rows)
     before = m.to_ints()
-    assert m.rank() == 2
+    assert m.echelon().rank == 2
     assert m.to_ints() == before
 
 
 def test_echelon_membership():
-    m = Gf2Matrix.from_ints(6, [0b000111, 0b011100, 0b110001])
+    m = from_ints(6, [0b000111, 0b011100, 0b110001])
     ech = m.echelon()
-    assert ech.contains_int(0b000111 ^ 0b011100)
-    assert ech.contains_int(0)
-    assert not ech.contains_int(0b000001)
+    assert contains_int(ech, 0b000111 ^ 0b011100)
+    assert contains_int(ech, 0)
+    assert not contains_int(ech, 0b000001)
 
 
 def test_reduce_batch_matches_single():
     rng = random.Random(1)
     rows = [rng.getrandbits(120) for _ in range(40)]
-    m = Gf2Matrix.from_ints(120, rows)
+    m = from_ints(120, rows)
     ech = m.echelon()
     probes = [rng.getrandbits(120) for _ in range(10)] + rows[:5]
     batch = np.stack([pack_int(120, p) for p in probes])
     red = ech.reduce_batch(batch)
     for i, p in enumerate(probes):
-        assert unpack_int(red[i]) == unpack_int(ech.reduce(pack_int(120, p)))
+        assert unpack_int(red[i]) == unpack_int(reduce(ech, pack_int(120, p)))
 
 
 def test_nullspace():
     rng = random.Random(5)
     rows = [rng.getrandbits(60) for _ in range(35)]
-    m = Gf2Matrix.from_ints(60, rows)
+    m = from_ints(60, rows)
     ns = nullspace(m)
-    assert ns.nrows == 60 - m.rank()
+    assert ns.nrows == 60 - m.echelon().rank
     # every basis vector is orthogonal to every row
     for x in ns.to_ints():
         for r in rows:
             assert (x & r).bit_count() % 2 == 0
     # basis is independent
-    assert ns.rank() == ns.nrows
+    assert ns.echelon().rank == ns.nrows
 
 
 def test_rref_pivots():
-    m = Gf2Matrix.from_ints(4, [0b0011, 0b0110, 0b1100])
+    m = from_ints(4, [0b0011, 0b0110, 0b1100])
     reduced, pivots = rref(m)
     assert len(pivots) == 3
     # each pivot column has exactly one 1 across the reduced rows
@@ -93,4 +103,121 @@ def test_from_supports_bounds():
     with pytest.raises(ValueError):
         Gf2Matrix.from_supports(4, [[4]])
     with pytest.raises(ValueError):
-        Gf2Matrix.from_ints(4, [0b10000])
+        from_ints(4, [0b10000])
+
+
+# ---------------------------------------------------------------------------
+# the word-block kernel against the column-at-a-time reference
+# ---------------------------------------------------------------------------
+
+WIDTHS = [1, 63, 64, 65, 130]
+
+
+@st.composite
+def random_rows(draw):
+    """Dense or sparse random rows of a width around the word size, with
+    zero rows and duplicated rows mixed in."""
+    width = draw(st.sampled_from(WIDTHS))
+    nrows = draw(st.integers(0, 48))
+    density = draw(st.sampled_from([0.02, 0.1, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.random((nrows, width)) < density
+    rows = [int("".join("1" if b else "0" for b in row[::-1]) or "0", 2) for row in bits]
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), 0)
+    for _ in range(draw(st.integers(0, 4))):
+        if rows:
+            rows.insert(draw(st.integers(0, len(rows))),
+                        rows[draw(st.integers(0, len(rows) - 1))])
+    return width, rows
+
+
+@st.composite
+def star_rows(draw):
+    """Rows of the star-structured H of a Z_n Cayley graph with a random
+    cyclic inner code of length equal to the degree."""
+    n = draw(st.integers(5, 40))
+    steps = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=5))
+    steps = sorted(steps | {n - s for s in steps})
+    graph = generate_group(ZnGroup(n), steps, cap=n + 1)
+    deg = graph.degree
+    h = gcd(draw(st.integers(1, (1 << deg) - 1)), x_pow_n_minus_1(deg))
+    inst = build_parity_check(graph, CyclicCode(deg, h))
+    return inst.n, inst.matrix.to_ints()
+
+
+def _check_against_reference(width, rows, probe_seed):
+    mat = from_ints(width, rows)
+    before = mat.data.copy()
+    ech = mat.echelon()
+    ref = reference_echelon(mat)
+    assert np.array_equal(mat.data, before)
+
+    assert ech.rank == ref.rank == int_rank(rows)
+    cols = [c for _, c in ech.pivots]
+    assert cols == [c for _, c in ref.pivots]
+    assert sorted(i for i, _ in ech.pivots) == list(range(ech.rank))
+    assert ech.rows.shape == (ech.rank, before.shape[1])
+
+    # the Echelon invariant: each row is zero before its pivot column and
+    # set at it, and each pivot column is zero in every later pivot's row
+    ints = [unpack_int(r) for r in ech.rows]
+    for k, (i, c) in enumerate(ech.pivots):
+        assert ints[i] >> c & 1 and ints[i] & ((1 << c) - 1) == 0
+        assert all(not ints[j] >> c & 1 for j, _ in ech.pivots[k + 1:])
+
+    # reduce_batch decides membership exactly as int_rank does
+    rng = random.Random(probe_seed)
+    probes = [rng.getrandbits(width) for _ in range(6)]
+    for _ in range(6):
+        member = 0
+        for r in rows:
+            if rng.random() < 0.5:
+                member ^= r
+        probes += [member, member ^ (1 << rng.randrange(width))]
+    residual = ech.reduce_batch(np.stack([pack_int(width, p) for p in probes]))
+    for p, res in zip(probes, residual):
+        assert (not res.any()) == (int_rank(rows + [p]) == ech.rank)
+
+    reduced, pivot_cols = rref(mat)
+    ref_reduced, ref_cols = reference_rref(mat)
+    assert pivot_cols == ref_cols and np.array_equal(reduced, ref_reduced)
+    assert np.array_equal(nullspace(mat).data, reference_nullspace(mat).data)
+    assert np.array_equal(mat.data, before)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_rows(), st.integers(0, 2**32 - 1))
+def test_kernel_matches_reference_random(case, probe_seed):
+    _check_against_reference(*case, probe_seed)
+
+
+@st.composite
+def tall_low_rank_rows(draw):
+    """256 to 400 random combinations of a few random rows: the first
+    word's block is large enough for the Four-Russians table path, and a
+    wrong row operation would leave the span."""
+    width = draw(st.sampled_from([65, 130, 200]))
+    rank = draw(st.integers(1, min(width, 90)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    basis = [rng.getrandbits(width) | 1 for _ in range(rank)]
+    rows = []
+    for _ in range(draw(st.integers(256, 400))):
+        row = 0
+        for b in basis:
+            if rng.random() < 0.5:
+                row ^= b
+        rows.append(row)
+    return width, rows
+
+
+@settings(max_examples=12, deadline=None)
+@given(tall_low_rank_rows(), st.integers(0, 2**32 - 1))
+def test_kernel_matches_reference_table_blocks(case, probe_seed):
+    _check_against_reference(*case, probe_seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(star_rows(), st.integers(0, 2**32 - 1))
+def test_kernel_matches_reference_star(case, probe_seed):
+    _check_against_reference(*case, probe_seed)

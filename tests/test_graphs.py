@@ -41,7 +41,7 @@ def test_involution_generator_pairing():
     for v in range(8):
         i = g.gens.tolist().index(4)
         w = int(g.adj[v, i])
-        assert g.edge_id(v, i) == g.edge_id(w, i)
+        assert g.eid[v, i] == g.eid[w, i]
 
 
 def test_generator_validation():
@@ -68,7 +68,7 @@ def test_edge_ids_consistent():
     for v in range(g.n_vertices):
         for i in range(g.degree):
             w = int(g.adj[v, i])
-            assert g.edge_id(v, i) == g.edge_id(w, g.inv_gen[i])
+            assert g.eid[v, i] == g.eid[w, g.inv_gen[i]]
     # stars enumerate each vertex's incident edges in generator order
     star = g.star_edge_ids(3)
     assert len(star) == 4

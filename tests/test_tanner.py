@@ -13,11 +13,12 @@ from cayleycodes.gf2 import Gf2Matrix
 from cayleycodes.gf2poly import divmod_, mul, x_pow_n_minus_1
 from cayleycodes.graphs import (KeyIndex, ZnGroup, edge_permutation, generate_group,
                                 left_translation_maps)
-from cayleycodes.tanner import (all_views_in_inner, build_parity_check,
-                                code_distance, codeword_set_brute_force,
+from cayleycodes.tanner import (build_parity_check, code_distance, codeword_set_brute_force,
                                 codeword_set_from_nullspace, local_view,
                                 measured_rate, row_orbit, edge_code_bounds,
                                 verify_invariance, verify_single_orbit)
+
+from gf2_reference import from_ints
 
 
 def zn_graph(n, steps):
@@ -85,6 +86,11 @@ def test_even_weight_inner_rank_deficiency():
     assert not k5.graph.bipartite
     assert k5.rank == 4
     assert measured_rate(k5) == Fraction(3, 5) >= 2 * Fraction(3, 4) - 1
+
+
+def all_views_in_inner(inst, word):
+    return all(inst.inner.contains(local_view(inst, word, v))
+               for v in range(inst.graph.n_vertices))
 
 
 def test_local_view_conventions():
@@ -182,13 +188,53 @@ def factor_x_pow_n_minus_1(n):
     return out
 
 
+def reference_row_orbit(inst, perms, start_row=0):
+    """The one-support-at-a-time BFS over sorted support tuples: the
+    slow reference for tanner.row_orbit."""
+    plists = [perm.tolist() for perm in perms]
+    start = tuple(inst.supports[start_row])
+    seen = {start}
+    queue = [start]
+    head = 0
+    while head < len(queue):
+        sup = queue[head]
+        head += 1
+        for plist in plists:
+            img = tuple(sorted(plist[c] for c in sup))
+            if img not in seen:
+                seen.add(img)
+                queue.append(img)
+    return queue
+
+
+def assert_orbit_matches_reference(inst, perms, start_row=0):
+    orbit = row_orbit(inst, perms, start_row)
+    assert [tuple(r) for r in orbit.tolist()] == reference_row_orbit(inst, perms, start_row)
+
+
+def test_row_orbit_matches_reference_toys():
+    assert_orbit_matches_reference(z6_even_instance(), toy_perms(z6_even_instance().graph))
+    inst = z17_torus_instance()
+    for mult in (None, 2):
+        for start in (0, 1, 7):
+            assert_orbit_matches_reference(inst, toy_perms(inst.graph, mult), start)
+
+
+def test_row_orbit_matches_reference_q19(q19_psl_graph, q19_perms):
+    # the [20, 16] inner code h = (x + 1)^4 keeps the tuple BFS short
+    inst = build_parity_check(q19_psl_graph, CyclicCode(20, 0b10001))
+    perms = list(q19_perms.values())
+    assert_orbit_matches_reference(inst, perms)
+    assert_orbit_matches_reference(inst, perms[::-1], start_row=5)
+
+
 def orbit_oracle(inst, perms):
     """The global route, kept as an independent check of the local
     certificate: (rank of the raw orbit rows, whether every orbit row
     reduces to zero against the echelon form of H)."""
     orbit = Gf2Matrix.from_supports(inst.n, row_orbit(inst, perms))
     in_span = not inst.echelon.reduce_batch(orbit.data).any()
-    return orbit.rank(), in_span
+    return orbit.echelon().rank, in_span
 
 
 def test_single_orbit_toy_even_weight():
@@ -276,6 +322,7 @@ def test_single_orbit_pass_implies_global_oracle(n, data):
     keep = data.draw(st.lists(st.booleans(), min_size=len(all_perms),
                               max_size=len(all_perms)))
     perms = [p for p, k in zip(all_perms, keep) if k] or all_perms[:1]
+    assert_orbit_matches_reference(inst, perms)
     rep = verify_single_orbit(inst, perms)
     if rep.passed:
         assert rep.orbit_rank == rep.rank_h == inst.rank
@@ -299,7 +346,7 @@ def test_code_distance_toy():
 def test_code_distance_zero_code():
     # force full rank: a constraint matrix pinning every edge to zero
     inst = z6_even_instance()
-    inst.matrix = Gf2Matrix.from_ints(inst.n, [1 << i for i in range(inst.n)])
+    inst.matrix = from_ints(inst.n, [1 << i for i in range(inst.n)])
     rep = code_distance(inst, "exact")
     assert rep.value is None and rep.witness is None
 
