@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConstructionError
 from .projective import PglGroup
@@ -89,17 +88,6 @@ class CayleyGraph:
     def star_edge_ids(self, v: int) -> list[int]:
         """Edge ids incident to v, in generator order (the local view order)."""
         return [int(e) for e in self.eid[v]]
-
-    def endpoint_vertices(self, e: int) -> tuple[int, int]:
-        v, i = self.edge_canonical[e]
-        return int(v), int(self.adj[v, i])
-
-    def adjacency(self) -> sp.csr_matrix:
-        n = self.n_vertices
-        rows = np.repeat(np.arange(n), self.degree)
-        cols = self.adj.reshape(-1)
-        data = np.ones(n * self.degree)
-        return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
     def export_edges(self) -> str:
         v, i = self.edge_canonical.T

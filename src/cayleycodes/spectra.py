@@ -1,6 +1,7 @@
 """Normalized spectra of regular graphs and the expansion certificate.
 
-Two independent routes to the second eigenvalue:
+Two independent routes to the second eigenvalue, both fed straight from
+the graph's (|V|, degree) neighbour table `adj`:
 
 dense     full eigenvalue list of the normalized adjacency matrix via
           the symmetric eigensolver (graphs up to 4000 vertices);
@@ -10,6 +11,24 @@ iterative Lanczos with full reorthogonalization, deflating the all-ones
           nontrivial eigenvalues.  Plain Lanczos loses orthogonality on
           the near-degenerate spectra these graphs have, hence the full
           reorthogonalization (applied twice per step).
+
+Both routes reproduce bit for bit the sparse-matrix (CSR) route kept in
+tests/spectra_reference.py.  The dense matrix counts neighbours with
+np.add.at, which sums a repeated neighbour as the CSR conversion does,
+then divides by the degree in place: toarray() / degree entry by entry.
+The matrix-vector product adds (1 / degree) * x[w] over the neighbours
+w of each vertex in ascending order, starting from 0.0.  A canonical CSR
+matrix (sorted indices, duplicates summed, data 1 / degree after the
+scalar division) sums each row from 0.0 over the same products in
+ascending column order, and the neighbours of a vertex are distinct
+(generate_group rejects repeated generators): the same operations in
+the same order.
+
+The Lanczos basis starts with min(cap, 64) columns; when it is full,
+the filled columns are copied into a C-order array twice as wide, at
+most cap.  Only the leading dimension BLAS sees changes, not the calls
+or the results, and a run that converges after 128 steps no longer
+holds 1200 columns.
 
 A (q+1)-regular graph certifies as Ramanujan when every nontrivial
 normalized eigenvalue has magnitude at most 2 sqrt(q)/(q+1), checked to
@@ -59,11 +78,33 @@ def spectrum(graph: CayleyGraph, mode: str = "auto", seed: int = 0,
     raise ValueError(f"unknown spectrum mode {mode!r}")
 
 
+def normalized_adjacency(graph: CayleyGraph) -> np.ndarray:
+    """Dense adjacency matrix divided by the degree."""
+    n = graph.n_vertices
+    a = np.zeros((n, n))
+    np.add.at(a, (np.repeat(np.arange(n), graph.degree), graph.adj.ravel()), 1.0)
+    a /= graph.degree
+    return a
+
+
+def normalized_matvec(graph: CayleyGraph):
+    """x -> A x / degree, summing each row's neighbours in ascending order."""
+    cols = np.ascontiguousarray(np.sort(graph.adj, axis=1).T)
+    scale = 1.0 / graph.degree
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        y = np.zeros(len(x))
+        for neighbours in cols:
+            y += scale * x[neighbours]
+        return y
+    return matvec
+
+
 def spectrum_dense(graph: CayleyGraph, tol: float = SPECTRUM_TOL) -> SpectrumReport:
     n = graph.n_vertices
     if n > DENSE_VERTEX_LIMIT:
         raise ValueError(f"dense mode limited to {DENSE_VERTEX_LIMIT} vertices, got {n}")
-    a = graph.adjacency().toarray() / graph.degree
+    a = normalized_adjacency(graph)
     if not np.array_equal(a, a.T):
         raise CheckFailure("adjacency is not symmetric; generator set is broken")
     eigs = np.linalg.eigvalsh(a)
@@ -90,7 +131,7 @@ def spectrum_dense(graph: CayleyGraph, tol: float = SPECTRUM_TOL) -> SpectrumRep
 def spectrum_lanczos(graph: CayleyGraph, seed: int = 0, tol: float = SPECTRUM_TOL,
                      max_iterations: int = 1200) -> SpectrumReport:
     n = graph.n_vertices
-    a = graph.adjacency() / graph.degree
+    matvec = normalized_matvec(graph)
     deflate = [np.ones(n) / math.sqrt(n)]
     if graph.bipartite:
         sign = np.where(graph.color == 0, 1.0, -1.0)
@@ -104,7 +145,7 @@ def spectrum_lanczos(graph: CayleyGraph, seed: int = 0, tol: float = SPECTRUM_TO
     v /= np.linalg.norm(v)
 
     cap = min(max_iterations, n - d.shape[1])
-    q_basis = np.zeros((n, cap))
+    q_basis = np.zeros((n, min(cap, 64)))
     alphas = np.zeros(cap)
     betas = np.zeros(cap)
     q_basis[:, 0] = v
@@ -113,7 +154,7 @@ def spectrum_lanczos(graph: CayleyGraph, seed: int = 0, tol: float = SPECTRUM_TO
     used = 0
     checkpoint = 64
     for j in range(cap):
-        w = a @ q_basis[:, j]
+        w = matvec(q_basis[:, j])
         alphas[j] = q_basis[:, j] @ w
         w = w - alphas[j] * q_basis[:, j]
         if j > 0:
@@ -126,6 +167,10 @@ def spectrum_lanczos(graph: CayleyGraph, seed: int = 0, tol: float = SPECTRUM_TO
         if beta < 1e-13 or j == cap - 1:
             break
         betas[j] = beta
+        if used == q_basis.shape[1]:
+            grown = np.zeros((n, min(2 * used, cap)))
+            grown[:, :used] = q_basis
+            q_basis = grown
         q_basis[:, j + 1] = w / beta
         if used >= checkpoint:
             ev = _tridiag_eigs(alphas, betas, used)

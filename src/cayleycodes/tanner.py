@@ -42,13 +42,16 @@ class CayleyCodeInstance:
     inner: CyclicCode
     dual_gen: int
     dual_rows: list[int]                 # basis of B-dual, integer words
-    matrix: Gf2Matrix                    # H, one row per (vertex, dual word)
-    row_meta: list[tuple[int, int]]      # (vertex, dual shift index)
     supports: list[list[int]]            # sorted column indices of each row of H
 
     @property
     def n(self) -> int:
         return self.graph.n_edges
+
+    @cached_property
+    def matrix(self) -> Gf2Matrix:
+        """H, one row per (vertex, dual word), packed on first use."""
+        return Gf2Matrix.from_supports(self.n, self.supports)
 
     @cached_property
     def echelon(self):
@@ -75,9 +78,7 @@ def build_parity_check(graph: CayleyGraph, inner: CyclicCode) -> CayleyCodeInsta
     per_word = [np.sort(graph.eid[:, [i for i in range(inner.n) if (word >> i) & 1]],
                         axis=1).tolist() for word in rows]
     supports = [sup for row in zip(*per_word) for sup in row]
-    meta = [(v, j) for v in range(graph.n_vertices) for j in range(len(rows))]
-    matrix = Gf2Matrix.from_supports(graph.n_edges, supports)
-    inst = CayleyCodeInstance(graph, inner, d, rows, matrix, meta, supports)
+    inst = CayleyCodeInstance(graph, inner, d, rows, supports)
     for sup in supports:
         if len(sup) > graph.degree:
             raise AssertionError("row locality violated")
@@ -226,21 +227,27 @@ def row_orbit(inst: CayleyCodeInstance, perms: Sequence[np.ndarray],
     return np.concatenate(levels)
 
 
-def _locate_row_vertex(inst: CayleyCodeInstance, support: tuple[int, ...]
-                       ) -> Optional[tuple[int, int]]:
-    """(vertex, local mask) when the support lies in one vertex's star."""
+def _locate_rows(inst: CayleyCodeInstance, orbit: np.ndarray
+                 ) -> tuple[np.ndarray, list[int]]:
+    """Per orbit row of distinct edges: the vertex whose star holds it
+    (-1 if none) and its local mask there.  Distinct edges share at most
+    one endpoint (no repeated generators), so only the shared endpoint
+    of the first two edges can qualify; a weight-1 row lies on both
+    endpoint stars and goes to the first one in Python's set order."""
     graph = inst.graph
-    ends = [set(graph.endpoint_vertices(e)) for e in support[:2]]
-    candidates = ends[0] if len(ends) == 1 else ends[0] & ends[1]
-    for v in candidates:
-        star = graph.star_edge_ids(v)
-        positions = {e: i for i, e in enumerate(star)}
-        if all(e in positions for e in support):
-            mask = 0
-            for e in support:
-                mask |= 1 << positions[e]
-            return v, mask
-    return None
+    v, i = graph.edge_canonical[orbit[:, :2]].transpose(2, 0, 1)
+    w = graph.adj[v, i]                        # the endpoints are v and w
+    if orbit.shape[1] == 1:
+        vertex = np.array([next(iter({a, b})) for a, b in
+                           zip(v[:, 0].tolist(), w[:, 0].tolist())], dtype=np.int64)
+    else:
+        (v0, v1), (w0, w1) = v.T, w.T
+        vertex = np.where((v0 == v1) | (v0 == w1), v0,
+                          np.where((w0 == v1) | (w0 == w1), w0, -1))
+    on_star = orbit[:, :, None] == graph.eid[vertex][:, None, :]
+    vertex[~on_star.any(axis=2).all(axis=1)] = -1
+    packed = np.packbits(on_star.any(axis=1), axis=1, bitorder="little")
+    return vertex, [int.from_bytes(row, "little") for row in packed.tolist()]
 
 
 def verify_single_orbit(inst: CayleyCodeInstance, perms: Sequence[np.ndarray],
@@ -259,7 +266,7 @@ def verify_single_orbit(inst: CayleyCodeInstance, perms: Sequence[np.ndarray],
     because generate_group rejects repeated generators and the
     identity: the star positions of v are distinct edges.  So an
     edge vector supported on the star has exactly one local word, the
-    mask read off by _locate_row_vertex.  The rows of H are the
+    mask read off by _locate_rows.  The rows of H are the
     L_v(dual word), hence rowspace(H) = sum over v of L_v(B-dual).  When
     every orbit row is vertex-local, span(orbit) = sum over v of
     L_v(M_v).  If M_v = B-dual at every v the two sums are equal term by
@@ -274,16 +281,15 @@ def verify_single_orbit(inst: CayleyCodeInstance, perms: Sequence[np.ndarray],
         return SingleOrbitReport(False, len(orbit), rank_h, None, len(orbit[0]),
                                  **where)
 
-    local_masks: dict[int, list[int]] = {}
-    for idx, sup in enumerate(orbit.tolist()):
-        located = _locate_row_vertex(inst, sup)
-        if located is None:
-            return failed(bad_row=idx)
-        v, mask = located
-        local_masks.setdefault(v, []).append(mask)
+    vertex, masks = _locate_rows(inst, orbit)
+    if (vertex < 0).any():
+        return failed(bad_row=int(np.argmax(vertex < 0)))
 
-    for v in range(inst.graph.n_vertices):
-        if not int_span_equal(local_masks.get(v, []), inst.dual_rows):
+    local_masks: list[list[int]] = [[] for _ in range(inst.graph.n_vertices)]
+    for v, mask in zip(vertex.tolist(), masks):
+        local_masks[v].append(mask)
+    for v, local in enumerate(local_masks):
+        if not int_span_equal(local, inst.dual_rows):
             return failed(bad_vertex=v)
     return SingleOrbitReport(True, len(orbit), rank_h, rank_h, len(orbit[0]))
 

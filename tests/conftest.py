@@ -38,6 +38,11 @@ def q19_pgl_graph(q19_pgl_gens):
 
 
 @pytest.fixture(scope="session")
+def q5e2_psl_graph():
+    return graph_from_generators(build_generators(choose_ideal(5, 2, "psl")))
+
+
+@pytest.fixture(scope="session")
 def inner20():
     # [20, 12] cyclic code: h = (x + 1)^4 (x^4 + x^3 + x^2 + x + 1)
     return CyclicCode(20, mul(0b10001, 0b11111))

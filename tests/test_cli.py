@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cayleycodes
 from cayleycodes import cli, cyclic
 
 
@@ -100,13 +105,31 @@ def test_paper_instance(capsys):
     assert "not instantiated" in printed
 
 
+def test_cli_import_loads_no_scipy():
+    """The command line imports numpy only; scipy serves the tests."""
+    probe = ("import sys, cayleycodes.cli; "
+             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    env = dict(os.environ, PYTHONPATH=str(Path(cayleycodes.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"
+
+
 def test_unknown_command():
     assert cli.main(["frobnicate"]) == 2
 
 
+PRISTINE_VERIFY_STDOUT = [
+    "graph_shape: pass", "edge_list: pass", "ramanujan: pass", "spectrum_matches: pass",
+    "alist_exact: pass", "rank_matches: pass", "rate_bound: pass", "invariance: pass",
+    "all checks passed",
+]
+
+
 def test_tampered_verify_fails_before_elimination(tmp_path, monkeypatch, capsys):
     """A code.alist that differs from the rebuilt H fails verify with
-    the row named, before any elimination or invariance batch runs."""
+    the row named, before the spectrum, any elimination or invariance
+    batch runs; the pristine directory prints every check in order."""
     from cayleycodes import alist, gf2
 
     inner = tmp_path / "inner6.code"
@@ -114,18 +137,23 @@ def test_tampered_verify_fails_before_elimination(tmp_path, monkeypatch, capsys)
     out = tmp_path / "q5e2"
     assert cli.main(["build", "--q", "5", "--e", "2", "--inner", str(inner),
                      "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == PRISTINE_VERIFY_STDOUT
+
     n, _, rows = alist.read_alist(out / "code.alist")
     rows[100][0] = next(c for c in range(n) if c not in rows[100])
     (out / "code.alist").write_text(alist.dumps_alist(rows, n))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("verify eliminated H after the alist mismatch")
+        raise AssertionError("verify kept working after the alist mismatch")
 
+    monkeypatch.setattr(cli, "spectrum", forbidden)
     monkeypatch.setattr(gf2.Gf2Matrix, "echelon", forbidden)
     monkeypatch.setattr(gf2.Echelon, "reduce_batch", forbidden)
-    capsys.readouterr()
     assert cli.main(["verify", str(out)]) == 1
     captured = capsys.readouterr()
     assert "code.alist: row 100 differs" in captured.err
     assert "alist_exact: FAIL" in captured.out
-    assert "rank_matches" not in captured.out and "invariance" not in captured.out
+    for skipped in ("ramanujan:", "spectrum_matches:", "rank_matches", "invariance"):
+        assert skipped not in captured.out

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleycodes.graphs import ZnGroup, generate_group
-from cayleycodes.spectra import (is_ramanujan, ramanujan_bound, spectrum,
-                                 spectrum_dense, spectrum_lanczos)
+from cayleycodes.spectra import (is_ramanujan, normalized_adjacency, normalized_matvec,
+                                 ramanujan_bound, spectrum, spectrum_dense,
+                                 spectrum_lanczos)
+
+from spectra_reference import adjacency, reference_lanczos
 
 
 def zn_graph(n, steps):
@@ -102,3 +107,61 @@ def test_negative_control_fails_ramanujan():
     assert g.degree == 4
     assert rep.lambda2 > ramanujan_bound(3)
     assert not is_ramanujan(rep, 3)
+
+
+# ---------------------------------------------------------------------------
+# the matrix-free routes against the CSR reference, bit for bit
+# ---------------------------------------------------------------------------
+
+def assert_matvec_matches_csr(graph, vectors):
+    a = adjacency(graph) / graph.degree
+    matvec = normalized_matvec(graph)
+    for x in vectors:
+        assert np.array_equal(matvec(x), a @ x)
+
+
+@given(st.integers(min_value=3, max_value=60), st.data())
+@settings(deadline=None, max_examples=40)
+def test_matvec_and_dense_match_csr_on_random_zn(n, data):
+    steps = data.draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=8))
+    graph = zn_graph(n, sorted(steps | {n - s for s in steps}))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    vectors = np.random.default_rng(seed).standard_normal((5, graph.n_vertices))
+    vectors[0, ::2] = 0.0      # exact zeros among the inputs
+    assert_matvec_matches_csr(graph, vectors)
+    assert np.array_equal(normalized_adjacency(graph),
+                          adjacency(graph).toarray() / graph.degree)
+
+
+def test_matvec_matches_csr_on_group_graphs(q19_psl_graph, q5e2_psl_graph):
+    rng = np.random.default_rng(7)
+    for graph in (q19_psl_graph, q5e2_psl_graph):
+        assert_matvec_matches_csr(graph, rng.standard_normal((20, graph.n_vertices)))
+    assert np.array_equal(normalized_adjacency(q19_psl_graph),
+                          adjacency(q19_psl_graph).toarray() / q19_psl_graph.degree)
+
+
+def assert_lanczos_matches_reference(graph, seed):
+    rep = spectrum_lanczos(graph, seed=seed)
+    assert (rep.lambda2, rep.lambda_min, rep.iterations) == reference_lanczos(graph, seed=seed)
+    return rep
+
+
+def test_lanczos_matches_reference_on_group_graphs(q5e2_psl_graph, q19_pgl_graph):
+    """Degree 6 and degree 20 (bipartite); both converge after 128 steps,
+    so the basis grows once."""
+    for graph, seed in ((q5e2_psl_graph, 0), (q19_pgl_graph, 1)):
+        assert assert_lanczos_matches_reference(graph, seed).iterations == 128
+
+
+def test_lanczos_matches_reference_growing_to_cap():
+    """The 2000-cycle converges slowly: the basis doubles from 64 columns
+    past 128 and stops at the 1200-step cap."""
+    assert assert_lanczos_matches_reference(zn_graph(2000, [1, 1999]), 0).iterations == 1200
+
+
+def test_lanczos_matches_reference_below_initial_width():
+    """29 nontrivial dimensions: the cap is below the initial 64 columns."""
+    graph = zn_graph(30, [1, 29, 6, 24])
+    rep = assert_lanczos_matches_reference(graph, 3)
+    assert rep.iterations < graph.n_vertices - 1 < 64

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 
 from cayleycodes.cyclic import CyclicCode
 from cayleycodes.errors import CheckFailure, ConstructionError
-from cayleycodes.gf2 import Gf2Matrix
+from cayleycodes.gf2 import Gf2Matrix, int_span_equal
 from cayleycodes.gf2poly import divmod_, mul, x_pow_n_minus_1
 from cayleycodes.graphs import (KeyIndex, ZnGroup, edge_permutation, generate_group,
                                 left_translation_maps)
-from cayleycodes.tanner import (build_parity_check, code_distance, codeword_set_brute_force,
+from cayleycodes.tanner import (_locate_rows, build_parity_check, code_distance,
+                                codeword_set_brute_force,
                                 codeword_set_from_nullspace, local_view,
                                 measured_rate, row_orbit, edge_code_bounds,
                                 verify_invariance, verify_single_orbit)
@@ -228,6 +230,81 @@ def test_row_orbit_matches_reference_q19(q19_psl_graph, q19_perms):
     assert_orbit_matches_reference(inst, perms[::-1], start_row=5)
 
 
+def endpoint_vertices(graph, e):
+    v, i = graph.edge_canonical[e]
+    return int(v), int(graph.adj[v, i])
+
+
+def reference_locate_row_vertex(graph, support):
+    """(vertex, local mask) when the support lies in one vertex's star,
+    searched row by row over the endpoint stars of its first two edges:
+    the slow reference for tanner._locate_rows."""
+    ends = [set(endpoint_vertices(graph, e)) for e in support[:2]]
+    candidates = ends[0] if len(ends) == 1 else ends[0] & ends[1]
+    for v in candidates:
+        positions = {e: i for i, e in enumerate(graph.star_edge_ids(v))}
+        if all(e in positions for e in support):
+            mask = 0
+            for e in support:
+                mask |= 1 << positions[e]
+            return v, mask
+    return None
+
+
+def reference_single_orbit(inst, located):
+    """(passed, bad_row, bad_vertex) of the per-vertex certificate, from
+    the orbit rows' (vertex, local mask) pairs, None for a non-local row."""
+    local_masks = {}
+    for idx, found in enumerate(located):
+        if found is None:
+            return False, idx, None
+        v, mask = found
+        local_masks.setdefault(v, []).append(mask)
+    for v in range(inst.graph.n_vertices):
+        if not int_span_equal(local_masks.get(v, []), inst.dual_rows):
+            return False, None, v
+    return True, None, None
+
+
+def assert_single_orbit_matches_reference(inst, perms, start_row=0):
+    """Every orbit row is located as by the row-by-row search, and the
+    report agrees with the reference certificate."""
+    orbit = row_orbit(inst, perms, start_row)
+    located = [reference_locate_row_vertex(inst.graph, sup) for sup in orbit.tolist()]
+    vertex, masks = _locate_rows(inst, orbit)
+    assert [None if v < 0 else (v, m) for v, m in zip(vertex.tolist(), masks)] == located
+    rep = verify_single_orbit(inst, perms, start_row)
+    assert (rep.passed, rep.bad_row, rep.bad_vertex) == reference_single_orbit(inst, located)
+    return rep
+
+
+def test_single_orbit_matches_reference_q19(q19_psl_graph, q19_perms):
+    """Passing and failing runs on q = 19 with the [20, 16] inner code
+    agree with the row-by-row reference."""
+    inst = build_parity_check(q19_psl_graph, CyclicCode(20, 0b10001))
+    perms = list(q19_perms.values())
+    assert assert_single_orbit_matches_reference(inst, perms[::-1], start_row=5).passed
+    no_torus = [q19_perms[name] for name in q19_perms if name != "torus_t0"]
+    assert assert_single_orbit_matches_reference(inst, no_torus).bad_vertex is not None
+
+
+def test_single_orbit_weight_one_rows_match_reference():
+    """A weight-1 row lies on both endpoint stars; the vertex it is
+    credited to, and its mask there, must be the reference's choice.  No
+    nonzero cyclic inner code has weight-1 dual words, so the rows are
+    made by hand: one per edge, against all unit words as the local dual."""
+    for n, steps, mult in ((6, [1, 5, 3], None), (17, [pow(2, i, 17) for i in range(8)], 2),
+                           (40, [1, 39, 9, 31], None)):
+        graph = zn_graph(n, steps)
+        inst = replace(build_parity_check(graph, CyclicCode(graph.degree, 0b11)),
+                       supports=[[e] for e in range(graph.n_edges)],
+                       dual_rows=[1 << i for i in range(graph.degree)])
+        perms = toy_perms(graph, mult)
+        for start in (0, 1, 2):
+            assert not assert_single_orbit_matches_reference(inst, perms, start).passed
+            assert_single_orbit_matches_reference(inst, perms[:1], start)
+
+
 def orbit_oracle(inst, perms):
     """The global route, kept as an independent check of the local
     certificate: (rank of the raw orbit rows, whether every orbit row
@@ -284,11 +361,11 @@ def test_single_orbit_names_non_local_row():
     perms = toy_perms(inst.graph, mult=2)
     start = inst.supports[0]
     far = next(e for e in range(inst.n) if e not in inst.graph.star_edge_ids(0)
-               and not set(inst.graph.endpoint_vertices(e))
-               & set(inst.graph.endpoint_vertices(start[0])))
+               and not set(endpoint_vertices(inst.graph, e))
+               & set(endpoint_vertices(inst.graph, start[0])))
     swap = np.arange(inst.n, dtype=np.int64)
     swap[[start[0], far]] = swap[[far, start[0]]]
-    rep = verify_single_orbit(inst, [swap] + perms)
+    rep = assert_single_orbit_matches_reference(inst, [swap] + perms)
     assert not rep.passed and rep.orbit_rank is None
     assert rep.bad_row == 1 and rep.bad_vertex is None
     with pytest.raises(CheckFailure, match="orbit row 1 "):
@@ -323,7 +400,7 @@ def test_single_orbit_pass_implies_global_oracle(n, data):
                               max_size=len(all_perms)))
     perms = [p for p, k in zip(all_perms, keep) if k] or all_perms[:1]
     assert_orbit_matches_reference(inst, perms)
-    rep = verify_single_orbit(inst, perms)
+    rep = assert_single_orbit_matches_reference(inst, perms)
     if rep.passed:
         assert rep.orbit_rank == rep.rank_h == inst.rank
         assert orbit_oracle(inst, perms) == (rep.rank_h, True)
