@@ -9,7 +9,7 @@ generators, and generation of the whole constraint space by the orbit
 of a single local constraint.
 
 The rank computations eliminate a 27360 x 34200 GF(2) matrix; expect
-about two minutes.
+about ten seconds on two cores.
 """
 
 import json

@@ -10,8 +10,7 @@ from .fields import (FieldElem, FiniteField, ext_field, find_nonsquare,
                      primitive_element, sqrt)
 from .gf2 import Gf2Matrix
 from .graphs import (CayleyGraph, ZnGroup, generate_group, graph_from_generators,
-                     symmetry_edge_permutations, verify_edge_transitive,
-                     verify_vertex_transitive)
+                     symmetry_edge_permutations, verify_edge_transitive)
 from .projective import (PglGroup, ProjectiveMatrix, TorusElement,
                          nonsplit_torus, torus_generator)
 from .quaternion import (GeneratorSet, ResidueParams, build_generators,

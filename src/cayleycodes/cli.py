@@ -19,7 +19,7 @@ from .errors import CheckFailure
 from .graphs import graph_from_generators, symmetry_edge_permutations
 from .projective import require_key_fits
 from .quaternion import build_generators, choose_ideal, residue_params
-from .spectra import is_ramanujan, ramanujan_bound, spectrum
+from .spectra import is_ramanujan, ramanujan_bound, require_matrix_fits, spectrum
 from .tanner import (VerificationReport, build_parity_check, measured_rate,
                      run_verification, verify_invariance)
 
@@ -64,6 +64,7 @@ def cmd_double(args) -> int:
 
 def _make_params(args):
     require_key_fits(args.q ** args.e)
+    require_matrix_fits(args.q ** args.e)
     delta = None if args.delta == "auto" else int(args.delta)
     if args.ybar == "auto":
         return choose_ideal(args.q, args.e, args.variant, delta)
@@ -80,7 +81,7 @@ def cmd_graph(args) -> int:
     from .quaternion import classify
     variant = classify(gens)
     graph = graph_from_generators(gens)
-    spec = spectrum(graph, mode=args.mode, seed=args.seed)
+    spec = spectrum(graph.group, graph.gens)
     ram = is_ramanujan(spec, params.q)
     print(f"group: {variant} over F_{params.q}^{params.e}; "
           f"|V|={graph.n_vertices} |E|={graph.n_edges} degree={graph.degree} "
@@ -135,7 +136,7 @@ def cmd_build(args) -> int:
     gens = build_generators(params)
     graph = graph_from_generators(gens)
     report, inst = run_verification(
-        gens, graph, inner, spectrum_mode=args.mode, seed=args.seed,
+        gens, graph, inner, seed=args.seed,
         invariance_trials=args.trials, distance_trials=args.distance_trials,
         inner_d_lower=args.inner_dlower)
     outdir = Path(args.out)
@@ -171,6 +172,7 @@ def cmd_verify(args) -> int:
         raise CheckFailure("inner.code disagrees with the report parameters")
 
     require_key_fits(p["q"] ** p["e"])
+    require_matrix_fits(p["q"] ** p["e"])
     if p["e"] == 1:
         params = residue_params(p["q"], int(p["ybar"][0]), int(p["delta"][0]))
     else:
@@ -194,9 +196,9 @@ def cmd_verify(args) -> int:
     where = alist.first_difference(alist_path.read_text(),
                                    alist.dumps_alist(inst.supports, inst.n))
     if where is None:
-        # H is packed on first use, after the spectrum: the dense
-        # eigensolver and the packed H are never in memory together
-        spec = spectrum(graph, mode="auto", seed=p["seed"])
+        # H is packed on first use, after the spectrum: the Gelfand-Graev
+        # matrix and the packed H are never in memory together
+        spec = spectrum(graph.group, graph.gens)
         results["ramanujan"] = is_ramanujan(spec, p["q"])
         results["spectrum_matches"] = abs(spec.lambda2 - report.spectrum["lambda2"]) < 1e-5
         results["alist_exact"] = True
@@ -250,17 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--variant", choices=("psl", "pgl"), default="psl")
         p.add_argument("--delta", default="auto", help="nonsquare mod q, or auto")
         p.add_argument("--ybar", default="auto", help="image of y (e = 1 only), or auto")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("graph", help="build a Cayley graph and certify expansion")
     add_group_args(p)
-    p.add_argument("--mode", choices=("auto", "dense", "iterative"), default="auto")
     p.add_argument("-o", "--out", help="edge list file to write")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("build", help="build and verify the edge code")
     add_group_args(p, q_required=False)
-    p.add_argument("--mode", choices=("auto", "dense", "iterative"), default="auto")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inner", help="inner code file (length q + 1)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--trials", type=int, default=200, help="invariance sample size")

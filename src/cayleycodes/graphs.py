@@ -252,8 +252,3 @@ def verify_edge_transitive(graph: CayleyGraph, perms: dict[str, np.ndarray]
     size = edge_orbit(list(perms.values()), graph.n_edges)
     return size == graph.n_edges, size
 
-
-def verify_vertex_transitive(graph: CayleyGraph) -> bool:
-    """Left translations act transitively on vertices (orbit of vertex 0
-    under v -> s * v covers everything)."""
-    return edge_orbit(left_translation_maps(graph), graph.n_vertices) == graph.n_vertices

@@ -1,38 +1,78 @@
-"""Normalized spectra of regular graphs and the expansion certificate.
+"""Normalized spectra of the Cayley graphs and the expansion certificate,
+exactly, from the Gelfand-Graev representation.
 
-Two independent routes to the second eigenvalue, both fed straight from
-the graph's (|V|, degree) neighbour table `adj`:
+Let G = PGL_2(F_Q), Q = q^e, and let the vertex group be G or its index
+2 subgroup H = PSL_2(F_Q), with right multiplication by the symmetric
+generator set S of size d.  The adjacency operator is A = sum_s R(s) on
+the functions of the vertex group, R the right-regular representation.
+The regular representation is the sum of the irreducible ones, so the
+eigenvalues of A, as a set, are the union over irreducible pi of the
+eigenvalues of pi(S) = sum_s pi(s).  The trivial representation gives
+d, and for the PGL variant, whose generators all have nonsquare
+determinant, sign(det) gives -d: these are the trivial eigenvalues
+1 and -1 of A / d.
 
-dense     full eigenvalue list of the normalized adjacency matrix via
-          the symmetric eigensolver (graphs up to 4000 vertices);
-iterative Lanczos with full reorthogonalization, deflating the all-ones
-          vector and, on bipartite graphs, the sign vector, so the
-          extreme Ritz values converge to the largest and smallest
-          nontrivial eigenvalues.  Plain Lanczos loses orthogonality on
-          the near-degenerate spectra these graphs have, hence the full
-          reorthogonalization (applied twice per step).
+U = {u_x = [[1, x], [0, 1]]} is isomorphic to (F_Q, +); psi is a
+nontrivial character of it.  Ind_U^G psi is realized on the functions f
+with f(u_x g) = psi(x) f(g), G acting by right translation.
 
-Both routes reproduce bit for bit the sparse-matrix (CSR) route kept in
-tests/spectra_reference.py.  The dense matrix counts neighbours with
-np.add.at, which sums a repeated neighbour as the CSR conversion does,
-then divides by the degree in place: toarray() / degree entry by entry.
-The matrix-vector product adds (1 / degree) * x[w] over the neighbours
-w of each vertex in ascending order, starting from 0.0.  A canonical CSR
-matrix (sorted indices, duplicates summed, data 1 / degree after the
-scalar division) sums each row from 0.0 over the same products in
-ascending column order, and the neighbours of a vertex are distinct
-(generate_group rejects repeated generators): the same operations in
-the same order.
+- Frobenius reciprocity: Hom_G(pi, Ind_U^G psi) = Hom_U(pi, psi).  A
+  one-dimensional representation chi(det) restricts trivially to U
+  (det u_x = 1), and psi is not trivial, so neither 1 nor sign(det)
+  occurs.
+- Multiplicity one of Whittaker models: every irreducible
+  representation of PGL_2(F_Q) of dimension > 1 is generic and
+  dim Hom_U(pi, psi) = 1 (Piatetski-Shapiro, Complex Representations of
+  GL(2, K) for Finite Fields K, Contemp. Math. 16, 1983; Bump,
+  Automorphic Forms and Representations, 4.1).  The one-dimensional
+  representations are chi(det) with chi^2 = 1, that is 1 and sign(det).
+  So Ind_U^G psi is the sum of the irreducible representations of
+  dimension > 1, each once, and for the PGL variant the eigenvalues of
+  sum_s R(s) on it are exactly the nontrivial eigenvalues of A.
+- The PSL variant, by Mackey's formula: H is normal of index 2 and
+  contains U, so H\\G/U = G/H = {1, diag(eps, 1)} for a nonsquare eps,
+  and diag(eps, 1) u_x diag(eps, 1)^-1 = u_{eps x}.  Hence
+  Res_H Ind_U^G psi = Ind_U^H psi + Ind_U^H psi_eps with
+  psi_eps(x) = psi(eps x).  A nontrivial irreducible sigma of H lies in
+  Res_H pi for some irreducible pi of G (Frobenius again, sigma inside
+  Res_H Ind_H^G sigma), and pi is not one-dimensional because those
+  restrict trivially to H; so sigma occurs in the sum, and the trivial
+  representation of H does not (psi and psi_eps are not trivial).  The
+  same matrix therefore has, as a set, exactly the nontrivial
+  eigenvalues of the PSL graph; only multiplicities differ.
+- The choice of psi does not matter: every nontrivial character of
+  (F_Q, +) is x -> psi(a x) for some a != 0, and f -> f(diag(a, 1) .)
+  is a G-isomorphism between the two induced representations, which
+  have the same spectrum under sum_s R(s).  So no field trace is
+  needed: psi(x) = exp(2 pi i c0 / p) with c0 = x mod p, the constant
+  coefficient of x's encoding, which is F_p-linear and is 1 at x = 1.
 
-The Lanczos basis starts with min(cap, 64) columns; when it is full,
-the filled columns are copied into a C-order array twice as wide, at
-most cap.  Only the leading dimension BLAS sees changes, not the calls
-or the results, and a run that converges after 128 steps no longer
-holds 1200 columns.
+A connected graph has the eigenvalue 1 of A / d only from the trivial
+representation, and -1 only from sign(det), so every eigenvalue of the
+matrix below lies strictly inside (-1, 1) exactly when the Cayley graph
+is connected and is bipartite only through the determinant class: the
+spectrum also proves that S generates the vertex group, without the
+closure.
+
+The matrix.  The Q^2 - 1 right cosets U g are indexed by the bottom row
+(c, d) of g scaled so that its first nonzero entry is 1, and by the
+determinant D of the scaled matrix, since u_x g = [[a + x c, b + x d],
+[c, d]]: index (D - 1) Q + d with representative [[0, -D], [1, d]]
+when c = 1, and Q (Q - 1) + D - 1 with representative [[D, 0], [0, 1]]
+when (c, d) = (0, 1) (entries by their encodings).  Then g = u_x g_i
+with x the scaled top-left entry when c = 1 and the top-right entry
+when c = 0.  With f_i the function on U g_i with f_i(u_x g_i) = psi(x),
+(R(s) f_i)(g_j) = f_i(g_j s), so M[j, i] = sum of psi(x) over the s
+with g_j s = u_x g_i.  The f_i have disjoint supports and equal norms,
+so M is the operator in an orthogonal basis, Hermitian for a symmetric
+S, and the nontrivial normalized spectrum is eigvalsh(M) / d.  The
+symmetric eigensolver is backward stable; its results are checked to
+an absolute tolerance of 1e-6.
 
 A (q+1)-regular graph certifies as Ramanujan when every nontrivial
-normalized eigenvalue has magnitude at most 2 sqrt(q)/(q+1), checked to
-an absolute tolerance of 1e-6.
+normalized eigenvalue has magnitude at most 2 sqrt(q)/(q+1)
+(Lubotzky, Phillips and Sarnak, Ramanujan graphs, Combinatorica 8,
+1988).
 """
 
 from __future__ import annotations
@@ -44,174 +84,104 @@ from typing import Optional
 import numpy as np
 
 from .errors import CheckFailure
-from .graphs import CayleyGraph
+from .projective import PglGroup
 
-DENSE_VERTEX_LIMIT = 4000
 SPECTRUM_TOL = 1e-6
+# the complex (Q^2 - 1)-square matrix may take at most this many bytes:
+# Q = 61 (221 MB) fits, Q = 67 (322 MB) does not
+MATRIX_BYTES_LIMIT = 256 * 10**6
 
 
 @dataclass
 class SpectrumReport:
-    method: str                   # "dense" or "iterative"
+    method: str
     tolerance: float
-    top: float                    # largest normalized eigenvalue (should be 1)
-    bottom: float                 # smallest normalized eigenvalue
     lambda2: float                # largest nontrivial eigenvalue
     lambda_min: float             # smallest nontrivial eigenvalue
-    bipartite: bool
+    eigenvalues: np.ndarray       # the nontrivial ones, ascending; multiplicities are M's
     iterations: Optional[int] = None
-    eigenvalues: Optional[np.ndarray] = None  # dense mode only, ascending
 
 
 def ramanujan_bound(q: int) -> float:
     return 2.0 * math.sqrt(q) / (q + 1)
 
 
-def spectrum(graph: CayleyGraph, mode: str = "auto", seed: int = 0,
-             tol: float = SPECTRUM_TOL) -> SpectrumReport:
-    if mode == "auto":
-        mode = "dense" if graph.n_vertices <= DENSE_VERTEX_LIMIT else "iterative"
-    if mode == "dense":
-        return spectrum_dense(graph, tol)
-    if mode == "iterative":
-        return spectrum_lanczos(graph, seed=seed, tol=tol)
-    raise ValueError(f"unknown spectrum mode {mode!r}")
+def require_matrix_fits(order: int) -> None:
+    """Refuse a field whose Gelfand-Graev matrix would exceed
+    MATRIX_BYTES_LIMIT; called before anything is allocated."""
+    size = 16 * (order * order - 1) ** 2
+    if size > MATRIX_BYTES_LIMIT:
+        raise ValueError(
+            f"the spectrum over F_{order} needs a {order * order - 1}-square complex "
+            f"matrix of {size / 10**6:.0f} MB, above the {MATRIX_BYTES_LIMIT // 10**6} MB limit")
 
 
-def normalized_adjacency(graph: CayleyGraph) -> np.ndarray:
-    """Dense adjacency matrix divided by the degree."""
-    n = graph.n_vertices
-    a = np.zeros((n, n))
-    np.add.at(a, (np.repeat(np.arange(n), graph.degree), graph.adj.ravel()), 1.0)
-    a /= graph.degree
-    return a
+def coset_representatives(group: PglGroup) -> np.ndarray:
+    """Keys of the canonical representatives g_i of the right cosets U g,
+    in coset index order."""
+    t, order = group.tables, group.field.order
+    big_d, d = np.divmod(np.arange(order * (order - 1)), order)
+    big_d += 1
+    diag = np.arange(1, order)
+    zeros = np.zeros_like(diag)
+    return np.concatenate([
+        group.canonical_key(np.zeros_like(d), t.neg(big_d), np.ones_like(d), d),
+        group.canonical_key(diag, zeros, zeros, np.ones_like(diag)),
+    ])
 
 
-def normalized_matvec(graph: CayleyGraph):
-    """x -> A x / degree, summing each row's neighbours in ascending order."""
-    cols = np.ascontiguousarray(np.sort(graph.adj, axis=1).T)
-    scale = 1.0 / graph.degree
+def coset_positions(group: PglGroup, keys) -> tuple[np.ndarray, np.ndarray]:
+    """(i, x) with key = u_x g_i: the coset index and the encoding of x."""
+    t, order = group.tables, group.field.order
+    a, b, c, d = group.entries(keys)
+    inv = t.inv(np.where(c != 0, c, d))
+    a, b, c, d = (t.mul(e, inv) for e in (a, b, c, d))
+    det = t.add(t.mul(a, d), t.neg(t.mul(b, c)))
+    split = c == 1
+    index = np.where(split, (det - 1) * order + d, order * (order - 1) + det - 1)
+    return index, np.where(split, a, b)
 
-    def matvec(x: np.ndarray) -> np.ndarray:
-        y = np.zeros(len(x))
-        for neighbours in cols:
-            y += scale * x[neighbours]
-        return y
-    return matvec
+
+def additive_character(p: int) -> np.ndarray:
+    """psi on the constant coefficient: exp(2 pi i c / p) for c in F_p."""
+    return np.exp(2j * np.pi * np.arange(p) / p)
 
 
-def spectrum_dense(graph: CayleyGraph, tol: float = SPECTRUM_TOL) -> SpectrumReport:
-    n = graph.n_vertices
-    if n > DENSE_VERTEX_LIMIT:
-        raise ValueError(f"dense mode limited to {DENSE_VERTEX_LIMIT} vertices, got {n}")
-    a = normalized_adjacency(graph)
-    if not np.array_equal(a, a.T):
-        raise CheckFailure("adjacency is not symmetric; generator set is broken")
-    eigs = np.linalg.eigvalsh(a)
-    top = float(eigs[-1])
-    bottom = float(eigs[0])
-    if abs(top - 1.0) > tol:
-        raise CheckFailure(f"largest normalized eigenvalue {top} is not 1")
-    bottom_is_trivial = graph.bipartite
-    if bottom_is_trivial and abs(bottom + 1.0) > tol:
-        raise CheckFailure("graph is bipartite but -1 is not an eigenvalue")
-    if not graph.bipartite and abs(bottom + 1.0) <= tol:
-        raise CheckFailure("-1 in the spectrum of a non-bipartite graph")
-    lambda2 = float(eigs[-2])
-    # connected graphs have a simple 1, connected bipartite graphs a
-    # simple -1, so the nontrivial extremes sit at fixed slots
-    lambda_min = float(eigs[1]) if bottom_is_trivial else bottom
+def gelfand_graev_matrix(group: PglGroup, gens) -> np.ndarray:
+    """M = sum over s in gens of R(s) on Ind_U^G psi, in the coset basis."""
+    require_matrix_fits(group.field.order)
+    gens = np.asarray(gens, dtype=np.int64)
+    reps = coset_representatives(group)
+    index, x = coset_positions(group, group.mul(reps[:, None], gens[None, :]))
+    m = np.zeros((len(reps), len(reps)), dtype=complex)
+    np.add.at(m, (np.repeat(np.arange(len(reps)), len(gens)), index.ravel()),
+              additive_character(group.field.p)[x.ravel() % group.field.p])
+    return m
+
+
+def spectrum(group: PglGroup, gens, tol: float = SPECTRUM_TOL) -> SpectrumReport:
+    """The nontrivial normalized spectrum of the Cayley graph of the
+    generator keys, from the Gelfand-Graev matrix (no closure needed).
+    Raises ValueError over the memory limit, and CheckFailure when the
+    generators are not symmetric or an eigenvalue reaches +-1 (the
+    graph is disconnected, or bipartite beyond the determinant class)."""
+    gens = np.asarray(gens, dtype=np.int64)
+    if not np.array_equal(np.sort(group.inverse(gens)), np.sort(gens)):
+        raise CheckFailure("generator set is not closed under inverses")
+    eigs = np.linalg.eigvalsh(gelfand_graev_matrix(group, gens)) / len(gens)
+    for e in (eigs[-1], eigs[0]):
+        if abs(e) >= 1.0 - tol:
+            raise CheckFailure(
+                f"nontrivial eigenvalue {float(e)!r} within {tol} of +-1: the "
+                "generators do not generate the group, or the graph has an "
+                "extra bipartition")
     return SpectrumReport(
-        method="dense", tolerance=tol, top=top, bottom=bottom,
-        lambda2=lambda2, lambda_min=lambda_min, bipartite=graph.bipartite,
-        eigenvalues=eigs,
-    )
-
-
-def spectrum_lanczos(graph: CayleyGraph, seed: int = 0, tol: float = SPECTRUM_TOL,
-                     max_iterations: int = 1200) -> SpectrumReport:
-    n = graph.n_vertices
-    matvec = normalized_matvec(graph)
-    deflate = [np.ones(n) / math.sqrt(n)]
-    if graph.bipartite:
-        sign = np.where(graph.color == 0, 1.0, -1.0)
-        deflate.append(sign / np.linalg.norm(sign))
-    d = np.column_stack(deflate)
-    d, _ = np.linalg.qr(d)
-
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v -= d @ (d.T @ v)
-    v /= np.linalg.norm(v)
-
-    cap = min(max_iterations, n - d.shape[1])
-    q_basis = np.zeros((n, min(cap, 64)))
-    alphas = np.zeros(cap)
-    betas = np.zeros(cap)
-    q_basis[:, 0] = v
-    beta = 0.0
-    lambda2 = lambda_min = None
-    used = 0
-    checkpoint = 64
-    for j in range(cap):
-        w = matvec(q_basis[:, j])
-        alphas[j] = q_basis[:, j] @ w
-        w = w - alphas[j] * q_basis[:, j]
-        if j > 0:
-            w = w - beta * q_basis[:, j - 1]
-        for _ in range(2):  # full reorthogonalization, applied twice
-            w -= d @ (d.T @ w)
-            w -= q_basis[:, : j + 1] @ (q_basis[:, : j + 1].T @ w)
-        beta = float(np.linalg.norm(w))
-        used = j + 1
-        if beta < 1e-13 or j == cap - 1:
-            break
-        betas[j] = beta
-        if used == q_basis.shape[1]:
-            grown = np.zeros((n, min(2 * used, cap)))
-            grown[:, :used] = q_basis
-            q_basis = grown
-        q_basis[:, j + 1] = w / beta
-        if used >= checkpoint:
-            ev = _tridiag_eigs(alphas, betas, used)
-            new2, newmin = float(ev[-1]), float(ev[0])
-            if lambda2 is not None and abs(new2 - lambda2) < tol / 10 \
-                    and abs(newmin - lambda_min) < tol / 10:
-                lambda2, lambda_min = new2, newmin
-                break
-            lambda2, lambda_min = new2, newmin
-            checkpoint *= 2
-    ev = _tridiag_eigs(alphas, betas, used)
-    lambda2, lambda_min = float(ev[-1]), float(ev[0])
-    return SpectrumReport(
-        method="iterative", tolerance=tol, top=1.0,
-        bottom=-1.0 if graph.bipartite else lambda_min,
-        lambda2=lambda2, lambda_min=lambda_min, bipartite=graph.bipartite,
-        iterations=used,
-    )
-
-
-def _tridiag_eigs(alphas: np.ndarray, betas: np.ndarray, k: int) -> np.ndarray:
-    t = np.diag(alphas[:k])
-    if k > 1:
-        t += np.diag(betas[: k - 1], 1) + np.diag(betas[: k - 1], -1)
-    return np.linalg.eigvalsh(t)
+        method="gelfand-graev", tolerance=tol, lambda2=float(eigs[-1]),
+        lambda_min=float(eigs[0]), eigenvalues=eigs)
 
 
 def is_ramanujan(report: SpectrumReport, q: int, tol: float = SPECTRUM_TOL) -> bool:
-    """Every nontrivial eigenvalue within the optimal-expansion bound.
-
-    Dense reports are checked against the full eigenvalue list; the
-    trivial eigenvalues are one copy of 1 and, for bipartite graphs,
-    one copy of -1 (both simple since the graph is connected).
-    Iterative reports carry the extreme nontrivial values, which bound
-    all the others.
-    """
+    """Every nontrivial eigenvalue within the optimal-expansion bound;
+    the extremes lambda2 and lambda_min bound all the others."""
     bound = ramanujan_bound(q) + tol
-    if report.eigenvalues is not None:
-        eigs = list(report.eigenvalues)
-        eigs.pop()  # the single trivial 1
-        if report.bipartite:
-            eigs.pop(0)  # the single trivial -1
-        return all(abs(e) <= bound for e in eigs)
     return report.lambda2 <= bound and report.lambda_min >= -bound

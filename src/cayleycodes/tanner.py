@@ -27,13 +27,12 @@ import numpy as np
 
 from . import gf2poly
 from .cyclic import (CyclicCode, DistanceReport, dual_basis_rows, dual_generator,
-                     gray_codewords, lightest_codeword)
+                     lightest_codeword)
 from .errors import CheckFailure, ConstructionError
 from .gf2 import Gf2Matrix, int_span_equal, unpack_int
 from .graphs import CayleyGraph
 
 EXACT_EDGE_DISTANCE_MAX_DIM = 22
-BRUTE_FORCE_MAX_EDGES = 24
 
 
 @dataclass
@@ -333,46 +332,6 @@ def code_distance(inst: CayleyCodeInstance, mode: str = "sampled",
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def codeword_set_from_nullspace(inst: CayleyCodeInstance, max_dim: int = 20) -> set[int]:
-    """All codewords by spanning the nullspace of H (small codes only)."""
-    from .gf2 import nullspace
-
-    basis = nullspace(inst.matrix)
-    if basis.nrows > max_dim:
-        raise ValueError(f"nullspace dimension {basis.nrows} exceeds {max_dim}")
-    return {0, *gray_codewords(basis.to_ints())}
-
-
-def codeword_set_brute_force(inst: CayleyCodeInstance) -> set[int]:
-    """All codewords by filtering every edge vector through the
-    per-vertex local-view definition; the independent oracle for the
-    parity-check construction."""
-    n_e = inst.n
-    if n_e > BRUTE_FORCE_MAX_EDGES:
-        raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX_EDGES} edges")
-    inner_words = {0}
-    word = 0
-    basis = inst.inner.basis()
-    for i in range(1, 1 << inst.inner.dim):
-        word ^= basis[(i & -i).bit_length() - 1]
-        inner_words.add(word)
-    stars = [inst.graph.star_edge_ids(v) for v in range(inst.graph.n_vertices)]
-    out = set()
-    for cand in range(1 << n_e):
-        ok = True
-        for star in stars:
-            view = 0
-            for i, e in enumerate(star):
-                if (cand >> e) & 1:
-                    view |= 1 << i
-            if view not in inner_words:
-                ok = False
-                break
-        if ok:
-            out.add(cand)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The aggregated verification report
 # ---------------------------------------------------------------------------
@@ -414,8 +373,7 @@ class VerificationReport:
                     "invariance", "single_orbit", "classification"))
 
 
-def run_verification(gens, graph: CayleyGraph, inner: CyclicCode,
-                     spectrum_mode: str = "auto", seed: int = 0,
+def run_verification(gens, graph: CayleyGraph, inner: CyclicCode, seed: int = 0,
                      invariance_trials: int = 200,
                      distance_trials: int = 0,
                      inner_d_lower: int | None = None
@@ -442,7 +400,7 @@ def run_verification(gens, graph: CayleyGraph, inner: CyclicCode,
     regular_ok = graph.degree == q + 1 and 2 * graph.n_edges == graph.n_vertices * (q + 1)
     bip_ok = graph.bipartite == (variant == "pgl")
 
-    spec = spectrum(graph, mode=spectrum_mode, seed=seed)
+    spec = spectrum(graph.group, graph.gens)
     ram = is_ramanujan(spec, q)
 
     perms = symmetry_edge_permutations(graph, gens)

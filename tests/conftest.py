@@ -28,6 +28,13 @@ def q19_psl_objects(q19_psl_graph):
 
 
 @pytest.fixture(scope="session")
+def q19_psl_dense(q19_psl_graph):
+    """The dense reference spectrum of the q19 PSL graph."""
+    from spectra_reference import spectrum_dense
+    return spectrum_dense(q19_psl_graph)
+
+
+@pytest.fixture(scope="session")
 def q19_pgl_gens():
     return build_generators(choose_ideal(19, 1, "pgl"))
 

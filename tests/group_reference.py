@@ -5,8 +5,8 @@ permutations on int64 keys, a whole array at a time.  This module keeps
 the one-element-at-a-time construction on FieldElem/ProjectiveMatrix
 objects (and on the Z_n toy elements), hashed into dicts, as an
 independent oracle for the tests; plus the object-level helpers the
-tests use: proj, conj_action, SdpElement, sdp_act_directed_edge and
-parse_edge_list.
+tests use: proj, conj_action, SdpElement, sdp_act_directed_edge,
+parse_edge_list and verify_vertex_transitive.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 
 from cayleycodes.errors import ConstructionError
 from cayleycodes.fields import FiniteField
-from cayleycodes.graphs import CayleyGraph, KeyIndex, edge_permutation
+from cayleycodes.graphs import (CayleyGraph, KeyIndex, edge_orbit, edge_permutation,
+                               left_translation_maps)
 from cayleycodes.projective import ProjectiveMatrix, TorusElement
 
 
@@ -267,3 +268,9 @@ def sdp_maps(graph: CayleyGraph, h: SdpElement) -> tuple[np.ndarray, np.ndarray]
 
 def sdp_edge_permutation(graph: CayleyGraph, h: SdpElement) -> np.ndarray:
     return edge_permutation(graph, *sdp_maps(graph, h))
+
+
+def verify_vertex_transitive(graph: CayleyGraph) -> bool:
+    """Left translations act transitively on vertices (orbit of vertex 0
+    under v -> s * v covers everything)."""
+    return edge_orbit(left_translation_maps(graph), graph.n_vertices) == graph.n_vertices

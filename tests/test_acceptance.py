@@ -25,11 +25,12 @@ from cayleycodes.projective import PglGroup, ProjectiveMatrix
 from cayleycodes.quaternion import (build_generators, classify,
                                     residue_params, split_quaternion,
                                     _raw_mul, _raw_scalar)
-from cayleycodes.spectra import (is_ramanujan, ramanujan_bound, spectrum_dense,
-                                 spectrum_lanczos)
-from cayleycodes.tanner import (build_parity_check, codeword_set_brute_force,
-                                codeword_set_from_nullspace, measured_rate,
-                                verify_invariance, verify_single_orbit)
+from cayleycodes.spectra import is_ramanujan, ramanujan_bound, spectrum
+from cayleycodes.tanner import (build_parity_check, measured_rate, verify_invariance,
+                                verify_single_orbit)
+
+from code_reference import codeword_set_brute_force, codeword_set_from_nullspace
+from spectra_reference import set_distance, spectrum_dense, spectrum_lanczos
 
 
 def _report(num, name, t0, budget):
@@ -78,26 +79,25 @@ def test_criterion_2_bch_oracle():
     _report(2, "BCH oracle", t0, 5)
 
 
-def test_criterion_3_ramanujan_certification(q19_psl_graph, q19_pgl_graph):
+def test_criterion_3_ramanujan_certification(q19_psl_graph, q19_pgl_graph, q19_psl_dense):
+    """The Gelfand-Graev route certifies both q = 19 variants, and its
+    eigenvalues are, as a set, the nontrivial spectrum of the dense
+    reference; the reference Lanczos extremes agree."""
     t0 = time.time()
     bound = ramanujan_bound(19)
     assert abs(bound - 0.435890) < 1e-6
-
     assert q19_psl_graph.n_vertices == 3420 and q19_psl_graph.degree == 20
-    dense = spectrum_dense(q19_psl_graph)
-    assert is_ramanujan(dense, 19)
-    nontrivial = dense.eigenvalues[:-1]
-    assert np.all(np.abs(nontrivial) <= bound + 1e-6)
-
     assert q19_pgl_graph.n_vertices == 6840 and q19_pgl_graph.bipartite
-    lanczos = spectrum_lanczos(q19_pgl_graph, seed=0)
-    assert is_ramanujan(lanczos, 19)
-    assert lanczos.lambda2 <= bound + 1e-6
-    assert lanczos.lambda_min >= -bound - 1e-6
 
-    # the two modes agree on the PSL instance
-    lanczos_psl = spectrum_lanczos(q19_psl_graph, seed=0)
-    assert abs(lanczos_psl.lambda2 - dense.lambda2) <= 1e-5
+    for graph, dense in ((q19_psl_graph, q19_psl_dense),
+                         (q19_pgl_graph, spectrum_dense(q19_pgl_graph))):
+        rep = spectrum(graph.group, graph.gens)
+        assert is_ramanujan(rep, 19)
+        assert np.all(np.abs(dense.nontrivial) <= bound + 1e-6)
+        assert set_distance(rep.eigenvalues, dense.nontrivial) < 1e-9
+        lanczos = spectrum_lanczos(graph, seed=0)
+        assert abs(lanczos.lambda2 - rep.lambda2) <= 1e-5
+        assert abs(lanczos.lambda_min - rep.lambda_min) <= 1e-5
     _report(3, "Ramanujan certification", t0, 600)
 
 

@@ -58,11 +58,9 @@ def test_graph_small_q_rejected(capsys):
 def test_graph_q19_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.edges"
     out2 = tmp_path / "b.edges"
-    assert cli.main(["graph", "--q", "19", "--variant", "psl",
-                     "--mode", "dense", "-o", str(out1)]) == 0
+    assert cli.main(["graph", "--q", "19", "--variant", "psl", "-o", str(out1)]) == 0
     first = capsys.readouterr().out
-    assert cli.main(["graph", "--q", "19", "--variant", "psl",
-                     "--mode", "dense", "-o", str(out2)]) == 0
+    assert cli.main(["graph", "--q", "19", "--variant", "psl", "-o", str(out2)]) == 0
     second = capsys.readouterr().out
     assert out1.read_bytes() == out2.read_bytes()
 
@@ -75,9 +73,23 @@ def test_graph_q19_deterministic(tmp_path, capsys):
 
 def test_graph_explicit_parameters(capsys):
     assert cli.main(["graph", "--q", "19", "--variant", "pgl",
-                     "--ybar", "1", "--delta", "2", "--mode", "iterative"]) == 0
+                     "--ybar", "1", "--delta", "2"]) == 0
     printed = capsys.readouterr().out
     assert "pgl" in printed and "bipartite=True" in printed
+    assert "spectrum (gelfand-graev)" in printed
+
+
+def test_graph_over_the_memory_limit_fails_fast(monkeypatch, capsys):
+    """q = 109 would need a 2.3 GB spectrum matrix: exit 2 before the
+    generators or the closure are built."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("graph kept working past the memory guard")
+
+    monkeypatch.setattr(cli, "choose_ideal", forbidden)
+    monkeypatch.setattr(cli, "build_generators", forbidden)
+    assert cli.main(["graph", "--q", "109"]) == 2
+    assert "above the 256 MB limit" in capsys.readouterr().err
+    assert cli.main(["graph", "--q", "19", "--mode", "dense"]) == 2   # the flag is gone
 
 
 def test_graph_bad_delta(capsys):

@@ -4,11 +4,11 @@ import pytest
 from cayleycodes.errors import ConstructionError
 from cayleycodes.graphs import (ZnGroup, edge_orbit, edge_permutation,
                                 generate_group, graph_from_generators,
-                                left_translation_maps, verify_edge_transitive,
-                                verify_vertex_transitive)
+                                left_translation_maps, verify_edge_transitive)
 from cayleycodes.projective import PglGroup
 
-from group_reference import SdpElement, object_vertices, parse_edge_list, sdp_edge_permutation
+from group_reference import (SdpElement, object_vertices, parse_edge_list,
+                             sdp_edge_permutation, verify_vertex_transitive)
 
 
 def zn_graph(n, steps):

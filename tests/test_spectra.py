@@ -5,16 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayleycodes import build_generators, choose_ideal, spectra
+from cayleycodes.errors import CheckFailure
+from cayleycodes.fields import prime_field
 from cayleycodes.graphs import ZnGroup, generate_group
-from cayleycodes.spectra import (is_ramanujan, normalized_adjacency, normalized_matvec,
-                                 ramanujan_bound, spectrum, spectrum_dense,
-                                 spectrum_lanczos)
+from cayleycodes.projective import PglGroup
+from cayleycodes.spectra import (coset_positions, coset_representatives,
+                                 gelfand_graev_matrix, is_ramanujan, ramanujan_bound,
+                                 spectrum)
 
-from spectra_reference import adjacency, reference_lanczos
+from spectra_reference import (adjacency, normalized_adjacency, normalized_matvec,
+                               reference_lanczos, set_distance, spectrum_dense,
+                               spectrum_lanczos)
 
 
 def zn_graph(n, steps):
     return generate_group(ZnGroup(n), steps, cap=n + 1)
+
+
+def generator_keys(q, e, variant):
+    """The PGL_2 key arithmetic and the generator keys, without a closure."""
+    gens = build_generators(choose_ideal(q, e, variant))
+    group = PglGroup(gens.field)
+    return group, np.array([group.encode(s) for s in gens.elements])
 
 
 def test_cycle_c8_analytic():
@@ -39,11 +52,21 @@ def test_complete_graph_k4():
     assert abs(rep.lambda_min + 1 / 3) < 1e-9
 
 
-def test_dense_limit():
-    class Fake:
-        n_vertices = 4001
-    with pytest.raises(ValueError):
-        spectrum_dense(Fake())
+def test_memory_guard_q109(monkeypatch):
+    """q = 109 needs an 11880-square complex matrix, 2.3 GB: refused
+    before the matrix (or any closure) is allocated."""
+    from cayleycodes import graphs
+
+    group, keys = generator_keys(109, 1, "psl")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("worked past the memory guard")
+
+    monkeypatch.setattr(graphs, "generate_group", forbidden)
+    monkeypatch.setattr(spectra, "coset_representatives", forbidden)
+    with pytest.raises(ValueError, match="2258 MB, above the 256 MB limit"):
+        spectrum(group, keys)
+    spectra.require_matrix_fits(61)   # 221 MB: still runs
 
 
 def test_lanczos_matches_dense_on_toys():
@@ -64,19 +87,20 @@ def test_lanczos_degenerate_spectrum():
     assert abs(it.lambda_min + 1 / 3) < 1e-9
 
 
-def test_q19_psl_ramanujan_dense(q19_psl_graph):
-    rep = spectrum_dense(q19_psl_graph)
+def test_q19_psl_ramanujan_dense(q19_psl_dense):
+    rep = q19_psl_dense
     assert is_ramanujan(rep, 19)
     assert rep.lambda2 <= ramanujan_bound(19) + 1e-6
     assert abs(rep.top - 1.0) < 1e-6
     assert not rep.bipartite
 
 
-def test_q19_modes_agree(q19_psl_graph):
-    d = spectrum_dense(q19_psl_graph)
+def test_q19_modes_agree(q19_psl_graph, q19_psl_dense):
     it = spectrum_lanczos(q19_psl_graph, seed=0)
-    assert abs(d.lambda2 - it.lambda2) < 1e-5
-    assert abs(d.lambda_min - it.lambda_min) < 1e-5
+    gg = spectrum(q19_psl_graph.group, q19_psl_graph.gens)
+    for rep in (it, gg):
+        assert abs(q19_psl_dense.lambda2 - rep.lambda2) < 1e-5
+        assert abs(q19_psl_dense.lambda_min - rep.lambda_min) < 1e-5
 
 
 def test_q19_pgl_ramanujan_iterative(q19_pgl_graph):
@@ -85,11 +109,15 @@ def test_q19_pgl_ramanujan_iterative(q19_pgl_graph):
     assert is_ramanujan(rep, 19)
     # bipartite symmetry of the extremes
     assert abs(rep.lambda2 + rep.lambda_min) < 1e-6
+    assert is_ramanujan(spectrum(q19_pgl_graph.group, q19_pgl_graph.gens), 19)
 
 
-def test_spectrum_auto_mode(q19_pgl_graph):
-    rep = spectrum(q19_pgl_graph, mode="auto")
-    assert rep.method == "iterative"
+def test_spectrum_method_is_gelfand_graev(q19_pgl_graph):
+    rep = spectrum(q19_pgl_graph.group, q19_pgl_graph.gens)
+    assert rep.method == "gelfand-graev" and rep.iterations is None
+    assert len(rep.eigenvalues) == 19 * 19 - 1
+    # the spectrum of a bipartite graph is symmetric about 0
+    assert np.allclose(rep.eigenvalues, -rep.eigenvalues[::-1], atol=1e-9)
 
 
 def test_lanczos_deterministic(q19_pgl_graph):
@@ -110,7 +138,113 @@ def test_negative_control_fails_ramanujan():
 
 
 # ---------------------------------------------------------------------------
-# the matrix-free routes against the CSR reference, bit for bit
+# the Gelfand-Graev route against the reference routes
+# ---------------------------------------------------------------------------
+
+def test_cosets_factor_every_vertex(q19_pgl_graph, q5e2_psl_graph):
+    """Each group element g is u_x g_i for the coset index i and the x
+    that coset_positions reads off (all of PGL_2(19), and PSL_2(25));
+    the representatives are their own cosets with x = 0."""
+    for graph in (q19_pgl_graph, q5e2_psl_graph):
+        group, order = graph.group, graph.group.field.order
+        reps = coset_representatives(group)
+        assert len(np.unique(reps)) == len(reps) == order * order - 1
+        index, x = coset_positions(group, reps)
+        assert np.array_equal(index, np.arange(len(reps))) and not x.any()
+        index, x = coset_positions(group, graph.keys)
+        u_x = group.canonical_key(np.ones_like(x), x, np.zeros_like(x), np.ones_like(x))
+        assert np.array_equal(group.mul(u_x, reps[index]), graph.keys)
+
+
+def test_gelfand_graev_equals_dense_q19_psl(q19_psl_graph, q19_psl_dense):
+    rep = spectrum(q19_psl_graph.group, q19_psl_graph.gens)
+    assert set_distance(rep.eigenvalues, q19_psl_dense.nontrivial) < 1e-9
+    assert is_ramanujan(rep, 19)
+
+
+def test_gelfand_graev_extremes_match_lanczos_q5e2(q5e2_psl_graph):
+    rep = spectrum(q5e2_psl_graph.group, q5e2_psl_graph.gens)
+    ref = spectrum_lanczos(q5e2_psl_graph, seed=0)
+    assert abs(rep.lambda2 - ref.lambda2) < 1e-9
+    assert abs(rep.lambda_min - ref.lambda_min) < 1e-9
+    assert is_ramanujan(rep, 5)
+
+
+def test_q7e2_certifies_without_closure(monkeypatch):
+    """58800 vertices, never built: lambda2 = 0.660138 against the bound
+    0.661438, the tightest instance at hand."""
+    from cayleycodes import graphs
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the spectrum built the closure")
+
+    monkeypatch.setattr(graphs, "generate_group", forbidden)
+    rep = spectrum(*generator_keys(7, 2, "psl"))
+    assert abs(rep.lambda2 - 0.660138) < 1e-6
+    assert is_ramanujan(rep, 7)
+
+
+def test_trivial_character_fails(monkeypatch, q19_psl_graph):
+    """psi = 1 induces the trivial representation back in: the eigenvalue
+    1 appears and the certificate refuses."""
+    monkeypatch.setattr(spectra, "additive_character", lambda p: np.ones(p, dtype=complex))
+    with pytest.raises(CheckFailure, match=r"eigenvalue 0\.99999.* within 1e-06 of \+-1"):
+        spectrum(q19_psl_graph.group, q19_psl_graph.gens)
+
+
+def square_determinant_cosets(group):
+    order = group.field.order
+    index = np.arange(order * order - 1)
+    det = np.where(index < order * (order - 1), index // order + 1,
+                   index - order * (order - 1) + 1)
+    return group.tables.log[det] % 2 == 0
+
+
+def test_mackey_split_of_the_coset_basis(q19_psl_graph, q19_pgl_graph):
+    """PSL generators keep the determinant class of a coset, so M is block
+    diagonal (Ind_U^PSL psi + Ind_U^PSL psi_eps); PGL generators swap
+    the classes."""
+    for graph, keeps in ((q19_psl_graph, True), (q19_pgl_graph, False)):
+        m = gelfand_graev_matrix(graph.group, graph.gens)
+        square = square_determinant_cosets(graph.group)
+        same, other = m[np.ix_(square, square)], m[np.ix_(square, ~square)]
+        assert not (other if keeps else same).any() and (same if keeps else other).any()
+
+
+def test_square_determinant_cosets_lose_eigenvalues():
+    """Keeping only Ind_U^PSL psi (the cosets of square determinant) drops
+    the representation that is generic only for psi_eps.  On PSL_2(13)
+    with the unipotent generators u_{+-1} and their transposes, that
+    loses eigenvalues of the dense reference; the whole matrix has them
+    all.  The paper's graphs cannot show it, since their two halves are
+    isospectral: for Q = 3 mod 4 they are complex conjugates; for e = 1
+    the torus-orbit S is fixed by conjugation with t0, which lies outside
+    PSL and so swaps the halves; and at q = 5, e = 2 it was observed."""
+    group = PglGroup(prime_field(13))
+    one = np.ones(4, dtype=np.int64)
+    gens = group.canonical_key(one, np.array([1, 12, 0, 0]), np.array([0, 0, 1, 12]), one)
+    ref = spectrum_dense(generate_group(group, gens, cap=2000)).nontrivial
+    m = gelfand_graev_matrix(group, gens)
+    square = square_determinant_cosets(group)
+    half = np.linalg.eigvalsh(m[np.ix_(square, square)]) / len(gens)
+    assert set_distance(half, ref) > 1e-2
+    assert set_distance(spectrum(group, gens).eigenvalues, ref) < 1e-9
+
+
+def test_spectrum_rejects_broken_generators(q19_psl_graph):
+    group, gens = q19_psl_graph.group, q19_psl_graph.gens
+    with pytest.raises(CheckFailure, match="not closed under inverses"):
+        spectrum(group, gens[:-1])
+    # the unipotent pair u_1, u_-1 generates U only: a disconnected graph
+    one, minus_one = 1, group.tables.neg(1)
+    unipotent = group.canonical_key(np.ones(2, dtype=np.int64), np.array([one, minus_one]),
+                                    np.zeros(2, dtype=np.int64), np.ones(2, dtype=np.int64))
+    with pytest.raises(CheckFailure, match="do not generate"):
+        spectrum(group, unipotent)
+
+
+# ---------------------------------------------------------------------------
+# the matrix-free reference routes against the CSR reference, bit for bit
 # ---------------------------------------------------------------------------
 
 def assert_matvec_matches_csr(graph, vectors):

@@ -15,11 +15,10 @@ from cayleycodes.gf2poly import divmod_, mul, x_pow_n_minus_1
 from cayleycodes.graphs import (KeyIndex, ZnGroup, edge_permutation, generate_group,
                                 left_translation_maps)
 from cayleycodes.tanner import (_locate_rows, build_parity_check, code_distance,
-                                codeword_set_brute_force,
-                                codeword_set_from_nullspace, local_view,
-                                measured_rate, row_orbit, edge_code_bounds,
+                                local_view, measured_rate, row_orbit, edge_code_bounds,
                                 verify_invariance, verify_single_orbit)
 
+from code_reference import codeword_set_brute_force, codeword_set_from_nullspace
 from gf2_reference import from_ints
 
 
