@@ -5,8 +5,9 @@ A word on the 34200 edges is a codeword when each vertex's local view
 (its 20 incident edge bits, read in torus-orbit order) lies in a
 [20, 12] cyclic inner code.  The report covers: the counting bound on
 the rate, invariance of the constraint space under the symmetry
-generators, and generation of the whole constraint space by the orbit
-of a single local constraint.
+generators (proven for every row by a local certificate), and
+generation of the whole constraint space by the orbit of a single
+local constraint.
 
 The rank computations eliminate a 27360 x 34200 GF(2) matrix; expect
 about ten seconds on two cores.
@@ -28,8 +29,7 @@ graph = graph_from_generators(gens)
 inner = CyclicCode(20, mul(0b10001, 0b11111))
 print(f"inner code: [{inner.n}, {inner.dim}], rate {inner.rate}")
 
-report, inst = run_verification(gens, graph, inner, seed=0,
-                                invariance_trials=200)
+report, inst = run_verification(gens, graph, inner)
 print(json.dumps(report.checks, indent=2, sort_keys=True))
 print(f"measured rate {report.bounds['measured_rate']} "
       f">= guaranteed {report.bounds['rate_lower']}")

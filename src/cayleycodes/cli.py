@@ -3,8 +3,9 @@
 Subcommands: bch, double, graph, build, verify.  Exit codes: 0 when all
 checks pass, 1 when a mathematical check fails, 2 for usage or IO
 errors, so CI can gate on mathematical correctness separately from
-plumbing problems.  All randomness sits behind --seed; equal seeds and
-flags give byte-identical outputs.
+plumbing problems.  The only randomness, the sampled distance search
+of build, sits behind its --seed; equal seeds and flags give
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -136,8 +137,7 @@ def cmd_build(args) -> int:
     gens = build_generators(params)
     graph = graph_from_generators(gens)
     report, inst = run_verification(
-        gens, graph, inner, seed=args.seed,
-        invariance_trials=args.trials, distance_trials=args.distance_trials,
+        gens, graph, inner, seed=args.seed, distance_trials=args.distance_trials,
         inner_d_lower=args.inner_dlower)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -191,8 +191,9 @@ def cmd_verify(args) -> int:
 
     inst = build_parity_check(graph, inner)
     # byte equality makes the shipped matrix the rebuilt H itself, so the
-    # rank and invariance checks on H below cover the shipped constraints;
-    # on a mismatch verify has failed, and they and the spectrum are skipped
+    # rank check and the invariance certificate (proven on every row of H)
+    # below cover the shipped constraints; on a mismatch verify has
+    # failed, and they and the spectrum are skipped
     where = alist.first_difference(alist_path.read_text(),
                                    alist.dumps_alist(inst.supports, inst.n))
     if where is None:
@@ -208,8 +209,7 @@ def cmd_verify(args) -> int:
                                  == report.bounds["measured_rate"])
         perms = symmetry_edge_permutations(graph, gens)
         inv = verify_invariance(
-            inst, {"left_gamma": perms["left_s0"], "torus_t0": perms["torus_t0"]},
-            trials=args.trials, seed=p["seed"])
+            inst, {"left_gamma": perms["left_s0"], "torus_t0": perms["torus_t0"]})
         results["invariance"] = inv.passed
     else:
         results["alist_exact"] = False
@@ -260,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build and verify the edge code")
     add_group_args(p, q_required=False)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the sampled distance search")
     p.add_argument("--inner", help="inner code file (length q + 1)")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--trials", type=int, default=200, help="invariance sample size")
     p.add_argument("--distance-trials", type=int, default=0,
                    help="sampled distance search trials (0 = skip)")
     p.add_argument("--inner-dlower", type=int, default=None,
@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-verify a built instance directory")
     p.add_argument("dir")
-    p.add_argument("--trials", type=int, default=50, help="invariance sample size")
     p.set_defaults(func=cmd_verify)
     return top
 

@@ -470,18 +470,6 @@ def _tonelli_shanks(a: FieldElem) -> FieldElem:
     return x if x.encode() <= other.encode() else other
 
 
-def multiplicative_order(a: FieldElem) -> int:
-    """Order of a in the multiplicative group."""
-    if a.is_zero():
-        raise ValueError("zero has no multiplicative order")
-    n = a.field.order - 1
-    order = n
-    for prime in factorize(n):
-        while order % prime == 0 and a ** (order // prime) == a.field.one:
-            order //= prime
-    return order
-
-
 def primitive_element(field: FiniteField) -> FieldElem:
     """Smallest generator of the multiplicative group in canonical order."""
     n = field.order - 1

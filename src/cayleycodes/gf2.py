@@ -32,7 +32,9 @@ bit c is cleared, and later pivot rows come only from rows free then,
 so column c is zero in the row of every later pivot (the Echelon
 invariant): reducing a row against the pivots in order clears each
 pivot column for good, and the residual is zero iff the row is in the
-row space, as Echelon.reduce_batch relies on.
+row space: Echelon.reduce_batch is an exact membership test, the
+oracle the tests check certificates against (tanner.verify_invariance
+proves invariance on every row without it).
 """
 
 from __future__ import annotations

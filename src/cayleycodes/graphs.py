@@ -85,10 +85,6 @@ class CayleyGraph:
                 f"{int((ids < 0).sum())} group elements are not vertices of the graph")
         return ids
 
-    def star_edge_ids(self, v: int) -> list[int]:
-        """Edge ids incident to v, in generator order (the local view order)."""
-        return [int(e) for e in self.eid[v]]
-
     def export_edges(self) -> str:
         v, i = self.edge_canonical.T
         lines = [f"{self.n_vertices} {self.n_edges} {self.degree}"]

@@ -4,7 +4,8 @@ The library proves its claims about H without enumerating codewords.
 These two enumerations define the code twice more, independently: by
 spanning the nullspace of H, and by filtering every edge vector through
 the per-vertex local-view definition.  Tests and demo 04 require the
-two sets to be equal on toys small enough to enumerate.
+two sets to be equal on toys small enough to enumerate, and read local
+views with local_view.
 """
 
 from __future__ import annotations
@@ -13,6 +14,15 @@ from cayleycodes.cyclic import gray_codewords
 from cayleycodes.gf2 import nullspace
 
 BRUTE_FORCE_MAX_EDGES = 24
+
+
+def local_view(inst, word: int, vertex: int) -> int:
+    """The inner-code-length word read off the star of a vertex."""
+    view = 0
+    for i, e in enumerate(inst.graph.eid[vertex].tolist()):
+        if (word >> e) & 1:
+            view |= 1 << i
+    return view
 
 
 def codeword_set_from_nullspace(inst, max_dim: int = 20) -> set[int]:
@@ -36,7 +46,7 @@ def codeword_set_brute_force(inst) -> set[int]:
     for i in range(1, 1 << inst.inner.dim):
         word ^= basis[(i & -i).bit_length() - 1]
         inner_words.add(word)
-    stars = [inst.graph.star_edge_ids(v) for v in range(inst.graph.n_vertices)]
+    stars = inst.graph.eid.tolist()
     out = set()
     for cand in range(1 << n_e):
         ok = True

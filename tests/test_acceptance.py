@@ -116,11 +116,12 @@ def test_criterion_5_structural_code_checks(q19_instance, q19_perms):
     rate = measured_rate(inst)
     assert rate == Fraction(inst.n - inst.rank, 34200)
     assert rate >= 2 * inst.inner.rate - 1  # exact rational comparison
+    # exhaustive: every vertex star and every star position of both maps
     inv = verify_invariance(
         inst,
-        {"left_gamma": q19_perms["left_s0"], "torus_t0": q19_perms["torus_t0"]},
-        trials=200, seed=0)
-    assert inv.passed and inv.trials == 200
+        {"left_gamma": q19_perms["left_s0"], "torus_t0": q19_perms["torus_t0"]})
+    assert inv.passed and inv.perm_names == ["left_gamma", "torus_t0"]
+    assert inv.bad_perm is inv.bad_vertex is inv.bad_position is None
     orbit_rep = verify_single_orbit(inst, list(q19_perms.values()))
     assert orbit_rep.passed
     assert orbit_rep.orbit_rank == orbit_rep.rank_h == inst.rank
@@ -174,7 +175,7 @@ def built_instance_dir(tmp_path_factory, inner20):
     cyclic.save_code(inner20, inner_file)
     code = cli.main([
         "build", "--q", "19", "--variant", "psl", "--inner", str(inner_file),
-        "--out", str(outdir), "--trials", "50",
+        "--out", str(outdir),
     ])
     assert code == 0
     return outdir
@@ -182,7 +183,7 @@ def built_instance_dir(tmp_path_factory, inner20):
 
 def test_criterion_8a_tampered_alist_fails_verify(built_instance_dir, tmp_path, capsys):
     t0 = time.time()
-    pristine = cli.main(["verify", str(built_instance_dir), "--trials", "20"])
+    pristine = cli.main(["verify", str(built_instance_dir)])
     assert pristine == 0
     bad = tmp_path / "tampered"
     shutil.copytree(built_instance_dir, bad)
@@ -192,7 +193,7 @@ def test_criterion_8a_tampered_alist_fails_verify(built_instance_dir, tmp_path, 
     rows[100][0] = (c + 1) % n if (c + 1) % n not in rows[100] else (c + 2) % n
     (bad / "code.alist").write_text(alist.dumps_alist(rows, n))
     capsys.readouterr()
-    tampered = cli.main(["verify", str(bad), "--trials", "20"])
+    tampered = cli.main(["verify", str(bad)])
     assert tampered == 1
     assert "code.alist: row 100 differs" in capsys.readouterr().err
     missing = cli.main(["verify", str(tmp_path / "nope")])

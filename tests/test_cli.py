@@ -140,8 +140,8 @@ PRISTINE_VERIFY_STDOUT = [
 
 def test_tampered_verify_fails_before_elimination(tmp_path, monkeypatch, capsys):
     """A code.alist that differs from the rebuilt H fails verify with
-    the row named, before the spectrum, any elimination or invariance
-    batch runs; the pristine directory prints every check in order."""
+    the row named, before the spectrum, any elimination or the invariance
+    certificate runs; the pristine directory prints every check in order."""
     from cayleycodes import alist, gf2
 
     inner = tmp_path / "inner6.code"
@@ -161,11 +161,23 @@ def test_tampered_verify_fails_before_elimination(tmp_path, monkeypatch, capsys)
         raise AssertionError("verify kept working after the alist mismatch")
 
     monkeypatch.setattr(cli, "spectrum", forbidden)
+    monkeypatch.setattr(cli, "verify_invariance", forbidden)
     monkeypatch.setattr(gf2.Gf2Matrix, "echelon", forbidden)
-    monkeypatch.setattr(gf2.Echelon, "reduce_batch", forbidden)
     assert cli.main(["verify", str(out)]) == 1
     captured = capsys.readouterr()
     assert "code.alist: row 100 differs" in captured.err
     assert "alist_exact: FAIL" in captured.out
     for skipped in ("ramanujan:", "spectrum_matches:", "rank_matches", "invariance"):
         assert skipped not in captured.out
+
+
+def test_trials_flags_are_gone(tmp_path, capsys):
+    """Invariance is proven on every row, so neither build nor verify
+    takes a sample size any more; the old flag is a usage error."""
+    inner = tmp_path / "inner6.code"
+    inner.write_text("6 4\n7\n")
+    assert cli.main(["build", "--q", "5", "--e", "2", "--inner", str(inner),
+                     "--out", str(tmp_path / "out"), "--trials", "5"]) == 2
+    assert cli.main(["verify", str(tmp_path), "--trials", "5"]) == 2
+    assert "unrecognized arguments: --trials 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

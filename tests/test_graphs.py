@@ -70,7 +70,7 @@ def test_edge_ids_consistent():
             w = int(g.adj[v, i])
             assert g.eid[v, i] == g.eid[w, g.inv_gen[i]]
     # stars enumerate each vertex's incident edges in generator order
-    star = g.star_edge_ids(3)
+    star = g.eid[3].tolist()
     assert len(star) == 4
 
 

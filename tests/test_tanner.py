@@ -15,11 +15,11 @@ from cayleycodes.gf2poly import divmod_, mul, x_pow_n_minus_1
 from cayleycodes.graphs import (KeyIndex, ZnGroup, edge_permutation, generate_group,
                                 left_translation_maps)
 from cayleycodes.tanner import (_locate_rows, build_parity_check, code_distance,
-                                local_view, measured_rate, row_orbit, edge_code_bounds,
+                                measured_rate, row_orbit, edge_code_bounds,
                                 verify_invariance, verify_single_orbit)
 
-from code_reference import codeword_set_brute_force, codeword_set_from_nullspace
-from gf2_reference import from_ints
+from code_reference import codeword_set_brute_force, codeword_set_from_nullspace, local_view
+from gf2_reference import contains, from_ints, reference_echelon
 
 
 def zn_graph(n, steps):
@@ -149,30 +149,138 @@ def test_rate_example_values():
     assert 2 * Fraction(12, 20) - 1 == Fraction(1, 5)
 
 
+def permuted_rows(inst, perm):
+    """Every row of H pushed through an edge permutation, packed."""
+    return Gf2Matrix.from_supports(inst.n, [perm[sup].tolist() for sup in inst.supports])
+
+
 def test_invariance_toy():
     inst = z17_torus_instance()
     perms = toy_perms(inst.graph, mult=2)
     named = {f"p{i}": p for i, p in enumerate(perms)}
-    rep = verify_invariance(inst, named, trials=inst.matrix.nrows, seed=0)
-    assert rep.passed
+    rep = verify_invariance(inst, named)
+    assert rep.passed and rep.perm_names == sorted(named)
+    assert rep.bad_perm is rep.bad_vertex is rep.bad_position is None
     rep.require()
 
 
 def test_invariance_identity_perm_trivial():
     inst = z6_even_instance()
     ident = np.arange(inst.n, dtype=np.int64)
-    rep = verify_invariance(inst, {"id": ident}, trials=10, seed=1)
+    rep = verify_invariance(inst, {"id": ident})
     assert rep.passed
+    # degree 1 (K_2): the one star edge is paired with itself
+    k2 = build_parity_check(zn_graph(2, [1]), CyclicCode(1, 1))
+    assert verify_invariance(k2, {"id": np.arange(1)}).passed
 
 
 def test_invariance_detects_broken_permutation():
+    """Edges 0 and 1 both lie on the star of vertex 0 (the edge toward
+    key 1 and toward key 2).  Swapping them keeps that star, but at the
+    other endpoint of edge 0, vertex 1 (key 1), the position of edge 0
+    (generator 16 = -1, position 4) now holds an edge off its star."""
     inst = z17_torus_instance()
     bad = np.arange(inst.n, dtype=np.int64)
     bad[[0, 1]] = bad[[1, 0]]  # a transposition is not a code symmetry here
-    rep = verify_invariance(inst, {"bad": bad}, trials=inst.matrix.nrows, seed=0)
+    rep = verify_invariance(inst, {"bad": bad})
     assert not rep.passed
-    with pytest.raises(CheckFailure):
+    assert (rep.bad_perm, rep.bad_vertex, rep.bad_position) == ("bad", 1, 4)
+    assert inst.graph.eid[1, 4] == 0
+    with pytest.raises(CheckFailure,
+                       match="'bad' maps position 4 of the star of vertex 1 "):
         rep.require()
+    # a map that is not a bijection fails where an image edge is hit twice
+    merged = np.arange(inst.n, dtype=np.int64)
+    merged[0] = 1
+    rep = verify_invariance(inst, {"merged": merged})
+    assert (rep.passed, rep.bad_vertex, rep.bad_position) == (False, 0, 0)
+
+
+def assert_swap_in_star_rejected(inst, left, torus, v, i1, i2):
+    """The torus permutation with the images of edges eid[v, i1] and
+    eid[v, i2] swapped maps the star of v onto the same star, but each
+    swapped edge's other endpoint now has an image edge off its image
+    star: the certificate names the first of the two, and the permuted
+    rows of H do leave rowspace(H)."""
+    graph = inst.graph
+    assert verify_invariance(inst, {"left": left, "torus": torus}).passed
+    e1, e2 = graph.eid[v, i1], graph.eid[v, i2]
+    bad = torus.copy()
+    bad[[e1, e2]] = bad[[e2, e1]]
+    rep = verify_invariance(inst, {"left": left, "torus": bad})
+    assert not rep.passed and rep.bad_perm == "torus"
+    ends = [(int(graph.adj[v, i]), int(graph.inv_gen[i])) for i in (i1, i2)]
+    assert (rep.bad_vertex, rep.bad_position) == min(ends)
+    assert inst.echelon.reduce_batch(permuted_rows(inst, bad).data).any()
+
+
+def test_invariance_detects_swap_inside_one_star():
+    inst = z17_torus_instance()
+    perms = toy_perms(inst.graph, mult=2)
+    assert_swap_in_star_rejected(inst, perms[0], perms[-1], 5, 2, 6)
+
+
+def test_invariance_detects_swap_inside_one_star_q19(q19_psl_graph, q19_perms):
+    inst = build_parity_check(q19_psl_graph, CyclicCode(20, 0b10001))
+    assert_swap_in_star_rejected(inst, q19_perms["left_s0"], q19_perms["torus_t0"],
+                                 2954, 0, 1)
+
+
+def test_invariance_certificate_rejects_a_position_map_off_the_dual():
+    """Z_19, S = [1, 18, 2, 17, 5, 14], the graph automorphism x -> -x:
+    every star maps onto a star, by tau = (01)(23)(45).  With h = x^2+x+1
+    tau does not preserve the dual of the inner code, the certificate
+    fails naming vertex 0 and no position, and the reference reduction
+    confirms that H is not invariant."""
+    graph = zn_graph(19, [1, 18, 2, 17, 5, 14])
+    inst = build_parity_check(graph, CyclicCode(6, 0b111))
+    neg = toy_perms(graph, mult=18)[-1]
+    rep = verify_invariance(inst, {"neg": neg})
+    assert not rep.passed
+    assert (rep.bad_perm, rep.bad_vertex, rep.bad_position) == ("neg", 0, None)
+    with pytest.raises(CheckFailure, match="'neg' permutes the star positions of vertex 0 "
+                                           "by a map that does not preserve the dual"):
+        rep.require()
+    ech = reference_echelon(inst.matrix)
+    moved = permuted_rows(inst, neg)
+    assert not all(contains(ech, row) for row in moved.data)
+
+
+@given(st.integers(min_value=5, max_value=16), st.data())
+@settings(deadline=None, max_examples=150)
+def test_invariance_pass_implies_rows_in_span(n, data):
+    """Soundness on toy Z_n instances: whenever the certificate passes a
+    permutation (a left translation, a multiplication by a unit that
+    fixes S, or either with two random edges swapped), every permuted
+    row of H reduces to zero against the echelon form of H.  S comes in
+    a random order, so a multiplication permutes the star positions by
+    a random-looking tau that often breaks the cyclic dual."""
+    steps = data.draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=6))
+    steps = data.draw(st.permutations(sorted(steps | {n - s for s in steps})))
+    graph = zn_graph(n, steps)
+    factors = factor_x_pow_n_minus_1(graph.degree)
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(factors),
+                                max_size=len(factors)))
+    chosen[0] = chosen[0] and not all(chosen)  # the zero code is excluded
+    h = 1
+    for f, take in zip(factors, chosen):
+        if take:
+            h = mul(h, f)
+    inst = build_parity_check(graph, CyclicCode(graph.degree, h))
+    units = [u for u in range(2, n) if gcd(u, n) == 1
+             and {u * s % n for s in steps} == set(steps)]
+    mult = data.draw(st.sampled_from([None] + units))
+    perms = toy_perms(graph, mult)
+    perm = (perms[-1] if mult else data.draw(st.sampled_from(perms))).copy()
+    if data.draw(st.booleans()):
+        e1, e2 = data.draw(st.lists(st.integers(0, inst.n - 1), min_size=2, max_size=2))
+        perm[[e1, e2]] = perm[[e2, e1]]
+    rep = verify_invariance(inst, {"p": perm})
+    if rep.passed:
+        residual = inst.echelon.reduce_batch(permuted_rows(inst, perm).data)
+        assert not residual.any()
+    else:
+        assert rep.bad_perm == "p" and 0 <= rep.bad_vertex < graph.n_vertices
 
 
 def factor_x_pow_n_minus_1(n):
@@ -241,7 +349,7 @@ def reference_locate_row_vertex(graph, support):
     ends = [set(endpoint_vertices(graph, e)) for e in support[:2]]
     candidates = ends[0] if len(ends) == 1 else ends[0] & ends[1]
     for v in candidates:
-        positions = {e: i for i, e in enumerate(graph.star_edge_ids(v))}
+        positions = {e: i for i, e in enumerate(graph.eid[v].tolist())}
         if all(e in positions for e in support):
             mask = 0
             for e in support:
@@ -359,7 +467,7 @@ def test_single_orbit_names_non_local_row():
     inst = z17_torus_instance()
     perms = toy_perms(inst.graph, mult=2)
     start = inst.supports[0]
-    far = next(e for e in range(inst.n) if e not in inst.graph.star_edge_ids(0)
+    far = next(e for e in range(inst.n) if e not in inst.graph.eid[0].tolist()
                and not set(endpoint_vertices(inst.graph, e))
                & set(endpoint_vertices(inst.graph, start[0])))
     swap = np.arange(inst.n, dtype=np.int64)
