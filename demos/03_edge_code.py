@@ -9,8 +9,10 @@ generators (proven for every row by a local certificate), and
 generation of the whole constraint space by the orbit of a single
 local constraint.
 
-The rank computations eliminate a 27360 x 34200 GF(2) matrix; expect
-about ten seconds on two cores.
+The rank of the 27360 x 34200 parity-check matrix comes from star
+elimination: the rows of 1492 of the 3420 vertices are counted in
+closed form and only a 15424 x 22264 residual is eliminated; expect
+about six seconds on two cores.
 """
 
 import json

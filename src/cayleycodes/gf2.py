@@ -35,11 +35,15 @@ pivot column for good, and the residual is zero iff the row is in the
 row space: Echelon.reduce_batch is an exact membership test, the
 oracle the tests check certificates against (tanner.verify_invariance
 proves invariance on every row without it).
+
+The rank of the parity-check matrix H runs this kernel on the residual
+of star elimination only (tanner.star_rank); H itself is not packed.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -92,13 +96,18 @@ class Gf2Matrix:
         self.data = data
 
     @classmethod
-    def from_supports(cls, ncols: int, supports: Sequence[Iterable[int]]) -> "Gf2Matrix":
+    def from_supports(cls, ncols: int, supports: Sequence[Sequence[int]]) -> "Gf2Matrix":
+        """Row i has a 1 in each column of supports[i]: one scatter of
+        all (row, word) pairs."""
+        lengths = np.fromiter(map(len, supports), dtype=np.int64, count=len(supports))
+        cols = np.fromiter(chain.from_iterable(supports), dtype=np.int64,
+                           count=int(lengths.sum()))
+        out = (cols < 0) | (cols >= ncols)
+        if out.any():
+            raise ValueError(f"column {cols[np.argmax(out)]} out of range")
         data = np.zeros((len(supports), _n_words(ncols)), dtype=np.uint64)
-        for i, sup in enumerate(supports):
-            for c in sup:
-                if not 0 <= c < ncols:
-                    raise ValueError(f"column {c} out of range")
-                data[i, c >> 6] |= _ONE << np.uint64(c & 63)
+        rows = np.repeat(np.arange(len(supports)), lengths)
+        np.bitwise_or.at(data, (rows, cols >> 6), _ONE << (cols & 63).astype(np.uint64))
         return cls(ncols, data)
 
     @property

@@ -12,16 +12,54 @@ Reading the view in generator order, with S ordered by torus powers, is
 the one convention that turns the torus action on views into the
 cyclic coordinate shift of B; every check below breaks if the ordering
 drifts, which is exactly what makes them worth running.
+
+Rank by star elimination.  The code is a Tanner code (Tanner, IEEE
+T-IT 1981): H is the union of the local checks L_v(B-dual), L_v placing
+a local word on the star of v, so most of its rank is local.  This is
+the structured Gaussian elimination of LaMacchia and Odlyzko (CRYPTO
+1990) applied to stars; the rank never packs H.
+Write r = n - k = len(dual_rows).
+
+  1. Pivots (star_pivots, with the instance).  In id order, an open
+     vertex v joins I when r of its star positions whose neighbours are
+     not in I carry independent columns of B-dual (an information set
+     P_v); candidates are taken greedily, neighbours already outside I
+     (receivers) first, then open ones, each in position order.  The
+     neighbours across P_v become receivers and never join I; a vertex
+     without an information set stays outside I.
+  2. Each v in I brings B-dual to systematic form on P_v: the word s_p
+     has bit p and no other bit of P_v.
+  3. For u outside I and each dual word w, the residual row is
+     L_u(w) + sum L_v(s_p) over the pivot edges p = {u, v} of L_u(w);
+     the pivot columns are dropped.
+  4. rank(H) = r |I| + rank(residual), the residual eliminated by
+     Gf2Matrix.echelon.
+
+Proof.  An edge lies on exactly two stars, those of its endpoints, and
+a pivot edge of v leads to a receiver, so it is a pivot of v alone, and
+the star of v meets no pivot column but its own P_v (an edge {v, v'}
+that is a pivot of v' would lead from v' into I).  So on the pivot
+columns the rows L_v(s_p) form a permutation matrix: they have rank
+r |I|, and each term of step 3 clears its pivot edge and touches no
+other pivot column, leaving the residual zero on every pivot column.
+The s_p span B-dual, so the L_v(s_p) with the rows L_u(w) span
+rowspace(H), and the residual rows differ from the L_u(w) by rows
+L_v(s_p): the two families span rowspace(H) too.  A combination that
+vanishes must use no L_v(s_p) (look at the pivot columns), so the ranks
+add.  star_rank checks the three facts this rests on: every P_v is an
+information set with s_p in B-dual, no pivot edge leads into I (and no
+vertex is in I twice), and the residual is zero on the pivot columns;
+a failure names the vertex.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from random import Random
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,12 +72,25 @@ from .graphs import CayleyGraph
 EXACT_EDGE_DISTANCE_MAX_DIM = 22
 
 
+class StarPivots(NamedTuple):
+    """The pivots of star elimination (module docstring), one entry per
+    vertex of I in id order."""
+    vertices: np.ndarray                 # (|I|,) the vertices of I
+    positions: np.ndarray                # (|I|, r) star positions P_v
+    words: np.ndarray                    # (|I|, r) dual words, systematic on P_v
+
+
 @dataclass
 class CayleyCodeInstance:
     graph: CayleyGraph
     inner: CyclicCode
     dual_rows: list[int]                 # basis of B-dual, integer words
     supports: list[list[int]]            # sorted column indices of each row of H
+    # picked from graph and dual_rows with the instance, checked by rank
+    pivots: StarPivots = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.pivots = star_pivots(self.graph, self.dual_rows)
 
     @property
     def n(self) -> int:
@@ -51,12 +102,9 @@ class CayleyCodeInstance:
         return Gf2Matrix.from_supports(self.n, self.supports)
 
     @cached_property
-    def echelon(self):
-        return self.matrix.echelon()
-
-    @property
     def rank(self) -> int:
-        return self.echelon.rank
+        """rank(H) by star elimination, without packing H."""
+        return star_rank(self)
 
     @property
     def dim(self) -> int:
@@ -76,6 +124,149 @@ def build_parity_check(graph: CayleyGraph, inner: CyclicCode) -> CayleyCodeInsta
                         axis=1).tolist() for word in rows]
     supports = [sup for row in zip(*per_word) for sup in row]
     return CayleyCodeInstance(graph, inner, rows, supports)
+
+
+# ---------------------------------------------------------------------------
+# Rank of H by star elimination
+# ---------------------------------------------------------------------------
+
+def _systematic(dual_rows: Sequence[int], positions: Sequence[int]) -> list[int]:
+    """Gauss-Jordan on the dual words with pivots at `positions`, which
+    must be an information set: per position p, the word of the span
+    with bit p and no other bit in `positions`."""
+    rows = list(dual_rows)
+    for t, p in enumerate(positions):
+        k = next(k for k in range(t, len(rows)) if rows[k] >> p & 1)
+        rows[t], rows[k] = rows[k], rows[t]
+        rows = [row ^ rows[t] if j != t and row >> p & 1 else row
+                for j, row in enumerate(rows)]
+    return rows
+
+
+def _columns(dual_rows: Sequence[int], degree: int) -> list[int]:
+    """Column i of the dual words as an r-bit integer, bit j from word j."""
+    return [sum((w >> i & 1) << j for j, w in enumerate(dual_rows))
+            for i in range(degree)]
+
+
+def _independent(cols: list[int], order: Sequence[int], r: int) -> list[int]:
+    """The positions in `order` whose column is independent of the
+    columns taken before, at most r of them."""
+    basis: dict[int, int] = {}                # leading bit -> reduced column
+    taken: list[int] = []
+    for i in order:
+        c = cols[i]
+        while c and c.bit_length() in basis:
+            c ^= basis[c.bit_length()]
+        if c:
+            basis[c.bit_length()] = c
+            taken.append(i)
+            if len(taken) == r:
+                break
+    return taken
+
+
+def star_pivots(graph: CayleyGraph, dual_rows: Sequence[int]) -> StarPivots:
+    """The greedy of the module docstring (I is empty when B-dual is)."""
+    r, cols = len(dual_rows), _columns(dual_rows, graph.degree)
+    if r == 0:
+        none = np.zeros((0, 0), dtype=np.int64)
+        return StarPivots(none.reshape(0), none, none)
+    OUT, OPEN, IN = 0, 1, 2
+    state = [OPEN] * graph.n_vertices
+    systematic: dict[tuple, list[int]] = {}
+    chosen, positions, words = [], [], []
+    for v, nbrs in enumerate(graph.adj.tolist()):
+        if state[v] != OPEN:
+            continue
+        near = [state[u] for u in nbrs]
+        # receivers first, then open neighbours, each in position order
+        order = sorted(range(graph.degree), key=near.__getitem__)
+        taken = _independent(cols, order[:len(order) - near.count(IN)], r)
+        if len(taken) < r:
+            state[v] = OUT
+            continue
+        state[v] = IN
+        for p in taken:
+            state[nbrs[p]] = OUT
+        key = tuple(taken)
+        if key not in systematic:
+            systematic[key] = _systematic(dual_rows, key)
+        chosen.append(v)
+        positions.append(taken)
+        words.append(systematic[key])
+    shape = (len(chosen), r)
+    return StarPivots(np.array(chosen, dtype=np.int64),
+                      np.array(positions, dtype=np.int64).reshape(shape),
+                      np.array(words, dtype=np.int64).reshape(shape))
+
+
+def star_rank(inst: CayleyCodeInstance) -> int:
+    """rank(H) = r |I| + rank(residual), by the proof in the module
+    docstring.  Its preconditions are checked here, vectorized, and a
+    failure names the vertex of I it concerns."""
+    graph, dual, n = inst.graph, inst.dual_rows, inst.n
+    r, degree = len(dual), graph.degree
+    if r == 0:
+        return 0
+    chosen, pos, words = inst.pivots
+
+    def fail(a: int, what: str):
+        raise CheckFailure(f"star elimination: vertex {chosen[a]} {what}")
+
+    # 1. words[a] is span(dual) in systematic form on pos[a], which makes
+    # pos[a] an information set: word b has bit pos[a, b] and no other
+    # pivot bit, and is orthogonal to the complement of span(dual), whose
+    # basis is read off the systematic form on the first information set
+    first = _independent(_columns(dual, degree), range(degree), r)
+    ref = _systematic(dual, first)[:len(first)]
+    complement = np.array([1 << f | sum(1 << p for p, w in zip(first, ref) if w >> f & 1)
+                           for f in range(degree) if f not in first], dtype=np.int64)
+    unit = (words[:, :, None] >> pos[:, None, :] & 1) == np.eye(r, dtype=np.int64)
+    orth = np.bitwise_count(words[:, :, None] & complement) & 1 == 0
+    bad = ~(unit.all(axis=(1, 2)) & orth.all(axis=(1, 2)))
+    if bad.any():
+        a = int(np.argmax(bad))
+        fail(a, f"has pivot positions {pos[a].tolist()}, not an information set")
+    # 2. the vertices of I are distinct, and every pivot edge leads out of I
+    twice = np.bincount(chosen, minlength=graph.n_vertices) > 1
+    if twice.any():
+        raise CheckFailure(f"star elimination: vertex {np.argmax(twice)} is "
+                           "listed twice in I")
+    in_i = np.zeros(graph.n_vertices, dtype=bool)
+    in_i[chosen] = True
+    into_i = in_i[graph.adj[chosen[:, None], pos]].any(axis=1)
+    if into_i.any():
+        fail(int(np.argmax(into_i)), "has a pivot edge into I")
+
+    # pivot k = r a + b is the edge at position pos[a, b] of vertex chosen[a]
+    pivot_of = np.full(n, -1, dtype=np.int64)
+    pivot_of[graph.eid[chosen[:, None], pos].ravel()] = np.arange(chosen.size * r)
+    # residual row r x + j is L_u(dual[j]) for u = outside[x] ...
+    outside = np.flatnonzero(~in_i)
+    dual_bits = np.array(dual, dtype=np.int64)[:, None] >> np.arange(degree) & 1
+    x, j, i = np.nonzero(np.broadcast_to(dual_bits, (outside.size, r, degree)))
+    row, edge = r * x + j, graph.eid[outside[x], i]
+    # ... plus L_v(s_p) for each pivot edge p of a vertex v it meets
+    hit = np.flatnonzero(pivot_of[edge] >= 0)
+    k = pivot_of[edge[hit]]
+    t, i = np.nonzero(words.reshape(-1)[k, None] >> np.arange(degree) & 1)
+    row = np.concatenate([row, row[hit][t]])
+    edge = np.concatenate([edge, graph.eid[chosen[k[t] // r], i]])
+    keys, count = np.unique(row * n + edge, return_counts=True)
+    row, edge = np.divmod(keys[count & 1 == 1], n)
+    # 3. the residual is zero on the pivot columns
+    left = pivot_of[edge] >= 0
+    if left.any():
+        fail(int(pivot_of[edge[np.argmax(left)]] // r),
+             "leaves its pivot column in the residual")
+
+    column = np.cumsum(pivot_of < 0) - 1          # the non-pivot edges, renumbered
+    cut = np.searchsorted(row, np.arange(r * outside.size + 1)).tolist()
+    flat = column[edge].tolist()
+    residual = Gf2Matrix.from_supports(
+        n - r * chosen.size, [flat[a:b] for a, b in zip(cut, cut[1:])])
+    return r * chosen.size + residual.echelon().rank
 
 
 # ---------------------------------------------------------------------------

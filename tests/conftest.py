@@ -5,6 +5,7 @@ import pytest
 
 from cayleycodes import build_generators, choose_ideal
 from cayleycodes.cyclic import CyclicCode
+from cayleycodes.gf2 import Gf2Matrix
 from cayleycodes.gf2poly import mul
 from cayleycodes.graphs import graph_from_generators, symmetry_edge_permutations
 from cayleycodes.tanner import build_parity_check
@@ -58,10 +59,24 @@ def inner20():
 @pytest.fixture(scope="session")
 def q19_instance(q19_psl_graph, inner20):
     inst = build_parity_check(q19_psl_graph, inner20)
-    inst.echelon  # force the expensive elimination once
+    inst.rank  # star elimination, once
     return inst
 
 
 @pytest.fixture(scope="session")
 def q19_perms(q19_psl_graph, q19_psl_gens):
     return symmetry_edge_permutations(q19_psl_graph, q19_psl_gens)
+
+
+@pytest.fixture
+def packed_shapes(monkeypatch):
+    """(ncols, nrows) of every matrix Gf2Matrix.from_supports packs
+    while the test runs."""
+    shapes, original = [], Gf2Matrix.from_supports.__func__
+
+    def from_supports(cls, ncols, supports):
+        shapes.append((ncols, len(supports)))
+        return original(cls, ncols, supports)
+
+    monkeypatch.setattr(Gf2Matrix, "from_supports", classmethod(from_supports))
+    return shapes

@@ -1,11 +1,12 @@
 """Slow reference for the GF(2) layer.
 
-cayleycodes.gf2 eliminates one 64-column word at a time.  This module
-keeps the textbook column-at-a-time elimination (one strided pivot
-search per column, a row swap per pivot, full-width row XORs), the
-rref and the double-loop nullspace built on it, and the one-row
-membership helpers the tests use, as an independent oracle; plus the
-integer and coefficient-list conversions the tests build inputs with.
+cayleycodes.gf2 packs row supports in one scatter and eliminates one
+64-column word at a time.  This module keeps the bit-at-a-time packing,
+the textbook column-at-a-time elimination (one strided pivot search per
+column, a row swap per pivot, full-width row XORs), the rref and the
+double-loop nullspace built on it, and the one-row membership helpers
+the tests use, as an independent oracle; plus the integer and
+coefficient-list conversions the tests build inputs with.
 """
 
 from __future__ import annotations
@@ -29,6 +30,17 @@ def from_ints(ncols: int, rows) -> Gf2Matrix:
         if r < 0 or r >> ncols:
             raise ValueError(f"row {i} does not fit in {ncols} columns")
         data[i] = pack_int(ncols, r)
+    return Gf2Matrix(ncols, data)
+
+
+def reference_from_supports(ncols: int, supports) -> Gf2Matrix:
+    """A packed matrix from row supports, one bit at a time."""
+    data = np.zeros((len(supports), (ncols + 63) >> 6), dtype=np.uint64)
+    for i, sup in enumerate(supports):
+        for c in sup:
+            if not 0 <= c < ncols:
+                raise ValueError(f"column {c} out of range")
+            data[i, c >> 6] |= _ONE << np.uint64(c & 63)
     return Gf2Matrix(ncols, data)
 
 

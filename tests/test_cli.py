@@ -181,3 +181,27 @@ def test_trials_flags_are_gone(tmp_path, capsys):
     assert cli.main(["verify", str(tmp_path), "--trials", "5"]) == 2
     assert "unrecognized arguments: --trials 5" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_build_and_verify_never_pack_h(tmp_path, monkeypatch, capsys, packed_shapes):
+    """rank(H) comes from star elimination: neither a pristine build nor
+    a pristine verify packs H or keeps it on the instance."""
+    from cayleycodes import tanner
+    inner = tmp_path / "inner20.code"
+    inner.write_text("20 16\n11\n")
+    out = tmp_path / "q19"
+    instances = []
+
+    def build_parity_check(*args):
+        instances.append(tanner.build_parity_check(*args))
+        return instances[-1]
+
+    monkeypatch.setattr(cli, "build_parity_check", build_parity_check)
+    assert cli.main(["build", "--q", "19", "--inner", str(inner), "--out", str(out)]) == 0
+    assert cli.main(["verify", str(out)]) == 0
+    assert "rank_matches: pass" in capsys.readouterr().out
+    (verified,) = instances
+    assert "matrix" not in verified.__dict__ and verified.rank == 13566
+    h_shape = (verified.n, len(verified.supports))
+    assert packed_shapes and h_shape not in packed_shapes
+

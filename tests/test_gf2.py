@@ -13,7 +13,8 @@ from cayleycodes.graphs import ZnGroup, generate_group
 from cayleycodes.tanner import build_parity_check
 
 from gf2_reference import (contains_int, from_ints, pack_int, reduce, reference_echelon,
-                           reference_nullspace, reference_rref, row_as_int)
+                           reference_from_supports, reference_nullspace, reference_rref,
+                           row_as_int)
 
 
 def test_pack_round_trip():
@@ -100,10 +101,28 @@ def test_int_rank_and_span():
 
 
 def test_from_supports_bounds():
-    with pytest.raises(ValueError):
-        Gf2Matrix.from_supports(4, [[4]])
+    for bad in ([[4]], [[0, 1], [-1]]):
+        for pack in (Gf2Matrix.from_supports, reference_from_supports):
+            with pytest.raises(ValueError, match=f"column {bad[-1][-1]} out of range"):
+                pack(4, bad)
     with pytest.raises(ValueError):
         from_ints(4, [0b10000])
+    assert Gf2Matrix.from_supports(0, [[], []]).data.shape == (2, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 300).flatmap(lambda ncols: st.tuples(
+    st.just(ncols),
+    st.lists(st.lists(st.integers(0, ncols - 1), max_size=12), max_size=20))))
+def test_from_supports_matches_reference(case):
+    """One scatter of all (row, word) pairs packs the same bits as the
+    loop, repeated columns included; lists and a 2-D array agree."""
+    ncols, supports = case
+    packed = Gf2Matrix.from_supports(ncols, supports).data
+    assert np.array_equal(packed, reference_from_supports(ncols, supports).data)
+    if supports and len({len(s) for s in supports}) == 1:
+        square = np.array(supports, dtype=np.int64).reshape(len(supports), -1)
+        assert np.array_equal(Gf2Matrix.from_supports(ncols, square).data, packed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import numpy as np
@@ -10,13 +12,14 @@ from hypothesis import strategies as st
 
 from cayleycodes.cyclic import CyclicCode
 from cayleycodes.errors import CheckFailure, ConstructionError
-from cayleycodes.gf2 import Gf2Matrix, int_span_equal
+from cayleycodes.gf2 import Gf2Matrix, int_rank, int_span_equal
 from cayleycodes.gf2poly import divmod_, mul, x_pow_n_minus_1
 from cayleycodes.graphs import (KeyIndex, ZnGroup, edge_permutation, generate_group,
                                 left_translation_maps)
-from cayleycodes.tanner import (_locate_rows, build_parity_check, code_distance,
-                                measured_rate, row_orbit, edge_code_bounds,
-                                verify_invariance, verify_single_orbit)
+from cayleycodes.tanner import (StarPivots, _locate_rows, build_parity_check,
+                                code_distance, measured_rate, row_orbit, edge_code_bounds,
+                                run_verification, star_pivots, verify_invariance,
+                                verify_single_orbit)
 
 from code_reference import codeword_set_brute_force, codeword_set_from_nullspace, local_view
 from gf2_reference import contains, from_ints, reference_echelon
@@ -211,7 +214,7 @@ def assert_swap_in_star_rejected(inst, left, torus, v, i1, i2):
     assert not rep.passed and rep.bad_perm == "torus"
     ends = [(int(graph.adj[v, i]), int(graph.inv_gen[i])) for i in (i1, i2)]
     assert (rep.bad_vertex, rep.bad_position) == min(ends)
-    assert inst.echelon.reduce_batch(permuted_rows(inst, bad).data).any()
+    assert inst.matrix.echelon().reduce_batch(permuted_rows(inst, bad).data).any()
 
 
 def test_invariance_detects_swap_inside_one_star():
@@ -277,7 +280,7 @@ def test_invariance_pass_implies_rows_in_span(n, data):
         perm[[e1, e2]] = perm[[e2, e1]]
     rep = verify_invariance(inst, {"p": perm})
     if rep.passed:
-        residual = inst.echelon.reduce_batch(permuted_rows(inst, perm).data)
+        residual = inst.matrix.echelon().reduce_batch(permuted_rows(inst, perm).data)
         assert not residual.any()
     else:
         assert rep.bad_perm == "p" and 0 <= rep.bad_vertex < graph.n_vertices
@@ -417,7 +420,7 @@ def orbit_oracle(inst, perms):
     certificate: (rank of the raw orbit rows, whether every orbit row
     reduces to zero against the echelon form of H)."""
     orbit = Gf2Matrix.from_supports(inst.n, row_orbit(inst, perms))
-    in_span = not inst.echelon.reduce_batch(orbit.data).any()
+    in_span = not inst.matrix.echelon().reduce_batch(orbit.data).any()
     return orbit.echelon().rank, in_span
 
 
@@ -516,6 +519,143 @@ def test_single_orbit_pass_implies_global_oracle(n, data):
         assert (rep.bad_vertex is None) != (rep.bad_row is None)
 
 
+# ---------------------------------------------------------------------------
+# rank of H by star elimination
+# ---------------------------------------------------------------------------
+
+@given(st.integers(min_value=3, max_value=24), st.booleans(), st.data())
+@settings(deadline=None, max_examples=150)
+def test_star_rank_matches_reference(n, involution, data):
+    """On toy Z_n instances (S symmetric, with or without the involution
+    n/2, h any divisor of x^d - 1 short of the zero code, h = 1 leaving
+    B-dual empty) the star rank is the column-at-a-time rank of H."""
+    steps = data.draw(st.sets(st.integers(1, (n - 1) // 2), min_size=1, max_size=5))
+    steps |= {n - s for s in steps} | ({n // 2} if involution and n % 2 == 0 else set())
+    graph = zn_graph(n, data.draw(st.permutations(sorted(steps))))
+    factors = factor_x_pow_n_minus_1(graph.degree)
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(factors),
+                                max_size=len(factors)))
+    chosen[0] = chosen[0] and not all(chosen)  # the zero code is excluded
+    h = 1
+    for f, take in zip(factors, chosen):
+        if take:
+            h = mul(h, f)
+    inst = build_parity_check(graph, CyclicCode(graph.degree, h))
+    rank = inst.rank
+    assert "matrix" not in inst.__dict__
+    assert rank == reference_echelon(inst.matrix).rank
+    vertices, positions, _ = inst.pivots
+    assert positions.shape == (vertices.size, len(inst.dual_rows))
+
+
+@pytest.mark.parametrize("name", ["q19", "q5e2"])
+def test_star_rank_exact_on_cli_instances(name, q19_psl_graph, q5e2_psl_graph):
+    """The benchmark instances: q = 19 PSL with [20,16], q = 5, e = 2
+    PSL with [6,4]; the word-block kernel on all of H agrees."""
+    graph, inner, rank = {"q19": (q19_psl_graph, CyclicCode(20, 0b10001), 13566),
+                          "q5e2": (q5e2_psl_graph, CyclicCode(6, 0b111), 15598)}[name]
+    inst = build_parity_check(graph, inner)
+    assert inst.rank == rank and "matrix" not in inst.__dict__
+    assert inst.matrix.echelon().rank == rank
+
+
+def test_star_rank_q19_20_12(q19_instance):
+    assert q19_instance.rank == 27032
+
+
+def relabeled_pivots(inst, seed):
+    """Star pivots chosen by the same greedy on randomly relabeled
+    vertices, mapped back: a different I, the same rank(H)."""
+    graph = inst.graph
+    new_id = np.random.default_rng(seed).permutation(graph.n_vertices)
+    old_id = np.argsort(new_id)
+    shuffled = replace(graph, adj=new_id[graph.adj[old_id]])
+    vertices, positions, words = star_pivots(shuffled, inst.dual_rows)
+    return StarPivots(old_id[vertices], positions, words)
+
+
+def test_star_rank_q19_pgl(q19_pgl_graph):
+    """q = 19 PGL (6840 vertices, bipartite), where H with [20,16] would
+    take 234 MB packed: the even-weight code gives the incidence matrix,
+    of rank |V| - 1 on a connected graph, and with [20,16] two different
+    sets I give the same rank."""
+    even = build_parity_check(q19_pgl_graph, CyclicCode(20, 0b11))
+    assert even.rank == q19_pgl_graph.n_vertices - 1
+    inst = build_parity_check(q19_pgl_graph, CyclicCode(20, 0b10001))
+    other = build_parity_check(q19_pgl_graph, inst.inner)
+    other.pivots = relabeled_pivots(other, 5)
+    assert not np.array_equal(np.sort(other.pivots.vertices), inst.pivots.vertices)
+    assert other.rank == inst.rank
+    assert "matrix" not in inst.__dict__ and "matrix" not in other.__dict__
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_star_rank_independent_of_the_choice_of_i(seed):
+    inst = z17_torus_instance()
+    other = build_parity_check(inst.graph, inst.inner)
+    other.pivots = relabeled_pivots(other, seed)
+    assert other.rank == inst.rank == reference_echelon(inst.matrix).rank
+
+
+def dependent_positions(inst):
+    """r star positions whose columns of B-dual are dependent."""
+    r = len(inst.dual_rows)
+    columns = [sum((w >> i & 1) << j for j, w in enumerate(inst.dual_rows))
+               for i in range(inst.graph.degree)]
+    return next(list(c) for c in combinations(range(inst.graph.degree), r)
+                if int_rank([columns[i] for i in c]) < r)
+
+
+@pytest.mark.parametrize("name", ["z17", "q19"])
+def test_star_rank_rejects_a_non_information_set(name, q19_psl_graph):
+    inst = (z17_torus_instance() if name == "z17"
+            else build_parity_check(q19_psl_graph, CyclicCode(20, 0b10001)))
+    vertices, positions, words = inst.pivots
+    a = len(vertices) // 2
+    positions = positions.copy()
+    positions[a] = dependent_positions(inst)
+    inst.pivots = StarPivots(vertices, positions, words)
+    with pytest.raises(CheckFailure, match=re.escape(
+            f"vertex {vertices[a]} has pivot positions {positions[a].tolist()}, "
+            "not an information set")):
+        inst.rank
+
+
+@pytest.mark.parametrize("name", ["z17", "q19"])
+def test_star_rank_rejects_a_pivot_edge_into_i(name, q19_psl_graph):
+    """A receiver joins I, with a valid information set of its own: the
+    first vertex of I with a pivot edge to it is named."""
+    inst = (z17_torus_instance() if name == "z17"
+            else build_parity_check(q19_psl_graph, CyclicCode(20, 0b10001)))
+    vertices, positions, words = inst.pivots
+    adj = inst.graph.adj
+    a = len(vertices) // 3
+    u = int(adj[vertices[a], positions[a, 0]])
+    assert u not in vertices.tolist()
+    first = next(int(v) for v, p in zip(vertices, positions) if u in adj[v, p])
+    inst.pivots = StarPivots(np.append(vertices, u), np.vstack([positions, positions[a]]),
+                             np.vstack([words, words[a]]))
+    with pytest.raises(CheckFailure, match=f"vertex {first} has a pivot edge into I"):
+        inst.rank
+
+
+def test_star_rank_rejects_a_vertex_listed_twice():
+    inst = z17_torus_instance()
+    vertices, positions, words = inst.pivots
+    inst.pivots = StarPivots(np.append(vertices, vertices[0]),
+                             np.vstack([positions, positions[0]]),
+                             np.vstack([words, words[0]]))
+    with pytest.raises(CheckFailure, match=f"vertex {vertices[0]} is listed twice in I"):
+        inst.rank
+
+
+def test_run_verification_never_packs_h(q19_psl_gens, q19_psl_graph, packed_shapes):
+    report, inst = run_verification(q19_psl_gens, q19_psl_graph, CyclicCode(20, 0b10001))
+    assert report.bounds["rank"] == inst.rank == 13566 and report.all_passed
+    assert "matrix" not in inst.__dict__
+    assert packed_shapes and (inst.n, len(inst.supports)) not in packed_shapes
+
+
 def test_code_distance_toy():
     inst = z6_even_instance()
     exact = code_distance(inst, "exact")
@@ -531,6 +671,7 @@ def test_code_distance_zero_code():
     # force full rank: a constraint matrix pinning every edge to zero
     inst = z6_even_instance()
     inst.matrix = from_ints(inst.n, [1 << i for i in range(inst.n)])
+    inst.rank = inst.n
     rep = code_distance(inst, "exact")
     assert rep.value is None and rep.witness is None
 
