@@ -14,7 +14,7 @@ from cayleycodes.spectra import ramanujan_bound
 
 # small, fully checkable: BCH(4, 2) is the [15, 11] Hamming code
 code = cyclic.bch_code(4, 2)
-exact = cyclic.min_distance(code, "exact")
+exact = cyclic.min_distance(code)
 print(f"BCH(4,2): [{code.n}, {code.dim}] exact minimum distance {exact.value}")
 
 doubled = cyclic.double_length(code)

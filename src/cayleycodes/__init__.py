@@ -5,14 +5,11 @@ from .cyclic import (CodeParams, CyclicCode, bch_code, bch_designed_params,
                      bch_generator, check_good_inner_code, double_length,
                      dual_generator, interleave, min_distance)
 from .errors import CheckFailure, ConstructionError
-from .fields import (FieldElem, FiniteField, ext_field, find_nonsquare,
-                     is_square, minimal_polynomial, prime_field,
-                     primitive_element, sqrt)
+from .fields import FieldTables
 from .gf2 import Gf2Matrix
 from .graphs import (CayleyGraph, ZnGroup, generate_group, graph_from_generators,
                      symmetry_edge_permutations, verify_edge_transitive)
-from .projective import (PglGroup, ProjectiveMatrix, TorusElement,
-                         nonsplit_torus, torus_generator)
+from .projective import PglGroup
 from .quaternion import (GeneratorSet, ResidueParams, build_generators,
                          choose_ideal, classify, residue_params,
                          split_quaternion)

@@ -26,6 +26,14 @@ from .tanner import (VerificationReport, build_parity_check, measured_rate,
 
 HEADLINE_Q, HEADLINE_M, HEADLINE_A = 4093, 11, 8
 
+# the report.json entries verify reads, with their types
+REPORT_ENTRIES = {
+    "params.q": int, "params.e": int, "params.delta": list, "params.ybar": list,
+    "params.residue_poly": list, "params.inner.n": int, "params.inner.h_hex": str,
+    "graph.vertices": int, "graph.edges": int, "graph.bipartite": bool,
+    "spectrum.lambda2": (int, float), "bounds.rank": int, "bounds.measured_rate": str,
+}
+
 
 def _print_code_params(label: str, params: cyclic.CodeParams) -> None:
     print(f"{label}: n={params.n} k={params.k} rate={params.rate} "
@@ -68,16 +76,18 @@ def _make_params(args):
     require_matrix_fits(args.q ** args.e)
     delta = None if args.delta == "auto" else int(args.delta)
     if args.ybar == "auto":
-        return choose_ideal(args.q, args.e, args.variant, delta)
-    if args.e != 1:
+        params = choose_ideal(args.q, args.e, args.variant, delta)
+    elif args.e != 1:
         raise ValueError("--ybar only applies to e = 1; use auto for e > 1")
-    return residue_params(args.q, int(args.ybar), delta)
+    else:
+        params = residue_params(args.q, int(args.ybar), delta)
+    if params.q ** params.e <= 17:
+        raise ValueError("q^e must exceed 17")
+    return params
 
 
 def cmd_graph(args) -> int:
     params = _make_params(args)
-    if params.q ** params.e <= 17:
-        raise ValueError("q^e must exceed 17")
     gens = build_generators(params)
     from .quaternion import classify
     variant = classify(gens)
@@ -130,8 +140,6 @@ def cmd_build(args) -> int:
         raise ValueError("build requires --q, --inner and --out (or --paper-instance)")
     inner = cyclic.load_code(args.inner)
     params = _make_params(args)
-    if params.q ** params.e <= 17:
-        raise ValueError("q^e must exceed 17")
     if inner.n != params.q + 1:
         raise ValueError(f"inner code length {inner.n} != q + 1 = {params.q + 1}")
     gens = build_generators(params)
@@ -166,26 +174,31 @@ def cmd_verify(args) -> int:
         if not p.exists():
             raise FileNotFoundError(f"missing instance file: {p}")
     report = VerificationReport.from_json(report_path.read_text())
+    want = {name: report.read(name, kind) for name, kind in REPORT_ENTRIES.items()}
     inner = cyclic.load_code(inner_path)
-    p = report.params
-    if gf2poly.from_hex(p["inner"]["h_hex"]) != inner.h or p["inner"]["n"] != inner.n:
+    q, e = want["params.q"], want["params.e"]
+    if (gf2poly.from_hex(want["params.inner.h_hex"]) != inner.h
+            or want["params.inner.n"] != inner.n):
         raise CheckFailure("inner.code disagrees with the report parameters")
 
-    require_key_fits(p["q"] ** p["e"])
-    require_matrix_fits(p["q"] ** p["e"])
-    if p["e"] == 1:
-        params = residue_params(p["q"], int(p["ybar"][0]), int(p["delta"][0]))
+    require_key_fits(q ** e)
+    require_matrix_fits(q ** e)
+    delta, ybar = want["params.delta"], want["params.ybar"]
+    if not delta or not ybar:
+        raise ValueError("report.json: params.delta and params.ybar must not be empty")
+    if e == 1:
+        params = residue_params(q, ybar[0], delta[0])
     else:
         from .quaternion import residue_params_ext
-        params = residue_params_ext(p["q"], tuple(p["residue_poly"]), int(p["delta"][0]))
+        params = residue_params_ext(q, tuple(want["params.residue_poly"]), delta[0])
     gens = build_generators(params)
     graph = graph_from_generators(gens)
 
     results: dict[str, bool] = {}
     results["graph_shape"] = (
-        graph.n_vertices == report.graph["vertices"]
-        and graph.n_edges == report.graph["edges"]
-        and graph.bipartite == report.graph["bipartite"]
+        graph.n_vertices == want["graph.vertices"]
+        and graph.n_edges == want["graph.edges"]
+        and graph.bipartite == want["graph.bipartite"]
     )
     results["edge_list"] = edges_path.read_text() == graph.export_edges()
 
@@ -200,13 +213,13 @@ def cmd_verify(args) -> int:
         # H is packed on first use, after the spectrum: the Gelfand-Graev
         # matrix and the packed H are never in memory together
         spec = spectrum(graph.group, graph.gens)
-        results["ramanujan"] = is_ramanujan(spec, p["q"])
-        results["spectrum_matches"] = abs(spec.lambda2 - report.spectrum["lambda2"]) < 1e-5
+        results["ramanujan"] = is_ramanujan(spec, q)
+        results["spectrum_matches"] = abs(spec.lambda2 - want["spectrum.lambda2"]) < 1e-5
         results["alist_exact"] = True
-        results["rank_matches"] = inst.rank == report.bounds["rank"]
+        results["rank_matches"] = inst.rank == want["bounds.rank"]
         rate = measured_rate(inst)
         results["rate_bound"] = (f"{rate.numerator}/{rate.denominator}"
-                                 == report.bounds["measured_rate"])
+                                 == want["bounds.measured_rate"])
         perms = symmetry_edge_permutations(graph, gens)
         inv = verify_invariance(
             inst, {"left_gamma": perms["left_s0"], "torus_t0": perms["torus_t0"]})

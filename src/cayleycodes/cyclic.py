@@ -7,21 +7,20 @@ integers under the identification bit i <-> coefficient of x^i.
 The module covers: BCH generators over F_{2^m} (least common multiple
 of minimal polynomials of consecutive powers of a primitive element),
 the odd-to-even length-doubling transform with its interleaving map,
-dual generators via reciprocal polynomials, exact and sampled minimum
-distance, and the combined rate/distance threshold check used by the
+dual generators via reciprocal polynomials, exact minimum distance,
+and the combined rate/distance threshold check used by the
 headline inner-code instance.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from . import gf2poly
 from .errors import CheckFailure, ConstructionError
-from .fields import FiniteField, factorize, primitive_element
+from .fields import FieldTables, factorize
 
 EXACT_DISTANCE_MAX_DIM = 24
 
@@ -101,15 +100,10 @@ class CodeParams:
 # BCH construction over F_{2^m}
 # ---------------------------------------------------------------------------
 
-def bch_field(m: int) -> tuple[FiniteField, "object"]:
-    """F_{2^m} with its deterministic modulus and primitive element."""
-    field = FiniteField(2, m)
-    return field, primitive_element(field)
-
-
 def bch_generator(m: int, r: int) -> int:
     """Generator of the BCH(m, r) code: lcm of the minimal polynomials
-    of w, w^2, ..., w^r for a primitive w in F_{2^m}.
+    of w, w^2, ..., w^r for the primitive w of F_{2^m}, the base of its
+    log tables, so that w^i is the antilog of i.
 
     Minimal polynomials of conjugate powers coincide, so the lcm is the
     product over distinct Frobenius orbits (each minimal polynomial is
@@ -120,9 +114,7 @@ def bch_generator(m: int, r: int) -> int:
     n = (1 << m) - 1
     if not 1 <= r <= n:
         raise ValueError(f"designed root count r must be in 1..{n}, got {r}")
-    field, w = bch_field(m)
-    from .fields import minimal_polynomial
-
+    field = FieldTables(2, m)
     h = 1
     seen: set[int] = set()
     for i in range(1, r + 1):
@@ -132,7 +124,7 @@ def bch_generator(m: int, r: int) -> int:
         while j not in seen:
             seen.add(j)
             j = (2 * j) % n
-        h = gf2poly.mul(h, minimal_polynomial(w**i))
+        h = gf2poly.mul(h, field.minimal_polynomial(field.exp[i]))
     return h
 
 
@@ -247,43 +239,16 @@ class DistanceReport:
     trials: int = 0
 
 
-def min_distance(code: CyclicCode, mode: str = "exact", trials: int = 10000,
-                 seed: int = 0) -> DistanceReport:
-    """Minimum weight of a nonzero codeword.
-
-    exact: Gray-code walk over all 2^k - 1 nonzero codewords; capped at
-    dim <= EXACT_DISTANCE_MAX_DIM to stay under a minute.
-    sampled: best weight over seeded random codewords, an upper bound
-    only (never usable to certify a lower bound).  Per-trial seeds are
-    derived by counter so any future trial-level parallelism keeps
-    results reproducible.
-    """
+def min_distance(code: CyclicCode) -> DistanceReport:
+    """Minimum weight of a nonzero codeword, by a Gray-code walk over
+    all 2^k - 1 nonzero codewords; capped at dim <=
+    EXACT_DISTANCE_MAX_DIM to stay under a minute."""
     k = code.dim
-    if mode == "exact":
-        if k > EXACT_DISTANCE_MAX_DIM:
-            raise ValueError(
-                f"exact enumeration capped at dim {EXACT_DISTANCE_MAX_DIM}, code has {k}"
-            )
-        return DistanceReport("exact", *lightest_codeword(code.basis()))
-    if mode == "sampled":
-        best = None
-        witness = None
-        for t in range(trials):
-            rng = random.Random((seed << 20) ^ t)
-            mask = rng.getrandbits(k)
-            if mask == 0:
-                continue
-            word = 0
-            basis = code.basis()
-            while mask:
-                low = (mask & -mask).bit_length() - 1
-                word ^= basis[low]
-                mask &= mask - 1
-            w = word.bit_count()
-            if best is None or w < best:
-                best, witness = w, word
-        return DistanceReport("sampled", best, witness, trials=trials)
-    raise ValueError(f"unknown mode {mode!r}")
+    if k > EXACT_DISTANCE_MAX_DIM:
+        raise ValueError(
+            f"exact enumeration capped at dim {EXACT_DISTANCE_MAX_DIM}, code has {k}"
+        )
+    return DistanceReport("exact", *lightest_codeword(code.basis()))
 
 
 # ---------------------------------------------------------------------------

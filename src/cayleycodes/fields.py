@@ -1,16 +1,16 @@
-"""Finite fields F_p and F_{p^k} with canonical, immutable elements.
+"""Finite fields F_p and F_{p^k} on integer encodings.
 
-An element of F_{p^k} is a residue mod a monic irreducible modulus of
-degree k, stored as a coefficient tuple of length k (lowest degree
-first, each coefficient in 0..p-1).  Equality is coefficient-wise, so
-elements hash and compare cheaply.  Elements carry a reference to their
-parent field; mixing fields in arithmetic is a hard error, never a
-silent coercion.  The only supported cross-field map is the explicit
-embedding of a prime-field constant into an extension over the same p.
+An element of F_{p^k} = F_p[x]/(f), f monic irreducible of degree k, is
+a residue of degree < k with coefficients c_i in 0..p-1 (lowest degree
+first), encoded as the integer sum(c_i * p^i).  0 and 1 encode 0 and 1,
+and a constant of F_p has the same encoding in every extension over p.
+The encoding order is the canonical order: the modulus, the nonsquare,
+the square root and the primitive element chosen below are each the
+one of smallest encoding.
 
-Enumeration / canonical order of field elements is by integer encoding
-sum(c_i * p^i), which is also the order used to pick deterministic
-moduli, nonsquares, square roots and primitive elements.
+FieldTables does all arithmetic on encodings, vectorized over numpy
+arrays; the dense polynomial helpers serve only the modulus and the
+tables.
 """
 
 from __future__ import annotations
@@ -152,95 +152,19 @@ def irreducible_polys(p: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Fields and elements
+# The field on integer encodings
 # ---------------------------------------------------------------------------
 
-class FieldElem:
-    """Immutable element of a FiniteField; a canonical residue."""
+class FieldTables:
+    """F_{p^k} on integer encodings, vectorized over numpy int64 arrays.
 
-    __slots__ = ("field", "coeffs", "_hash")
-
-    def __init__(self, field: "FiniteField", coeffs: tuple[int, ...]):
-        self.field = field
-        self.coeffs = coeffs
-        self._hash = hash((field._key, coeffs))
-
-    def _check(self, other: "FieldElem") -> None:
-        if not isinstance(other, FieldElem):
-            raise TypeError(f"expected FieldElem, got {type(other).__name__}")
-        if other.field._key != self.field._key:
-            raise ValueError(
-                f"cross-field arithmetic: {self.field} vs {other.field}; "
-                "use an explicit embedding"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElem(self.field, self.field._add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElem(self.field, self.field._sub(self.coeffs, other.coeffs))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElem(self.field, self.field._mul(self.coeffs, other.coeffs))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElem(
-            self.field, self.field._mul(self.coeffs, self.field._inv(other.coeffs))
-        )
-
-    def __neg__(self):
-        p = self.field.p
-        return FieldElem(self.field, tuple((-c) % p for c in self.coeffs))
-
-    def __pow__(self, e: int):
-        field = self.field
-        if e < 0:
-            return FieldElem(field, field._pow(field._inv(self.coeffs), -e))
-        return FieldElem(field, field._pow(self.coeffs, e))
-
-    def inverse(self) -> "FieldElem":
-        return FieldElem(self.field, self.field._inv(self.coeffs))
-
-    def is_zero(self) -> bool:
-        return self.coeffs == self.field._zero
-
-    def encode(self) -> int:
-        """Integer encoding sum(c_i * p^i); the canonical order key."""
-        n = 0
-        for c in reversed(self.coeffs):
-            n = n * self.field.p + c
-        return n
-
-    def to_coeff_list(self) -> list[int]:
-        """Coefficient vector, lowest degree first (serialization form)."""
-        return list(self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElem)
-            and other.field._key == self.field._key
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        if self.field.k == 1:
-            return f"{self.coeffs[0]}"
-        return f"{list(self.coeffs)}"
-
-
-class FiniteField:
-    """F_{p^k} as residues of F_p[x] mod a monic irreducible of degree k.
-
-    k = 1 with modulus x is the prime field F_p.  The modulus defaults
-    to the irreducible of smallest integer encoding, so field
-    construction is deterministic.
+    The modulus defaults to the monic irreducible of smallest encoding,
+    x for k = 1.  Products and inverses go through log/antilog tables
+    of the primitive element of smallest encoding (the antilog table is
+    doubled so a sum of two logs needs no reduction); sums and negatives
+    act digit by digit in base p, which is coefficient-wise arithmetic
+    mod p.  mul, inv, add, neg and is_square broadcast like numpy
+    arithmetic.
     """
 
     def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
@@ -249,262 +173,56 @@ class FiniteField:
         if k < 1:
             raise ValueError(f"extension degree must be >= 1, got {k}")
         if modulus is None:
-            if k == 1:
-                modulus = (0, 1)
-            else:
-                modulus = next(irreducible_polys(p, k))
+            modulus = (0, 1) if k == 1 else next(irreducible_polys(p, k))
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
         if not is_irreducible(p, modulus):
             raise ConstructionError(f"modulus {list(modulus)} is reducible over F_{p}")
-        self.p = p
-        self.k = k
-        self.modulus = modulus
-        self.order = p**k
-        self._key = (p, k, modulus)
-        self._zero = (0,) * k
-        self._one = (1,) + (0,) * (k - 1)
-        # reduction table: x^(k+j) mod modulus for j = 0..k-2
-        self._red: list[tuple[int, ...]] = []
-        if k > 1:
-            top = tuple((-c) % p for c in modulus[:k])  # x^k mod f
-            cur = top
-            for _ in range(k - 1):
-                self._red.append(cur)
-                # multiply cur by x, reduce
-                shifted = (0,) + cur[: k - 1]
-                carry = cur[k - 1]
-                if carry:
-                    shifted = tuple((s + carry * t) % p for s, t in zip(shifted, top))
-                cur = shifted
+        self.p, self.k, self.modulus, self.order = p, k, modulus, p**k
+        n = self.order - 1
+        times_g = self._times(self._smallest_primitive()).tolist()
+        powers = [1]
+        for _ in range(n - 1):
+            powers.append(times_g[powers[-1]])
+        self.exp = np.array(powers + powers, dtype=np.int64)
+        self.log = np.zeros(self.order, dtype=np.int64)
+        self.log[self.exp[:n]] = np.arange(n)
 
-    # -- element construction ------------------------------------------------
-
-    def __call__(self, value) -> FieldElem:
-        if isinstance(value, FieldElem):
-            if value.field._key != self._key:
-                raise ValueError(f"element of {value.field} is not in {self}")
-            return value
-        if isinstance(value, int):
-            # integers map through Z -> F_p -> field, i.e. to constants
-            return FieldElem(self, (value % self.p,) + (0,) * (self.k - 1))
-        coeffs = tuple(int(c) % self.p for c in value)
-        if len(coeffs) > self.k:
-            raise ValueError("coefficient vector longer than extension degree")
-        return FieldElem(self, coeffs + (0,) * (self.k - len(coeffs)))
-
-    def from_int(self, n: int) -> FieldElem:
-        if not 0 <= n < self.order:
-            raise ValueError(f"encoding {n} out of range for {self}")
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(n % self.p)
-            n //= self.p
-        return FieldElem(self, tuple(coeffs))
-
-    @property
-    def zero(self) -> FieldElem:
-        return FieldElem(self, self._zero)
-
-    @property
-    def one(self) -> FieldElem:
-        return FieldElem(self, self._one)
-
-    def elements(self) -> Iterator[FieldElem]:
-        """All elements in canonical (encoding) order."""
-        for n in range(self.order):
-            yield self.from_int(n)
-
-    def nonzero_elements(self) -> Iterator[FieldElem]:
-        for n in range(1, self.order):
-            yield self.from_int(n)
-
-    def embed(self, a: FieldElem) -> FieldElem:
-        """Embed a prime-field constant over the same p into this field."""
-        if a.field._key == self._key:
-            return a
-        if a.field.k == 1 and a.field.p == self.p:
-            return FieldElem(self, (a.coeffs[0],) + (0,) * (self.k - 1))
-        raise ValueError(f"no embedding of {a.field} into {self}")
-
-    # -- coefficient arithmetic ----------------------------------------------
-
-    def _add(self, a, b):
-        p = self.p
-        if self.k == 1:
-            return ((a[0] + b[0]) % p,)
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _sub(self, a, b):
-        p = self.p
-        if self.k == 1:
-            return ((a[0] - b[0]) % p,)
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def _mul(self, a, b):
+    def _times(self, g: list[int]) -> np.ndarray:
+        """The encoding of x g for every encoding x: the product of the
+        coefficient rows with g, reduced from the top degree down with
+        x^k = -(f - x^k)."""
         p, k = self.p, self.k
-        if k == 1:
-            return ((a[0] * b[0]) % p,)
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        out = [c % p for c in prod[:k]]
-        for j in range(k - 1):
-            c = prod[k + j] % p
-            if c:
-                red = self._red[j]
-                for i in range(k):
-                    out[i] = (out[i] + c * red[i]) % p
-        return tuple(out)
+        x = np.arange(self.order, dtype=np.int64)
+        digits = np.stack([x // p**i % p for i in range(k)], axis=1)
+        prod = np.zeros((self.order, 2 * k - 1), dtype=np.int64)
+        for j, c in enumerate(g):
+            prod[:, j:j + k] += c * digits
+        low = np.array(self.modulus[:k], dtype=np.int64)
+        for j in range(2 * k - 2, k - 1, -1):
+            prod[:, j - k:j] = (prod[:, j - k:j] - prod[:, j:j + 1] * low) % p
+        return prod[:, :k] % p @ p ** np.arange(k, dtype=np.int64)
 
-    def _pow(self, a, e: int):
-        r = self._one
-        while e:
-            if e & 1:
-                r = self._mul(r, a)
-            a = self._mul(a, a)
-            e >>= 1
-        return r
+    def digits(self, x) -> list[int]:
+        """The k coefficients of x, lowest degree first."""
+        return [int(x) // self.p**i % self.p for i in range(self.k)]
 
-    def _inv(self, a):
-        if a == self._zero:
-            raise ZeroDivisionError(f"inversion of zero in {self}")
-        if self.k == 1:
-            return (pow(a[0], self.p - 2, self.p),)
-        return self._pow(a, self.order - 2)
+    def _smallest_primitive(self) -> list[int]:
+        """Coefficients of the smallest a with a^(n/r) != 1 for every
+        prime r dividing n = p^k - 1, the order of F*."""
+        n = self.order - 1
+        for a in range(1, self.order):
+            coeffs = self.digits(a)
+            if all(_poly_pow_mod(self.p, coeffs, n // r, self.modulus) != [1]
+                   for r in factorize(n)):
+                return coeffs
+        raise AssertionError("unreachable: F* is cyclic")
 
-    # -- identity ---------------------------------------------------------
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteField) and other._key == self._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        if self.k == 1:
-            return f"F_{self.p}"
-        return f"F_{self.p}^{self.k} (mod {list(self.modulus)})"
-
-
-def prime_field(p: int) -> FiniteField:
-    return FiniteField(p)
-
-
-def ext_field(p: int, k: int, modulus: Sequence[int] | None = None) -> FiniteField:
-    """F_{p^k} with a deterministic modulus when none is given."""
-    return FiniteField(p, k, modulus)
-
-
-# ---------------------------------------------------------------------------
-# Multiplicative structure
-# ---------------------------------------------------------------------------
-
-def is_square(a: FieldElem) -> bool:
-    """Quadratic residuosity of a nonzero element, via the Euler test
-    a^((p^k - 1)/2) == 1.  Odd characteristic only; zero is rejected
-    because its residuosity is ambiguous."""
-    field = a.field
-    if field.p == 2:
-        raise ValueError("residuosity is undefined in characteristic 2")
-    if a.is_zero():
-        raise ValueError("is_square(0) is ambiguous; caller must decide")
-    return field._pow(a.coeffs, (field.order - 1) // 2) == field._one
-
-
-def find_nonsquare(field: FiniteField) -> FieldElem:
-    """Smallest non-square in canonical enumeration order."""
-    if field.p == 2:
-        raise ValueError("every element is a square in characteristic 2")
-    for a in field.nonzero_elements():
-        if not is_square(a):
-            return a
-    raise AssertionError("unreachable: nonsquares exist in odd characteristic")
-
-
-def sqrt(a: FieldElem) -> FieldElem:
-    """A square root of a, deterministically the root with the smaller
-    canonical encoding.  Exhaustive search for fields up to 2^16
-    elements, Tonelli-Shanks above."""
-    field = a.field
-    if field.p == 2:
-        raise ValueError("characteristic-2 square roots are out of scope")
-    if a.is_zero():
-        raise ValueError("sqrt(0) rejected (is_square(0) is ambiguous)")
-    if not is_square(a):
-        raise ValueError(f"{a!r} is not a square in {field}")
-    if field.order <= 1 << 16:
-        for b in field.nonzero_elements():
-            if b * b == a:
-                return b
-        raise AssertionError("unreachable")
-    return _tonelli_shanks(a)
-
-
-def _tonelli_shanks(a: FieldElem) -> FieldElem:
-    field = a.field
-    q, s = field.order - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = find_nonsquare(field)
-    c = z**q
-    x = a ** ((q + 1) // 2)
-    t = a**q
-    m = s
-    one = field.one
-    while t != one:
-        i, e = 0, t
-        while e != one:
-            e = e * e
-            i += 1
-        b = c ** (1 << (m - i - 1))
-        x = x * b
-        c = b * b
-        t = t * c
-        m = i
-    other = -x
-    return x if x.encode() <= other.encode() else other
-
-
-def primitive_element(field: FiniteField) -> FieldElem:
-    """Smallest generator of the multiplicative group in canonical order."""
-    n = field.order - 1
-    if n == 1:
-        return field.one
-    primes = list(factorize(n))
-    for a in field.nonzero_elements():
-        if all(a ** (n // r) != field.one for r in primes):
-            return a
-    raise AssertionError("unreachable: cyclic group has generators")
-
-
-class FieldTables:
-    """Arithmetic on the integer encodings of F_{p^k}, vectorized over
-    numpy int64 arrays.
-
-    Products and inverses go through log/antilog tables of the
-    primitive element (the antilog table is doubled so a sum of two
-    logs needs no reduction); sums and negatives act digit by digit in
-    base p, which is coefficient-wise arithmetic mod p.
-    """
-
-    def __init__(self, field: FiniteField):
-        self.p, self.k, self.order = field.p, field.k, field.order
-        n = field.order - 1
-        g = primitive_element(field)
-        exp = np.empty(2 * n, dtype=np.int64)
-        cur = field.one
-        for i in range(n):
-            exp[i] = cur.encode()
-            cur = cur * g
-        exp[n:] = exp[:n]
-        self.exp = exp
-        self.log = np.zeros(field.order, dtype=np.int64)
-        self.log[exp[:n]] = np.arange(n)
+    @property
+    def primitive(self) -> int:
+        """The primitive element of smallest encoding, base of the logs."""
+        return int(self.exp[1])
 
     def mul(self, x, y):
         return np.where((x == 0) | (y == 0), 0, self.exp[self.log[x] + self.log[y]])
@@ -529,35 +247,56 @@ class FieldTables:
     def neg(self, x):
         return self._digitwise(np.negative, x)
 
+    # -- squares ------------------------------------------------------------
 
-def minimal_polynomial(a: FieldElem) -> int:
-    """Minimal polynomial over F_2 of a nonzero element of F_{2^m},
-    returned as a GF(2) polynomial in integer encoding.
+    def is_square(self, x):
+        """Quadratic residuosity of nonzero elements: g^l is a square
+        exactly when l is even, since the order p^k - 1 of F* is even in
+        odd characteristic.  Zero is rejected (its residuosity is
+        ambiguous), and so is characteristic 2."""
+        if self.p == 2:
+            raise ValueError("residuosity is undefined in characteristic 2")
+        if np.any(np.asarray(x) == 0):
+            raise ValueError("is_square(0) is ambiguous; caller must decide")
+        return self.log[x] % 2 == 0
 
-    Computed as the product of (x - b) over the Frobenius orbit
-    {a, a^2, a^4, ...}; the coefficients land in F_2.
-    """
-    field = a.field
-    if field.p != 2:
-        raise ValueError("minimal_polynomial is defined over F_2 fields only")
-    if a.is_zero():
-        raise ValueError("minimal polynomial of 0 rejected (it is x)")
-    orbit = [a]
-    b = a * a
-    while b != a:
-        orbit.append(b)
-        b = b * b
-    poly = [field.one]
-    for root in orbit:
-        nxt = [field.zero] * (len(poly) + 1)
-        for i, co in enumerate(poly):
-            nxt[i + 1] = nxt[i + 1] + co
-            nxt[i] = nxt[i] - root * co
-        poly = nxt
-    out = 0
-    for i, co in enumerate(poly):
-        if any(c for c in co.coeffs[1:]):
+    @property
+    def nonsquare(self) -> int:
+        """The nonsquare of smallest encoding: the first odd log."""
+        if self.p == 2:
+            raise ValueError("every element is a square in characteristic 2")
+        return int(np.argmax(self.log % 2 == 1))
+
+    def sqrt(self, x) -> int:
+        """The square root of a nonzero square x with the smaller
+        encoding: g^(l/2) for x = g^l, or its negative."""
+        if not self.is_square(x):
+            raise ValueError(f"{x} is not a square in F_{self.order}")
+        root = self.exp[self.log[x] // 2]
+        return int(min(root, self.neg(root)))
+
+    # -- F_2 structure --------------------------------------------------------
+
+    def minimal_polynomial(self, x) -> int:
+        """Minimal polynomial over F_2 of a nonzero x in F_{2^k}, as a
+        GF(2) polynomial in integer encoding.
+
+        The product of (X - b) over the Frobenius orbit {x, x^2, x^4,
+        ...}; its coefficients are fixed by squaring, so they lie in F_2
+        and encode as 0 or 1.  Sums in characteristic 2 are XORs of
+        encodings.
+        """
+        if self.p != 2:
+            raise ValueError("minimal_polynomial is defined over F_2 fields only")
+        if x == 0:
+            raise ValueError("minimal polynomial of 0 rejected (it is x)")
+        orbit, b = [x], self.mul(x, x)
+        while b != x:
+            orbit.append(b)
+            b = self.mul(b, b)
+        poly = np.ones(1, dtype=np.int64)
+        for root in orbit:
+            poly = np.append(0, poly) ^ np.append(self.mul(poly, root), 0)
+        if (poly > 1).any():
             raise AssertionError("Frobenius-orbit product left the base field")
-        if co.coeffs[0]:
-            out |= 1 << i
-    return out
+        return int(sum(1 << i for i, c in enumerate(poly.tolist()) if c))

@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstructionError
-from .projective import PglGroup
 from .quaternion import GeneratorSet
 
 
@@ -177,8 +176,7 @@ def graph_from_generators(gens: GeneratorSet, cap: int | None = None) -> CayleyG
 
     if cap is None:
         cap = expected_group_order(gens.params.q, gens.params.e, "pgl")
-    group = PglGroup(gens.field)
-    return generate_group(group, [group.encode(s) for s in gens.elements], cap)
+    return generate_group(gens.group, gens.elements, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +212,7 @@ def symmetry_edge_permutations(graph: CayleyGraph, gens: GeneratorSet
         for i, vm in enumerate(left_translation_maps(graph))
     }
     group = graph.group
-    t0 = group.encode(gens.t0_embedded)
+    t0 = gens.t0
     t0_inv = group.inverse(t0)
     gen_perm = KeyIndex(graph.gens).find(group.mul(group.mul(t0, graph.gens), t0_inv))
     if (gen_perm < 0).any():

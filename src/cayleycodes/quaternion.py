@@ -20,6 +20,10 @@ The generator set S is the orbit of gamma under the nonsplit torus of
 order q + 1, ordered by powers of the torus generator so that torus
 conjugation acts on S-indices as the cyclic shift.  This ordering is
 what later identifies the coordinates of the cyclic inner code with S.
+
+Everything here is integer encodings of FieldTables and PglGroup keys.
+A constant of F_q has the same encoding in F_{q^e}, so d, the torus
+and the splitting live in F_{q^e} directly, with no embedding.
 """
 
 from __future__ import annotations
@@ -27,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
+
 from .errors import ConstructionError
-from .fields import (FieldElem, FiniteField, find_nonsquare, is_prime,
-                     is_square, irreducible_polys, sqrt)
-from .projective import (ProjectiveMatrix, TorusElement, nonsplit_torus,
-                         torus_generator)
+from .fields import FieldTables, irreducible_polys, is_prime
+from .projective import PglGroup, require_key_fits
 
 Variant = Literal["psl", "pgl"]
 
@@ -40,71 +44,68 @@ MIN_RESIDUE_ORDER = 18  # classification guarantee needs q^e > 17
 
 @dataclass(frozen=True)
 class ResidueParams:
-    """Parameters of one residue-field reduction."""
+    """Parameters of one residue-field reduction; field elements are
+    encodings in `tables`."""
 
     q: int                      # odd prime
     e: int                      # residue degree
-    base_field: FiniteField     # F_q
-    field: FiniteField          # F_{q^e}; equals base_field when e == 1
+    tables: FieldTables         # F_{q^e}: modulus x for e = 1, else residue_poly
     residue_poly: tuple         # monic degree-e polynomial cut out by the reduction
-    delta: FieldElem            # nonsquare in F_q
-    ybar: FieldElem             # image of y in the residue field; not 0 or -1
+    delta: int                  # nonsquare in F_q
+    ybar: int                   # image of y in the residue field; not 0 or -1
 
     def __post_init__(self):
-        if self.ybar.is_zero() or self.ybar == -self.field.one:
+        if self.ybar == 0 or self.ybar == self.tables.neg(1):
             raise ConstructionError("ybar must avoid 0 and -1")
 
     @property
-    def c(self) -> FieldElem:
-        return self.field.one + self.ybar
+    def c(self) -> int:
+        return int(self.tables.add(1, self.ybar))
 
     @property
-    def residue_class(self) -> FieldElem:
+    def residue_class(self) -> int:
         """ybar / (1 + ybar), whose residuosity decides PSL vs PGL."""
-        return self.ybar / self.c
+        t = self.tables
+        return int(t.mul(self.ybar, t.inv(self.c)))
 
     @property
     def predicted_variant(self) -> Variant:
-        return "psl" if is_square(self.residue_class) else "pgl"
+        return "psl" if self.tables.is_square(self.residue_class) else "pgl"
 
 
-def _base_setup(q: int, delta: int | None) -> tuple[FiniteField, FieldElem]:
+def _base_setup(q: int, e: int, delta: int | None) -> tuple[FieldTables, int]:
+    """F_q and the nonsquare d: the given one, or the smallest."""
     if q % 2 == 0 or not is_prime(q):
         raise ConstructionError(
             f"q must be an odd prime, got {q} (prime-power q is not supported)"
         )
-    base = FiniteField(q)
+    require_key_fits(q**e)
+    base = FieldTables(q)
     if delta is None:
-        d = find_nonsquare(base)
-    else:
-        d = base(delta)
-        if d.is_zero() or is_square(d):
-            raise ValueError(f"delta = {delta} is not a nonsquare mod {q}")
+        return base, base.nonsquare
+    d = delta % q
+    if d == 0 or base.is_square(d):
+        raise ValueError(f"delta = {delta} is not a nonsquare mod {q}")
     return base, d
 
 
 def residue_params(q: int, ybar: int, delta: int | None = None) -> ResidueParams:
     """Degree-1 reduction sending y to a given value of F_q."""
-    base, d = _base_setup(q, delta)
-    yb = base(ybar)
-    f = ((-yb.coeffs[0]) % q, 1)  # y - ybar
-    return ResidueParams(q, 1, base, base, f, d, yb)
+    base, d = _base_setup(q, 1, delta)
+    yb = ybar % q
+    return ResidueParams(q, 1, base, ((-yb) % q, 1), d, yb)  # f = y - ybar
 
 
 def residue_params_ext(q: int, f: tuple, delta: int | None = None) -> ResidueParams:
-    """Degree-e reduction modulo a monic irreducible f with f(0) != 0
-    and f(-1) != 0; ybar is the class of y.  delta stays an element of
-    F_q; the splitting embeds it where needed."""
-    base, d = _base_setup(q, delta)
+    """Degree-e reduction modulo a monic irreducible f; ybar is the
+    class of y, encoded as q.  An irreducible f of degree >= 2 has no
+    root, so f(0) != 0 and f(-1) != 0: the reduction inverts y and
+    1 + y."""
     e = len(f) - 1
+    _, d = _base_setup(q, e, delta)
     if e < 2:
         raise ValueError("use residue_params() for degree 1")
-    field = FiniteField(q, e, f)
-    if f[0] == 0:
-        raise ConstructionError("f(0) = 0: the reduction does not invert y")
-    if sum(c * (-1) ** i for i, c in enumerate(f)) % q == 0:
-        raise ConstructionError("f(-1) = 0: the reduction does not invert 1 + y")
-    return ResidueParams(q, e, base, field, tuple(f), d, field((0, 1)))
+    return ResidueParams(q, e, FieldTables(q, e, f), tuple(f), d, q)
 
 
 def choose_ideal(q: int, e: int, want: Variant, delta: int | None = None) -> ResidueParams:
@@ -113,10 +114,10 @@ def choose_ideal(q: int, e: int, want: Variant, delta: int | None = None) -> Res
 
     Degree 1: ybar runs over 1..q-2 in increasing order (so the
     smallest admissible value is chosen).  Degree >= 2: monic
-    irreducibles are scanned in integer-encoding order; ybar is the
-    class of y, and f(0) != 0, f(-1) != 0 hold automatically.
-    Requires q^e > 17, below which the classification is not
-    guaranteed to offer both variants.
+    irreducibles are scanned in integer-encoding order (none has a root,
+    so none vanishes at 0 or -1); ybar is the class of y.  Requires
+    q^e > 17, below which the classification is not guaranteed to
+    offer both variants.
     """
     if want not in ("psl", "pgl"):
         raise ValueError(f"variant must be 'psl' or 'pgl', got {want!r}")
@@ -130,159 +131,121 @@ def choose_ideal(q: int, e: int, want: Variant, delta: int | None = None) -> Res
             if params.predicted_variant == want:
                 return params
         raise ConstructionError(f"no admissible ybar found for {want} at q = {q}")
-    base, d = _base_setup(q, delta)
+    _, d = _base_setup(q, e, delta)
     for f in irreducible_polys(q, e):
-        if f[0] == 0:
-            continue
-        if sum(c * (-1) ** i for i, c in enumerate(f)) % q == 0:
-            continue
-        field = FiniteField(q, e, f)
-        params = ResidueParams(q, e, base, field, f, d, field((0, 1)))
+        params = ResidueParams(q, e, FieldTables(q, e, f), f, d, q)
         if params.predicted_variant == want:
             return params
     raise ConstructionError(f"no admissible degree-{e} reduction found for {want}")
 
 
 # ---------------------------------------------------------------------------
-# Splitting the algebra into 2x2 matrices
+# Splitting the algebra and the generator set
 # ---------------------------------------------------------------------------
 
-RawMatrix = tuple[FieldElem, FieldElem, FieldElem, FieldElem]
+def split_quaternion(params: ResidueParams) -> tuple[int, int]:
+    """The solution (u, v) of the norm equation u^2 - d v^2 = c that
+    splits the reduced algebra: the first v in encoding order for which
+    c + d v^2 is 0 or a square, and u its smaller square root.  Over a
+    finite field one always exists (the norm map is onto).
+
+    The relations then hold identically: M_alpha^2 = d I, M_z^2 =
+    (u^2 - d v^2) I = c I, and M_z M_alpha = [[-d v, d u], [-u, d v]]
+    = -M_alpha M_z.  So the norm equation is the one thing to check.
+    """
+    t, d, c = params.tables, params.delta, params.c
+    vs = np.arange(t.order)
+    w = t.add(c, t.mul(d, t.mul(vs, vs)))
+    v = int(np.argmax((w == 0) | (t.log[w] % 2 == 0)))
+    u = 0 if w[v] == 0 else t.sqrt(w[v])
+    if t.add(t.mul(u, u), t.neg(t.mul(d, t.mul(v, v)))) != c:
+        raise AssertionError("norm equation failed")
+    return u, v
 
 
-def _raw_mul(m1: RawMatrix, m2: RawMatrix) -> RawMatrix:
-    a, b, c, d = m1
-    e, f, g, h = m2
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+def nonsplit_torus(group: PglGroup, q: int, delta: int) -> np.ndarray:
+    """Keys of the q + 1 elements of the nonsplit torus of PGL_2(q),
+    the matrices [[x, d y], [y, x]] at the points (x : y) = (1 : t) for
+    t = 0..q-1, then (0 : 1)."""
+    y = np.arange(q + 1)
+    x = (y < q).astype(np.int64)
+    y[q] = 1
+    keys = group.canonical_key(x, group.tables.mul(delta, y), y, x)
+    if len(np.unique(keys)) != q + 1:
+        raise AssertionError("torus enumeration produced duplicates")
+    return keys
 
 
-def _raw_scalar(field: FiniteField, s: FieldElem) -> RawMatrix:
-    return (s, field.zero, field.zero, s)
+def torus_generator(group: PglGroup, torus: np.ndarray) -> int:
+    """The first torus element, in enumeration order, whose order is
+    exactly q + 1 = len(torus)."""
+    order = np.zeros(len(torus), dtype=np.int64)
+    power = torus
+    for k in range(1, len(torus) + 1):
+        order[(order == 0) & (power == group.identity)] = k
+        power = group.mul(power, torus)
+    if not (order == len(torus)).any():
+        raise AssertionError("nonsplit torus is cyclic; a generator must exist")
+    return int(torus[np.argmax(order == len(torus))])
 
-
-@dataclass(frozen=True)
-class QuaternionSplit:
-    """Explicit images of alpha and z in M_2(F_{q^e}); the defining
-    relations are re-verified on construction."""
-
-    field: FiniteField
-    m_alpha: RawMatrix
-    m_z: RawMatrix
-    u: FieldElem
-    v: FieldElem
-    c: FieldElem
-
-
-def solve_norm_equation(field: FiniteField, d: FieldElem, c: FieldElem
-                        ) -> tuple[FieldElem, FieldElem]:
-    """Smallest-v solution of u^2 - d v^2 = c, scanning v in canonical
-    order and taking the deterministic square root.  Over a finite
-    field a solution always exists (the norm map is onto)."""
-    for v in field.elements():
-        w = c + d * v * v
-        if w.is_zero():
-            return field.zero, v
-        if is_square(w):
-            return sqrt(w), v
-    raise AssertionError("norm equation must be solvable over a finite field")
-
-
-def split_quaternion(params: ResidueParams) -> QuaternionSplit:
-    """Split the reduced algebra: produce M_alpha, M_z satisfying
-    M_alpha^2 = d I, M_z^2 = (1 + ybar) I and anticommutation, all
-    verified exactly before returning."""
-    field = params.field
-    d = field.embed(params.delta)
-    c = params.c
-    if c.is_zero():
-        raise ConstructionError("1 + ybar = 0; reduction does not invert 1 + y")
-    u, v = solve_norm_equation(field, d, c)
-    zero, one = field.zero, field.one
-    m_alpha: RawMatrix = (zero, d, one, zero)
-    m_z: RawMatrix = (u, -(d * v), v, -u)
-    if _raw_mul(m_alpha, m_alpha) != _raw_scalar(field, d):
-        raise AssertionError("alpha relation failed")
-    if _raw_mul(m_z, m_z) != _raw_scalar(field, c):
-        raise AssertionError("z relation failed")
-    za = _raw_mul(m_z, m_alpha)
-    az = _raw_mul(m_alpha, m_z)
-    if za != tuple(-x for x in az):
-        raise AssertionError("anticommutation failed")
-    return QuaternionSplit(field, m_alpha, m_z, u, v, c)
-
-
-# ---------------------------------------------------------------------------
-# The generator set
-# ---------------------------------------------------------------------------
 
 @dataclass
 class GeneratorSet:
-    """Ordered generator set S with s_i = t0^i gamma t0^-i."""
+    """Ordered generator set S with s_i = t0^i gamma t0^-i, as keys."""
 
     params: ResidueParams
-    split: QuaternionSplit
-    gamma: ProjectiveMatrix
-    elements: list[ProjectiveMatrix]
-    torus: list[TorusElement]            # enumeration order over F_q
-    t0: TorusElement                     # generator of the torus, order q + 1
-    torus_embedded: list[ProjectiveMatrix]  # aligned with `torus`
-    t0_embedded: ProjectiveMatrix
-
-    @property
-    def field(self) -> FiniteField:
-        return self.params.field
+    group: PglGroup
+    gamma: int
+    elements: np.ndarray                 # keys of S, in torus-power order
+    torus: np.ndarray                    # keys of the torus, enumeration order
+    t0: int                              # key of the torus generator, order q + 1
 
     @property
     def degree(self) -> int:
         return self.params.q + 1
 
-    def __post_init__(self):
-        self.lookup = {s: i for i, s in enumerate(self.elements)}
-
     def validate(self) -> list[str]:
         """Structural failures of S, empty when sound."""
         problems = []
-        q = self.params.q
-        if len(set(self.elements)) != q + 1:
-            problems.append(f"|S| = {len(set(self.elements))} != q + 1 = {q + 1}")
-        ident = ProjectiveMatrix.identity(self.field)
-        if ident in self.lookup:
+        q, s = self.params.q, self.elements
+        if len(np.unique(s)) != q + 1:
+            problems.append(f"|S| = {len(np.unique(s))} != q + 1 = {q + 1}")
+        if (s == self.group.identity).any():
             problems.append("identity is in S")
-        for s in self.elements:
-            if s.inverse() not in self.lookup:
-                problems.append("S is not closed under inverse")
-                break
+        if not np.isin(self.group.inverse(s), s).all():
+            problems.append("S is not closed under inverse")
         return problems
 
 
 def build_generators(params: ResidueParams) -> GeneratorSet:
     """gamma = image of 1 + z^-1 and its torus orbit, ordered by powers
     of the torus generator.  Rejects parameter sets whose orbit
-    collapses or touches the identity."""
-    split = split_quaternion(params)
-    field = params.field
-    c_inv = split.c.inverse()
-    ident_raw = _raw_scalar(field, field.one)
-    gamma_raw = tuple(i + c_inv * z for i, z in zip(ident_raw, split.m_z))
-    gamma = ProjectiveMatrix.make(field, gamma_raw)
+    collapses or touches the identity.
 
-    torus = nonsplit_torus(params.base_field, params.delta)
-    _, t0 = torus_generator(torus)
-    torus_embedded = [t.matrix.embed(field) for t in torus]
-    t0_embedded = t0.matrix.embed(field)
+    gamma = I + c^-1 M_z is nonsingular: its determinant is
+    (c^2 - u^2 + d v^2) / c^2 = (c - 1) / c = ybar/(1 + ybar) != 0.
+    """
+    group = PglGroup(params.tables)
+    t, q = params.tables, params.q
+    u, v = split_quaternion(params)
+    c_inv = t.inv(params.c)
+    gamma = int(group.canonical_key(
+        t.add(1, t.mul(c_inv, u)), t.neg(t.mul(c_inv, t.mul(params.delta, v))),
+        t.mul(c_inv, v), t.add(1, t.neg(t.mul(c_inv, u)))))
 
-    elements = []
-    t_pow = ProjectiveMatrix.identity(field)
-    for _ in range(params.q + 1):
-        elements.append(gamma.conjugate_by(t_pow))
-        t_pow = t_pow * t0_embedded
+    torus = nonsplit_torus(group, q, params.delta)
+    t0 = torus_generator(group, torus)
+    powers = [group.identity]
+    for _ in range(q):
+        powers.append(int(group.mul(powers[-1], t0)))
+    powers = np.array(powers, dtype=np.int64)
+    elements = group.mul(group.mul(powers, gamma), group.inverse(powers))
 
-    gens = GeneratorSet(params, split, gamma, elements, torus, t0,
-                        torus_embedded, t0_embedded)
+    gens = GeneratorSet(params, group, gamma, elements, torus, t0)
     problems = gens.validate()
     if problems:
         raise ConstructionError(
-            f"generator set rejected for q={params.q}, ybar={params.ybar!r}: "
+            f"generator set rejected for q={params.q}, ybar={params.ybar}: "
             + "; ".join(problems)
         )
     return gens
@@ -292,7 +255,7 @@ def classify(gens: GeneratorSet) -> Variant:
     """PSL/PGL classification from the residuosity of ybar/(1+ybar),
     cross-checked against the determinant class of every generator."""
     predicted = gens.params.predicted_variant
-    bits = {s.is_in_psl() for s in gens.elements}
+    bits = set(gens.group.in_psl(gens.elements).tolist())
     if len(bits) != 1:
         raise ConstructionError("generators disagree on PSL membership")
     observed = "psl" if bits.pop() else "pgl"

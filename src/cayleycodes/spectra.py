@@ -119,7 +119,7 @@ def require_matrix_fits(order: int) -> None:
 def coset_representatives(group: PglGroup) -> np.ndarray:
     """Keys of the canonical representatives g_i of the right cosets U g,
     in coset index order."""
-    t, order = group.tables, group.field.order
+    t, order = group.tables, group.tables.order
     big_d, d = np.divmod(np.arange(order * (order - 1)), order)
     big_d += 1
     diag = np.arange(1, order)
@@ -132,7 +132,7 @@ def coset_representatives(group: PglGroup) -> np.ndarray:
 
 def coset_positions(group: PglGroup, keys) -> tuple[np.ndarray, np.ndarray]:
     """(i, x) with key = u_x g_i: the coset index and the encoding of x."""
-    t, order = group.tables, group.field.order
+    t, order = group.tables, group.tables.order
     a, b, c, d = group.entries(keys)
     inv = t.inv(np.where(c != 0, c, d))
     a, b, c, d = (t.mul(e, inv) for e in (a, b, c, d))
@@ -149,13 +149,13 @@ def additive_character(p: int) -> np.ndarray:
 
 def gelfand_graev_matrix(group: PglGroup, gens) -> np.ndarray:
     """M = sum over s in gens of R(s) on Ind_U^G psi, in the coset basis."""
-    require_matrix_fits(group.field.order)
+    require_matrix_fits(group.tables.order)
     gens = np.asarray(gens, dtype=np.int64)
     reps = coset_representatives(group)
     index, x = coset_positions(group, group.mul(reps[:, None], gens[None, :]))
     m = np.zeros((len(reps), len(reps)), dtype=complex)
     np.add.at(m, (np.repeat(np.arange(len(reps)), len(gens)), index.ravel()),
-              additive_character(group.field.p)[x.ravel() % group.field.p])
+              additive_character(group.tables.p)[x.ravel() % group.tables.p])
     return m
 
 

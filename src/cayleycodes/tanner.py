@@ -570,8 +570,29 @@ class VerificationReport:
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
+        """Parse report.json; ValueError naming a missing section."""
         payload = json.loads(text)
+        for f in fields(cls):
+            if not isinstance(payload, dict) or not isinstance(payload.get(f.name), dict):
+                raise ValueError(f"report.json: section {f.name!r} is missing or not an object")
         return cls(**{f.name: payload[f.name] for f in fields(cls)})
+
+    def read(self, path: str, kind: type | tuple):
+        """The entry at a dotted path such as "params.ybar", checked to
+        be of type `kind` (list: a list of integers); ValueError naming
+        the key when it is missing or ill-typed."""
+        section, *keys = path.split(".")
+        node = getattr(self, section)
+        for key in keys:
+            if not isinstance(node, dict) or key not in node:
+                raise ValueError(f"report.json: key {path!r} is missing")
+            node = node[key]
+        ok = isinstance(node, kind) and (isinstance(node, bool) == (kind is bool))
+        if ok and kind is list:
+            ok = all(isinstance(x, int) and not isinstance(x, bool) for x in node)
+        if not ok:
+            raise ValueError(f"report.json: key {path!r} has an ill-typed value {node!r}")
+        return node
 
     @property
     def all_passed(self) -> bool:
@@ -618,7 +639,7 @@ def run_verification(gens, graph: CayleyGraph, inner: CyclicCode, seed: int = 0,
         delta_b = Fraction(inner_d_lower, inner.n)
         delta_source = "designed"
     elif inner.dim <= EXACT_DISTANCE_MAX_DIM:
-        delta_b = Fraction(min_distance(inner, "exact").value, inner.n)
+        delta_b = Fraction(min_distance(inner).value, inner.n)
         delta_source = "exact"
     else:
         delta_b = Fraction(0)
@@ -642,10 +663,10 @@ def run_verification(gens, graph: CayleyGraph, inner: CyclicCode, seed: int = 0,
     report = VerificationReport(
         params={
             "q": q, "e": params.e, "variant": variant,
-            "delta": params.delta.to_coeff_list(),
+            "delta": [params.delta],
             "residue_poly": list(params.residue_poly),
-            "ybar": params.ybar.to_coeff_list(),
-            "gamma": gens.gamma.to_ints(),
+            "ybar": params.tables.digits(params.ybar),
+            "gamma": [params.tables.digits(x) for x in gens.group.entries(gens.gamma)],
             "inner": {"n": inner.n, "k": inner.dim,
                       "h_hex": gf2poly.to_hex(inner.h)},
             "seed": seed,

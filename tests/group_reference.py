@@ -6,7 +6,8 @@ the one-element-at-a-time construction on FieldElem/ProjectiveMatrix
 objects (and on the Z_n toy elements), hashed into dicts, as an
 independent oracle for the tests; plus the object-level helpers the
 tests use: proj, conj_action, SdpElement, sdp_act_directed_edge,
-parse_edge_list and verify_vertex_transitive.
+parse_edge_list and verify_vertex_transitive.  The matrix objects come
+from field_reference.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from cayleycodes.errors import ConstructionError
-from cayleycodes.fields import FiniteField
 from cayleycodes.graphs import (CayleyGraph, KeyIndex, edge_orbit, edge_permutation,
                                left_translation_maps)
-from cayleycodes.projective import ProjectiveMatrix, TorusElement
+
+from field_reference import FiniteField, ProjectiveMatrix, decode, matrix_key
 
 
 class AddGroupElement:
@@ -58,39 +59,33 @@ def conj_action(t: ProjectiveMatrix, g: ProjectiveMatrix) -> ProjectiveMatrix:
 
 
 class SdpElement:
-    """Pair (g, t) with g in the ambient matrix group and t in the
-    torus; product (g1, t1)(g2, t2) = (g1 * t1 g2 t1^-1, t1 t2)."""
+    """Pair (g, t) with g in the ambient matrix group and t a torus
+    matrix over the same field; product (g1, t1)(g2, t2) =
+    (g1 * t1 g2 t1^-1, t1 t2)."""
 
-    __slots__ = ("g", "t", "t_mat")
+    __slots__ = ("g", "t_mat")
 
-    def __init__(self, g: ProjectiveMatrix, t: TorusElement,
-                 t_mat: ProjectiveMatrix | None = None):
+    def __init__(self, g: ProjectiveMatrix, t_mat: ProjectiveMatrix):
         self.g = g
-        self.t = t
-        # the torus matrix embedded into g's field, cached for the action
-        self.t_mat = t.matrix.embed(g.field) if t_mat is None else t_mat
+        self.t_mat = t_mat
 
     @classmethod
-    def identity(cls, field: FiniteField, torus: list[TorusElement]) -> "SdpElement":
-        ident = next(t for t in torus if t.is_identity())
-        return cls(ProjectiveMatrix.identity(field), ident)
+    def identity(cls, field: FiniteField) -> "SdpElement":
+        return cls(ProjectiveMatrix.identity(field), ProjectiveMatrix.identity(field))
 
     def __mul__(self, other: "SdpElement") -> "SdpElement":
-        g = self.g * other.g.conjugate_by(self.t_mat)
-        t = self.t * other.t
-        return SdpElement(g, t)
+        return SdpElement(self.g * other.g.conjugate_by(self.t_mat), self.t_mat * other.t_mat)
 
     def inverse(self) -> "SdpElement":
-        t_inv = self.t.inverse()
-        t_inv_mat = self.t_mat.inverse()
-        return SdpElement(self.g.inverse().conjugate_by(t_inv_mat), t_inv, t_inv_mat)
+        t_inv = self.t_mat.inverse()
+        return SdpElement(self.g.inverse().conjugate_by(t_inv), t_inv)
 
     def __eq__(self, other):
         return (isinstance(other, SdpElement)
-                and other.g == self.g and other.t.matrix == self.t.matrix)
+                and other.g == self.g and other.t_mat == self.t_mat)
 
     def __hash__(self):
-        return hash((self.g, self.t.matrix))
+        return hash((self.g, self.t_mat))
 
 
 def sdp_act_directed_edge(h: SdpElement, vertex: ProjectiveMatrix, gen_index: int,
@@ -220,14 +215,15 @@ def sdp_gen_perm(ref: ReferenceGraph, h: SdpElement) -> list[int]:
     return [lookup[s.conjugate_by(h.t_mat)] for s in ref.gens]
 
 
-def reference_symmetry_permutations(ref: ReferenceGraph, gens) -> dict[str, np.ndarray]:
+def reference_symmetry_permutations(ref: ReferenceGraph, t0: ProjectiveMatrix
+                                    ) -> dict[str, np.ndarray]:
     """The left translations by S and the torus generator t0, as edge
     permutations of the object graph."""
     ident = list(range(len(ref.gens)))
     perms = {f"left_s{i}": reference_edge_permutation(
                  ref, left_translation_vertex_map(ref, s), ident)
              for i, s in enumerate(ref.gens)}
-    h_t0 = SdpElement(ProjectiveMatrix.identity(gens.field), gens.t0, gens.t0_embedded)
+    h_t0 = SdpElement(ProjectiveMatrix.identity(t0.field), t0)
     perms["torus_t0"] = reference_edge_permutation(
         ref, sdp_vertex_map(ref, h_t0), sdp_gen_perm(ref, h_t0))
     return perms
@@ -236,13 +232,6 @@ def reference_symmetry_permutations(ref: ReferenceGraph, gens) -> dict[str, np.n
 # ---------------------------------------------------------------------------
 # Bridges between keys and objects
 # ---------------------------------------------------------------------------
-
-def decode(group, key: int) -> ProjectiveMatrix:
-    """The matrix behind a PglGroup key."""
-    field = group.field
-    entries = (int(x) for x in group.entries(key))
-    return ProjectiveMatrix.make(field, [field.from_int(x) for x in entries])
-
 
 def object_vertices(graph: CayleyGraph) -> tuple[list, dict]:
     """The vertices of a PGL graph as ProjectiveMatrix objects in id
@@ -255,7 +244,7 @@ def sdp_maps(graph: CayleyGraph, h: SdpElement) -> tuple[np.ndarray, np.ndarray]
     """Vertex map v -> g t v t^-1 and generator permutation s -> t s t^-1
     of h = (g, t) on a keyed graph, through keyed arithmetic."""
     group = graph.group
-    g, t = group.encode(h.g), group.encode(h.t_mat)
+    g, t = matrix_key(h.g), matrix_key(h.t_mat)
     t_inv = group.inverse(t)
 
     def conj(keys):

@@ -1,4 +1,6 @@
+import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -53,6 +55,19 @@ def test_double_missing_file():
 def test_graph_small_q_rejected(capsys):
     assert cli.main(["graph", "--q", "5", "--e", "1"]) == 2
     assert "17" in capsys.readouterr().err
+
+
+def test_explicit_ybar_below_the_classification_bound(tmp_path, capsys):
+    """q = 17 with an explicit ybar passes the scan's own bound check;
+    graph and build both refuse it with exit 2."""
+    assert cli.main(["graph", "--q", "17", "--ybar", "3"]) == 2
+    assert "q^e must exceed 17" in capsys.readouterr().err
+    inner = tmp_path / "inner18.code"
+    inner.write_text("18 16\n7\n")
+    assert cli.main(["build", "--q", "17", "--ybar", "3", "--inner", str(inner),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "q^e must exceed 17" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_graph_q19_deterministic(tmp_path, capsys):
@@ -181,6 +196,35 @@ def test_trials_flags_are_gone(tmp_path, capsys):
     assert cli.main(["verify", str(tmp_path), "--trials", "5"]) == 2
     assert "unrecognized arguments: --trials 5" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def q5e2_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("q5e2") / "out"
+    inner = out.parent / "inner6.code"
+    inner.write_text("6 4\n7\n")
+    assert cli.main(["build", "--q", "5", "--e", "2", "--inner", str(inner),
+                     "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("mutate,named", [
+    (lambda r: r["params"].pop("ybar"), "'params.ybar' is missing"),
+    (lambda r: r.pop("distance"), "section 'distance' is missing"),
+    (lambda r: r["params"].update(delta="2"), "'params.delta' has an ill-typed value"),
+    (lambda r: r["graph"].update(bipartite=0), "'graph.bipartite' has an ill-typed value"),
+])
+def test_verify_malformed_report_exits_2(q5e2_dir, tmp_path, capsys, mutate, named):
+    """A report.json with a missing or ill-typed entry is an input error
+    (exit 2) that names the key, not a failed check (exit 1)."""
+    bad = tmp_path / "bad"
+    shutil.copytree(q5e2_dir, bad)
+    report = json.loads((bad / "report.json").read_text())
+    mutate(report)
+    (bad / "report.json").write_text(json.dumps(report))
+    capsys.readouterr()
+    assert cli.main(["verify", str(bad)]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_build_and_verify_never_pack_h(tmp_path, monkeypatch, capsys, packed_shapes):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleycodes import cyclic, gf2poly
 from cayleycodes.cyclic import (CyclicCode, bch_code, bch_designed_params,
@@ -11,6 +13,7 @@ from cayleycodes.cyclic import (CyclicCode, bch_code, bch_designed_params,
 from cayleycodes.errors import ConstructionError
 from cayleycodes.gf2 import int_rank
 
+from field_reference import reference_bch_generator
 from gf2_reference import from_coeffs
 
 
@@ -68,11 +71,21 @@ def test_bch_designed_params():
     assert p11.k == 2047 - gf2poly.degree(bch_generator(11, 139))
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_bch_generator_matches_object_reference(data):
+    """The table-driven generator against the lcm of FieldElem minimal
+    polynomials, for m <= 11 at sampled r."""
+    m = data.draw(st.integers(2, 11))
+    r = data.draw(st.integers(1, (1 << m) - 1))
+    assert bch_generator(m, r) == reference_bch_generator(m, r)
+
+
 def test_bch_exact_distance_meets_designed_bound():
     # exhaustive for r = 1..4 at m = 4
     for r in range(1, 5):
         code = bch_code(4, r)
-        rep = min_distance(code, "exact")
+        rep = min_distance(code)
         assert rep.value >= r + 1
 
 
@@ -111,7 +124,7 @@ def test_double_length_structure():
 
 def test_double_length_distance():
     code = bch_code(4, 2)
-    rep = min_distance(code, "exact")
+    rep = min_distance(code)
     assert rep.value == 3
     doubled = double_length(code)
     # distance is preserved: the interleaved image of a minimum-weight
@@ -119,19 +132,15 @@ def test_double_length_distance():
     witness = interleave(rep.witness, 0, code.n)
     assert doubled.contains(witness) and witness.bit_count() == 3
     # full enumeration of the [30, 22] code confirms equality
-    assert min_distance(doubled, "exact").value == 3
+    assert min_distance(doubled).value == 3
 
 
 def test_min_distance_modes():
-    rep3 = min_distance(CyclicCode(3, 0b111), "exact")
+    rep3 = min_distance(CyclicCode(3, 0b111))
     assert rep3.value == 3 and rep3.witness == 0b111
-    doubled = double_length(bch_code(4, 2))
-    sampled = min_distance(doubled, "sampled", trials=2000, seed=1)
-    assert sampled.value >= 3
-    assert doubled.contains(sampled.witness)
     big = CyclicCode(4094, gf2poly.mul(bch_generator(11, 139), bch_generator(11, 139)))
     with pytest.raises(ValueError):
-        min_distance(big, "exact")
+        min_distance(big)
 
 
 def test_dual_generator():

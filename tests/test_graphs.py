@@ -5,8 +5,8 @@ from cayleycodes.errors import ConstructionError
 from cayleycodes.graphs import (ZnGroup, edge_orbit, edge_permutation,
                                 generate_group, graph_from_generators,
                                 left_translation_maps, verify_edge_transitive)
-from cayleycodes.projective import PglGroup
 
+from field_reference import decode
 from group_reference import (SdpElement, object_vertices, parse_edge_list,
                              sdp_edge_permutation, verify_vertex_transitive)
 
@@ -114,8 +114,8 @@ def test_edge_permutation_bijection_and_composition(q19_psl_graph, q19_psl_gens)
     graph = q19_psl_graph
     rng = random.Random(21)
     vertices, _ = object_vertices(graph)
-    h1 = SdpElement(rng.choice(vertices), rng.choice(gens.torus))
-    h2 = SdpElement(rng.choice(vertices), rng.choice(gens.torus))
+    h1 = SdpElement(rng.choice(vertices), decode(gens.group, rng.choice(gens.torus)))
+    h2 = SdpElement(rng.choice(vertices), decode(gens.group, rng.choice(gens.torus)))
     p1 = sdp_edge_permutation(graph, h1)
     p2 = sdp_edge_permutation(graph, h2)
     p12 = sdp_edge_permutation(graph, h1 * h2)
@@ -144,6 +144,5 @@ def test_broken_generator_set_is_rejected(q19_psl_gens):
     """Dropping one element breaks S = S^-1 and the expected degree;
     the graph builder refuses instead of silently accepting."""
     gens = q19_psl_gens
-    group = PglGroup(gens.field)
     with pytest.raises(ConstructionError):
-        generate_group(group, [group.encode(s) for s in gens.elements[:-1]], cap=10000)
+        generate_group(gens.group, gens.elements[:-1], cap=10000)

@@ -1,6 +1,7 @@
 """The keyed group layer against the object reference: field tables
 against FieldElem, PglGroup against ProjectiveMatrix, and the Cayley
-graphs and symmetry permutations against the sequential object BFS."""
+graphs and symmetry permutations, from the object generator set,
+against the sequential object BFS."""
 
 import numpy as np
 import pytest
@@ -8,20 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleycodes import cli
-from cayleycodes.fields import FieldTables, ext_field, prime_field
+from cayleycodes.fields import FieldTables
 from cayleycodes.graphs import (ZnGroup, edge_permutation, generate_group,
                                 graph_from_generators, left_translation_maps,
                                 symmetry_edge_permutations)
-from cayleycodes.projective import (KEY_ORDER_LIMIT, PglGroup, ProjectiveMatrix,
-                                    require_key_fits)
+from cayleycodes.projective import KEY_ORDER_LIMIT, PglGroup, require_key_fits
 from cayleycodes.quaternion import build_generators, choose_ideal
 
+from field_reference import (ProjectiveMatrix, matrix_key, reference_field,
+                             reference_generators)
 from group_reference import (AddGroupElement, left_translation_vertex_map,
                              reference_closure, reference_edge_permutation,
                              reference_symmetry_permutations)
 
-FIELDS = {"F_19": prime_field(19), "F_25": ext_field(5, 2), "F_49": ext_field(7, 2)}
-GROUPS = {name: PglGroup(field) for name, field in FIELDS.items()}
+GROUPS = {"F_19": PglGroup(FieldTables(19)), "F_25": PglGroup(FieldTables(5, 2)),
+          "F_49": PglGroup(FieldTables(7, 2))}
+FIELDS = {name: reference_field(group.tables) for name, group in GROUPS.items()}
 
 field_names = st.sampled_from(sorted(FIELDS))
 
@@ -46,7 +49,7 @@ def test_field_tables_match_field_elements(name, data):
 
 def test_field_tables_reject_zero_inverse():
     with pytest.raises(ZeroDivisionError):
-        FieldTables(prime_field(7)).inv(np.array([3, 0]))
+        FieldTables(7).inv(np.array([3, 0]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -63,17 +66,18 @@ def test_pgl_keys_match_projective_matrices(name, data):
         if not (a * d - b * c).is_zero():
             xs.append(ProjectiveMatrix.make(field, (a, b, c, d)))
     ys = xs[::-1]
-    kx = np.array([group.encode(m) for m in xs])
-    ky = np.array([group.encode(m) for m in ys])
-    assert group.mul(kx, ky).tolist() == [group.encode(a * b) for a, b in zip(xs, ys)]
-    assert group.inverse(kx).tolist() == [group.encode(a.inverse()) for a in xs]
+    kx = np.array([matrix_key(m) for m in xs])
+    ky = np.array([matrix_key(m) for m in ys])
+    assert group.mul(kx, ky).tolist() == [matrix_key(a * b) for a, b in zip(xs, ys)]
+    assert group.inverse(kx).tolist() == [matrix_key(a.inverse()) for a in xs]
+    assert group.in_psl(kx).tolist() == [m.is_in_psl() for m in xs]
     # rescaling by a nonzero scalar does not change the key
     scale = data.draw(st.integers(1, field.order - 1))
     entries = np.array([[e.encode() for e in m.entries()] for m in xs]).T
     scaled = [group.tables.mul(column, scale) for column in entries]
     assert group.canonical_key(*scaled).tolist() == kx.tolist()
     assert group.mul(kx[:, None], ky[None, :]).shape == (len(xs), len(ys))
-    assert group.identity == group.encode(ProjectiveMatrix.identity(field))
+    assert group.identity == matrix_key(ProjectiveMatrix.identity(field))
 
 
 def test_key_guard_names_the_limit():
@@ -100,10 +104,13 @@ INSTANCES = {"q19_psl": (19, 1, "psl"), "q19_pgl": (19, 1, "pgl"), "q5e2_psl": (
 @pytest.fixture(scope="module", params=sorted(INSTANCES))
 def keyed_and_reference(request):
     q, e, variant = INSTANCES[request.param]
-    gens = build_generators(choose_ideal(q, e, variant))
+    params = choose_ideal(q, e, variant)
+    gens = build_generators(params)
     graph = graph_from_generators(gens)
-    ref = reference_closure(gens.elements, ProjectiveMatrix.identity(gens.field))
-    return gens, graph, ref
+    obj = reference_generators(q, e, params.residue_poly, params.delta,
+                               params.tables.digits(params.ybar))
+    ref = reference_closure(obj.elements, ProjectiveMatrix.identity(obj.field))
+    return gens, graph, ref, obj
 
 
 def _assert_same_graph(graph, ref):
@@ -119,15 +126,15 @@ def _assert_same_graph(graph, ref):
 
 
 def test_closure_matches_object_bfs(keyed_and_reference):
-    gens, graph, ref = keyed_and_reference
+    gens, graph, ref, _ = keyed_and_reference
     _assert_same_graph(graph, ref)
-    assert graph.keys.tolist() == [graph.group.encode(g) for g in ref.vertices]
+    assert graph.keys.tolist() == [matrix_key(g) for g in ref.vertices]
 
 
 def test_symmetry_permutations_match_object_reference(keyed_and_reference):
-    gens, graph, ref = keyed_and_reference
+    gens, graph, ref, obj = keyed_and_reference
     perms = symmetry_edge_permutations(graph, gens)
-    expected = reference_symmetry_permutations(ref, gens)
+    expected = reference_symmetry_permutations(ref, obj.t0_embedded)
     assert list(perms) == list(expected)
     for name, perm in expected.items():
         assert perms[name].dtype == perm.dtype and np.array_equal(perms[name], perm), name

@@ -1,12 +1,16 @@
+"""The ProjectiveMatrix and TorusElement references, and the action of
+the semi-direct product on the edges of the keyed q = 19 graph."""
+
 import random
 
+import numpy as np
 import pytest
 
 from cayleycodes.errors import ConstructionError
-from cayleycodes.fields import prime_field, ext_field, find_nonsquare
-from cayleycodes.projective import (ProjectiveMatrix, TorusElement, nonsplit_torus,
-                                    torus_element_order, torus_generator)
 
+from field_reference import (ProjectiveMatrix, decode, ext_field, find_nonsquare,
+                             nonsplit_torus, prime_field, torus_element_order,
+                             torus_generator)
 from group_reference import (SdpElement, conj_action, proj, sdp_act_directed_edge,
                              sdp_maps)
 
@@ -111,15 +115,19 @@ def test_conj_action_embeds_base_field():
 
 def _random_sdp(rng, gens, graph_vertices):
     g = rng.choice(graph_vertices)
-    t = rng.choice(gens.torus)
+    t = decode(gens.group, rng.choice(gens.torus))
     return SdpElement(g, t)
+
+
+def _objects(gens):
+    return [decode(gens.group, s) for s in gens.elements]
 
 
 def test_sdp_group_axioms(q19_psl_gens, q19_psl_objects):
     gens = q19_psl_gens
     vertices, _ = q19_psl_objects
     rng = random.Random(77)
-    ident = SdpElement.identity(gens.field, gens.torus)
+    ident = SdpElement.identity(vertices[0].field)
     for _ in range(200):
         h1 = _random_sdp(rng, gens, vertices)
         h2 = _random_sdp(rng, gens, vertices)
@@ -135,7 +143,8 @@ def test_sdp_edge_action_well_defined(q19_psl_gens, q19_psl_graph, q19_psl_objec
     gens = q19_psl_gens
     graph = q19_psl_graph
     vertices, vindex = q19_psl_objects
-    lookup = {s: i for i, s in enumerate(gens.elements)}
+    elements = _objects(gens)
+    lookup = {s: i for i, s in enumerate(elements)}
     rng = random.Random(5)
     for _ in range(1000):
         h1 = _random_sdp(rng, gens, vertices)
@@ -143,16 +152,16 @@ def test_sdp_edge_action_well_defined(q19_psl_gens, q19_psl_graph, q19_psl_objec
         v = rng.choice(vertices)
         i = rng.randrange(graph.degree)
         # composition: e^(h1 h2) == (e^h2)^h1
-        mid = sdp_act_directed_edge(h2, v, i, gens.elements, lookup)
-        twice = sdp_act_directed_edge(h1, *mid, gens.elements, lookup)
-        once = sdp_act_directed_edge(h1 * h2, v, i, gens.elements, lookup)
+        mid = sdp_act_directed_edge(h2, v, i, elements, lookup)
+        twice = sdp_act_directed_edge(h1, *mid, elements, lookup)
+        once = sdp_act_directed_edge(h1 * h2, v, i, elements, lookup)
         assert twice == once
         # reversed-edge consistency: (v s_i, s_i^-1) maps to the reverse
         vi = vindex[v]
         w = vertices[graph.adj[vi, i]]
         j = graph.inv_gen[i]
-        img_v, img_i = sdp_act_directed_edge(h1, v, i, gens.elements, lookup)
-        img_w, img_j = sdp_act_directed_edge(h1, w, j, gens.elements, lookup)
+        img_v, img_i = sdp_act_directed_edge(h1, v, i, elements, lookup)
+        img_w, img_j = sdp_act_directed_edge(h1, w, j, elements, lookup)
         img_vi = vindex[img_v]
         img_wi = vindex[img_w]
         assert graph.adj[img_vi, img_i] == img_wi
@@ -163,11 +172,9 @@ def test_sdp_pairing_preserved_on_all_edges(q19_psl_gens, q19_psl_graph,
                                             q19_psl_objects):
     """Both directed forms of every edge map to the same undirected
     edge, exhaustively over all 68400 directed edges for a fixed h."""
-    import numpy as np
-
     gens = q19_psl_gens
     graph = q19_psl_graph
-    h = SdpElement(q19_psl_objects[0][17], gens.torus[5])
+    h = SdpElement(q19_psl_objects[0][17], decode(gens.group, gens.torus[5]))
     vmap, gperm = sdp_maps(graph, h)
     direct = graph.eid[vmap][:, gperm]             # (v, i) -> image edge id
     # entry (v, i) of the gather is direct[adj[v, i], inv_gen[i]], the
@@ -180,30 +187,32 @@ def test_sdp_pairing_preserved_on_all_edges(q19_psl_gens, q19_psl_graph,
 def test_sdp_restriction_is_left_multiplication(q19_psl_gens, q19_psl_objects):
     gens = q19_psl_gens
     vertices, _ = q19_psl_objects
-    lookup = {s: i for i, s in enumerate(gens.elements)}
+    elements = _objects(gens)
+    lookup = {s: i for i, s in enumerate(elements)}
     rng = random.Random(6)
-    torus_ident = next(t for t in gens.torus if t.is_identity())
+    torus_ident = ProjectiveMatrix.identity(vertices[0].field)
     for _ in range(100):
         g = rng.choice(vertices)
         h = SdpElement(g, torus_ident)
         v = rng.choice(vertices)
         i = rng.randrange(gens.degree)
-        img_v, img_i = sdp_act_directed_edge(h, v, i, gens.elements, lookup)
+        img_v, img_i = sdp_act_directed_edge(h, v, i, elements, lookup)
         assert img_v == g * v and img_i == i
 
 
 def test_torus_orbit_size_of_gamma(q19_psl_gens):
     gens = q19_psl_gens
-    orbit = {gens.gamma.conjugate_by(t.matrix.embed(gens.field)) for t in gens.torus}
-    assert len(orbit) == 20
+    group, torus = gens.group, gens.torus
+    orbit = group.mul(group.mul(torus, gens.gamma), group.inverse(torus))
+    assert len(np.unique(orbit)) == 20
 
 
 def test_sdp_act_rejects_broken_generator_set(q19_psl_gens, q19_psl_objects):
     gens = q19_psl_gens
     vertices, _ = q19_psl_objects
-    truncated = gens.elements[:-1]
+    truncated = _objects(gens)[:-1]
     lookup = {s: i for i, s in enumerate(truncated)}
-    h = SdpElement(ProjectiveMatrix.identity(gens.field), gens.t0, gens.t0_embedded)
+    h = SdpElement(ProjectiveMatrix.identity(vertices[0].field), decode(gens.group, gens.t0))
     # conjugating the last remaining generator lands on the dropped one
     with pytest.raises(ConstructionError):
         sdp_act_directed_edge(h, vertices[0], len(truncated) - 1,

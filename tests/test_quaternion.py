@@ -1,14 +1,14 @@
-import random
+import copy
 
+import numpy as np
 import pytest
 
 from cayleycodes.errors import ConstructionError
-from cayleycodes.fields import is_square, prime_field
-from cayleycodes.projective import ProjectiveMatrix
-from cayleycodes.quaternion import (QuaternionSplit, ResidueParams,
-                                    build_generators, choose_ideal, classify,
+from cayleycodes.quaternion import (build_generators, choose_ideal, classify,
                                     expected_group_order, residue_params,
                                     residue_params_ext, split_quaternion)
+
+import field_reference as ref
 
 SMALL_ODD_PRIMES = (5, 7, 11, 13, 17, 19, 23)
 
@@ -27,10 +27,8 @@ def test_choose_ideal_q19():
             if _qr(19, img) == want_qr:
                 return yb
 
-    psl = choose_ideal(19, 1, "psl")
-    assert psl.ybar == prime_field(19)(first_ybar(True)) == prime_field(19)(2)
-    pgl = choose_ideal(19, 1, "pgl")
-    assert pgl.ybar == prime_field(19)(first_ybar(False)) == prime_field(19)(1)
+    assert choose_ideal(19, 1, "psl").ybar == first_ybar(True) == 2
+    assert choose_ideal(19, 1, "pgl").ybar == first_ybar(False) == 1
 
 
 def test_choose_ideal_rejects_small_residue_field():
@@ -42,12 +40,22 @@ def test_choose_ideal_rejects_small_residue_field():
 
 def test_choose_ideal_degree_two():
     params = choose_ideal(5, 2, "psl")
-    assert params.e == 2 and params.field.order == 25
-    assert is_square(params.residue_class)
+    assert params.e == 2 and params.tables.order == 25
+    assert params.tables.is_square(params.residue_class)
     # the scan found the irreducible of smallest encoding: x^2 + 2
     assert params.residue_poly == (2, 0, 1)
+    assert params.ybar == 5  # the class of y, coefficients (0, 1)
     pgl = choose_ideal(5, 2, "pgl")
-    assert not is_square(pgl.residue_class)
+    assert not pgl.tables.is_square(pgl.residue_class)
+
+
+@pytest.mark.parametrize("q,e", [(19, 1), (23, 1), (5, 2), (7, 2), (3, 3)])
+@pytest.mark.parametrize("want", ["psl", "pgl"])
+def test_choose_ideal_matches_object_scan(q, e, want):
+    params = choose_ideal(q, e, want)
+    f, delta, ybar = ref.reference_choose_ideal(q, e, want)
+    assert (tuple(params.residue_poly), params.delta) == (tuple(f), delta)
+    assert params.tables.digits(params.ybar) == ybar
 
 
 def test_residue_params_validation():
@@ -59,59 +67,90 @@ def test_residue_params_validation():
         residue_params(15, 2)    # not prime
     with pytest.raises(ConstructionError):
         residue_params(2, 1)     # even
+    with pytest.raises(ValueError, match="not a nonsquare"):
+        residue_params(19, 2, delta=4)
+    # a root at -1 (or 0) makes f reducible: x^2 + 3x + 2 = (x + 1)(x + 2)
+    with pytest.raises(ConstructionError, match="reducible"):
+        residue_params_ext(5, (2, 3, 1))
+    with pytest.raises(ConstructionError, match="reducible"):
+        residue_params_ext(5, (0, 1, 1))
+    with pytest.raises(ValueError, match="degree 1"):
+        residue_params_ext(5, (2, 1))
+
+
+def assert_split_relations(params, u, v):
+    """The defining relations on the reference objects, from (u, v)."""
+    field = ref.reference_field(params.tables)
+    d, c = field.from_int(params.delta), field.from_int(params.c)
+    m_alpha, m_z = ref.split_matrices(field, params.delta, u, v)
+    assert ref.raw_mul(m_alpha, m_alpha) == (d, field.zero, field.zero, d)
+    assert ref.raw_mul(m_z, m_z) == (c, field.zero, field.zero, c)
+    za, az = ref.raw_mul(m_z, m_alpha), ref.raw_mul(m_alpha, m_z)
+    assert za == tuple(-x for x in az)
 
 
 def test_split_relations_exact():
-    """The three defining relations, re-verified independently across
-    every admissible (q, ybar)."""
-    from cayleycodes.quaternion import _raw_mul, _raw_scalar
-
+    """The three defining relations, verified on objects across every
+    admissible (q, ybar)."""
     for q in SMALL_ODD_PRIMES:
         for yb in range(1, q - 1):
             params = residue_params(q, yb)
-            split = split_quaternion(params)
-            field = params.field
-            d = field.embed(params.delta)
-            c = params.c
-            assert _raw_mul(split.m_alpha, split.m_alpha) == _raw_scalar(field, d)
-            assert _raw_mul(split.m_z, split.m_z) == _raw_scalar(field, c)
-            za = _raw_mul(split.m_z, split.m_alpha)
-            az = _raw_mul(split.m_alpha, split.m_z)
-            assert za == tuple(-x for x in az)
-            assert split.u * split.u - d * split.v * split.v == c
+            assert_split_relations(params, *split_quaternion(params))
+    for want in ("psl", "pgl"):
+        params = choose_ideal(5, 2, want)
+        assert_split_relations(params, *split_quaternion(params))
 
 
 def test_split_example_q19():
     # ybar = 1: c = 2; the scan hits v = 1, u = 2 and M_z = [[2, -2], [1, -2]]
     params = residue_params(19, 1)
-    split = split_quaternion(params)
-    f = prime_field(19)
-    assert (split.u, split.v) == (f(2), f(1))
-    assert split.m_z == (f(2), f(17), f(1), f(17))
+    assert split_quaternion(params) == (2, 1)
+    _, m_z = ref.split_matrices(ref.reference_field(params.tables), params.delta, 2, 1)
+    assert [x.encode() for x in m_z] == [2, 17, 1, 17]
 
 
 def test_generator_set_properties_sweep():
     for q in SMALL_ODD_PRIMES:
         for yb in (1, 2, q - 2):
-            if yb in (0, q - 1):
-                continue
             gens = build_generators(residue_params(q, yb))
-            assert len(set(gens.elements)) == q + 1
-            lookup = set(gens.elements)
-            assert all(s.inverse() in lookup for s in gens.elements)
-            assert ProjectiveMatrix.identity(gens.field) not in lookup
+            s, group = gens.elements, gens.group
+            assert len(np.unique(s)) == q + 1
+            assert np.isin(group.inverse(s), s).all()
+            assert group.identity not in s
             assert classify(gens) == gens.params.predicted_variant
+
+
+REFERENCE_CASES = ([(q, 1, yb) for q in (3,) + SMALL_ODD_PRIMES for yb in range(1, q - 1)]
+                   + [(q, 2, want) for q in (5, 7) for want in ("psl", "pgl")])
+
+
+@pytest.mark.parametrize("q,e,arg", REFERENCE_CASES, ids=lambda v: str(v))
+def test_build_generators_matches_object_reference(q, e, arg):
+    """gamma, t0, the torus and S in order, key for key, against the
+    object build with the torus over F_q embedded into F_{q^e}."""
+    params = residue_params(q, arg) if e == 1 else choose_ideal(q, e, arg)
+    t = params.tables
+    obj = ref.reference_generators(q, e, params.residue_poly, params.delta,
+                                   t.digits(params.ybar))
+    assert split_quaternion(params) == (obj.u.encode(), obj.v.encode())
+    gens = build_generators(params)
+    assert gens.gamma == ref.matrix_key(obj.gamma)
+    assert gens.t0 == ref.matrix_key(obj.t0_embedded)
+    assert gens.torus.tolist() == [ref.matrix_key(x.matrix.embed(obj.field))
+                                   for x in obj.torus]
+    assert gens.elements.tolist() == [ref.matrix_key(s) for s in obj.elements]
+    assert [ref.decode(gens.group, s).is_in_psl() for s in gens.elements] == \
+        [s.is_in_psl() for s in obj.elements]
 
 
 def test_generator_ordering_is_torus_shift(q19_psl_gens):
     """s_i = t0^i gamma t0^-i, so conjugation by t0 shifts the index by
     one; this is the convention the inner code's coordinates rely on."""
     gens = q19_psl_gens
-    t0 = gens.t0_embedded
-    n = len(gens.elements)
+    group, t0 = gens.group, gens.t0
     assert gens.elements[0] == gens.gamma
-    for i, s in enumerate(gens.elements):
-        assert s.conjugate_by(t0) == gens.elements[(i + 1) % n]
+    shifted = group.mul(group.mul(t0, gens.elements), group.inverse(t0))
+    assert np.array_equal(shifted, np.roll(gens.elements, -1))
 
 
 def test_gamma_determinant_identity():
@@ -121,7 +160,8 @@ def test_gamma_determinant_identity():
         for yb in (1, 3):
             params = residue_params(q, yb)
             gens = build_generators(params)
-            assert is_square(gens.gamma.det()) == is_square(params.residue_class)
+            assert gens.group.in_psl(gens.gamma) == params.tables.is_square(
+                params.residue_class)
 
 
 def test_classification_matches_graph_bipartiteness(q19_psl_graph, q19_pgl_graph):
@@ -136,10 +176,8 @@ def test_expected_group_order():
 
 
 def test_validate_reports_missing_inverse(q19_psl_gens):
-    import copy
     gens = copy.copy(q19_psl_gens)
     gens.elements = q19_psl_gens.elements[:-1]
-    gens.lookup = {s: i for i, s in enumerate(gens.elements)}
     problems = gens.validate()
     assert problems and any("q + 1" in p for p in problems)
     assert any("inverse" in p for p in problems)
