@@ -6,17 +6,19 @@ plus diameters, 12 edges); the inner code is the even-weight [3, 2]
 code.  Every one of the 4096 edge vectors is filtered through the
 definition "all vertex-local views lie in the inner code" and the
 result must coincide exactly with the nullspace of the assembled
-parity-check matrix.  The two enumerations and the local-view reader
-are the oracles kept with the tests; run from the root of the checkout:
+parity-check matrix.  The two enumerations, the local-view reader and
+the toy group Z_n on integer keys are kept with the tests; run from
+the root of the checkout:
 
     PYTHONPATH=src:tests python3 demos/04_toy_oracle.py
 """
 
 from cayleycodes.cyclic import CyclicCode
-from cayleycodes.graphs import ZnGroup, generate_group
+from cayleycodes.graphs import generate_group
 from cayleycodes.tanner import build_parity_check
 
 from code_reference import codeword_set_brute_force, codeword_set_from_nullspace, local_view
+from group_reference import ZnGroup
 
 graph = generate_group(ZnGroup(8), [1, 7, 4], cap=9)
 inner = CyclicCode(3, 0b11)

@@ -7,7 +7,7 @@ from .cyclic import (CodeParams, CyclicCode, bch_code, bch_designed_params,
 from .errors import CheckFailure, ConstructionError
 from .fields import FieldTables
 from .gf2 import Gf2Matrix
-from .graphs import (CayleyGraph, ZnGroup, generate_group, graph_from_generators,
+from .graphs import (CayleyGraph, generate_group, graph_from_generators,
                      symmetry_edge_permutations, verify_edge_transitive)
 from .projective import PglGroup
 from .quaternion import (GeneratorSet, ResidueParams, build_generators,

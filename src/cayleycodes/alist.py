@@ -10,37 +10,79 @@ Layout (all indices 1-based, entries space-separated):
     next m lines: column indices of each row, zero-padded to max_row_deg
 
 The writer is deterministic (bit-exact for equal input), and the reader
-validates both perspectives against each other.
+validates both perspectives against each other.  The writer has no loop
+per entry: one sort puts the entries in row order, each row sorted, and
+one stable sort of that into column order, each column's rows ascending;
+both perspectives become zero-padded tables of 1-based indices, and
+their decimal digits are written into one byte buffer.  The tests keep
+the writer that files one entry at a time as the byte-exact reference.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional, Sequence
+
+import numpy as np
+
+
+def _text(table: np.ndarray) -> np.ndarray:
+    """The rows of a table of non-negative integers as ASCII lines, one
+    per row, its entries in decimal separated by single spaces: digits
+    and separators written into one uint8 buffer at the cumulative
+    offsets of the tokens.  A table of width 0 gives empty lines."""
+    lines, width = table.shape
+    if width == 0:
+        return np.full(lines, ord("\n"), dtype=np.uint8)
+    value = table.ravel().copy()
+    digits = np.ones(value.size, dtype=np.int64)
+    top, ndigits = int(value.max(initial=0)), 1
+    while 10 ** ndigits <= top:
+        digits += value >= 10 ** ndigits
+        ndigits += 1
+    end = np.cumsum(digits + 1)                   # one past each token's separator
+    buf = np.full(int(end[-1]) if end.size else 0, ord(" "), dtype=np.uint8)
+    buf[end[width - 1::width] - 1] = ord("\n")
+    for k in range(ndigits):                      # digit k, counted from the right
+        live = np.flatnonzero(digits > k)
+        buf[end[live] - 2 - k] = ord("0") + value[live] % 10
+        value //= 10
+    return buf
 
 
 def dumps_alist(row_supports: Sequence[Sequence[int]], ncols: int) -> str:
+    """The alist text of the matrix whose row i has a 1 in each column of
+    row_supports[i] (in any order); ValueError names the first column
+    out of range, in row order."""
     m = len(row_supports)
-    cols: list[list[int]] = [[] for _ in range(ncols)]
-    rows: list[list[int]] = []
-    for ri, sup in enumerate(row_supports):
-        sup = sorted(sup)
-        rows.append(sup)
-        for c in sup:
-            if not 0 <= c < ncols:
-                raise ValueError(f"column index {c} out of range")
-            cols[c].append(ri)
-    max_col = max((len(c) for c in cols), default=0)
-    max_row = max((len(r) for r in rows), default=0)
-    out = [f"{ncols} {m}", f"{max_col} {max_row}"]
-    out.append(" ".join(str(len(c)) for c in cols))
-    out.append(" ".join(str(len(r)) for r in rows))
-    for c in cols:
-        padded = [str(ri + 1) for ri in c] + ["0"] * (max_col - len(c))
-        out.append(" ".join(padded))
-    for r in rows:
-        padded = [str(ci + 1) for ci in r] + ["0"] * (max_row - len(r))
-        out.append(" ".join(padded))
-    return "\n".join(out) + "\n"
+    lengths = np.fromiter(map(len, row_supports), dtype=np.int64, count=m)
+    cols = np.fromiter(chain.from_iterable(row_supports), dtype=np.int64,
+                       count=int(lengths.sum()))
+    rows = np.repeat(np.arange(m), lengths)
+    bad = (cols < 0) | (cols >= ncols)
+    if bad.any():
+        first = rows[np.argmax(bad)]
+        raise ValueError(f"column index {cols[bad & (rows == first)].min()} out of range")
+    # row order, each row sorted; then, stably, column order
+    rows, cols = np.divmod(np.sort(rows * ncols + cols), max(ncols, 1))
+    order = np.argsort(cols, kind="stable")
+    col_deg = np.bincount(cols, minlength=ncols)
+    max_col = int(col_deg.max(initial=0))
+    max_row = int(lengths.max(initial=0))
+
+    def table(key: np.ndarray, start: np.ndarray, entry: np.ndarray, shape) -> np.ndarray:
+        """Zero-padded 1-based index table: entry t at row key[t], in
+        slot t - start[key[t]]."""
+        out = np.zeros(shape, dtype=np.int64)
+        out[key, np.arange(key.size) - start[key]] = entry + 1
+        return out
+
+    by_col = table(cols[order], np.cumsum(col_deg) - col_deg, rows[order], (ncols, max_col))
+    by_row = table(rows, np.cumsum(lengths) - lengths, cols, (m, max_row))
+    head = f"{ncols} {m}\n{max_col} {max_row}\n".encode()
+    body = np.concatenate([_text(col_deg[None]), _text(lengths[None]),
+                           _text(by_col), _text(by_row)])
+    return (head + body.tobytes()).decode("ascii")
 
 
 def first_difference(text: str, expected: str) -> Optional[str]:

@@ -48,8 +48,10 @@ def cmd_bch(args) -> int:
     else:
         r = int(Fraction(n, args.m) * (1 - Fraction(2, args.a)))
         print(f"designed root count r = floor((n/m)(1 - 2/a)) = {r}")
-    params = cyclic.bch_designed_params(args.m, r)
     code = cyclic.bch_code(args.m, r)
+    # k from the generator degree, d >= r + 1 from the Vandermonde bound,
+    # as in cyclic.bch_designed_params, without building the code again
+    params = cyclic.CodeParams(n=code.n, k=code.dim, d_lower=r + 1)
     _print_code_params(f"BCH(m={args.m}, r={r})", params)
     if args.out:
         cyclic.save_code(code, args.out)

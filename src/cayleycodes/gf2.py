@@ -36,8 +36,12 @@ row space: Echelon.reduce_batch is an exact membership test, the
 oracle the tests check certificates against (tanner.verify_invariance
 proves invariance on every row without it).
 
-The rank of the parity-check matrix H runs this kernel on the residual
-of star elimination only (tanner.star_rank); H itself is not packed.
+The rank of the parity-check matrix H runs this kernel only on a
+residual of star elimination that is not an incidence matrix
+(tanner.residual_rank): one with a column of weight other than 0 or 2,
+as for the [6,4] and [20,12] inner codes.  A weight-2 residual, as for
+the x^4 + 1 codes, is counted by its components, and H itself is never
+packed.
 """
 
 from __future__ import annotations

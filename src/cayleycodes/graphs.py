@@ -2,11 +2,12 @@
 
 Group elements are int64 keys and a group is an object with an
 `identity` key and numpy-broadcasting `mul` and `inverse` on key
-arrays: PglGroup for the projective matrix groups, ZnGroup for the toy
-groups used in tests and demos.  Vertices are the elements reached from
-the identity by right multiplication with the generator list; vertex
-numbering is BFS order, so every downstream index is reproducible.
-Vertex ids of keys are found by binary search in the sorted keys.
+arrays: PglGroup for the projective matrix groups (the tests and
+demos also use a toy Z_n on integer keys).  Vertices are the elements
+reached from the identity by right multiplication with the generator
+list; vertex numbering is BFS order, so every downstream index is
+reproducible.  Vertex ids of keys are found by binary search in the
+sorted keys.
 
 The undirected edge {(g, s_i), (g s_i, s_i^-1)} is keyed by the smaller
 of the two directed forms (vertex id, generator index) in lexicographic
@@ -24,20 +25,6 @@ import numpy as np
 
 from .errors import ConstructionError
 from .quaternion import GeneratorSet
-
-
-class ZnGroup:
-    """Z_n written multiplicatively on integer keys; toy group for tests."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.identity = 0
-
-    def mul(self, x, y) -> np.ndarray:
-        return np.add(x, y, dtype=np.int64) % self.n
-
-    def inverse(self, x) -> np.ndarray:
-        return np.negative(x, dtype=np.int64) % self.n
 
 
 class KeyIndex:

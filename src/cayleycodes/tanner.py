@@ -32,8 +32,11 @@ Write r = n - k = len(dual_rows).
   3. For u outside I and each dual word w, the residual row is
      L_u(w) + sum L_v(s_p) over the pivot edges p = {u, v} of L_u(w);
      the pivot columns are dropped.
-  4. rank(H) = r |I| + rank(residual), the residual eliminated by
-     Gf2Matrix.echelon.
+  4. rank(H) = r |I| + rank(residual).  When every column of the
+     residual has weight 0 or 2 (B-dual spanned by words of disjoint
+     support, as for the x^4 + 1 codes), the rank is counted from the
+     connected components (residual_rank); otherwise the residual is
+     packed and eliminated by Gf2Matrix.echelon.
 
 Proof.  An edge lies on exactly two stars, those of its endpoints, and
 a pivot edge of v leads to a receiver, so it is a pivot of v alone, and
@@ -50,6 +53,25 @@ add.  star_rank checks the three facts this rests on: every P_v is an
 information set with s_p in B-dual, no pivot edge leads into I (and no
 vertex is in I twice), and the residual is zero on the pivot columns;
 a failure names the vertex.
+
+Rank of a weight-2 residual.  A GF(2) matrix R whose columns all have
+weight 0 or 2 is the incidence matrix of a multigraph on its rows: a
+weight-2 column is an edge between its two rows (distinct, as the
+entries are), and a row that no column meets is an isolated vertex, a
+component of its own.  Then rank R = rows - components.  The rows of
+each component sum to zero, since a column meets a component in both
+of its rows or in none; these relations have disjoint supports, so
+rank R <= rows - components.  A spanning forest has rows - components
+edges, and its columns are independent: in any nonempty set of forest
+edges some vertex meets exactly one of them (a leaf of the subforest),
+so their sum is nonzero there; so rank R >= rows - components.  The
+components are counted by min-label propagation with pointer jumping:
+each row points at a row of its component with no larger index; every
+round hooks the larger of the two roots of every column under the
+smaller one, then jumps pointers until each row points at a root, and
+stops when both rows of every column share a root.  A round that does
+not stop hooks at least one root, so the rounds end, and the roots
+left are one per component.
 """
 
 from __future__ import annotations
@@ -244,9 +266,9 @@ def star_rank(inst: CayleyCodeInstance) -> int:
     pivot_of[graph.eid[chosen[:, None], pos].ravel()] = np.arange(chosen.size * r)
     # residual row r x + j is L_u(dual[j]) for u = outside[x] ...
     outside = np.flatnonzero(~in_i)
-    dual_bits = np.array(dual, dtype=np.int64)[:, None] >> np.arange(degree) & 1
-    x, j, i = np.nonzero(np.broadcast_to(dual_bits, (outside.size, r, degree)))
-    row, edge = r * x + j, graph.eid[outside[x], i]
+    j, i = np.nonzero(np.array(dual, dtype=np.int64)[:, None] >> np.arange(degree) & 1)
+    row = (r * np.arange(outside.size)[:, None] + j).ravel()
+    edge = graph.eid[outside][:, i].ravel()
     # ... plus L_v(s_p) for each pivot edge p of a vertex v it meets
     hit = np.flatnonzero(pivot_of[edge] >= 0)
     k = pivot_of[edge[hit]]
@@ -262,11 +284,60 @@ def star_rank(inst: CayleyCodeInstance) -> int:
              "leaves its pivot column in the residual")
 
     column = np.cumsum(pivot_of < 0) - 1          # the non-pivot edges, renumbered
-    cut = np.searchsorted(row, np.arange(r * outside.size + 1)).tolist()
-    flat = column[edge].tolist()
-    residual = Gf2Matrix.from_supports(
-        n - r * chosen.size, [flat[a:b] for a, b in zip(cut, cut[1:])])
-    return r * chosen.size + residual.echelon().rank
+    return r * chosen.size + residual_rank(r * outside.size, n - r * chosen.size,
+                                           row, column[edge])
+
+
+def require_residual_fits(nrows: int, ncols: int) -> None:
+    """Refuse to pack a residual of more than spectra.MATRIX_BYTES_LIMIT
+    bytes, rows x 64-column words x 8; called before it is packed."""
+    from .spectra import MATRIX_BYTES_LIMIT
+
+    size = nrows * ((ncols + 63) >> 6) * 8
+    if size > MATRIX_BYTES_LIMIT:
+        raise ValueError(
+            f"the star-elimination residual ({nrows} x {ncols}) would take "
+            f"{size / 10**6:.0f} MB packed, above the {MATRIX_BYTES_LIMIT // 10**6} MB limit")
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> int:
+    """Connected components of the multigraph on range(n) with edges
+    {a[t], b[t]}: min-label propagation with pointer jumping (module
+    docstring)."""
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        if np.array_equal(ra, rb):
+            return int(np.count_nonzero(root == np.arange(n)))
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+
+
+def residual_rank(nrows: int, ncols: int, row: np.ndarray, col: np.ndarray) -> int:
+    """Rank of the nrows x ncols GF(2) matrix with a 1 at each of the
+    distinct entries (row[t], col[t]), given in row order.  When every
+    column has weight 0 or 2 it is rows - components (module
+    docstring); otherwise the matrix is packed, within
+    require_residual_fits, and eliminated."""
+    weight = np.bincount(col, minlength=ncols)
+    if np.all((weight == 0) | (weight == 2)):
+        # the two rows of a weight-2 column are its smallest and largest
+        edges = weight == 2
+        first, last = np.full(ncols, nrows), np.full(ncols, -1)
+        np.minimum.at(first, col, row)
+        np.maximum.at(last, col, row)
+        return nrows - _components(nrows, first[edges], last[edges])
+    del weight
+    require_residual_fits(nrows, ncols)
+    cut = np.searchsorted(row, np.arange(nrows + 1)).tolist()
+    flat = col.tolist()
+    residual = Gf2Matrix.from_supports(ncols, [flat[a:b] for a, b in zip(cut, cut[1:])])
+    del cut, flat
+    return residual.echelon().rank
 
 
 # ---------------------------------------------------------------------------

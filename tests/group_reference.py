@@ -4,8 +4,9 @@ cayleycodes.graphs computes the Cayley graph and its symmetry edge
 permutations on int64 keys, a whole array at a time.  This module keeps
 the one-element-at-a-time construction on FieldElem/ProjectiveMatrix
 objects (and on the Z_n toy elements), hashed into dicts, as an
-independent oracle for the tests; plus the object-level helpers the
-tests use: proj, conj_action, SdpElement, sdp_act_directed_edge,
+independent oracle for the tests; plus ZnGroup, Z_n on integer keys,
+the toy group the tests and demos build Cayley graphs of, and the
+object-level helpers the tests use: proj, conj_action, SdpElement, sdp_act_directed_edge,
 parse_edge_list and verify_vertex_transitive.  The matrix objects come
 from field_reference.
 """
@@ -44,6 +45,21 @@ class AddGroupElement:
 
     def __hash__(self):
         return hash((self.n, self.v))
+
+
+class ZnGroup:
+    """Z_n written multiplicatively on integer keys: the toy key group
+    the tests and demos build Cayley graphs of."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.identity = 0
+
+    def mul(self, x, y) -> np.ndarray:
+        return np.add(x, y, dtype=np.int64) % self.n
+
+    def inverse(self, x) -> np.ndarray:
+        return np.negative(x, dtype=np.int64) % self.n
 
 
 def proj(field: FiniteField, entries: Sequence) -> ProjectiveMatrix:

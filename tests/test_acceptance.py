@@ -19,7 +19,7 @@ from cayleycodes import cli, cyclic, gf2poly
 from cayleycodes.cyclic import CyclicCode
 from cayleycodes.errors import ConstructionError
 from cayleycodes.gf2 import Gf2Matrix
-from cayleycodes.graphs import (ZnGroup, generate_group, symmetry_edge_permutations,
+from cayleycodes.graphs import (generate_group, symmetry_edge_permutations,
                                 verify_edge_transitive)
 from cayleycodes.quaternion import (build_generators, classify,
                                     residue_params, split_quaternion)
@@ -30,6 +30,7 @@ from cayleycodes.tanner import (build_parity_check, measured_rate, verify_invari
 from field_reference import raw_mul, reference_field, split_matrices
 
 from code_reference import codeword_set_brute_force, codeword_set_from_nullspace
+from group_reference import ZnGroup
 from spectra_reference import set_distance, spectrum_dense, spectrum_lanczos
 
 

@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleycodes.alist import dumps_alist, first_difference, loads_alist
+
+from alist_reference import reference_dumps_alist
 
 
 def test_round_trip():
@@ -49,6 +53,60 @@ def test_damage_detected():
 def test_column_out_of_range():
     with pytest.raises(ValueError):
         dumps_alist([[9]], 7)
+
+
+@st.composite
+def matrices(draw, max_cols=12, max_rows=12):
+    """Row supports in any order, repeats and empty rows included, over a
+    drawn number of columns."""
+    ncols = draw(st.integers(0, max_cols))
+    support = st.lists(st.integers(0, max(ncols - 1, 0)), max_size=6 if ncols else 0)
+    rows = draw(st.lists(support, max_size=max_rows))
+    return rows, ncols
+
+
+@given(matrices())
+@settings(deadline=None, max_examples=300)
+def test_writer_matches_the_reference_bytes(matrix):
+    """Unsorted and empty rows, m = 0, columns of degree 0, and max
+    degree 0 (every degree line empty but still ended by a newline)."""
+    rows, ncols = matrix
+    assert dumps_alist(rows, ncols) == reference_dumps_alist(rows, ncols)
+
+
+@given(st.sampled_from([9, 10, 11, 99, 100, 101]), st.data())
+@settings(deadline=None, max_examples=60)
+def test_writer_matches_the_reference_across_digit_counts(size, data):
+    """Indices whose digit count changes, 9/10 and 99/100, in the row
+    lines (columns) and in the column lines (rows)."""
+    ncols = data.draw(st.integers(size - 1, size + 1))
+    m = data.draw(st.integers(size - 1, size + 1))
+    rows = [data.draw(st.lists(st.integers(0, ncols - 1), max_size=4)) for _ in range(m)]
+    rows[-1] += [ncols - 1, 0]
+    assert dumps_alist(rows, ncols) == reference_dumps_alist(rows, ncols)
+
+
+@pytest.mark.parametrize("rows,ncols", [
+    ([], 0), ([], 5), ([[]], 0), ([[], [], []], 4), ([[0] * 10], 1),
+])
+def test_writer_edge_shapes(rows, ncols):
+    text = dumps_alist(rows, ncols)
+    assert text == reference_dumps_alist(rows, ncols)
+    assert text.count("\n") == 4 + ncols + len(rows)
+
+
+@given(st.lists(st.lists(st.integers(-12, 20), max_size=5), min_size=1, max_size=6))
+@settings(deadline=None, max_examples=200)
+def test_out_of_range_names_the_first_bad_column_in_row_order(rows):
+    """The first row with a column outside range(7) names its first such
+    column once sorted, as the reference does."""
+    try:
+        want = reference_dumps_alist(rows, 7)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            dumps_alist(rows, 7)
+    else:
+        assert dumps_alist(rows, 7) == want
 
 
 def test_first_difference_names_row_before_columns():

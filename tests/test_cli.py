@@ -28,6 +28,23 @@ def test_bch_rate_target(tmp_path, capsys):
     assert "k=1343" in printed and "d_lower=140" in printed
 
 
+def test_bch_builds_the_code_once(tmp_path, monkeypatch, capsys):
+    """One bch command, one cyclic.bch_code call: the printed
+    parameters are read off the code it writes."""
+    calls, original = [], cyclic.bch_code
+
+    def bch_code(m, r):
+        calls.append((m, r))
+        return original(m, r)
+
+    monkeypatch.setattr(cyclic, "bch_code", bch_code)
+    out = tmp_path / "bch11.code"
+    assert cli.main(["bch", "--m", "11", "--a", "8", "-o", str(out)]) == 0
+    assert calls == [(11, 139)]
+    assert "BCH(m=11, r=139): n=2047 k=1343" in capsys.readouterr().out
+    assert cyclic.load_code(out).dim == 1343
+
+
 def test_bch_parameter_errors(capsys):
     assert cli.main(["bch", "--m", "4", "--r", "20"]) == 2
     assert cli.main(["bch", "--m", "4"]) == 2           # neither --r nor --a
@@ -228,8 +245,9 @@ def test_verify_malformed_report_exits_2(q5e2_dir, tmp_path, capsys, mutate, nam
 
 
 def test_build_and_verify_never_pack_h(tmp_path, monkeypatch, capsys, packed_shapes):
-    """rank(H) comes from star elimination: neither a pristine build nor
-    a pristine verify packs H or keeps it on the instance."""
+    """rank(H) comes from star elimination, and the [20,16] residual
+    from its components: a pristine build and a pristine verify pack no
+    matrix at all and keep none on the instance."""
     from cayleycodes import tanner
     inner = tmp_path / "inner20.code"
     inner.write_text("20 16\n11\n")
@@ -246,6 +264,5 @@ def test_build_and_verify_never_pack_h(tmp_path, monkeypatch, capsys, packed_sha
     assert "rank_matches: pass" in capsys.readouterr().out
     (verified,) = instances
     assert "matrix" not in verified.__dict__ and verified.rank == 13566
-    h_shape = (verified.n, len(verified.supports))
-    assert packed_shapes and h_shape not in packed_shapes
+    assert packed_shapes == []
 

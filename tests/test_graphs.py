@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from cayleycodes.errors import ConstructionError
-from cayleycodes.graphs import (ZnGroup, edge_orbit, edge_permutation,
+from cayleycodes.graphs import (edge_orbit, edge_permutation,
                                 generate_group, graph_from_generators,
                                 left_translation_maps, verify_edge_transitive)
 
 from field_reference import decode
-from group_reference import (SdpElement, object_vertices, parse_edge_list,
+from group_reference import (SdpElement, ZnGroup, object_vertices, parse_edge_list,
                              sdp_edge_permutation, verify_vertex_transitive)
 
 

@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 
 from cayleycodes import cli
 from cayleycodes.fields import FieldTables
-from cayleycodes.graphs import (ZnGroup, edge_permutation, generate_group,
-                                graph_from_generators, left_translation_maps,
-                                symmetry_edge_permutations)
+from cayleycodes.graphs import (edge_permutation, generate_group, graph_from_generators,
+                                left_translation_maps, symmetry_edge_permutations)
 from cayleycodes.projective import KEY_ORDER_LIMIT, PglGroup, require_key_fits
 from cayleycodes.quaternion import build_generators, choose_ideal
 
 from field_reference import (ProjectiveMatrix, matrix_key, reference_field,
                              reference_generators)
-from group_reference import (AddGroupElement, left_translation_vertex_map,
+from group_reference import (AddGroupElement, ZnGroup, left_translation_vertex_map,
                              reference_closure, reference_edge_permutation,
                              reference_symmetry_permutations)
 

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from cayleycodes import build_generators, choose_ideal, spectra
 from cayleycodes.errors import CheckFailure
 from cayleycodes.fields import FieldTables
-from cayleycodes.graphs import ZnGroup, generate_group
+from cayleycodes.graphs import generate_group
 from cayleycodes.projective import PglGroup
 from cayleycodes.spectra import (coset_positions, coset_representatives,
                                  gelfand_graev_matrix, is_ramanujan, ramanujan_bound,
                                  spectrum)
 
+from group_reference import ZnGroup
 from spectra_reference import (adjacency, normalized_adjacency, normalized_matvec,
                                reference_lanczos, set_distance, spectrum_dense,
                                spectrum_lanczos)

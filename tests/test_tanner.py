@@ -1,6 +1,7 @@
 import random
 import re
 from dataclasses import replace
+from unittest import mock
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -10,19 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayleycodes import spectra
 from cayleycodes.cyclic import CyclicCode
 from cayleycodes.errors import CheckFailure, ConstructionError
 from cayleycodes.gf2 import Gf2Matrix, int_rank, int_span_equal
 from cayleycodes.gf2poly import divmod_, mul, x_pow_n_minus_1
-from cayleycodes.graphs import (KeyIndex, ZnGroup, edge_permutation, generate_group,
+from cayleycodes.graphs import (KeyIndex, edge_permutation, generate_group,
                                 left_translation_maps)
 from cayleycodes.tanner import (StarPivots, _locate_rows, build_parity_check,
                                 code_distance, measured_rate, row_orbit, edge_code_bounds,
-                                run_verification, star_pivots, verify_invariance,
-                                verify_single_orbit)
+                                require_residual_fits, residual_rank, run_verification,
+                                star_pivots, verify_invariance, verify_single_orbit)
 
 from code_reference import codeword_set_brute_force, codeword_set_from_nullspace, local_view
-from gf2_reference import contains, from_ints, reference_echelon
+from gf2_reference import contains, from_ints, reference_echelon, reference_from_supports
+from group_reference import ZnGroup
 
 
 def zn_graph(n, steps):
@@ -523,15 +526,21 @@ def test_single_orbit_pass_implies_global_oracle(n, data):
 # rank of H by star elimination
 # ---------------------------------------------------------------------------
 
+def draw_zn_graph(n, involution, data):
+    """A toy Cayley graph of Z_n: S symmetric, in a drawn order, with or
+    without the involution n/2."""
+    steps = data.draw(st.sets(st.integers(1, (n - 1) // 2), min_size=1, max_size=5))
+    steps |= {n - s for s in steps} | ({n // 2} if involution and n % 2 == 0 else set())
+    return zn_graph(n, data.draw(st.permutations(sorted(steps))))
+
+
 @given(st.integers(min_value=3, max_value=24), st.booleans(), st.data())
 @settings(deadline=None, max_examples=150)
 def test_star_rank_matches_reference(n, involution, data):
     """On toy Z_n instances (S symmetric, with or without the involution
     n/2, h any divisor of x^d - 1 short of the zero code, h = 1 leaving
     B-dual empty) the star rank is the column-at-a-time rank of H."""
-    steps = data.draw(st.sets(st.integers(1, (n - 1) // 2), min_size=1, max_size=5))
-    steps |= {n - s for s in steps} | ({n // 2} if involution and n % 2 == 0 else set())
-    graph = zn_graph(n, data.draw(st.permutations(sorted(steps))))
+    graph = draw_zn_graph(n, involution, data)
     factors = factor_x_pow_n_minus_1(graph.degree)
     chosen = data.draw(st.lists(st.booleans(), min_size=len(factors),
                                 max_size=len(factors)))
@@ -548,15 +557,124 @@ def test_star_rank_matches_reference(n, involution, data):
     assert positions.shape == (vertices.size, len(inst.dual_rows))
 
 
+@given(st.integers(min_value=3, max_value=24), st.booleans(), st.data())
+@settings(deadline=None, max_examples=150)
+def test_star_rank_by_components_matches_reference(n, involution, data):
+    """Inner codes with generator x^k + 1, k | d, k < d: B-dual is
+    spanned by the k residue classes mod k, which are disjoint, so every
+    residual column has weight 0 or 2 and the rank is counted from the
+    components, never packed or eliminated; the column-at-a-time rank of
+    H agrees."""
+    graph = draw_zn_graph(n, involution, data)
+    degree = graph.degree                # at least 2: S holds some s and n - s
+    k = data.draw(st.sampled_from([k for k in range(1, degree) if degree % k == 0]))
+    inst = build_parity_check(graph, CyclicCode(degree, 1 << k | 1))
+    with mock.patch.object(Gf2Matrix, "from_supports",
+                           side_effect=AssertionError("the residual was packed")):
+        rank = inst.rank
+    assert rank == reference_echelon(inst.matrix).rank
+
+
+def test_residual_rank_of_incidence_matrices():
+    """Columns of weight 0 or 2 are the edges of a multigraph on the
+    rows: rank = rows - components, isolated and empty rows included."""
+    def rank(nrows, ncols, entries):
+        row, col = np.array(sorted(entries), dtype=np.int64).reshape(-1, 2).T
+        return residual_rank(nrows, ncols, row, col)
+
+    triangle = [(0, 0), (0, 2), (1, 0), (1, 1), (2, 1), (2, 2)]
+    assert rank(3, 3, triangle) == 2
+    # rows 1 and 5 empty; components {0, 2} (a double edge) and {3, 4, 6}
+    # (a path); column 2 empty
+    two = [(0, 0), (2, 0), (0, 1), (2, 1), (3, 3), (4, 3), (4, 4), (6, 4)]
+    assert rank(7, 5, two) == 7 - 4 == 3
+    assert rank(4, 0, []) == 0
+
+
+@given(st.integers(min_value=1, max_value=40), st.data())
+@settings(deadline=None, max_examples=100)
+def test_residual_rank_of_random_multigraphs(nrows, data):
+    """Random multigraphs, loops excluded (a column has two distinct
+    rows), with empty columns mixed in: rows - components equals the
+    column-at-a-time rank."""
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, nrows - 1),
+                                         st.integers(0, nrows - 1)).filter(lambda p: p[0] != p[1]),
+                               max_size=60) if nrows > 1 else st.just([]))
+    empty = data.draw(st.integers(0, 3))
+    ncols = len(pairs) + empty
+    entries = sorted((r, c) for c, pair in enumerate(pairs) for r in pair)
+    row, col = np.array(entries, dtype=np.int64).reshape(-1, 2).T
+    supports = [[c for r, c in entries if r == i] for i in range(nrows)]
+    want = reference_echelon(reference_from_supports(ncols, supports)).rank
+    assert residual_rank(nrows, ncols, row, col) == want
+
+
+def test_residual_rank_sends_heavier_columns_to_the_kernel(packed_shapes):
+    """One column of weight 4 makes the residual no incidence matrix: it
+    is packed and eliminated by the word-block kernel."""
+    supports = [[0, 1], [0, 1], [0, 2], [0, 2]]          # column 0 has weight 4
+    row, col = np.array([(r, c) for r, sup in enumerate(supports) for c in sup]).T
+    with mock.patch.object(Gf2Matrix, "echelon", autospec=True,
+                           side_effect=Gf2Matrix.echelon) as echelon:
+        assert residual_rank(4, 3, row, col) == 2
+    assert echelon.call_count == 1 and packed_shapes == [(3, 4)]
+
+
+def test_residual_memory_guard(monkeypatch, packed_shapes):
+    """rows x 64-column words x 8 bytes above spectra.MATRIX_BYTES_LIMIT
+    is refused before packing: the q = 43 [44,40] residual would take
+    4.3 GB; q = 19 [20,12] (15424 x 22264, 43 MB) still fits."""
+    with pytest.raises(ValueError, match=r"\(45668 x 760844\) would take 4344 MB "
+                                         "packed, above the 256 MB limit"):
+        require_residual_fits(45668, 760844)
+    require_residual_fits(15424, 22264)
+    monkeypatch.setattr(spectra, "MATRIX_BYTES_LIMIT", 100)
+    inst = z17_torus_instance()        # a 27 x 44 residual, 216 bytes packed
+    with pytest.raises(ValueError, match=r"\(27 x 44\) would take 0 MB packed"):
+        inst.rank
+    assert packed_shapes == []
+
+
 @pytest.mark.parametrize("name", ["q19", "q5e2"])
-def test_star_rank_exact_on_cli_instances(name, q19_psl_graph, q5e2_psl_graph):
-    """The benchmark instances: q = 19 PSL with [20,16], q = 5, e = 2
-    PSL with [6,4]; the word-block kernel on all of H agrees."""
-    graph, inner, rank = {"q19": (q19_psl_graph, CyclicCode(20, 0b10001), 13566),
-                          "q5e2": (q5e2_psl_graph, CyclicCode(6, 0b111), 15598)}[name]
+def test_star_rank_exact_on_cli_instances(name, q19_psl_graph, q5e2_psl_graph,
+                                          packed_shapes):
+    """The benchmark instances: q = 19 PSL with [20,16], whose residual
+    is counted by components and never packed, and q = 5, e = 2 PSL with
+    [6,4], whose residual alone is packed; the word-block kernel on all
+    of H agrees."""
+    graph, inner, rank, packed = {
+        "q19": (q19_psl_graph, CyclicCode(20, 0b10001), 13566, []),
+        "q5e2": (q5e2_psl_graph, CyclicCode(6, 0b111), 15598, [(14234, 6434)])}[name]
     inst = build_parity_check(graph, inner)
     assert inst.rank == rank and "matrix" not in inst.__dict__
+    assert packed_shapes == packed
     assert inst.matrix.echelon().rank == rank
+
+
+def test_rank_of_h_from_its_own_column_graph(q19_psl_graph):
+    """Cross-check for x^4 + 1: rank H(B) = r|V| - dim C(G, B-dual), and
+    every column of H has weight 2 (one residue class at each end), so
+    dim C(G, B-dual) is the number of components of H's column graph on
+    its r|V| rows, found here by union-find: 114 at q = 19."""
+    inst = build_parity_check(q19_psl_graph, CyclicCode(20, 0b10001))
+    ends: list[list[int]] = [[] for _ in range(inst.n)]
+    for i, sup in enumerate(inst.supports):
+        for e in sup:
+            ends[e].append(i)
+    assert all(len(rows) == 2 for rows in ends)
+    parent = list(range(len(inst.supports)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in ends:
+        parent[find(a)] = find(b)
+    components = sum(find(x) == x for x in range(len(parent)))
+    assert components == 114
+    assert inst.rank == len(inst.supports) - components == 13566
 
 
 def test_star_rank_q19_20_12(q19_instance):
@@ -574,19 +692,20 @@ def relabeled_pivots(inst, seed):
     return StarPivots(old_id[vertices], positions, words)
 
 
-def test_star_rank_q19_pgl(q19_pgl_graph):
+def test_star_rank_q19_pgl(q19_pgl_graph, packed_shapes):
     """q = 19 PGL (6840 vertices, bipartite), where H with [20,16] would
     take 234 MB packed: the even-weight code gives the incidence matrix,
     of rank |V| - 1 on a connected graph, and with [20,16] two different
-    sets I give the same rank."""
+    sets I give the same rank, 27356; nothing is packed."""
     even = build_parity_check(q19_pgl_graph, CyclicCode(20, 0b11))
     assert even.rank == q19_pgl_graph.n_vertices - 1
     inst = build_parity_check(q19_pgl_graph, CyclicCode(20, 0b10001))
     other = build_parity_check(q19_pgl_graph, inst.inner)
     other.pivots = relabeled_pivots(other, 5)
     assert not np.array_equal(np.sort(other.pivots.vertices), inst.pivots.vertices)
-    assert other.rank == inst.rank
+    assert other.rank == inst.rank == 27356
     assert "matrix" not in inst.__dict__ and "matrix" not in other.__dict__
+    assert packed_shapes == []
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -653,7 +772,7 @@ def test_run_verification_never_packs_h(q19_psl_gens, q19_psl_graph, packed_shap
     report, inst = run_verification(q19_psl_gens, q19_psl_graph, CyclicCode(20, 0b10001))
     assert report.bounds["rank"] == inst.rank == 13566 and report.all_passed
     assert "matrix" not in inst.__dict__
-    assert packed_shapes and (inst.n, len(inst.supports)) not in packed_shapes
+    assert packed_shapes == []
 
 
 def test_code_distance_toy():
