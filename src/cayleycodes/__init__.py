@@ -1,8 +1,8 @@
 """Edge-transitive expander Cayley graphs over PSL/PGL, cyclic inner
 codes of even length, and machine-verified LDPC codes on the edges."""
 
-from .cyclic import (CodeParams, CyclicCode, bch_code, bch_designed_params,
-                     bch_generator, check_good_inner_code, double_length,
+from .cyclic import (CodeParams, CyclicCode, bch_code, bch_generator,
+                     check_good_inner_code, designed_params, double_length,
                      dual_generator, interleave, min_distance)
 from .errors import CheckFailure, ConstructionError
 from .fields import FieldTables

@@ -49,10 +49,7 @@ def cmd_bch(args) -> int:
         r = int(Fraction(n, args.m) * (1 - Fraction(2, args.a)))
         print(f"designed root count r = floor((n/m)(1 - 2/a)) = {r}")
     code = cyclic.bch_code(args.m, r)
-    # k from the generator degree, d >= r + 1 from the Vandermonde bound,
-    # as in cyclic.bch_designed_params, without building the code again
-    params = cyclic.CodeParams(n=code.n, k=code.dim, d_lower=r + 1)
-    _print_code_params(f"BCH(m={args.m}, r={r})", params)
+    _print_code_params(f"BCH(m={args.m}, r={r})", cyclic.designed_params(code, r))
     if args.out:
         cyclic.save_code(code, args.out)
         print(f"wrote {args.out}")
@@ -113,8 +110,7 @@ def cmd_graph(args) -> int:
 def _print_headline_instance() -> int:
     result = cyclic.check_good_inner_code(HEADLINE_Q, HEADLINE_M, HEADLINE_A)
     print(f"inner-code instance: q={HEADLINE_Q}, m={HEADLINE_M}, a={HEADLINE_A}, r={result.r}")
-    _print_code_params("base BCH", cyclic.CodeParams(
-        result.base.n, result.base.dim, result.r + 1))
+    _print_code_params("base BCH", cyclic.designed_params(result.base, result.r))
     _print_code_params("doubled inner code", result.params)
     lam = ramanujan_bound(HEADLINE_Q)
     print(f"rate threshold 1/2 + 1/a = {Fraction(1, 2) + Fraction(1, HEADLINE_A)}: "

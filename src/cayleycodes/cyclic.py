@@ -132,10 +132,9 @@ def bch_code(m: int, r: int) -> CyclicCode:
     return CyclicCode((1 << m) - 1, bch_generator(m, r))
 
 
-def bch_designed_params(m: int, r: int) -> CodeParams:
-    """Parameters with k from the actual generator degree and the
-    Vandermonde designed-distance bound d >= r + 1."""
-    code = bch_code(m, r)
+def designed_params(code: CyclicCode, r: int) -> CodeParams:
+    """Parameters of a BCH code with r designed roots, or of its double:
+    n and k read off the code, d >= r + 1 by the Vandermonde bound."""
     return CodeParams(n=code.n, k=code.dim, d_lower=r + 1)
 
 
@@ -296,7 +295,7 @@ def check_good_inner_code(q: int, m: int, a: int) -> InnerCodeCheck:
     base = bch_code(m, r)
     doubled = double_length(base)
     # doubling preserves the minimum distance, so d >= r + 1 carries over
-    params = CodeParams(n=doubled.n, k=doubled.dim, d_lower=r + 1)
+    params = designed_params(doubled, r)
     rate_ok = params.rate >= Fraction(1, 2) + Fraction(1, a)
     delta = params.delta_lower
     distance_ok = delta > 0 and delta * delta * (q + 1) ** 2 > 4 * q

@@ -36,12 +36,11 @@ row space: Echelon.reduce_batch is an exact membership test, the
 oracle the tests check certificates against (tanner.verify_invariance
 proves invariance on every row without it).
 
-The rank of the parity-check matrix H runs this kernel only on a
-residual of star elimination that is not an incidence matrix
-(tanner.residual_rank): one with a column of weight other than 0 or 2,
-as for the [6,4] and [20,12] inner codes.  A weight-2 residual, as for
-the x^4 + 1 codes, is counted by its components, and H itself is never
-packed.
+The rank of the parity-check matrix H runs this kernel only on what is
+left of a star-elimination residual once its columns of weight 1 or 2
+are contracted (tanner.residual_rank): 1933 x 9586 of 6434 x 14234 for
+the [6,4] inner code, all 15424 x 22264 for [20,12], which has no such
+column, and nothing for the x^4 + 1 codes.  H itself is never packed.
 """
 
 from __future__ import annotations

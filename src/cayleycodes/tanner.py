@@ -20,7 +20,7 @@ the structured Gaussian elimination of LaMacchia and Odlyzko (CRYPTO
 1990) applied to stars; the rank never packs H.
 Write r = n - k = len(dual_rows).
 
-  1. Pivots (star_pivots, with the instance).  In id order, an open
+  1. Pivots (star_pivots, on first use).  In id order, an open
      vertex v joins I when r of its star positions whose neighbours are
      not in I carry independent columns of B-dual (an information set
      P_v); candidates are taken greedily, neighbours already outside I
@@ -32,11 +32,12 @@ Write r = n - k = len(dual_rows).
   3. For u outside I and each dual word w, the residual row is
      L_u(w) + sum L_v(s_p) over the pivot edges p = {u, v} of L_u(w);
      the pivot columns are dropped.
-  4. rank(H) = r |I| + rank(residual).  When every column of the
-     residual has weight 0 or 2 (B-dual spanned by words of disjoint
-     support, as for the x^4 + 1 codes), the rank is counted from the
-     connected components (residual_rank); otherwise the residual is
-     packed and eliminated by Gf2Matrix.echelon.
+  4. rank(H) = r |I| + rank(residual).  The residual's columns of
+     weight 1 or 2 are contracted into a count of components, round by
+     round, until none is left (residual_rank); only what remains is
+     packed and eliminated by Gf2Matrix.echelon.  For the x^4 + 1
+     codes (B-dual spanned by words of disjoint support) every column
+     has weight 0 or 2 and one round leaves nothing to pack.
 
 Proof.  An edge lies on exactly two stars, those of its endpoints, and
 a pivot edge of v leads to a receiver, so it is a pivot of v alone, and
@@ -54,30 +55,43 @@ information set with s_p in B-dual, no pivot edge leads into I (and no
 vertex is in I twice), and the residual is zero on the pivot columns;
 a failure names the vertex.
 
-Rank of a weight-2 residual.  A GF(2) matrix R whose columns all have
-weight 0 or 2 is the incidence matrix of a multigraph on its rows: a
-weight-2 column is an edge between its two rows (distinct, as the
-entries are), and a row that no column meets is an isolated vertex, a
-component of its own.  Then rank R = rows - components.  The rows of
-each component sum to zero, since a column meets a component in both
-of its rows or in none; these relations have disjoint supports, so
-rank R <= rows - components.  A spanning forest has rows - components
-edges, and its columns are independent: in any nonempty set of forest
-edges some vertex meets exactly one of them (a leaf of the subforest),
-so their sum is nonzero there; so rank R >= rows - components.  The
-components are counted by min-label propagation with pointer jumping:
-each row points at a row of its component with no larger index; every
-round hooks the larger of the two roots of every column under the
-smaller one, then jumps pointers until each row points at a root, and
-stops when both rows of every column share a root.  A round that does
-not stop hooks at least one root, so the rounds end, and the roots
-left are one per component.
+Rank by contracting light columns.  Call a column of weight 1 or 2
+light, and write R = [A | B] with A the light columns; pivoting on
+light columns is the filtering of Cavallar (ANTS 2000).  Then
+rank R = rank A + rank(N B), where the rows of N are a basis of the
+left kernel of A: y R = 0 iff y A = 0 and y B = 0, that is iff y = z N
+with z N B = 0, and z -> z N is injective, so the left kernels of R
+and of N B have equal dimension: rows(R) - rank R = rows(N) -
+rank(N B), and rows(N) = rows(R) - rank A.  A is the incidence matrix
+of a multigraph on the rows plus a ground vertex, with the ground row
+deleted: a weight-2 column is an edge between its two rows (distinct,
+as the entries are), a weight-1 column an edge from its row to ground.
+y A = 0 says that y is equal at the two ends of every edge, with y = 0
+at ground: y is constant on every component and 0 on the one of
+ground.  So the indicator vectors of the c0 components without ground
+(an isolated row is one) are a basis of the left kernel, rank A =
+rows - c0, and N B is the c0 x |B| matrix whose rows are the sums of
+each such component's rows on the heavy columns.  Each round of
+residual_rank adds rows - c0 and replaces R by N B with its empty
+columns dropped; a light column either joins two components or joins a
+row to ground, so c0 < rows and the rounds end.  When every column has
+weight 0 or 2, as for x^4 + 1, N B is empty after the first round and
+rank R = rows - components.
+
+The components are found by min-label propagation with pointer
+jumping: each vertex points at a vertex of its component with no
+larger index; every round hooks the larger of the two roots of every
+light column under the smaller one, then jumps pointers until each
+vertex points at a root, and stops when both ends of every column share
+a root.  A round that does not stop hooks at least one root, so the
+rounds end, and the roots left are one per component, its smallest
+vertex.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from random import Random
@@ -108,15 +122,15 @@ class CayleyCodeInstance:
     inner: CyclicCode
     dual_rows: list[int]                 # basis of B-dual, integer words
     supports: list[list[int]]            # sorted column indices of each row of H
-    # picked from graph and dual_rows with the instance, checked by rank
-    pivots: StarPivots = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.pivots = star_pivots(self.graph, self.dual_rows)
 
     @property
     def n(self) -> int:
         return self.graph.n_edges
+
+    @cached_property
+    def pivots(self) -> StarPivots:
+        """Picked from graph and dual_rows on first use, checked by rank."""
+        return star_pivots(self.graph, self.dual_rows)
 
     @cached_property
     def matrix(self) -> Gf2Matrix:
@@ -300,15 +314,15 @@ def require_residual_fits(nrows: int, ncols: int) -> None:
             f"{size / 10**6:.0f} MB packed, above the {MATRIX_BYTES_LIMIT // 10**6} MB limit")
 
 
-def _components(n: int, a: np.ndarray, b: np.ndarray) -> int:
-    """Connected components of the multigraph on range(n) with edges
-    {a[t], b[t]}: min-label propagation with pointer jumping (module
-    docstring)."""
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The root of each vertex of the multigraph on range(n) with edges
+    {a[t], b[t]}, the smallest vertex of its component: min-label
+    propagation with pointer jumping (module docstring)."""
     root = np.arange(n)
     while True:
         ra, rb = root[a], root[b]
         if np.array_equal(ra, rb):
-            return int(np.count_nonzero(root == np.arange(n)))
+            return root
         np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
         while True:
             jumped = root[root]
@@ -319,25 +333,45 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> int:
 
 def residual_rank(nrows: int, ncols: int, row: np.ndarray, col: np.ndarray) -> int:
     """Rank of the nrows x ncols GF(2) matrix with a 1 at each of the
-    distinct entries (row[t], col[t]), given in row order.  When every
-    column has weight 0 or 2 it is rows - components (module
-    docstring); otherwise the matrix is packed, within
-    require_residual_fits, and eliminated."""
-    weight = np.bincount(col, minlength=ncols)
-    if np.all((weight == 0) | (weight == 2)):
-        # the two rows of a weight-2 column are its smallest and largest
-        edges = weight == 2
+    distinct entries (row[t], col[t]), given in row order.  Its columns
+    of weight 1 or 2 are contracted, round by round, into rows -
+    components (module docstring); what is left once none remains is
+    packed, within require_residual_fits, and eliminated."""
+    rank = 0
+    while True:
+        weight = np.bincount(col, minlength=ncols)
+        light = (weight == 1) | (weight == 2)
+        if not light.any():
+            break
+        # the rows of a light column are its smallest and largest; a
+        # weight-1 column joins its row to the ground vertex, nrows
         first, last = np.full(ncols, nrows), np.full(ncols, -1)
         np.minimum.at(first, col, row)
         np.maximum.at(last, col, row)
-        return nrows - _components(nrows, first[edges], last[edges])
-    del weight
+        root = _components(nrows + 1, first[light],
+                           np.where(weight[light] == 2, last[light], nrows))
+        # the roots of the ground-free components, each of which becomes
+        # one row: the sum of its rows on the heavy columns
+        free = root == np.arange(nrows + 1)
+        free[root[nrows]] = False
+        free = free[:nrows]
+        component = np.cumsum(free) - 1
+        keep = ~light[col] & free[root[row]]
+        keys, count = np.unique(component[root[row[keep]]] * ncols + col[keep],
+                                return_counts=True)
+        row, col = np.divmod(keys[count & 1 == 1], ncols)
+        c0 = int(np.count_nonzero(free))
+        rank += nrows - c0
+        used = np.bincount(col, minlength=ncols) > 0
+        nrows, ncols, col = c0, int(used.sum()), (np.cumsum(used) - 1)[col]
+    if row.size == 0:
+        return rank
     require_residual_fits(nrows, ncols)
     cut = np.searchsorted(row, np.arange(nrows + 1)).tolist()
     flat = col.tolist()
     residual = Gf2Matrix.from_supports(ncols, [flat[a:b] for a, b in zip(cut, cut[1:])])
     del cut, flat
-    return residual.echelon().rank
+    return rank + residual.echelon().rank
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,8 @@ def test_criterion_1_inner_code_paper_instance(tmp_path, capsys):
     assert code.n == 4094
     assert code.rate >= Fraction(5, 8)
     # designed distance of the BCH base carries over under doubling
-    params = cyclic.bch_designed_params(11, 139)
-    assert params.d_lower == 140
+    params = cyclic.designed_params(code, 139)
+    assert (params.n, params.d_lower) == (4094, 140)
     delta = Fraction(140, 4094)
     # delta > 2 sqrt(q)/(q+1) == sqrt(4q)/(q+1): squared integer compare
     assert 140 * 140 > 4 * 4093

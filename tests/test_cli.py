@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -173,8 +174,9 @@ PRISTINE_VERIFY_STDOUT = [
 def test_tampered_verify_fails_before_elimination(tmp_path, monkeypatch, capsys):
     """A code.alist that differs from the rebuilt H fails verify with
     the row named, before the spectrum, any elimination or the invariance
-    certificate runs; the pristine directory prints every check in order."""
-    from cayleycodes import alist, gf2
+    certificate runs, and before the star pivots are picked; the pristine
+    directory picks them once and prints every check in order."""
+    from cayleycodes import alist, gf2, tanner
 
     inner = tmp_path / "inner6.code"
     inner.write_text("6 4\n7\n")
@@ -182,7 +184,9 @@ def test_tampered_verify_fails_before_elimination(tmp_path, monkeypatch, capsys)
     assert cli.main(["build", "--q", "5", "--e", "2", "--inner", str(inner),
                      "--out", str(out)]) == 0
     capsys.readouterr()
-    assert cli.main(["verify", str(out)]) == 0
+    with mock.patch.object(tanner, "star_pivots", wraps=tanner.star_pivots) as pivots:
+        assert cli.main(["verify", str(out)]) == 0
+    assert pivots.call_count == 1
     assert capsys.readouterr().out.splitlines() == PRISTINE_VERIFY_STDOUT
 
     n, _, rows = alist.read_alist(out / "code.alist")
@@ -195,6 +199,7 @@ def test_tampered_verify_fails_before_elimination(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(cli, "spectrum", forbidden)
     monkeypatch.setattr(cli, "verify_invariance", forbidden)
     monkeypatch.setattr(gf2.Gf2Matrix, "echelon", forbidden)
+    monkeypatch.setattr(tanner, "star_pivots", forbidden)
     assert cli.main(["verify", str(out)]) == 1
     captured = capsys.readouterr()
     assert "code.alist: row 100 differs" in captured.err

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleycodes import cyclic, gf2poly
-from cayleycodes.cyclic import (CyclicCode, bch_code, bch_designed_params,
-                                bch_generator, check_good_inner_code,
+from cayleycodes.cyclic import (CyclicCode, bch_code, bch_generator,
+                                check_good_inner_code, designed_params,
                                 double_length, dual_basis_rows, dual_generator,
                                 interleave, min_distance)
 from cayleycodes.errors import ConstructionError
@@ -63,11 +63,15 @@ def test_cyclic_closure():
 
 
 def test_bch_designed_params():
-    p = bch_designed_params(4, 2)
+    """designed_params reads n and k off the code it is given and takes
+    d >= r + 1 from the root count; the doubled code keeps r."""
+    p = designed_params(bch_code(4, 2), 2)
     assert (p.n, p.k, p.d_lower) == (15, 11, 3)
-    assert bch_designed_params(4, 1).d_lower == 2
-    p11 = bch_designed_params(11, 139)
+    assert designed_params(bch_code(4, 1), 1).d_lower == 2
+    p11 = designed_params(bch_code(11, 139), 139)
     assert p11.n == 2047 and p11.k >= 1283 and p11.d_lower == 140
+    doubled = designed_params(double_length(bch_code(4, 2)), 2)
+    assert (doubled.n, doubled.k, doubled.d_lower) == (30, 22, 3)
     assert p11.k == 2047 - gf2poly.degree(bch_generator(11, 139))
 
 

@@ -1,5 +1,6 @@
 import random
 import re
+from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleycodes import spectra
+from cayleycodes import spectra, tanner
 from cayleycodes.cyclic import CyclicCode
 from cayleycodes.errors import CheckFailure, ConstructionError
 from cayleycodes.gf2 import Gf2Matrix, int_rank, int_span_equal
@@ -609,28 +610,97 @@ def test_residual_rank_of_random_multigraphs(nrows, data):
     assert residual_rank(nrows, ncols, row, col) == want
 
 
+def entries_of(supports):
+    """(row, col) arrays of the entries of a matrix given by its rows."""
+    return np.array([(r, c) for r, sup in enumerate(supports) for c in sup],
+                    dtype=np.int64).reshape(-1, 2).T
+
+
+@contextmanager
+def packed_supports():
+    """The (ncols, rows) of every matrix Gf2Matrix.from_supports packs
+    inside the with block; usable under hypothesis, unlike a fixture."""
+    packed, original = [], Gf2Matrix.from_supports
+
+    def from_supports(ncols, supports):
+        packed.append((ncols, [list(sup) for sup in supports]))
+        return original(ncols, supports)
+    with mock.patch.object(Gf2Matrix, "from_supports", side_effect=from_supports):
+        yield packed
+
+
+def assert_no_light_column(packed):
+    """No column of weight 1 or 2 reaches the kernel: contraction ran
+    until none was left."""
+    for ncols, supports in packed:
+        weight = np.bincount([c for sup in supports for c in sup], minlength=ncols)
+        assert not ((weight == 1) | (weight == 2)).any()
+
+
+@given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=30),
+       st.data())
+@settings(deadline=None, max_examples=200)
+def test_residual_rank_of_random_sparse_matrices(nrows, ncols, data):
+    """Random sparse matrices, columns of weight 0 to 6 (weight-1
+    columns and empty rows included): the contracted rank equals the
+    column-at-a-time rank, and only columns of weight 0 or at least 3
+    are ever packed."""
+    columns = [data.draw(st.sets(st.integers(0, nrows - 1), max_size=min(6, nrows)))
+               if nrows else set() for _ in range(ncols)]
+    supports = [[c for c, rows in enumerate(columns) if r in rows] for r in range(nrows)]
+    want = reference_echelon(reference_from_supports(ncols, supports)).rank
+    with packed_supports() as packed:
+        assert residual_rank(nrows, ncols, *entries_of(supports)) == want
+    assert_no_light_column(packed)
+
+
+def test_residual_rank_contracts_in_rounds(packed_shapes):
+    """Column 1 has weight 3 until column 0 merges rows 0 and 1, whose
+    sum cancels it; it is then a weight-1 column on row 2 and goes in a
+    second round.  Nothing is left to pack."""
+    supports = [[0, 1], [0, 1], [1]]
+    with mock.patch.object(tanner, "_components", wraps=tanner._components) as rounds:
+        assert residual_rank(3, 2, *entries_of(supports)) == 2
+    assert rounds.call_count == 2 and packed_shapes == []
+    assert reference_echelon(reference_from_supports(2, supports)).rank == 2
+
+
+def test_residual_rank_weight_one_column_grounds_its_component(packed_shapes):
+    """A weight-1 column joins its row to ground: the component {0, 1}
+    then has no row relation and adds both rows to the rank (a count
+    that ignored ground would give 1).  With a heavy column on all three
+    rows the grounded component drops out and row 2 is left alone."""
+    assert residual_rank(2, 2, *entries_of([[0], [0, 1]])) == 2
+    supports = [[0, 1, 2], [0, 2], [2]]
+    assert residual_rank(3, 3, *entries_of(supports)) == 3
+    assert reference_echelon(reference_from_supports(3, supports)).rank == 3
+    assert packed_shapes == []
+
+
 def test_residual_rank_sends_heavier_columns_to_the_kernel(packed_shapes):
-    """One column of weight 4 makes the residual no incidence matrix: it
-    is packed and eliminated by the word-block kernel."""
-    supports = [[0, 1], [0, 1], [0, 2], [0, 2]]          # column 0 has weight 4
-    row, col = np.array([(r, c) for r, sup in enumerate(supports) for c in sup]).T
+    """No column has weight 1 or 2, so nothing contracts: the matrix is
+    packed as it is and eliminated by the word-block kernel."""
+    supports = [[0, 1], [0, 1, 2], [0, 1, 2], [0, 2]]    # weights 4, 3, 3
     with mock.patch.object(Gf2Matrix, "echelon", autospec=True,
                            side_effect=Gf2Matrix.echelon) as echelon:
-        assert residual_rank(4, 3, row, col) == 2
+        assert residual_rank(4, 3, *entries_of(supports)) == 3
     assert echelon.call_count == 1 and packed_shapes == [(3, 4)]
 
 
-def test_residual_memory_guard(monkeypatch, packed_shapes):
+def test_residual_memory_guard(monkeypatch, packed_shapes, q5e2_psl_graph):
     """rows x 64-column words x 8 bytes above spectra.MATRIX_BYTES_LIMIT
     is refused before packing: the q = 43 [44,40] residual would take
-    4.3 GB; q = 19 [20,12] (15424 x 22264, 43 MB) still fits."""
+    4.3 GB; q = 19 [20,12] (15424 x 22264, 43 MB) still fits.  The guard
+    names what would be packed: for q = 5, e = 2 with [6,4] the 1933 x
+    9586 left after contraction, not the 6434 x 14234 residual."""
     with pytest.raises(ValueError, match=r"\(45668 x 760844\) would take 4344 MB "
                                          "packed, above the 256 MB limit"):
         require_residual_fits(45668, 760844)
     require_residual_fits(15424, 22264)
-    monkeypatch.setattr(spectra, "MATRIX_BYTES_LIMIT", 100)
-    inst = z17_torus_instance()        # a 27 x 44 residual, 216 bytes packed
-    with pytest.raises(ValueError, match=r"\(27 x 44\) would take 0 MB packed"):
+    monkeypatch.setattr(spectra, "MATRIX_BYTES_LIMIT", 10**6)
+    inst = build_parity_check(q5e2_psl_graph, CyclicCode(6, 0b111))
+    with pytest.raises(ValueError, match=r"\(1933 x 9586\) would take 2 MB packed, "
+                                         "above the 1 MB limit"):
         inst.rank
     assert packed_shapes == []
 
@@ -639,15 +709,18 @@ def test_residual_memory_guard(monkeypatch, packed_shapes):
 def test_star_rank_exact_on_cli_instances(name, q19_psl_graph, q5e2_psl_graph,
                                           packed_shapes):
     """The benchmark instances: q = 19 PSL with [20,16], whose residual
-    is counted by components and never packed, and q = 5, e = 2 PSL with
-    [6,4], whose residual alone is packed; the word-block kernel on all
-    of H agrees."""
+    contracts to nothing in one round and is never packed, and q = 5,
+    e = 2 PSL with [6,4], whose 6434 x 14234 residual contracts to 1933
+    x 9586, the one matrix packed, with no column of weight 1 or 2; the
+    word-block kernel on all of H agrees."""
     graph, inner, rank, packed = {
         "q19": (q19_psl_graph, CyclicCode(20, 0b10001), 13566, []),
-        "q5e2": (q5e2_psl_graph, CyclicCode(6, 0b111), 15598, [(14234, 6434)])}[name]
+        "q5e2": (q5e2_psl_graph, CyclicCode(6, 0b111), 15598, [(9586, 1933)])}[name]
     inst = build_parity_check(graph, inner)
-    assert inst.rank == rank and "matrix" not in inst.__dict__
+    with packed_supports() as supports:
+        assert inst.rank == rank and "matrix" not in inst.__dict__
     assert packed_shapes == packed
+    assert_no_light_column(supports)
     assert inst.matrix.echelon().rank == rank
 
 

@@ -33,3 +33,13 @@ def traced_spans(tmp_path, *argv):
 def test_traced_command_records_its_layers(tmp_path, argv, span):
     names = traced_spans(tmp_path, *argv)
     assert span in names and f"cli.{argv[0]}" in names
+
+
+def test_traced_q5e2_build_records_the_rank_path(tmp_path):
+    """A traced build on q = 5, e = 2 with [6,4]: the residual that
+    contraction leaves is eliminated, so the echelon span is recorded
+    beside assembly and the single-orbit check."""
+    (tmp_path / "inner6.code").write_text("6 4\n7\n")
+    names = traced_spans(tmp_path, "build", "--q", "5", "--e", "2",
+                         "--inner", "inner6.code", "--out", "q5e2")
+    assert {"cli.build", "gf2.echelon", "tanner.assemble", "tanner.single_orbit"} <= names
