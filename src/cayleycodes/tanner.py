@@ -20,7 +20,7 @@ the structured Gaussian elimination of LaMacchia and Odlyzko (CRYPTO
 1990) applied to stars; the rank never packs H.
 Write r = n - k = len(dual_rows).
 
-  1. Pivots (star_pivots, on first use).  In id order, an open
+  1. Pivots (star_pivots, with the instance).  In id order, an open
      vertex v joins I when r of its star positions whose neighbours are
      not in I carry independent columns of B-dual (an information set
      P_v); candidates are taken greedily, neighbours already outside I
@@ -34,8 +34,9 @@ Write r = n - k = len(dual_rows).
      the pivot columns are dropped.
   4. rank(H) = r |I| + rank(residual).  The residual's columns of
      weight 1 or 2 are contracted into a count of components, round by
-     round, until none is left (residual_rank); only what remains is
-     packed and eliminated by Gf2Matrix.echelon.  For the x^4 + 1
+     round, until none is left or a round keeps more than half of its
+     rows (residual_rank); only what remains is packed and eliminated
+     by Gf2Matrix.echelon.  For the x^4 + 1
      codes (B-dual spanned by words of disjoint support) every column
      has weight 0 or 2 and one round leaves nothing to pack.
 
@@ -74,7 +75,12 @@ rows - c0, and N B is the c0 x |B| matrix whose rows are the sums of
 each such component's rows on the heavy columns.  Each round of
 residual_rank adds rows - c0 and replaces R by N B with its empty
 columns dropped; a light column either joins two components or joins a
-row to ground, so c0 < rows and the rounds end.  When every column has
+row to ground, so c0 < rows and the rounds end.  A round costs
+O(entries), so the contraction also stops after a round that keeps more
+than half of its rows, and the packed kernel takes the rest: the rows
+halve in every round before that one, so there are at most
+log2(rows) + 1 rounds, where a cascade (an all-ones triangle loses two
+rows a round) would take rows / 2 of them.  When every column has
 weight 0 or 2, as for x^4 + 1, N B is empty after the first round and
 rank R = rows - components.
 
@@ -91,7 +97,7 @@ vertex.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from random import Random
@@ -122,15 +128,15 @@ class CayleyCodeInstance:
     inner: CyclicCode
     dual_rows: list[int]                 # basis of B-dual, integer words
     supports: list[list[int]]            # sorted column indices of each row of H
+    # picked from graph and dual_rows with the instance, checked by rank
+    pivots: StarPivots = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.pivots = star_pivots(self.graph, self.dual_rows)
 
     @property
     def n(self) -> int:
         return self.graph.n_edges
-
-    @cached_property
-    def pivots(self) -> StarPivots:
-        """Picked from graph and dual_rows on first use, checked by rank."""
-        return star_pivots(self.graph, self.dual_rows)
 
     @cached_property
     def matrix(self) -> Gf2Matrix:
@@ -335,8 +341,9 @@ def residual_rank(nrows: int, ncols: int, row: np.ndarray, col: np.ndarray) -> i
     """Rank of the nrows x ncols GF(2) matrix with a 1 at each of the
     distinct entries (row[t], col[t]), given in row order.  Its columns
     of weight 1 or 2 are contracted, round by round, into rows -
-    components (module docstring); what is left once none remains is
-    packed, within require_residual_fits, and eliminated."""
+    components (module docstring); what is left once none remains, or
+    once a round keeps more than half of its rows, is packed, within
+    require_residual_fits, and eliminated."""
     rank = 0
     while True:
         weight = np.bincount(col, minlength=ncols)
@@ -362,8 +369,11 @@ def residual_rank(nrows: int, ncols: int, row: np.ndarray, col: np.ndarray) -> i
         row, col = np.divmod(keys[count & 1 == 1], ncols)
         c0 = int(np.count_nonzero(free))
         rank += nrows - c0
+        stalled = 2 * c0 > nrows
         used = np.bincount(col, minlength=ncols) > 0
         nrows, ncols, col = c0, int(used.sum()), (np.cumsum(used) - 1)[col]
+        if stalled:
+            break
     if row.size == 0:
         return rank
     require_residual_fits(nrows, ncols)

@@ -69,14 +69,15 @@ def q19_perms(q19_psl_graph, q19_psl_gens):
 
 
 @pytest.fixture
-def packed_shapes(monkeypatch):
-    """(ncols, nrows) of every matrix Gf2Matrix.from_supports packs
-    while the test runs."""
-    shapes, original = [], Gf2Matrix.from_supports.__func__
+def packed(monkeypatch):
+    """(ncols, rows) of every matrix Gf2Matrix.from_supports packs
+    while the test runs, each row a list of column indices."""
+    matrices, original = [], Gf2Matrix.from_supports.__func__
 
     def from_supports(cls, ncols, supports):
-        shapes.append((ncols, len(supports)))
+        supports = [list(sup) for sup in supports]
+        matrices.append((ncols, supports))
         return original(cls, ncols, supports)
 
     monkeypatch.setattr(Gf2Matrix, "from_supports", classmethod(from_supports))
-    return shapes
+    return matrices

@@ -5,7 +5,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -174,9 +173,8 @@ PRISTINE_VERIFY_STDOUT = [
 def test_tampered_verify_fails_before_elimination(tmp_path, monkeypatch, capsys):
     """A code.alist that differs from the rebuilt H fails verify with
     the row named, before the spectrum, any elimination or the invariance
-    certificate runs, and before the star pivots are picked; the pristine
-    directory picks them once and prints every check in order."""
-    from cayleycodes import alist, gf2, tanner
+    certificate runs; the pristine directory prints every check in order."""
+    from cayleycodes import alist, gf2
 
     inner = tmp_path / "inner6.code"
     inner.write_text("6 4\n7\n")
@@ -184,9 +182,7 @@ def test_tampered_verify_fails_before_elimination(tmp_path, monkeypatch, capsys)
     assert cli.main(["build", "--q", "5", "--e", "2", "--inner", str(inner),
                      "--out", str(out)]) == 0
     capsys.readouterr()
-    with mock.patch.object(tanner, "star_pivots", wraps=tanner.star_pivots) as pivots:
-        assert cli.main(["verify", str(out)]) == 0
-    assert pivots.call_count == 1
+    assert cli.main(["verify", str(out)]) == 0
     assert capsys.readouterr().out.splitlines() == PRISTINE_VERIFY_STDOUT
 
     n, _, rows = alist.read_alist(out / "code.alist")
@@ -199,7 +195,6 @@ def test_tampered_verify_fails_before_elimination(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(cli, "spectrum", forbidden)
     monkeypatch.setattr(cli, "verify_invariance", forbidden)
     monkeypatch.setattr(gf2.Gf2Matrix, "echelon", forbidden)
-    monkeypatch.setattr(tanner, "star_pivots", forbidden)
     assert cli.main(["verify", str(out)]) == 1
     captured = capsys.readouterr()
     assert "code.alist: row 100 differs" in captured.err
@@ -249,7 +244,7 @@ def test_verify_malformed_report_exits_2(q5e2_dir, tmp_path, capsys, mutate, nam
     assert named in capsys.readouterr().err
 
 
-def test_build_and_verify_never_pack_h(tmp_path, monkeypatch, capsys, packed_shapes):
+def test_build_and_verify_never_pack_h(tmp_path, monkeypatch, capsys, packed):
     """rank(H) comes from star elimination, and the [20,16] residual
     from its components: a pristine build and a pristine verify pack no
     matrix at all and keep none on the instance."""
@@ -269,5 +264,5 @@ def test_build_and_verify_never_pack_h(tmp_path, monkeypatch, capsys, packed_sha
     assert "rank_matches: pass" in capsys.readouterr().out
     (verified,) = instances
     assert "matrix" not in verified.__dict__ and verified.rank == 13566
-    assert packed_shapes == []
+    assert packed == []
 

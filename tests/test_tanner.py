@@ -1,6 +1,5 @@
 import random
 import re
-from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
 from fractions import Fraction
@@ -9,7 +8,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cayleycodes import spectra, tanner
@@ -616,56 +615,53 @@ def entries_of(supports):
                     dtype=np.int64).reshape(-1, 2).T
 
 
-@contextmanager
-def packed_supports():
-    """The (ncols, rows) of every matrix Gf2Matrix.from_supports packs
-    inside the with block; usable under hypothesis, unlike a fixture."""
-    packed, original = [], Gf2Matrix.from_supports
-
-    def from_supports(ncols, supports):
-        packed.append((ncols, [list(sup) for sup in supports]))
-        return original(ncols, supports)
-    with mock.patch.object(Gf2Matrix, "from_supports", side_effect=from_supports):
-        yield packed
+def shapes(packed):
+    """(ncols, nrows) of each packed matrix."""
+    return [(ncols, len(rows)) for ncols, rows in packed]
 
 
-def assert_no_light_column(packed):
-    """No column of weight 1 or 2 reaches the kernel: contraction ran
-    until none was left."""
-    for ncols, supports in packed:
-        weight = np.bincount([c for sup in supports for c in sup], minlength=ncols)
-        assert not ((weight == 1) | (weight == 2)).any()
+def light_columns(ncols, rows):
+    """The number of columns of weight 1 or 2."""
+    weight = np.bincount([c for sup in rows for c in sup], minlength=ncols)
+    return int(np.count_nonzero((weight == 1) | (weight == 2)))
 
 
 @given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=30),
        st.data())
-@settings(deadline=None, max_examples=200)
-def test_residual_rank_of_random_sparse_matrices(nrows, ncols, data):
+@settings(deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_residual_rank_of_random_sparse_matrices(packed, nrows, ncols, data):
     """Random sparse matrices, columns of weight 0 to 6 (weight-1
     columns and empty rows included): the contracted rank equals the
-    column-at-a-time rank, and only columns of weight 0 or at least 3
-    are ever packed."""
+    column-at-a-time rank.  A column of weight 1 or 2 is packed only
+    when the last round kept more than half of its rows."""
+    packed.clear()
     columns = [data.draw(st.sets(st.integers(0, nrows - 1), max_size=min(6, nrows)))
                if nrows else set() for _ in range(ncols)]
     supports = [[c for c, rows in enumerate(columns) if r in rows] for r in range(nrows)]
     want = reference_echelon(reference_from_supports(ncols, supports)).rank
-    with packed_supports() as packed:
-        assert residual_rank(nrows, ncols, *entries_of(supports)) == want
-    assert_no_light_column(packed)
-
-
-def test_residual_rank_contracts_in_rounds(packed_shapes):
-    """Column 1 has weight 3 until column 0 merges rows 0 and 1, whose
-    sum cancels it; it is then a weight-1 column on row 2 and goes in a
-    second round.  Nothing is left to pack."""
-    supports = [[0, 1], [0, 1], [1]]
     with mock.patch.object(tanner, "_components", wraps=tanner._components) as rounds:
-        assert residual_rank(3, 2, *entries_of(supports)) == 2
-    assert rounds.call_count == 2 and packed_shapes == []
-    assert reference_echelon(reference_from_supports(2, supports)).rank == 2
+        assert residual_rank(nrows, ncols, *entries_of(supports)) == want
+    assert len(packed) <= 1
+    for ncols_left, rows_left in packed:
+        if light_columns(ncols_left, rows_left):
+            before = rounds.call_args.args[0] - 1      # the rows of the last round
+            assert 2 * len(rows_left) > before
 
 
-def test_residual_rank_weight_one_column_grounds_its_component(packed_shapes):
+def test_residual_rank_contracts_in_rounds(packed):
+    """Column 2 has weight 3 until columns 0 and 1 merge rows 0, 1 and
+    rows 2, 3; the first pair's sum cancels it, so it is then a weight-1
+    column on the second component and goes in a second round, the
+    first having halved the rows.  Nothing is left to pack."""
+    supports = [[0, 2], [0, 2], [1, 2], [1]]
+    with mock.patch.object(tanner, "_components", wraps=tanner._components) as rounds:
+        assert residual_rank(4, 3, *entries_of(supports)) == 3
+    assert rounds.call_count == 2 and packed == []
+    assert reference_echelon(reference_from_supports(3, supports)).rank == 3
+
+
+def test_residual_rank_weight_one_column_grounds_its_component(packed):
     """A weight-1 column joins its row to ground: the component {0, 1}
     then has no row relation and adds both rows to the rank (a count
     that ignored ground would give 1).  With a heavy column on all three
@@ -674,20 +670,33 @@ def test_residual_rank_weight_one_column_grounds_its_component(packed_shapes):
     supports = [[0, 1, 2], [0, 2], [2]]
     assert residual_rank(3, 3, *entries_of(supports)) == 3
     assert reference_echelon(reference_from_supports(3, supports)).rank == 3
-    assert packed_shapes == []
+    assert packed == []
 
 
-def test_residual_rank_sends_heavier_columns_to_the_kernel(packed_shapes):
+def test_residual_rank_hands_a_cascade_to_the_kernel(packed):
+    """The all-ones upper triangle loses two rows a round (column 0
+    grounds row 0, column 1 joins row 1 to it, and what is left is the
+    triangle two sizes down), so contracting it to the end would take
+    n / 2 rounds over all its entries.  The first round keeps more than
+    half of the rows, so the rest is packed and eliminated at once."""
+    n = 400
+    supports = [list(range(r, n)) for r in range(n)]
+    with mock.patch.object(tanner, "_components", wraps=tanner._components) as rounds:
+        assert residual_rank(n, n, *entries_of(supports)) == n
+    assert rounds.call_count == 1 and shapes(packed) == [(n - 2, n - 2)]
+
+
+def test_residual_rank_sends_heavier_columns_to_the_kernel(packed):
     """No column has weight 1 or 2, so nothing contracts: the matrix is
     packed as it is and eliminated by the word-block kernel."""
     supports = [[0, 1], [0, 1, 2], [0, 1, 2], [0, 2]]    # weights 4, 3, 3
     with mock.patch.object(Gf2Matrix, "echelon", autospec=True,
                            side_effect=Gf2Matrix.echelon) as echelon:
         assert residual_rank(4, 3, *entries_of(supports)) == 3
-    assert echelon.call_count == 1 and packed_shapes == [(3, 4)]
+    assert echelon.call_count == 1 and shapes(packed) == [(3, 4)]
 
 
-def test_residual_memory_guard(monkeypatch, packed_shapes, q5e2_psl_graph):
+def test_residual_memory_guard(monkeypatch, packed, q5e2_psl_graph):
     """rows x 64-column words x 8 bytes above spectra.MATRIX_BYTES_LIMIT
     is refused before packing: the q = 43 [44,40] residual would take
     4.3 GB; q = 19 [20,12] (15424 x 22264, 43 MB) still fits.  The guard
@@ -702,25 +711,23 @@ def test_residual_memory_guard(monkeypatch, packed_shapes, q5e2_psl_graph):
     with pytest.raises(ValueError, match=r"\(1933 x 9586\) would take 2 MB packed, "
                                          "above the 1 MB limit"):
         inst.rank
-    assert packed_shapes == []
+    assert packed == []
 
 
 @pytest.mark.parametrize("name", ["q19", "q5e2"])
-def test_star_rank_exact_on_cli_instances(name, q19_psl_graph, q5e2_psl_graph,
-                                          packed_shapes):
+def test_star_rank_exact_on_cli_instances(name, q19_psl_graph, q5e2_psl_graph, packed):
     """The benchmark instances: q = 19 PSL with [20,16], whose residual
     contracts to nothing in one round and is never packed, and q = 5,
     e = 2 PSL with [6,4], whose 6434 x 14234 residual contracts to 1933
     x 9586, the one matrix packed, with no column of weight 1 or 2; the
     word-block kernel on all of H agrees."""
-    graph, inner, rank, packed = {
+    graph, inner, rank, want = {
         "q19": (q19_psl_graph, CyclicCode(20, 0b10001), 13566, []),
         "q5e2": (q5e2_psl_graph, CyclicCode(6, 0b111), 15598, [(9586, 1933)])}[name]
     inst = build_parity_check(graph, inner)
-    with packed_supports() as supports:
-        assert inst.rank == rank and "matrix" not in inst.__dict__
-    assert packed_shapes == packed
-    assert_no_light_column(supports)
+    assert inst.rank == rank and "matrix" not in inst.__dict__
+    assert shapes(packed) == want
+    assert not any(light_columns(*matrix) for matrix in packed)
     assert inst.matrix.echelon().rank == rank
 
 
@@ -765,7 +772,7 @@ def relabeled_pivots(inst, seed):
     return StarPivots(old_id[vertices], positions, words)
 
 
-def test_star_rank_q19_pgl(q19_pgl_graph, packed_shapes):
+def test_star_rank_q19_pgl(q19_pgl_graph, packed):
     """q = 19 PGL (6840 vertices, bipartite), where H with [20,16] would
     take 234 MB packed: the even-weight code gives the incidence matrix,
     of rank |V| - 1 on a connected graph, and with [20,16] two different
@@ -778,7 +785,7 @@ def test_star_rank_q19_pgl(q19_pgl_graph, packed_shapes):
     assert not np.array_equal(np.sort(other.pivots.vertices), inst.pivots.vertices)
     assert other.rank == inst.rank == 27356
     assert "matrix" not in inst.__dict__ and "matrix" not in other.__dict__
-    assert packed_shapes == []
+    assert packed == []
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -841,11 +848,11 @@ def test_star_rank_rejects_a_vertex_listed_twice():
         inst.rank
 
 
-def test_run_verification_never_packs_h(q19_psl_gens, q19_psl_graph, packed_shapes):
+def test_run_verification_never_packs_h(q19_psl_gens, q19_psl_graph, packed):
     report, inst = run_verification(q19_psl_gens, q19_psl_graph, CyclicCode(20, 0b10001))
     assert report.bounds["rank"] == inst.rank == 13566 and report.all_passed
     assert "matrix" not in inst.__dict__
-    assert packed_shapes == []
+    assert packed == []
 
 
 def test_code_distance_toy():
