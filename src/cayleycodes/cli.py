@@ -219,8 +219,7 @@ def cmd_verify(args) -> int:
         results["rate_bound"] = (f"{rate.numerator}/{rate.denominator}"
                                  == want["bounds.measured_rate"])
         perms = symmetry_edge_permutations(graph, gens)
-        inv = verify_invariance(
-            inst, {"left_gamma": perms["left_s0"], "torus_t0": perms["torus_t0"]})
+        inv = verify_invariance(inst, perms)
         results["invariance"] = inv.passed
     else:
         results["alist_exact"] = False

@@ -251,10 +251,3 @@ def int_rank(rows: Sequence[int]) -> int:
                 break
             row ^= p
     return rank
-
-
-def int_span_equal(rows_a: Sequence[int], rows_b: Sequence[int]) -> bool:
-    """Whether two sets of integer-encoded rows span the same space."""
-    ra = int_rank(list(rows_a))
-    rb = int_rank(list(rows_b))
-    return ra == rb == int_rank(list(rows_a) + list(rows_b))

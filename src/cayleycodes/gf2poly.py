@@ -51,12 +51,6 @@ def mod(a: int, b: int) -> int:
     return divmod_(a, b)[1]
 
 
-def gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, mod(a, b)
-    return a
-
-
 def x_pow_n_minus_1(n: int) -> int:
     """x^n - 1 over GF(2), i.e. x^n + 1."""
     return (1 << n) | 1

@@ -182,31 +182,36 @@ def edge_permutation(graph: CayleyGraph, vertex_map: Sequence[int],
     return perm
 
 
-def left_translation_maps(graph: CayleyGraph) -> np.ndarray:
-    """Row i is the vertex permutation v -> s_i * v."""
-    return graph.vertex_ids(graph.group.mul(graph.gens[:, None], graph.keys[None, :]))
-
-
 def symmetry_edge_permutations(graph: CayleyGraph, gens: GeneratorSet
                                ) -> dict[str, np.ndarray]:
-    """Edge permutations of the standard generators of the semi-direct
-    product: one left translation per s in S, plus the torus generator
-    t0, which acts on directed edges by (v, s) -> (t0 v t0^-1, t0 s t0^-1).
-    Each map is a whole-array product over all vertex keys."""
-    identity_perm = np.arange(graph.degree)
-    perms: dict[str, np.ndarray] = {
-        f"left_s{i}": edge_permutation(graph, vm, identity_perm)
-        for i, vm in enumerate(left_translation_maps(graph))
-    }
-    group = graph.group
-    t0 = gens.t0
+    """Edge permutations of two generators of the semi-direct product
+    <L_s (s in S), T>: "left_s0", (v, i) -> (s0 v, i), and "torus_t0",
+    (v, i) -> (t0 v t0^-1, pi(i)) with t0 s_i t0^-1 = s_pi(i), each a
+    whole-array product over all vertex keys.  Raises, naming the
+    length, when pi is not one cycle through all of S.
+
+    Proof that two suffice.  On directed edges T^-1 is (v, i) ->
+    (t0^-1 v t0, pi^-1(i)), so T L_s T^-1 is (v, i) -> (t0 s t0^-1 v, i):
+    T L_s T^-1 = L_{t0 s t0^-1}.  When pi is one cycle, the T^k L_s0 T^-k
+    are L_s for every s in S, so <L_s0, T> = <L_S, T>, and every orbit,
+    of edges and of rows of H, is the orbit under the two permutations
+    (a BFS needs no inverses: a permutation's inverse is a power of it).
+    """
+    group, t0 = graph.group, gens.t0
     t0_inv = group.inverse(t0)
     gen_perm = KeyIndex(graph.gens).find(group.mul(group.mul(t0, graph.gens), t0_inv))
     if (gen_perm < 0).any():
         raise ConstructionError("torus conjugation left the generator set")
+    cycle, i = 1, int(gen_perm[0])      # pi permutes S: conjugation is injective
+    while i != 0:
+        cycle, i = cycle + 1, int(gen_perm[i])
+    if cycle != graph.degree:
+        raise ConstructionError(f"torus conjugation is not a single {graph.degree}-cycle "
+                                f"on S: the cycle through s0 has length {cycle}")
+    left_s0 = graph.vertex_ids(group.mul(graph.gens[0], graph.keys))
     vertex_map = graph.vertex_ids(group.mul(group.mul(t0, graph.keys), t0_inv))
-    perms["torus_t0"] = edge_permutation(graph, vertex_map, gen_perm)
-    return perms
+    return {"left_s0": edge_permutation(graph, left_s0, np.arange(graph.degree)),
+            "torus_t0": edge_permutation(graph, vertex_map, gen_perm)}
 
 
 def edge_orbit(perms: Sequence[np.ndarray], n_points: int, start: int = 0) -> int:
@@ -227,9 +232,9 @@ def edge_orbit(perms: Sequence[np.ndarray], n_points: int, start: int = 0) -> in
 
 def verify_edge_transitive(graph: CayleyGraph, perms: dict[str, np.ndarray]
                            ) -> tuple[bool, int]:
-    """Whether the semi-direct product generators, given by their edge
-    permutations (symmetry_edge_permutations), reach every undirected
-    edge from edge 0."""
+    """Whether the semi-direct product, given by the edge permutations
+    of its two generators (symmetry_edge_permutations), reaches every
+    undirected edge from edge 0; and the size of that orbit."""
     size = edge_orbit(list(perms.values()), graph.n_edges)
     return size == graph.n_edges, size
 

@@ -108,7 +108,7 @@ import numpy as np
 from . import gf2poly
 from .cyclic import CyclicCode, DistanceReport, dual_basis_rows, lightest_codeword
 from .errors import CheckFailure, ConstructionError
-from .gf2 import Gf2Matrix, int_span_equal, unpack_int
+from .gf2 import Gf2Matrix, int_rank, unpack_int
 from .graphs import CayleyGraph
 
 EXACT_EDGE_DISTANCE_MAX_DIM = 22
@@ -488,6 +488,7 @@ def verify_invariance(inst: CayleyCodeInstance, perms: dict[str, np.ndarray]
     """
     graph, names = inst.graph, sorted(perms)
     pair = [0, min(1, graph.degree - 1)]     # degree 1: the one edge twice
+    rank_b = int_rank(inst.dual_rows)
     for name in names:
         perm = np.asarray(perms[name])
         img = perm[graph.eid]
@@ -503,7 +504,7 @@ def verify_invariance(inst: CayleyCodeInstance, perms: dict[str, np.ndarray]
         for v, t in sorted(zip(first.tolist(), taus.tolist())):
             moved = [sum(((w >> i) & 1) << p for i, p in enumerate(t))
                      for w in inst.dual_rows]
-            if not int_span_equal(moved, inst.dual_rows):
+            if not int_rank(moved) == rank_b == int_rank(inst.dual_rows + moved):
                 return InvarianceReport(False, names, name, v, None)
     return InvarianceReport(True, names)
 
@@ -618,8 +619,9 @@ def verify_single_orbit(inst: CayleyCodeInstance, perms: Sequence[np.ndarray],
     local_masks: list[list[int]] = [[] for _ in range(inst.graph.n_vertices)]
     for v, mask in zip(vertex.tolist(), masks):
         local_masks[v].append(mask)
+    rank_b = int_rank(inst.dual_rows)
     for v, local in enumerate(local_masks):
-        if not int_span_equal(local, inst.dual_rows):
+        if not int_rank(local) == rank_b == int_rank(inst.dual_rows + local):
             return failed(bad_vertex=v)
     return SingleOrbitReport(True, len(orbit), rank_h, rank_h, len(orbit[0]))
 
@@ -721,8 +723,11 @@ def run_verification(gens, graph: CayleyGraph, inner: CyclicCode, seed: int = 0,
                      inner_d_lower: int | None = None
                      ) -> tuple[VerificationReport, CayleyCodeInstance]:
     """Full pipeline on a built graph: classification, spectrum and the
-    expansion certificate, edge transitivity, the code's rate bound,
-    invariance and single-orbit checks, optional sampled distance.
+    expansion certificate, edge transitivity, single orbit (which
+    computes rank(H), so star elimination runs inside it), the code's
+    rate bound, invariance, optional sampled distance.  The symmetry
+    checks run on the two generating edge permutations of
+    symmetry_edge_permutations.
 
     inner_d_lower, when given, is a proven distance bound for the inner
     code (e.g. its designed distance); otherwise the exact distance is
@@ -749,6 +754,7 @@ def run_verification(gens, graph: CayleyGraph, inner: CyclicCode, seed: int = 0,
     et_ok, orbit_edges = verify_edge_transitive(graph, perms)
 
     inst = build_parity_check(graph, inner)
+    orbit_rep = verify_single_orbit(inst, list(perms.values()))
     rate = measured_rate(inst)
     if inner_d_lower is not None:
         delta_b = Fraction(inner_d_lower, inner.n)
@@ -761,9 +767,7 @@ def run_verification(gens, graph: CayleyGraph, inner: CyclicCode, seed: int = 0,
         delta_source = "unknown"
     rate_lb, dist_lb = edge_code_bounds(inner.rate, delta_b, spec.lambda2)
 
-    inv = verify_invariance(
-        inst, {"left_gamma": perms["left_s0"], "torus_t0": perms["torus_t0"]})
-    orbit_rep = verify_single_orbit(inst, list(perms.values()))
+    inv = verify_invariance(inst, perms)
 
     dist: dict = {"mode": "skipped"}
     if distance_trials > 0:

@@ -5,15 +5,17 @@ cayleycodes.gf2 packs row supports in one scatter and eliminates one
 the textbook column-at-a-time elimination (one strided pivot search per
 column, a row swap per pivot, full-width row XORs), the rref and the
 double-loop nullspace built on it, and the one-row membership helpers
-the tests use, as an independent oracle; plus the integer and
-coefficient-list conversions the tests build inputs with.
+and the span equality of integer-encoded rows the tests use, as an
+independent oracle; plus the integer and coefficient-list conversions
+and the polynomial gcd the tests build inputs with.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cayleycodes.gf2 import Echelon, Gf2Matrix, unpack_int
+from cayleycodes.gf2 import Echelon, Gf2Matrix, int_rank, unpack_int
+from cayleycodes.gf2poly import mod
 
 _ONE = np.uint64(1)
 
@@ -47,6 +49,13 @@ def reference_from_supports(ncols: int, supports) -> Gf2Matrix:
 def from_coeffs(coeffs) -> int:
     """GF(2) polynomial from a coefficient sequence, lowest degree first."""
     return sum(1 << i for i, c in enumerate(coeffs) if c & 1)
+
+
+def gcd(a: int, b: int) -> int:
+    """Greatest common divisor of two polynomials, by Euclid."""
+    while b:
+        a, b = b, mod(a, b)
+    return a
 
 
 def to_coeffs(a: int, length: int | None = None) -> list[int]:
@@ -122,6 +131,13 @@ def contains(ech: Echelon, row: np.ndarray) -> bool:
 
 def contains_int(ech: Echelon, value: int) -> bool:
     return contains(ech, pack_int(ech.ncols, value))
+
+
+def int_span_equal(rows_a, rows_b) -> bool:
+    """Whether two sets of integer-encoded rows span the same space."""
+    ra = int_rank(list(rows_a))
+    rb = int_rank(list(rows_b))
+    return ra == rb == int_rank(list(rows_a) + list(rows_b))
 
 
 def row_as_int(matrix: Gf2Matrix, i: int) -> int:

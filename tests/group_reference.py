@@ -7,8 +7,10 @@ objects (and on the Z_n toy elements), hashed into dicts, as an
 independent oracle for the tests; plus ZnGroup, Z_n on integer keys,
 the toy group the tests and demos build Cayley graphs of, and the
 object-level helpers the tests use: proj, conj_action, SdpElement, sdp_act_directed_edge,
-parse_edge_list and verify_vertex_transitive.  The matrix objects come
-from field_reference.
+parse_edge_list and verify_vertex_transitive; and left_translation_maps,
+all |S| left translations of a keyed graph, where cayleycodes.graphs
+computes only the one by s0.  The matrix objects come from
+field_reference.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from cayleycodes.errors import ConstructionError
-from cayleycodes.graphs import (CayleyGraph, KeyIndex, edge_orbit, edge_permutation,
-                               left_translation_maps)
+from cayleycodes.graphs import CayleyGraph, KeyIndex, edge_orbit, edge_permutation
 
 from field_reference import FiniteField, ProjectiveMatrix, decode, matrix_key
 
@@ -269,6 +270,11 @@ def sdp_maps(graph: CayleyGraph, h: SdpElement) -> tuple[np.ndarray, np.ndarray]
     gen_perm = KeyIndex(graph.gens).find(conj(graph.gens))
     assert (gen_perm >= 0).all()
     return graph.vertex_ids(group.mul(g, conj(graph.keys))), gen_perm
+
+
+def left_translation_maps(graph: CayleyGraph) -> np.ndarray:
+    """Row i is the vertex permutation v -> s_i * v."""
+    return graph.vertex_ids(graph.group.mul(graph.gens[:, None], graph.keys[None, :]))
 
 
 def sdp_edge_permutation(graph: CayleyGraph, h: SdpElement) -> np.ndarray:

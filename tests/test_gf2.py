@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleycodes.cyclic import CyclicCode
-from cayleycodes.gf2 import (Gf2Matrix, int_rank, int_span_equal, nullspace, rref,
-                             unpack_int)
-from cayleycodes.gf2poly import gcd, x_pow_n_minus_1
+from cayleycodes.gf2 import Gf2Matrix, int_rank, nullspace, rref, unpack_int
+from cayleycodes.gf2poly import x_pow_n_minus_1
 from cayleycodes.graphs import generate_group
 from cayleycodes.tanner import build_parity_check
 
-from gf2_reference import (contains_int, from_ints, pack_int, reduce, reference_echelon,
-                           reference_from_supports, reference_nullspace, reference_rref,
-                           row_as_int)
+from gf2_reference import (contains_int, from_ints, gcd, int_span_equal, pack_int, reduce,
+                           reference_echelon, reference_from_supports, reference_nullspace,
+                           reference_rref, row_as_int)
 from group_reference import ZnGroup
 
 

@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cayleycodes.errors import ConstructionError
 from cayleycodes.graphs import (edge_orbit, edge_permutation,
                                 generate_group, graph_from_generators,
-                                left_translation_maps, verify_edge_transitive)
+                                symmetry_edge_permutations, verify_edge_transitive)
 
 from field_reference import decode
-from group_reference import (SdpElement, ZnGroup, object_vertices, parse_edge_list,
-                             sdp_edge_permutation, verify_vertex_transitive)
+from group_reference import (SdpElement, ZnGroup, left_translation_maps, object_vertices,
+                             parse_edge_list, sdp_edge_permutation,
+                             verify_vertex_transitive)
 
 
 def zn_graph(n, steps):
@@ -137,7 +140,18 @@ def test_toy_edge_orbit_under_translations_only():
 
 
 def test_symmetry_perms_count(q19_perms):
-    assert len(q19_perms) == 21  # 20 translations + the torus generator
+    # the translation by s0 and the torus generator generate the group
+    assert list(q19_perms) == ["left_s0", "torus_t0"]
+
+
+def test_torus_that_is_not_one_cycle_is_rejected(q19_psl_graph, q19_psl_gens):
+    """With t0 patched to the identity, conjugation fixes every s_i:
+    the torus conjugates of L_s0 are L_s0 alone, so the two
+    permutations would not generate the group, and the builder names
+    the cycle instead of reporting a smaller orbit."""
+    broken = replace(q19_psl_gens, t0=q19_psl_gens.group.identity)
+    with pytest.raises(ConstructionError, match="single 20-cycle.*length 1$"):
+        symmetry_edge_permutations(q19_psl_graph, broken)
 
 
 def test_broken_generator_set_is_rejected(q19_psl_gens):

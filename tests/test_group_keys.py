@@ -10,16 +10,18 @@ from hypothesis import strategies as st
 
 from cayleycodes import cli
 from cayleycodes.fields import FieldTables
-from cayleycodes.graphs import (edge_permutation, generate_group, graph_from_generators,
-                                left_translation_maps, symmetry_edge_permutations)
+from cayleycodes.cyclic import CyclicCode
+from cayleycodes.graphs import (edge_orbit, edge_permutation, generate_group,
+                                graph_from_generators, symmetry_edge_permutations)
 from cayleycodes.projective import KEY_ORDER_LIMIT, PglGroup, require_key_fits
 from cayleycodes.quaternion import build_generators, choose_ideal
+from cayleycodes.tanner import build_parity_check, row_orbit
 
 from field_reference import (ProjectiveMatrix, matrix_key, reference_field,
                              reference_generators)
-from group_reference import (AddGroupElement, ZnGroup, left_translation_vertex_map,
-                             reference_closure, reference_edge_permutation,
-                             reference_symmetry_permutations)
+from group_reference import (AddGroupElement, ZnGroup, left_translation_maps,
+                             left_translation_vertex_map, reference_closure,
+                             reference_edge_permutation, reference_symmetry_permutations)
 
 GROUPS = {"F_19": PglGroup(FieldTables(19)), "F_25": PglGroup(FieldTables(5, 2)),
           "F_49": PglGroup(FieldTables(7, 2))}
@@ -130,13 +132,40 @@ def test_closure_matches_object_bfs(keyed_and_reference):
     assert graph.keys.tolist() == [matrix_key(g) for g in ref.vertices]
 
 
-def test_symmetry_permutations_match_object_reference(keyed_and_reference):
-    gens, graph, ref, obj = keyed_and_reference
+@pytest.fixture(scope="module")
+def reference_perms(keyed_and_reference):
+    """All q + 2 symmetry permutations of the object graph: the left
+    translations by every s in S and the torus generator."""
+    _, _, ref, obj = keyed_and_reference
+    return reference_symmetry_permutations(ref, obj.t0_embedded)
+
+
+def test_symmetry_permutations_match_object_reference(keyed_and_reference, reference_perms):
+    gens, graph, _, _ = keyed_and_reference
     perms = symmetry_edge_permutations(graph, gens)
-    expected = reference_symmetry_permutations(ref, obj.t0_embedded)
-    assert list(perms) == list(expected)
-    for name, perm in expected.items():
-        assert perms[name].dtype == perm.dtype and np.array_equal(perms[name], perm), name
+    assert list(perms) == ["left_s0", "torus_t0"]
+    for name, perm in perms.items():
+        expected = reference_perms[name]
+        assert perm.dtype == expected.dtype and np.array_equal(perm, expected), name
+
+
+# by degree: [20,16] with generator (x+1)^4, [6,4] with x^2+x+1
+INNER_CODES = {20: CyclicCode(20, 0x11), 6: CyclicCode(6, 0b111)}
+
+
+def test_two_generators_give_the_orbits_of_all(keyed_and_reference, reference_perms):
+    """The orbits that build reports, under left_s0 and torus_t0 alone,
+    are those under all |S| left translations and the torus: the same
+    set of rows of H in the orbit of row 0 ([20,16] at q = 19, [6,4] at
+    q = 5, e = 2) and the same number of edges in the orbit of edge 0."""
+    gens, graph, _, _ = keyed_and_reference
+    two = list(symmetry_edge_permutations(graph, gens).values())
+    every = list(reference_perms.values())
+    assert len(every) == graph.degree + 1
+    inst = build_parity_check(graph, INNER_CODES[graph.degree])
+    rows = [{tuple(r) for r in row_orbit(inst, perms).tolist()} for perms in (two, every)]
+    assert rows[0] == rows[1]
+    assert edge_orbit(two, graph.n_edges) == edge_orbit(every, graph.n_edges)
 
 
 @st.composite

@@ -14,18 +14,18 @@ from hypothesis import strategies as st
 from cayleycodes import spectra, tanner
 from cayleycodes.cyclic import CyclicCode
 from cayleycodes.errors import CheckFailure, ConstructionError
-from cayleycodes.gf2 import Gf2Matrix, int_rank, int_span_equal
+from cayleycodes.gf2 import Gf2Matrix, int_rank
 from cayleycodes.gf2poly import divmod_, mul, x_pow_n_minus_1
-from cayleycodes.graphs import (KeyIndex, edge_permutation, generate_group,
-                                left_translation_maps)
+from cayleycodes.graphs import KeyIndex, edge_permutation, generate_group
 from cayleycodes.tanner import (StarPivots, _locate_rows, build_parity_check,
                                 code_distance, measured_rate, row_orbit, edge_code_bounds,
                                 require_residual_fits, residual_rank, run_verification,
                                 star_pivots, verify_invariance, verify_single_orbit)
 
 from code_reference import codeword_set_brute_force, codeword_set_from_nullspace, local_view
-from gf2_reference import contains, from_ints, reference_echelon, reference_from_supports
-from group_reference import ZnGroup
+from gf2_reference import (contains, from_ints, int_span_equal, reference_echelon,
+                           reference_from_supports)
+from group_reference import ZnGroup, left_translation_maps
 
 
 def zn_graph(n, steps):
