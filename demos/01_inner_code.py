@@ -10,7 +10,6 @@ distance).
 from fractions import Fraction
 
 from cayleycodes import cyclic
-from cayleycodes.spectra import ramanujan_bound
 
 # small, fully checkable: BCH(4, 2) is the [15, 11] Hamming code
 code = cyclic.bch_code(4, 2)
@@ -29,5 +28,5 @@ print(f"\nheadline inner code: n={p.n} k={p.k} rate={p.rate} "
       f"(~{float(p.rate):.4f})")
 print(f"rate >= 1/2 + 1/8:   {res.rate_ok}   (threshold {Fraction(5, 8)})")
 print(f"designed delta:      {p.delta_lower} (~{float(p.delta_lower):.5f})")
-print(f"expansion threshold: {ramanujan_bound(4093):.5f}")
+print(f"expansion threshold: {cyclic.ramanujan_bound(4093):.5f}")
 print(f"delta beats it:      {res.distance_ok}   (exact rational comparison)")

@@ -6,6 +6,11 @@ errors, so CI can gate on mathematical correctness separately from
 plumbing problems.  The only randomness, the sampled distance search
 of build, sits behind its --seed; equal seeds and flags give
 byte-identical outputs.
+
+Importing this module loads only the integer layer (cyclic, gf2poly,
+fpoly).  graph, build (past --paper-instance and its inner code) and
+verify (past its missing-file check) import the numpy layer; build and
+verify import tanner and alist first, the order that peaked lowest.
 """
 
 from __future__ import annotations
@@ -15,14 +20,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import alist, cyclic, gf2poly
+from . import cyclic, gf2poly
 from .errors import CheckFailure
-from .graphs import graph_from_generators, symmetry_edge_permutations
-from .projective import require_key_fits
-from .quaternion import build_generators, choose_ideal, residue_params
-from .spectra import is_ramanujan, ramanujan_bound, require_matrix_fits, spectrum
-from .tanner import (VerificationReport, build_parity_check, measured_rate,
-                     run_verification, verify_invariance)
 
 HEADLINE_Q, HEADLINE_M, HEADLINE_A = 4093, 11, 8
 
@@ -71,33 +70,34 @@ def cmd_double(args) -> int:
 
 
 def _make_params(args):
-    require_key_fits(args.q ** args.e)
-    require_matrix_fits(args.q ** args.e)
+    from . import projective, quaternion, spectra
+    projective.require_key_fits(args.q ** args.e)
+    spectra.require_matrix_fits(args.q ** args.e)
     delta = None if args.delta == "auto" else int(args.delta)
     if args.ybar == "auto":
-        params = choose_ideal(args.q, args.e, args.variant, delta)
+        params = quaternion.choose_ideal(args.q, args.e, args.variant, delta)
     elif args.e != 1:
         raise ValueError("--ybar only applies to e = 1; use auto for e > 1")
     else:
-        params = residue_params(args.q, int(args.ybar), delta)
+        params = quaternion.residue_params(args.q, int(args.ybar), delta)
     if params.q ** params.e <= 17:
         raise ValueError("q^e must exceed 17")
     return params
 
 
 def cmd_graph(args) -> int:
+    from . import graphs, quaternion, spectra
     params = _make_params(args)
-    gens = build_generators(params)
-    from .quaternion import classify
-    variant = classify(gens)
-    graph = graph_from_generators(gens)
-    spec = spectrum(graph.group, graph.gens)
-    ram = is_ramanujan(spec, params.q)
+    gens = quaternion.build_generators(params)
+    variant = quaternion.classify(gens)
+    graph = graphs.graph_from_generators(gens)
+    spec = spectra.spectrum(graph.group, graph.gens)
+    ram = spectra.is_ramanujan(spec, params.q)
     print(f"group: {variant} over F_{params.q}^{params.e}; "
           f"|V|={graph.n_vertices} |E|={graph.n_edges} degree={graph.degree} "
           f"bipartite={graph.bipartite}")
     print(f"spectrum ({spec.method}): lambda2={spec.lambda2:.9f} "
-          f"lambda_min={spec.lambda_min:.9f} bound={ramanujan_bound(params.q):.9f}")
+          f"lambda_min={spec.lambda_min:.9f} bound={cyclic.ramanujan_bound(params.q):.9f}")
     print(f"ramanujan: {'pass' if ram else 'FAIL'}")
     if args.out:
         Path(args.out).write_text(graph.export_edges())
@@ -112,13 +112,12 @@ def _print_headline_instance() -> int:
     print(f"inner-code instance: q={HEADLINE_Q}, m={HEADLINE_M}, a={HEADLINE_A}, r={result.r}")
     _print_code_params("base BCH", cyclic.designed_params(result.base, result.r))
     _print_code_params("doubled inner code", result.params)
-    lam = ramanujan_bound(HEADLINE_Q)
+    lam = cyclic.ramanujan_bound(HEADLINE_Q)
     print(f"rate threshold 1/2 + 1/a = {Fraction(1, 2) + Fraction(1, HEADLINE_A)}: "
           f"{'pass' if result.rate_ok else 'FAIL'}")
     print(f"distance threshold 2*sqrt(q)/(q+1) ~ {lam:.6f}: "
           f"{'pass' if result.distance_ok else 'FAIL'} (exact rational comparison)")
-    from .tanner import edge_code_bounds
-    rate_lb, dist_lb = edge_code_bounds(result.params.rate, result.params.delta_lower, lam)
+    rate_lb, dist_lb = cyclic.edge_code_bounds(result.params.rate, result.params.delta_lower, lam)
     guaranteed_rate = 2 * (Fraction(1, 2) + Fraction(1, HEADLINE_A)) - 1
     print(f"edge-code bounds at lambda = {lam:.6f}: "
           f"rate >= {rate_lb} (~{float(rate_lb):.4f}), "
@@ -137,12 +136,13 @@ def cmd_build(args) -> int:
     if args.q is None or args.inner is None or args.out is None:
         raise ValueError("build requires --q, --inner and --out (or --paper-instance)")
     inner = cyclic.load_code(args.inner)
+    from . import tanner, alist, graphs, quaternion
     params = _make_params(args)
     if inner.n != params.q + 1:
         raise ValueError(f"inner code length {inner.n} != q + 1 = {params.q + 1}")
-    gens = build_generators(params)
-    graph = graph_from_generators(gens)
-    report, inst = run_verification(
+    gens = quaternion.build_generators(params)
+    graph = graphs.graph_from_generators(gens)
+    report, inst = tanner.run_verification(
         gens, graph, inner, seed=args.seed, distance_trials=args.distance_trials,
         inner_d_lower=args.inner_dlower)
     outdir = Path(args.out)
@@ -171,7 +171,8 @@ def cmd_verify(args) -> int:
     for p in (report_path, alist_path, edges_path, inner_path):
         if not p.exists():
             raise FileNotFoundError(f"missing instance file: {p}")
-    report = VerificationReport.from_json(report_path.read_text())
+    from . import tanner, alist, graphs, projective, quaternion, spectra
+    report = tanner.VerificationReport.from_json(report_path.read_text())
     want = {name: report.read(name, kind) for name, kind in REPORT_ENTRIES.items()}
     inner = cyclic.load_code(inner_path)
     q, e = want["params.q"], want["params.e"]
@@ -179,18 +180,17 @@ def cmd_verify(args) -> int:
             or want["params.inner.n"] != inner.n):
         raise CheckFailure("inner.code disagrees with the report parameters")
 
-    require_key_fits(q ** e)
-    require_matrix_fits(q ** e)
+    projective.require_key_fits(q ** e)
+    spectra.require_matrix_fits(q ** e)
     delta, ybar = want["params.delta"], want["params.ybar"]
     if not delta or not ybar:
         raise ValueError("report.json: params.delta and params.ybar must not be empty")
     if e == 1:
-        params = residue_params(q, ybar[0], delta[0])
+        params = quaternion.residue_params(q, ybar[0], delta[0])
     else:
-        from .quaternion import residue_params_ext
-        params = residue_params_ext(q, tuple(want["params.residue_poly"]), delta[0])
-    gens = build_generators(params)
-    graph = graph_from_generators(gens)
+        params = quaternion.residue_params_ext(q, tuple(want["params.residue_poly"]), delta[0])
+    gens = quaternion.build_generators(params)
+    graph = graphs.graph_from_generators(gens)
 
     results: dict[str, bool] = {}
     results["graph_shape"] = (
@@ -200,7 +200,7 @@ def cmd_verify(args) -> int:
     )
     results["edge_list"] = edges_path.read_text() == graph.export_edges()
 
-    inst = build_parity_check(graph, inner)
+    inst = tanner.build_parity_check(graph, inner)
     # byte equality makes the shipped matrix the rebuilt H itself, so the
     # rank check and the invariance certificate (proven on every row of H)
     # below cover the shipped constraints; on a mismatch verify has
@@ -210,16 +210,16 @@ def cmd_verify(args) -> int:
     if where is None:
         # H is packed on first use, after the spectrum: the Gelfand-Graev
         # matrix and the packed H are never in memory together
-        spec = spectrum(graph.group, graph.gens)
-        results["ramanujan"] = is_ramanujan(spec, q)
+        spec = spectra.spectrum(graph.group, graph.gens)
+        results["ramanujan"] = spectra.is_ramanujan(spec, q)
         results["spectrum_matches"] = abs(spec.lambda2 - want["spectrum.lambda2"]) < 1e-5
         results["alist_exact"] = True
         results["rank_matches"] = inst.rank == want["bounds.rank"]
-        rate = measured_rate(inst)
+        rate = tanner.measured_rate(inst)
         results["rate_bound"] = (f"{rate.numerator}/{rate.denominator}"
                                  == want["bounds.measured_rate"])
-        perms = symmetry_edge_permutations(graph, gens)
-        inv = verify_invariance(inst, perms)
+        perms = graphs.symmetry_edge_permutations(graph, gens)
+        inv = tanner.verify_invariance(inst, perms)
         results["invariance"] = inv.passed
     else:
         results["alist_exact"] = False

@@ -9,18 +9,22 @@ of minimal polynomials of consecutive powers of a primitive element),
 the odd-to-even length-doubling transform with its interleaving map,
 dual generators via reciprocal polynomials, exact minimum distance,
 and the combined rate/distance threshold check used by the
-headline inner-code instance.
+headline inner-code instance, with the Ramanujan bound and the
+edge-code bounds it is stated against (spectra and tanner import them
+from here).  It is integer work on Python ints and lists, and imports
+no numpy, so the inner-code commands of the CLI never load numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from . import gf2poly
 from .errors import CheckFailure, ConstructionError
-from .fields import FieldTables, factorize
+from .fpoly import factorize, irreducible_polys, smallest_primitive
 
 EXACT_DISTANCE_MAX_DIM = 24
 
@@ -100,31 +104,51 @@ class CodeParams:
 # BCH construction over F_{2^m}
 # ---------------------------------------------------------------------------
 
+def log_tables(m: int) -> tuple[list[int], dict[int, int]]:
+    """exp[i] = w^i for 0 <= i < 2^m - 1 and log, its inverse, for the
+    primitive w of F_{2^m} that FieldTables(2, m) takes as the base of
+    its logs: fpoly.smallest_primitive over the smallest modulus.
+    Elements are GF(2) polynomial encodings, so sums are XORs."""
+    modulus = next(irreducible_polys(2, m))
+    f = sum(c << i for i, c in enumerate(modulus))
+    w = sum(c << i for i, c in enumerate(smallest_primitive(2, m, modulus)))
+    exp = [1]
+    for _ in range(2**m - 2):
+        exp.append(gf2poly.mod(gf2poly.mul(exp[-1], w), f))
+    return exp, {x: i for i, x in enumerate(exp)}
+
+
+def minimal_polynomial(exp: list[int], log: dict[int, int], e: int) -> int:
+    """The minimal polynomial over F_2 of w^e, exp and log from log_tables:
+    the product of (X + w^j) over the Frobenius orbit {e 2^t mod n} of e.
+    Squaring fixes its coefficients, so they are 0 or 1."""
+    n = len(exp)
+    poly = [1]  # coefficients in F_{2^m}, lowest degree first
+    for j in {e * 2**t % n for t in range(n.bit_length())}:
+        poly = [a ^ (exp[(log[b] + j) % n] if b else 0)  # poly * (X + w^j)
+                for a, b in zip([0] + poly, poly + [0])]
+    if any(c > 1 for c in poly):
+        raise AssertionError("Frobenius-orbit product left the base field")
+    return sum(c << i for i, c in enumerate(poly))
+
+
 def bch_generator(m: int, r: int) -> int:
     """Generator of the BCH(m, r) code: lcm of the minimal polynomials
-    of w, w^2, ..., w^r for the primitive w of F_{2^m}, the base of its
-    log tables, so that w^i is the antilog of i.
-
-    Minimal polynomials of conjugate powers coincide, so the lcm is the
-    product over distinct Frobenius orbits (each minimal polynomial is
-    irreducible and squarefree).
-    """
+    of w, w^2, ..., w^r (w^n = w^0 = 1).  Conjugate powers share their
+    minimal polynomial, so the lcm is the product over the distinct
+    Frobenius orbits (each minimal polynomial is irreducible and
+    squarefree)."""
     if m < 2:
         raise ValueError("need m >= 2")
     n = (1 << m) - 1
     if not 1 <= r <= n:
         raise ValueError(f"designed root count r must be in 1..{n}, got {r}")
-    field = FieldTables(2, m)
-    h = 1
-    seen: set[int] = set()
-    for i in range(1, r + 1):
-        if i in seen:
-            continue
-        j = i
-        while j not in seen:
-            seen.add(j)
-            j = (2 * j) % n
-        h = gf2poly.mul(h, field.minimal_polynomial(field.exp[i]))
+    exp, log = log_tables(m)
+    h, seen = 1, set()
+    for e in (i % n for i in range(1, r + 1)):
+        if e not in seen:
+            seen.update(e * 2**t % n for t in range(m))
+            h = gf2poly.mul(h, minimal_polynomial(exp, log, e))
     return h
 
 
@@ -268,8 +292,32 @@ class InnerCodeCheck:
         return self.rate_ok and self.distance_ok
 
 
-def _is_prime_power(n: int) -> bool:
-    return len(factorize(n)) == 1
+def ramanujan_bound(q: int) -> float:
+    """2 sqrt(q)/(q+1): the Ramanujan bound on the normalized nontrivial
+    eigenvalues of a (q+1)-regular graph, and the distance threshold
+    of the inner code."""
+    return 2.0 * math.sqrt(q) / (q + 1)
+
+
+def edge_code_bounds(rate_b: Fraction, delta_b: Fraction, lam: float,
+                     lam_tol: float = 1e-6) -> tuple[Fraction, Fraction]:
+    """Guaranteed rate and normalized-distance lower bounds of the edge
+    code in terms of the inner code and the expansion lambda.
+
+    lambda is only known to +-lam_tol, so the distance bound is
+    evaluated at the unfavorable end of the interval (exact rational
+    arithmetic on the float endpoints); a reported pass is never a
+    rounding accident.  The bound is vacuous (0) unless delta_b exceeds
+    the interval's upper end.
+    """
+    if not -1.0 <= lam < 1.0:
+        raise ValueError("lambda must lie in [-1, 1)")
+    rate_lb = 2 * rate_b - 1
+    lam_hi = Fraction(lam) + Fraction(lam_tol)
+    if delta_b <= lam_hi:
+        return rate_lb, Fraction(0)
+    dist_lb = ((delta_b - lam_hi) / (1 - lam_hi)) ** 2
+    return rate_lb, dist_lb
 
 
 def check_good_inner_code(q: int, m: int, a: int) -> InnerCodeCheck:
@@ -286,7 +334,7 @@ def check_good_inner_code(q: int, m: int, a: int) -> InnerCodeCheck:
         raise ValueError("need a > 2")
     if m < 10:
         raise ValueError("the guarantee requires m >= 10")
-    if not _is_prime_power(q):
+    if len(factorize(q)) != 1:
         raise ConstructionError(f"q = {q} is not a prime power")
     n = (1 << m) - 1
     if q + 1 != 2 * n:

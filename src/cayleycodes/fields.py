@@ -9,151 +9,22 @@ the square root and the primitive element chosen below are each the
 one of smallest encoding.
 
 FieldTables does all arithmetic on encodings, vectorized over numpy
-arrays; the dense polynomial helpers serve only the modulus and the
-tables.
+arrays.  The primality tests and the F_p[x] helpers that choose the
+modulus and the primitive element live in the numpy-free fpoly and are
+imported back here; cyclic builds its BCH codes over F_{2^m} from the
+same choices without this module.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConstructionError
+from .fpoly import (factorize, irreducible_polys, is_irreducible, is_prime,  # noqa: F401
+                    smallest_primitive)
 
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality test for n < 2**32."""
-    if n >= 1 << 32:
-        raise ValueError(f"primality test limited to n < 2**32, got {n}")
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (n < 2**63 desk scale)."""
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
-# ---------------------------------------------------------------------------
-# Dense polynomial arithmetic over F_p (coefficient lists, lowest degree
-# first).  Only used for modulus bookkeeping, not in element hot paths.
-# ---------------------------------------------------------------------------
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul(p: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(p: int, a: Sequence[int], m: Sequence[int]) -> list[int]:
-    a = _poly_trim(list(a))
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for j, y in enumerate(m):
-            a[shift + j] = (a[shift + j] - c * y) % p
-        _poly_trim(a)
-    return a
-
-
-def _poly_gcd(p: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_mod(p, a, b)
-    return a
-
-
-def _poly_pow_mod(p: int, base: Sequence[int], e: int, m: Sequence[int]) -> list[int]:
-    result = [1]
-    base = _poly_mod(p, base, m)
-    while e:
-        if e & 1:
-            result = _poly_mod(p, _poly_mul(p, result, base), m)
-        base = _poly_mod(p, _poly_mul(p, base, base), m)
-        e >>= 1
-    return result
-
-
-def is_irreducible(p: int, coeffs: Sequence[int]) -> bool:
-    """Irreducibility of a monic polynomial over F_p.
-
-    A reducible polynomial of degree k has an irreducible factor of some
-    degree i <= k/2, and every irreducible of degree i divides
-    x^(p^i) - x; so the polynomial is irreducible iff it shares no
-    factor with x^(p^i) - x for all i <= k/2.
-    """
-    f = _poly_trim(list(coeffs))
-    k = len(f) - 1
-    if k < 1 or f[-1] != 1:
-        raise ValueError("modulus must be monic of degree >= 1")
-    if k == 1:
-        return True
-    xp = [0, 1]
-    for _ in range(k // 2):
-        xp = _poly_pow_mod(p, xp, p, f)  # now x^(p^i) mod f
-        g = list(xp)
-        # subtract x
-        while len(g) < 2:
-            g.append(0)
-        g[1] = (g[1] - 1) % p
-        g = _poly_gcd(p, f, _poly_trim(g))
-        if len(g) > 1:
-            return False
-    return True
-
-
-def irreducible_polys(p: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Monic irreducibles of degree k over F_p, in encoding order.
-
-    The encoding of f = x^k + sum(c_i x^i) is sum(c_i p^i); iterating
-    encodings 0..p^k-1 gives the deterministic lexicographic-from-the-
-    top order used everywhere a modulus is chosen.
-    """
-    for n in range(p**k):
-        coeffs = []
-        m = n
-        for _ in range(k):
-            coeffs.append(m % p)
-            m //= p
-        coeffs.append(1)
-        if is_irreducible(p, coeffs):
-            yield tuple(coeffs)
-
-
-# ---------------------------------------------------------------------------
-# The field on integer encodings
-# ---------------------------------------------------------------------------
 
 class FieldTables:
     """F_{p^k} on integer encodings, vectorized over numpy int64 arrays.
@@ -181,7 +52,7 @@ class FieldTables:
             raise ConstructionError(f"modulus {list(modulus)} is reducible over F_{p}")
         self.p, self.k, self.modulus, self.order = p, k, modulus, p**k
         n = self.order - 1
-        times_g = self._times(self._smallest_primitive()).tolist()
+        times_g = self._times(smallest_primitive(p, k, modulus)).tolist()
         powers = [1]
         for _ in range(n - 1):
             powers.append(times_g[powers[-1]])
@@ -207,17 +78,6 @@ class FieldTables:
     def digits(self, x) -> list[int]:
         """The k coefficients of x, lowest degree first."""
         return [int(x) // self.p**i % self.p for i in range(self.k)]
-
-    def _smallest_primitive(self) -> list[int]:
-        """Coefficients of the smallest a with a^(n/r) != 1 for every
-        prime r dividing n = p^k - 1, the order of F*."""
-        n = self.order - 1
-        for a in range(1, self.order):
-            coeffs = self.digits(a)
-            if all(_poly_pow_mod(self.p, coeffs, n // r, self.modulus) != [1]
-                   for r in factorize(n)):
-                return coeffs
-        raise AssertionError("unreachable: F* is cyclic")
 
     @property
     def primitive(self) -> int:
@@ -274,29 +134,3 @@ class FieldTables:
             raise ValueError(f"{x} is not a square in F_{self.order}")
         root = self.exp[self.log[x] // 2]
         return int(min(root, self.neg(root)))
-
-    # -- F_2 structure --------------------------------------------------------
-
-    def minimal_polynomial(self, x) -> int:
-        """Minimal polynomial over F_2 of a nonzero x in F_{2^k}, as a
-        GF(2) polynomial in integer encoding.
-
-        The product of (X - b) over the Frobenius orbit {x, x^2, x^4,
-        ...}; its coefficients are fixed by squaring, so they lie in F_2
-        and encode as 0 or 1.  Sums in characteristic 2 are XORs of
-        encodings.
-        """
-        if self.p != 2:
-            raise ValueError("minimal_polynomial is defined over F_2 fields only")
-        if x == 0:
-            raise ValueError("minimal polynomial of 0 rejected (it is x)")
-        orbit, b = [x], self.mul(x, x)
-        while b != x:
-            orbit.append(b)
-            b = self.mul(b, b)
-        poly = np.ones(1, dtype=np.int64)
-        for root in orbit:
-            poly = np.append(0, poly) ^ np.append(self.mul(poly, root), 0)
-        if (poly > 1).any():
-            raise AssertionError("Frobenius-orbit product left the base field")
-        return int(sum(1 << i for i, c in enumerate(poly.tolist()) if c))

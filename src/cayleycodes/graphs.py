@@ -105,7 +105,7 @@ def generate_group(group, gens: Sequence[int], cap: int) -> CayleyGraph:
     gens = np.asarray(gens, dtype=np.int64)
     if not len(gens):
         raise ValueError("empty generator set")
-    if len(np.unique(gens)) != len(gens):
+    if len(set(gens.tolist())) != len(gens):
         raise ConstructionError("generator set has repeated elements")
     if (gens == group.identity).any():
         raise ConstructionError("identity in generator set would create loops")
@@ -122,11 +122,14 @@ def generate_group(group, gens: Sequence[int], cap: int) -> CayleyGraph:
     while frontier.size:
         prod = group.mul(frontier[:, None], gens[None, :]).reshape(-1)
         products.append(prod)
-        fresh = prod[~np.isin(prod, seen)]
-        new, first = np.unique(fresh, return_index=True)
+        # distinct products first: np.isin on repeated values calls
+        # np.unique without return_index, which imports numpy.ma (1.3 MB)
+        new, first = np.unique(prod, return_index=True)
+        unseen = ~np.isin(new, seen, assume_unique=True)
+        new = new[unseen]
         if len(seen) + len(new) > cap:
             raise ConstructionError(f"group closure exceeded cap = {cap}")
-        frontier = fresh[np.sort(first)]
+        frontier = prod[np.sort(first[unseen])]
         levels.append(frontier)
         seen = np.concatenate([seen, new])
 

@@ -171,7 +171,7 @@ def nonsplit_torus(group: PglGroup, q: int, delta: int) -> np.ndarray:
     x = (y < q).astype(np.int64)
     y[q] = 1
     keys = group.canonical_key(x, group.tables.mul(delta, y), y, x)
-    if len(np.unique(keys)) != q + 1:
+    if len(set(keys.tolist())) != q + 1:
         raise AssertionError("torus enumeration produced duplicates")
     return keys
 
@@ -208,11 +208,11 @@ class GeneratorSet:
         """Structural failures of S, empty when sound."""
         problems = []
         q, s = self.params.q, self.elements
-        if len(np.unique(s)) != q + 1:
-            problems.append(f"|S| = {len(np.unique(s))} != q + 1 = {q + 1}")
+        if len(set(s.tolist())) != q + 1:
+            problems.append(f"|S| = {len(set(s.tolist()))} != q + 1 = {q + 1}")
         if (s == self.group.identity).any():
             problems.append("identity is in S")
-        if not np.isin(self.group.inverse(s), s).all():
+        if not set(self.group.inverse(s).tolist()) <= set(s.tolist()):
             problems.append("S is not closed under inverse")
         return problems
 

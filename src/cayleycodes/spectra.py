@@ -77,12 +77,12 @@ normalized eigenvalue has magnitude at most 2 sqrt(q)/(q+1)
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .cyclic import ramanujan_bound
 from .errors import CheckFailure
 from .projective import PglGroup
 
@@ -100,10 +100,6 @@ class SpectrumReport:
     lambda_min: float             # smallest nontrivial eigenvalue
     eigenvalues: np.ndarray       # the nontrivial ones, ascending; multiplicities are M's
     iterations: Optional[int] = None
-
-
-def ramanujan_bound(q: int) -> float:
-    return 2.0 * math.sqrt(q) / (q + 1)
 
 
 def require_matrix_fits(order: int) -> None:

@@ -106,7 +106,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import gf2poly
-from .cyclic import CyclicCode, DistanceReport, dual_basis_rows, lightest_codeword
+from .cyclic import (CyclicCode, DistanceReport, dual_basis_rows, edge_code_bounds,
+                     lightest_codeword)
 from .errors import CheckFailure, ConstructionError
 from .gf2 import Gf2Matrix, int_rank, unpack_int
 from .graphs import CayleyGraph
@@ -141,6 +142,7 @@ class CayleyCodeInstance:
     @cached_property
     def matrix(self) -> Gf2Matrix:
         """H, one row per (vertex, dual word), packed on first use."""
+        require_packed_fits("H", len(self.supports), self.n)
         return Gf2Matrix.from_supports(self.n, self.supports)
 
     @cached_property
@@ -308,15 +310,15 @@ def star_rank(inst: CayleyCodeInstance) -> int:
                                            row, column[edge])
 
 
-def require_residual_fits(nrows: int, ncols: int) -> None:
-    """Refuse to pack a residual of more than spectra.MATRIX_BYTES_LIMIT
+def require_packed_fits(what: str, nrows: int, ncols: int) -> None:
+    """Refuse to pack H or a residual of more than spectra.MATRIX_BYTES_LIMIT
     bytes, rows x 64-column words x 8; called before it is packed."""
     from .spectra import MATRIX_BYTES_LIMIT
 
     size = nrows * ((ncols + 63) >> 6) * 8
     if size > MATRIX_BYTES_LIMIT:
         raise ValueError(
-            f"the star-elimination residual ({nrows} x {ncols}) would take "
+            f"{what} ({nrows} x {ncols}) would take "
             f"{size / 10**6:.0f} MB packed, above the {MATRIX_BYTES_LIMIT // 10**6} MB limit")
 
 
@@ -343,7 +345,7 @@ def residual_rank(nrows: int, ncols: int, row: np.ndarray, col: np.ndarray) -> i
     of weight 1 or 2 are contracted, round by round, into rows -
     components (module docstring); what is left once none remains, or
     once a round keeps more than half of its rows, is packed, within
-    require_residual_fits, and eliminated."""
+    require_packed_fits, and eliminated."""
     rank = 0
     while True:
         weight = np.bincount(col, minlength=ncols)
@@ -376,7 +378,7 @@ def residual_rank(nrows: int, ncols: int, row: np.ndarray, col: np.ndarray) -> i
             break
     if row.size == 0:
         return rank
-    require_residual_fits(nrows, ncols)
+    require_packed_fits("the star-elimination residual", nrows, ncols)
     cut = np.searchsorted(row, np.arange(nrows + 1)).tolist()
     flat = col.tolist()
     residual = Gf2Matrix.from_supports(ncols, [flat[a:b] for a, b in zip(cut, cut[1:])])
@@ -398,27 +400,6 @@ def measured_rate(inst: CayleyCodeInstance) -> Fraction:
             f"measured rate {rate} violates the counting bound {bound}"
         )
     return rate
-
-
-def edge_code_bounds(rate_b: Fraction, delta_b: Fraction, lam: float,
-                     lam_tol: float = 1e-6) -> tuple[Fraction, Fraction]:
-    """Guaranteed rate and normalized-distance lower bounds of the edge
-    code in terms of the inner code and the expansion lambda.
-
-    lambda is only known to +-lam_tol, so the distance bound is
-    evaluated at the unfavorable end of the interval (exact rational
-    arithmetic on the float endpoints); a reported pass is never a
-    rounding accident.  The bound is vacuous (0) unless delta_b exceeds
-    the interval's upper end.
-    """
-    if not -1.0 <= lam < 1.0:
-        raise ValueError("lambda must lie in [-1, 1)")
-    rate_lb = 2 * rate_b - 1
-    lam_hi = Fraction(lam) + Fraction(lam_tol)
-    if delta_b <= lam_hi:
-        return rate_lb, Fraction(0)
-    dist_lb = ((delta_b - lam_hi) / (1 - lam_hi)) ** 2
-    return rate_lb, dist_lb
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +534,10 @@ def row_orbit(inst: CayleyCodeInstance, perms: Sequence[np.ndarray],
         images = np.ascontiguousarray(table.T[frontier].swapaxes(1, 2)).reshape(-1, k)
         images.sort(axis=1)
         keys = images.view(as_key).ravel()
-        fresh = ~np.isin(keys, seen)
-        new, first = np.unique(keys[fresh], return_index=True)
-        frontier = images[fresh][np.sort(first)]
+        new, first = np.unique(keys, return_index=True)
+        unseen = ~np.isin(new, seen, assume_unique=True)   # as in generate_group
+        new = new[unseen]
+        frontier = images[np.sort(first[unseen])]
         levels.append(frontier)
         seen = np.concatenate([seen, new])
     return np.concatenate(levels)

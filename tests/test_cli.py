@@ -1,15 +1,17 @@
+import importlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import cayleycodes
-from cayleycodes import cli, cyclic
+from cayleycodes import cli, cyclic, quaternion, spectra, tanner
 
 
 def test_bch_writes_code_and_table(tmp_path, capsys):
@@ -117,11 +119,25 @@ def test_graph_over_the_memory_limit_fails_fast(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("graph kept working past the memory guard")
 
-    monkeypatch.setattr(cli, "choose_ideal", forbidden)
-    monkeypatch.setattr(cli, "build_generators", forbidden)
+    monkeypatch.setattr(quaternion, "choose_ideal", forbidden)
+    monkeypatch.setattr(quaternion, "build_generators", forbidden)
     assert cli.main(["graph", "--q", "109"]) == 2
     assert "above the 256 MB limit" in capsys.readouterr().err
     assert cli.main(["graph", "--q", "19", "--mode", "dense"]) == 2   # the flag is gone
+
+
+def test_distance_trials_over_the_memory_limit_exit_2(tmp_path, monkeypatch, capsys, packed):
+    """build --distance-trials packs H; an H above the limit is refused
+    before it is packed, with its size: exit 2, not an uncaught
+    allocation error.  At q = 19 with [20,16], H is 13680 x 34200."""
+    inner = tmp_path / "inner20.code"
+    inner.write_text("20 16\n11\n")
+    monkeypatch.setattr(spectra, "MATRIX_BYTES_LIMIT", 50 * 10**6)
+    assert cli.main(["build", "--q", "19", "--inner", str(inner), "--out", str(tmp_path / "out"),
+                     "--distance-trials", "1"]) == 2
+    assert ("H (13680 x 34200) would take 59 MB packed, above the 50 MB limit"
+            in capsys.readouterr().err)
+    assert packed == [] and not (tmp_path / "out").exists()
 
 
 def test_graph_bad_delta(capsys):
@@ -149,14 +165,57 @@ def test_paper_instance(capsys):
     assert "not instantiated" in printed
 
 
-def test_cli_import_loads_no_scipy():
-    """The command line imports numpy only; scipy serves the tests."""
-    probe = ("import sys, cayleycodes.cli; "
-             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+LAYER_PROBE = """
+import json, sys
+from cayleycodes import cli
+def loaded():
+    return sorted({'numpy', 'numpy.ma', 'scipy'} & set(sys.modules))
+seen = [loaded()]
+for argv in json.loads(sys.argv[1]):
+    seen.append([cli.main(argv), loaded()])
+print(json.dumps(seen))
+"""
+
+
+def _layers_loaded(cwd, *commands):
+    """In a fresh interpreter, which of numpy, numpy.ma and scipy are
+    loaded after `import cayleycodes.cli`, then [exit code, loaded] after
+    each cli.main(argv) in turn."""
     env = dict(os.environ, PYTHONPATH=str(Path(cayleycodes.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    run = subprocess.run([sys.executable, "-c", LAYER_PROBE, json.dumps(commands)],
+                         cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    """The command line never imports scipy, which serves the tests, and
+    imports numpy only once graph, build or verify starts work: importing
+    it, the inner-code commands and a verify of a missing directory
+    load neither, and a build loads numpy but not numpy.ma, which
+    np.unique without return_index and np.isin on repeated values
+    import (1.3 MB)."""
+    assert _layers_loaded(tmp_path, ["bch", "--m", "11", "--a", "8", "-o", "bch11.code"],
+                          ["double", "bch11.code"], ["build", "--paper-instance"],
+                          ["verify", "no_such_dir"]) == [[], [0, []], [0, []], [0, []], [2, []]]
+    (tmp_path / "inner6.code").write_text("6 4\n7\n")
+    assert _layers_loaded(tmp_path, ["build", "--q", "5", "--e", "2", "--inner", "inner6.code",
+                                     "--out", "q5e2"]) == [[], [0, ["numpy"]]]
+
+
+def test_package_exports_resolve_lazily():
+    """Every name of cayleycodes.__all__ is its defining module's object
+    (a submodule name, the submodule); other names raise AttributeError,
+    so that `from cayleycodes import cli` imports the submodule."""
+    for name in cayleycodes.__all__:
+        obj = getattr(cayleycodes, name)
+        if isinstance(obj, types.ModuleType):
+            assert obj is importlib.import_module(f"cayleycodes.{name}")
+        else:
+            assert obj.__module__.startswith("cayleycodes.")
+            assert getattr(importlib.import_module(obj.__module__), name) is obj
+    assert cayleycodes.ramanujan_bound is cyclic.ramanujan_bound is spectra.ramanujan_bound
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cayleycodes.no_such_name
 
 
 def test_unknown_command():
@@ -192,8 +251,8 @@ def test_tampered_verify_fails_before_elimination(tmp_path, monkeypatch, capsys)
     def forbidden(*args, **kwargs):
         raise AssertionError("verify kept working after the alist mismatch")
 
-    monkeypatch.setattr(cli, "spectrum", forbidden)
-    monkeypatch.setattr(cli, "verify_invariance", forbidden)
+    monkeypatch.setattr(spectra, "spectrum", forbidden)
+    monkeypatch.setattr(tanner, "verify_invariance", forbidden)
     monkeypatch.setattr(gf2.Gf2Matrix, "echelon", forbidden)
     assert cli.main(["verify", str(out)]) == 1
     captured = capsys.readouterr()
@@ -248,18 +307,18 @@ def test_build_and_verify_never_pack_h(tmp_path, monkeypatch, capsys, packed):
     """rank(H) comes from star elimination, and the [20,16] residual
     from its components: a pristine build and a pristine verify pack no
     matrix at all and keep none on the instance."""
-    from cayleycodes import tanner
     inner = tmp_path / "inner20.code"
     inner.write_text("20 16\n11\n")
     out = tmp_path / "q19"
-    instances = []
+    instances, original = [], tanner.build_parity_check
 
     def build_parity_check(*args):
-        instances.append(tanner.build_parity_check(*args))
+        instances.append(original(*args))
         return instances[-1]
 
-    monkeypatch.setattr(cli, "build_parity_check", build_parity_check)
     assert cli.main(["build", "--q", "19", "--inner", str(inner), "--out", str(out)]) == 0
+    # only the instance verify builds: run_verification calls it too
+    monkeypatch.setattr(tanner, "build_parity_check", build_parity_check)
     assert cli.main(["verify", str(out)]) == 0
     assert "rank_matches: pass" in capsys.readouterr().out
     (verified,) = instances

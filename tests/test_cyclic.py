@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +86,24 @@ def test_bch_generator_matches_object_reference(data):
     m = data.draw(st.integers(2, 11))
     r = data.draw(st.integers(1, (1 << m) - 1))
     assert bch_generator(m, r) == reference_bch_generator(m, r)
+
+
+def test_bch_generator_every_root_count():
+    """Every r in 1..n at m <= 6 against the object reference.  r = n
+    takes w^n = w^0 = 1 as its last root, so every n-th root of unity is
+    a root and h = x^n - 1."""
+    for m in range(2, 7):
+        n = (1 << m) - 1
+        for r in range(1, n + 1):
+            assert bch_generator(m, r) == reference_bch_generator(m, r)
+        assert bch_generator(m, n) == gf2poly.x_pow_n_minus_1(n)
+
+
+def test_bch11_matches_the_benchmark_digest():
+    """The code file of `bch --m 11 --a 8` (r = 139), byte for byte."""
+    expected = json.loads((Path(__file__).parents[1] / "benchmarks" / "expected.json").read_text())
+    text = cyclic.dumps_code(bch_code(11, 139))
+    assert hashlib.sha256(text.encode()).hexdigest() == expected["inner"]["bch11.code"]
 
 
 def test_bch_exact_distance_meets_designed_bound():

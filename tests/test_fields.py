@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleycodes import gf2poly
+from cayleycodes.cyclic import log_tables, minimal_polynomial
 from cayleycodes.errors import ConstructionError
 from cayleycodes.fields import FieldTables, factorize, is_prime
 
@@ -185,29 +186,30 @@ def test_primitive_element():
 
 
 def test_minimal_polynomial():
-    f16 = FieldTables(2, 4)
-    w = f16.primitive
-    assert f16.minimal_polynomial(1) == 0b11            # x + 1
-    assert f16.minimal_polynomial(w) == 0b10011         # the modulus
-    assert f16.minimal_polynomial(f16.exp[5]) == 0b111  # x^2 + x + 1
-    with pytest.raises(ValueError):
-        f16.minimal_polynomial(0)
-    with pytest.raises(ValueError):
-        FieldTables(5).minimal_polynomial(2)
+    """cyclic builds F_{2^m} on plain ints with the modulus and the
+    primitive element FieldTables chooses, so the powers agree."""
+    exp, log = log_tables(4)
+    assert exp[1] == FieldTables(2, 4).primitive == 2  # x
+    assert minimal_polynomial(exp, log, 0) == 0b11      # x + 1
+    assert minimal_polynomial(exp, log, 1) == 0b10011   # the modulus
+    assert minimal_polynomial(exp, log, 5) == 0b111     # x^2 + x + 1
+    for m in range(1, 12):
+        t = tables(2, m)
+        assert log_tables(m)[0] == t.exp[:t.order - 1].tolist()
 
 
 def test_minimal_polynomial_frobenius_invariance():
     # m_a == m_{a^2} for every nonzero element, exhaustively at m = 4 and 6
     for m in (4, 6):
-        t = tables(2, m)
-        for a in range(1, t.order):
-            assert t.minimal_polynomial(a) == t.minimal_polynomial(t.mul(a, a))
+        exp, log = log_tables(m)
+        for e in range(len(exp)):
+            assert minimal_polynomial(exp, log, e) == minimal_polynomial(exp, log, 2 * e)
 
 
 def test_minimal_polynomial_divides_unity_poly():
-    t = tables(2, 4)
-    for a in range(1, t.order):
-        assert gf2poly.mod(gf2poly.x_pow_n_minus_1(t.order - 1), t.minimal_polynomial(a)) == 0
+    exp, log = log_tables(4)
+    for e in range(15):
+        assert gf2poly.mod(gf2poly.x_pow_n_minus_1(15), minimal_polynomial(exp, log, e)) == 0
 
 
 def test_element_encoding_round_trip():
@@ -260,6 +262,6 @@ def test_squares_match_reference(pk, data):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(BINARY_FIELDS), st.data())
 def test_minimal_polynomial_matches_reference(pk, data):
-    t, field = tables(*pk), ref.ext_field(*pk)
-    x = data.draw(st.integers(1, t.order - 1))
-    assert t.minimal_polynomial(x) == ref.minimal_polynomial(field.from_int(x))
+    (exp, log), field = log_tables(pk[1]), ref.ext_field(*pk)
+    x = data.draw(st.integers(1, len(exp)))
+    assert minimal_polynomial(exp, log, log[x]) == ref.minimal_polynomial(field.from_int(x))

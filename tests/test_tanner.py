@@ -19,7 +19,7 @@ from cayleycodes.gf2poly import divmod_, mul, x_pow_n_minus_1
 from cayleycodes.graphs import KeyIndex, edge_permutation, generate_group
 from cayleycodes.tanner import (StarPivots, _locate_rows, build_parity_check,
                                 code_distance, measured_rate, row_orbit, edge_code_bounds,
-                                require_residual_fits, residual_rank, run_verification,
+                                require_packed_fits, residual_rank, run_verification,
                                 star_pivots, verify_invariance, verify_single_orbit)
 
 from code_reference import codeword_set_brute_force, codeword_set_from_nullspace, local_view
@@ -704,8 +704,8 @@ def test_residual_memory_guard(monkeypatch, packed, q5e2_psl_graph):
     9586 left after contraction, not the 6434 x 14234 residual."""
     with pytest.raises(ValueError, match=r"\(45668 x 760844\) would take 4344 MB "
                                          "packed, above the 256 MB limit"):
-        require_residual_fits(45668, 760844)
-    require_residual_fits(15424, 22264)
+        require_packed_fits("the star-elimination residual", 45668, 760844)
+    require_packed_fits("the star-elimination residual", 15424, 22264)
     monkeypatch.setattr(spectra, "MATRIX_BYTES_LIMIT", 10**6)
     inst = build_parity_check(q5e2_psl_graph, CyclicCode(6, 0b111))
     with pytest.raises(ValueError, match=r"\(1933 x 9586\) would take 2 MB packed, "
