@@ -10,62 +10,57 @@ Layout (all indices 1-based, entries space-separated):
     next m lines: column indices of each row, zero-padded to max_row_deg
 
 The writer is deterministic (bit-exact for equal input), and the reader
-validates both perspectives against each other.  The writer has no loop
-per entry: one sort puts the entries in row order, each row sorted, and
-one stable sort of that into column order, each column's rows ascending;
-both perspectives become zero-padded tables of 1-based indices, and
-their decimal digits are written into one byte buffer.  The tests keep
+validates both perspectives against each other.  The writer takes the
+matrix as a CSR pair and has no loop per entry: the entries are already
+in row order, so one stable sort puts them in column order, each
+column's rows ascending; both perspectives become zero-padded int32
+tables of 1-based indices, which decimal_lines writes.  The tests keep
 the writer that files one entry at a time as the byte-exact reference.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 
-def _text(table: np.ndarray) -> np.ndarray:
-    """The rows of a table of non-negative integers as ASCII lines, one
-    per row, its entries in decimal separated by single spaces: digits
-    and separators written into one uint8 buffer at the cumulative
-    offsets of the tokens.  A table of width 0 gives empty lines."""
+def decimal_lines(table: np.ndarray) -> bytes:
+    """The rows of a table of non-negative int32 values as ASCII lines,
+    one per row, its entries in decimal separated by single spaces.  Each
+    entry gets a row of uint8 cells, as many digits as the largest entry
+    has and its separator; the leading zeros are masked out and the kept
+    cells read in order.  A table of width 0 gives empty lines.  The
+    alist and graph.edges are both written by it."""
     lines, width = table.shape
     if width == 0:
-        return np.full(lines, ord("\n"), dtype=np.uint8)
-    value = table.ravel().copy()
-    digits = np.ones(value.size, dtype=np.int64)
-    top, ndigits = int(value.max(initial=0)), 1
-    while 10 ** ndigits <= top:
-        digits += value >= 10 ** ndigits
-        ndigits += 1
-    end = np.cumsum(digits + 1)                   # one past each token's separator
-    buf = np.full(int(end[-1]) if end.size else 0, ord(" "), dtype=np.uint8)
-    buf[end[width - 1::width] - 1] = ord("\n")
-    for k in range(ndigits):                      # digit k, counted from the right
-        live = np.flatnonzero(digits > k)
-        buf[end[live] - 2 - k] = ord("0") + value[live] % 10
+        return b"\n" * lines
+    value = table.astype(np.int32).ravel()
+    ndigits = len(str(int(value.max(initial=0))))
+    cells = np.full((value.size, ndigits + 1), ord(" "), dtype=np.uint8)
+    cells[width - 1::width, ndigits] = ord("\n")
+    keep = np.ones(cells.shape, dtype=bool)
+    for k in range(ndigits - 1, -1, -1):          # digit cells, right to left
+        cells[:, k] = value % 10 + ord("0")
         value //= 10
-    return buf
+        if k:
+            keep[:, k - 1] = value > 0
+    return cells[keep].tobytes()
 
 
-def dumps_alist(row_supports: Sequence[Sequence[int]], ncols: int) -> str:
-    """The alist text of the matrix whose row i has a 1 in each column of
-    row_supports[i] (in any order); ValueError names the first column
-    out of range, in row order."""
-    m = len(row_supports)
-    lengths = np.fromiter(map(len, row_supports), dtype=np.int64, count=m)
-    cols = np.fromiter(chain.from_iterable(row_supports), dtype=np.int64,
-                       count=int(lengths.sum()))
-    rows = np.repeat(np.arange(m), lengths)
+def dumps_alist(indptr: np.ndarray, indices: np.ndarray, ncols: int) -> bytes:
+    """The alist of the matrix whose row i has a 1 in each column of
+    indices[indptr[i]:indptr[i + 1]], written in that order (the rows of
+    H are sorted); ValueError names the first column out of range, in row
+    order, the smallest of its row."""
+    cols, lengths = indices, np.diff(indptr)
+    m = lengths.size
+    rows = np.repeat(np.arange(m, dtype=np.int32), lengths)
     bad = (cols < 0) | (cols >= ncols)
     if bad.any():
         first = rows[np.argmax(bad)]
         raise ValueError(f"column index {cols[bad & (rows == first)].min()} out of range")
-    # row order, each row sorted; then, stably, column order
-    rows, cols = np.divmod(np.sort(rows * ncols + cols), max(ncols, 1))
-    order = np.argsort(cols, kind="stable")
+    order = np.argsort(cols, kind="stable")       # column order, rows ascending
     col_deg = np.bincount(cols, minlength=ncols)
     max_col = int(col_deg.max(initial=0))
     max_row = int(lengths.max(initial=0))
@@ -73,30 +68,29 @@ def dumps_alist(row_supports: Sequence[Sequence[int]], ncols: int) -> str:
     def table(key: np.ndarray, start: np.ndarray, entry: np.ndarray, shape) -> np.ndarray:
         """Zero-padded 1-based index table: entry t at row key[t], in
         slot t - start[key[t]]."""
-        out = np.zeros(shape, dtype=np.int64)
+        out = np.zeros(shape, dtype=np.int32)
         out[key, np.arange(key.size) - start[key]] = entry + 1
         return out
 
     by_col = table(cols[order], np.cumsum(col_deg) - col_deg, rows[order], (ncols, max_col))
-    by_row = table(rows, np.cumsum(lengths) - lengths, cols, (m, max_row))
+    by_row = table(rows, indptr[:-1], cols, (m, max_row))
     head = f"{ncols} {m}\n{max_col} {max_row}\n".encode()
-    body = np.concatenate([_text(col_deg[None]), _text(lengths[None]),
-                           _text(by_col), _text(by_row)])
-    return (head + body.tobytes()).decode("ascii")
+    return b"".join([head, decimal_lines(col_deg[None]), decimal_lines(lengths[None]),
+                     decimal_lines(by_col), decimal_lines(by_row)])
 
 
-def first_difference(text: str, expected: str) -> Optional[str]:
-    """Where `text` departs from the alist `expected`, or None when the
-    two are equal.
+def first_difference(data: bytes, expected: bytes) -> Optional[str]:
+    """Where the alist bytes `data` depart from `expected`, or None when
+    the two are equal; they are decoded only when they differ.
 
     Row lines are compared first and the first differing one is named
     by its 0-based row: one flipped entry changes one row line but also
     two column lines, which come earlier in the file.  When every row
     line agrees, the first differing header or column line is named.
     """
-    if text == expected:
+    if data == expected:
         return None
-    got, want = text.splitlines(), expected.splitlines()
+    got, want = data.decode().splitlines(), expected.decode().splitlines()
     n, m = (int(t) for t in want[0].split())
 
     def differs(i: int) -> bool:

@@ -45,7 +45,6 @@ column, and nothing for the x^4 + 1 codes.  H itself is never packed.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -99,17 +98,17 @@ class Gf2Matrix:
         self.data = data
 
     @classmethod
-    def from_supports(cls, ncols: int, supports: Sequence[Sequence[int]]) -> "Gf2Matrix":
-        """Row i has a 1 in each column of supports[i]: one scatter of
-        all (row, word) pairs."""
-        lengths = np.fromiter(map(len, supports), dtype=np.int64, count=len(supports))
-        cols = np.fromiter(chain.from_iterable(supports), dtype=np.int64,
-                           count=int(lengths.sum()))
+    def from_supports(cls, ncols: int, indptr: np.ndarray, indices: np.ndarray) -> "Gf2Matrix":
+        """The CSR pair's matrix: row i has a 1 in each column of
+        indices[indptr[i]:indptr[i + 1]].  One scatter of all (row, word)
+        pairs."""
+        cols = indices.astype(np.int64)
         out = (cols < 0) | (cols >= ncols)
         if out.any():
             raise ValueError(f"column {cols[np.argmax(out)]} out of range")
-        data = np.zeros((len(supports), _n_words(ncols)), dtype=np.uint64)
-        rows = np.repeat(np.arange(len(supports)), lengths)
+        lengths = np.diff(indptr)
+        data = np.zeros((lengths.size, _n_words(ncols)), dtype=np.uint64)
+        rows = np.repeat(np.arange(lengths.size), lengths)
         np.bitwise_or.at(data, (rows, cols >> 6), _ONE << (cols & 63).astype(np.uint64))
         return cls(ncols, data)
 

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .alist import decimal_lines
 from .errors import ConstructionError
 from .quaternion import GeneratorSet
 
@@ -71,12 +72,12 @@ class CayleyGraph:
                 f"{int((ids < 0).sum())} group elements are not vertices of the graph")
         return ids
 
-    def export_edges(self) -> str:
+    def export_edges(self) -> bytes:
+        """graph.edges: "vertices edges degree", then per edge id "a b i" for
+        its canonical form (a, i), b = adj[a, i]; by alist's digit writer."""
         v, i = self.edge_canonical.T
-        lines = [f"{self.n_vertices} {self.n_edges} {self.degree}"]
-        lines += [f"{a} {b} {c}" for a, b, c in
-                  zip(v.tolist(), self.adj[v, i].tolist(), i.tolist())]
-        return "\n".join(lines) + "\n"
+        head = f"{self.n_vertices} {self.n_edges} {self.degree}\n".encode()
+        return head + decimal_lines(np.stack([v, self.adj[v, i], i], axis=1))
 
 
 def generate_group(group, gens: Sequence[int], cap: int) -> CayleyGraph:

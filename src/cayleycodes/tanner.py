@@ -6,7 +6,8 @@ order, position i at the edge toward g*s_i) lies in the inner cyclic
 code B.  The parity-check matrix H therefore has one row per vertex per
 dual-basis word of B: the row places the dual word's bits on the star
 of the vertex.  Rows are a spanning set of the dual, possibly
-redundant; the rank of H, not its row count, defines the code.
+redundant; the rank of H, not its row count, defines the code.  H is
+one CSR pair (int64 indptr, int32 indices) that every reader takes as is.
 
 Reading the view in generator order, with S ordered by torus powers, is
 the one convention that turns the torus action on views into the
@@ -97,7 +98,7 @@ vertex.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from random import Random
@@ -123,17 +124,18 @@ class StarPivots(NamedTuple):
     words: np.ndarray                    # (|I|, r) dual words, systematic on P_v
 
 
-@dataclass
+@dataclass(eq=False)                     # compared by identity: H is arrays
 class CayleyCodeInstance:
     graph: CayleyGraph
     inner: CyclicCode
     dual_rows: list[int]                 # basis of B-dual, integer words
-    supports: list[list[int]]            # sorted column indices of each row of H
-    # picked from graph and dual_rows with the instance, checked by rank
-    pivots: StarPivots = field(init=False, repr=False, compare=False)
+    indptr: np.ndarray                   # H as CSR: row i holds the sorted
+    indices: np.ndarray                  # edge ids indices[indptr[i]:indptr[i + 1]]
 
-    def __post_init__(self):
-        self.pivots = star_pivots(self.graph, self.dual_rows)
+    @cached_property
+    def pivots(self) -> StarPivots:
+        """Picked from graph and dual_rows on the first rank, checked there."""
+        return star_pivots(self.graph, self.dual_rows)
 
     @property
     def n(self) -> int:
@@ -142,8 +144,8 @@ class CayleyCodeInstance:
     @cached_property
     def matrix(self) -> Gf2Matrix:
         """H, one row per (vertex, dual word), packed on first use."""
-        require_packed_fits("H", len(self.supports), self.n)
-        return Gf2Matrix.from_supports(self.n, self.supports)
+        require_packed_fits("H", self.indptr.size - 1, self.n)
+        return Gf2Matrix.from_supports(self.n, self.indptr, self.indices)
 
     @cached_property
     def rank(self) -> int:
@@ -156,18 +158,19 @@ class CayleyCodeInstance:
 
 
 def build_parity_check(graph: CayleyGraph, inner: CyclicCode) -> CayleyCodeInstance:
-    """Vertex-local constraint rows from the dual basis of the inner
-    code; each row takes its edges from one row of eid, one star."""
+    """H as CSR: row (v, w) is eid[v] at the bits of dual word w, sorted, in (vertex,
+    word) order, the words' tables side by side read row-major (an empty one for r = 0)."""
     if inner.n != graph.degree:
         raise ConstructionError(
             f"inner code length {inner.n} != graph degree {graph.degree}"
         )
     rows = dual_basis_rows(inner)
-    # per dual word, the sorted edge ids under its bits on every star
-    per_word = [np.sort(graph.eid[:, [i for i in range(inner.n) if (word >> i) & 1]],
-                        axis=1).tolist() for word in rows]
-    supports = [sup for row in zip(*per_word) for sup in row]
-    return CayleyCodeInstance(graph, inner, rows, supports)
+    bits = [[i for i in range(inner.n) if word >> i & 1] for word in rows]
+    table = np.concatenate([graph.eid[:, :0]] + [np.sort(graph.eid[:, b], axis=1)
+                                                 for b in bits], axis=1)
+    indptr = np.append(0, np.cumsum(np.tile([len(b) for b in bits], graph.n_vertices),
+                                    dtype=np.int64))
+    return CayleyCodeInstance(graph, inner, rows, indptr, table.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +223,10 @@ def star_pivots(graph: CayleyGraph, dual_rows: Sequence[int]) -> StarPivots:
     state = [OPEN] * graph.n_vertices
     systematic: dict[tuple, list[int]] = {}
     chosen, positions, words = [], [], []
-    for v, nbrs in enumerate(graph.adj.tolist()):
+    for v in range(graph.n_vertices):
         if state[v] != OPEN:
             continue
+        nbrs = graph.adj[v].tolist()          # per open vertex: no list of all of adj
         near = [state[u] for u in nbrs]
         # receivers first, then open neighbours, each in position order
         order = sorted(range(graph.degree), key=near.__getitem__)
@@ -284,12 +288,12 @@ def star_rank(inst: CayleyCodeInstance) -> int:
         fail(int(np.argmax(into_i)), "has a pivot edge into I")
 
     # pivot k = r a + b is the edge at position pos[a, b] of vertex chosen[a]
-    pivot_of = np.full(n, -1, dtype=np.int64)
+    pivot_of = np.full(n, -1, dtype=np.int32)
     pivot_of[graph.eid[chosen[:, None], pos].ravel()] = np.arange(chosen.size * r)
     # residual row r x + j is L_u(dual[j]) for u = outside[x] ...
     outside = np.flatnonzero(~in_i)
     j, i = np.nonzero(np.array(dual, dtype=np.int64)[:, None] >> np.arange(degree) & 1)
-    row = (r * np.arange(outside.size)[:, None] + j).ravel()
+    row = (r * np.arange(outside.size, dtype=np.int32)[:, None] + j.astype(np.int32)).ravel()
     edge = graph.eid[outside][:, i].ravel()
     # ... plus L_v(s_p) for each pivot edge p of a vertex v it meets
     hit = np.flatnonzero(pivot_of[edge] >= 0)
@@ -297,17 +301,24 @@ def star_rank(inst: CayleyCodeInstance) -> int:
     t, i = np.nonzero(words.reshape(-1)[k, None] >> np.arange(degree) & 1)
     row = np.concatenate([row, row[hit][t]])
     edge = np.concatenate([edge, graph.eid[chosen[k[t] // r], i]])
-    keys, count = np.unique(row * n + edge, return_counts=True)
-    row, edge = np.divmod(keys[count & 1 == 1], n)
+    row, edge = _odd_entries(row, edge, n)
     # 3. the residual is zero on the pivot columns
     left = pivot_of[edge] >= 0
     if left.any():
         fail(int(pivot_of[edge[np.argmax(left)]] // r),
              "leaves its pivot column in the residual")
 
-    column = np.cumsum(pivot_of < 0) - 1          # the non-pivot edges, renumbered
+    column = np.cumsum(pivot_of < 0, dtype=np.int32) - 1   # non-pivot edges, renumbered
     return r * chosen.size + residual_rank(r * outside.size, n - r * chosen.size,
                                            row, column[edge])
+
+
+def _odd_entries(row, col, ncols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The GF(2) sum of the entries (row[t], col[t]), in row order, as int32;
+    the sort key is int64, as rows x ncols passes 2^31 (q = 43)."""
+    keys, count = np.unique(row.astype(np.int64) * ncols + col, return_counts=True)
+    row, col = np.divmod(keys[count & 1 == 1], ncols)
+    return row.astype(np.int32), col.astype(np.int32)
 
 
 def require_packed_fits(what: str, nrows: int, ncols: int) -> None:
@@ -366,9 +377,7 @@ def residual_rank(nrows: int, ncols: int, row: np.ndarray, col: np.ndarray) -> i
         free = free[:nrows]
         component = np.cumsum(free) - 1
         keep = ~light[col] & free[root[row]]
-        keys, count = np.unique(component[root[row[keep]]] * ncols + col[keep],
-                                return_counts=True)
-        row, col = np.divmod(keys[count & 1 == 1], ncols)
+        row, col = _odd_entries(component[root[row[keep]]], col[keep], ncols)
         c0 = int(np.count_nonzero(free))
         rank += nrows - c0
         stalled = 2 * c0 > nrows
@@ -379,11 +388,8 @@ def residual_rank(nrows: int, ncols: int, row: np.ndarray, col: np.ndarray) -> i
     if row.size == 0:
         return rank
     require_packed_fits("the star-elimination residual", nrows, ncols)
-    cut = np.searchsorted(row, np.arange(nrows + 1)).tolist()
-    flat = col.tolist()
-    residual = Gf2Matrix.from_supports(ncols, [flat[a:b] for a, b in zip(cut, cut[1:])])
-    del cut, flat
-    return rank + residual.echelon().rank
+    indptr = np.searchsorted(row, np.arange(nrows + 1))
+    return rank + Gf2Matrix.from_supports(ncols, indptr, col).echelon().rank
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +532,7 @@ def row_orbit(inst: CayleyCodeInstance, perms: Sequence[np.ndarray],
     unseen ones kept in order of first encounter, which is that order by
     the argument in graphs.generate_group."""
     table = np.stack(perms).astype(np.int32)
-    frontier = np.array([inst.supports[start_row]], dtype=np.int32)
+    frontier = inst.indices[inst.indptr[start_row]:inst.indptr[start_row + 1]][None]
     k = frontier.shape[1]
     as_key = np.dtype((np.void, 4 * k))   # a support as one opaque value
     levels, seen = [frontier], frontier.view(as_key).ravel()

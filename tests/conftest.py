@@ -72,12 +72,12 @@ def q19_perms(q19_psl_graph, q19_psl_gens):
 def packed(monkeypatch):
     """(ncols, rows) of every matrix Gf2Matrix.from_supports packs
     while the test runs, each row a list of column indices."""
+    from gf2_reference import rows_of
     matrices, original = [], Gf2Matrix.from_supports.__func__
 
-    def from_supports(cls, ncols, supports):
-        supports = [list(sup) for sup in supports]
-        matrices.append((ncols, supports))
-        return original(cls, ncols, supports)
+    def from_supports(cls, ncols, indptr, indices):
+        matrices.append((ncols, rows_of(indptr, indices)))
+        return original(cls, ncols, indptr, indices)
 
     monkeypatch.setattr(Gf2Matrix, "from_supports", classmethod(from_supports))
     return matrices

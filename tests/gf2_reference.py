@@ -6,8 +6,8 @@ the textbook column-at-a-time elimination (one strided pivot search per
 column, a row swap per pivot, full-width row XORs), the rref and the
 double-loop nullspace built on it, and the one-row membership helpers
 and the span equality of integer-encoded rows the tests use, as an
-independent oracle; plus the integer and coefficient-list conversions
-and the polynomial gcd the tests build inputs with.
+independent oracle; plus the integer, coefficient-list and CSR
+conversions and the polynomial gcd the tests build inputs with.
 """
 
 from __future__ import annotations
@@ -44,6 +44,19 @@ def reference_from_supports(ncols: int, supports) -> Gf2Matrix:
                 raise ValueError(f"column {c} out of range")
             data[i, c >> 6] |= _ONE << np.uint64(c & 63)
     return Gf2Matrix(ncols, data)
+
+
+def csr(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR pair (int64 indptr, int32 indices) of the matrix whose
+    row i has the columns rows[i], in the order given."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.array([len(r) for r in rows], dtype=np.int64), out=indptr[1:])
+    return indptr, np.array([c for r in rows for c in r], dtype=np.int32)
+
+
+def rows_of(indptr, indices) -> list[list[int]]:
+    """The rows of a CSR pair as lists of column indices."""
+    return [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
 
 
 def from_coeffs(coeffs) -> int:

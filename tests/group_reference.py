@@ -7,7 +7,8 @@ objects (and on the Z_n toy elements), hashed into dicts, as an
 independent oracle for the tests; plus ZnGroup, Z_n on integer keys,
 the toy group the tests and demos build Cayley graphs of, and the
 object-level helpers the tests use: proj, conj_action, SdpElement, sdp_act_directed_edge,
-parse_edge_list and verify_vertex_transitive; and left_translation_maps,
+parse_edge_list, reference_export_edges (the graph.edges writer with one
+f-string per edge) and verify_vertex_transitive; and left_translation_maps,
 all |S| left translations of a keyed graph, where cayleycodes.graphs
 computes only the one by s0.  The matrix objects come from
 field_reference.
@@ -118,6 +119,16 @@ def sdp_act_directed_edge(h: SdpElement, vertex: ProjectiveMatrix, gen_index: in
         raise ConstructionError(
             "torus conjugation left the generator set (mis-ordered or broken S)")
     return new_vertex, new_index
+
+
+def reference_export_edges(graph) -> str:
+    """graph.edges written one f-string per edge: the reference for
+    CayleyGraph.export_edges."""
+    v, i = graph.edge_canonical.T
+    lines = [f"{graph.n_vertices} {graph.n_edges} {graph.degree}"]
+    lines += [f"{a} {b} {c}" for a, b, c in
+              zip(v.tolist(), graph.adj[v, i].tolist(), i.tolist())]
+    return "\n".join(lines) + "\n"
 
 
 def parse_edge_list(text: str) -> tuple[int, int, int, list[tuple[int, int, int]]]:

@@ -30,6 +30,7 @@ from cayleycodes.tanner import (build_parity_check, measured_rate, verify_invari
 from field_reference import raw_mul, reference_field, split_matrices
 
 from code_reference import codeword_set_brute_force, codeword_set_from_nullspace
+from gf2_reference import csr
 from group_reference import ZnGroup
 from spectra_reference import set_distance, spectrum_dense, spectrum_lanczos
 
@@ -191,7 +192,8 @@ def test_criterion_8a_tampered_alist_fails_verify(built_instance_dir, tmp_path, 
     n, m, rows = alist.read_alist(bad / "code.alist")
     c = rows[100][0]
     rows[100][0] = (c + 1) % n if (c + 1) % n not in rows[100] else (c + 2) % n
-    (bad / "code.alist").write_text(alist.dumps_alist(rows, n))
+    rows[100].sort()
+    (bad / "code.alist").write_bytes(alist.dumps_alist(*csr(rows), n))
     capsys.readouterr()
     tampered = cli.main(["verify", str(bad)])
     assert tampered == 1

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,23 +6,36 @@ from hypothesis import strategies as st
 from cayleycodes.alist import dumps_alist, first_difference, loads_alist
 
 from alist_reference import reference_dumps_alist
+from gf2_reference import csr
+
+
+def dumps(rows, ncols) -> str:
+    """The alist text of a matrix given by its rows, each sorted first,
+    as the rows of H are."""
+    return dumps_alist(*csr([sorted(r) for r in rows]), ncols).decode("ascii")
 
 
 def test_round_trip():
     rows = [[0, 3, 5], [1, 2], [0, 1, 2, 6]]
-    text = dumps_alist(rows, 7)
+    text = dumps(rows, 7)
     n, m, back = loads_alist(text)
     assert (n, m) == (7, 3)
     assert back == [sorted(r) for r in rows]
 
 
 def test_deterministic():
-    rows = [[5, 3, 0], [2, 1]]
-    assert dumps_alist(rows, 6) == dumps_alist([[0, 3, 5], [1, 2]], 6)
+    """The bytes depend on the matrix only, not on the integer widths of
+    the CSR pair."""
+    indptr, indices = csr([[0, 3, 5], [1, 2]])
+    want = dumps_alist(indptr, indices, 6)
+    assert want == reference_dumps_alist([[5, 3, 0], [2, 1]], 6).encode()
+    for ptr in (indptr, indptr.astype(np.int32)):
+        for idx in (indices, indices.astype(np.int64)):
+            assert dumps_alist(ptr, idx, 6) == want
 
 
 def test_header_shape():
-    text = dumps_alist([[0, 1], [1, 2]], 4)
+    text = dumps([[0, 1], [1, 2]], 4)
     lines = text.splitlines()
     assert lines[0] == "4 2"
     assert lines[1] == "2 2"       # max column degree, max row degree
@@ -38,7 +52,7 @@ def test_header_shape():
 
 
 def test_damage_detected():
-    text = dumps_alist([[0, 3, 5], [1, 2]], 7)
+    text = dumps([[0, 3, 5], [1, 2]], 7)
     lines = text.splitlines()
     # inconsistent perspectives: move a row entry without the column view
     bad = lines[:]
@@ -52,13 +66,13 @@ def test_damage_detected():
 
 def test_column_out_of_range():
     with pytest.raises(ValueError):
-        dumps_alist([[9]], 7)
+        dumps([[9]], 7)
 
 
 @st.composite
 def matrices(draw, max_cols=12, max_rows=12):
     """Row supports in any order, repeats and empty rows included, over a
-    drawn number of columns."""
+    drawn number of columns (0 and 1 among them)."""
     ncols = draw(st.integers(0, max_cols))
     support = st.lists(st.integers(0, max(ncols - 1, 0)), max_size=6 if ncols else 0)
     rows = draw(st.lists(support, max_size=max_rows))
@@ -68,29 +82,31 @@ def matrices(draw, max_cols=12, max_rows=12):
 @given(matrices())
 @settings(deadline=None, max_examples=300)
 def test_writer_matches_the_reference_bytes(matrix):
-    """Unsorted and empty rows, m = 0, columns of degree 0, and max
+    """Empty rows, repeated columns, m = 0, columns of degree 0, and max
     degree 0 (every degree line empty but still ended by a newline)."""
     rows, ncols = matrix
-    assert dumps_alist(rows, ncols) == reference_dumps_alist(rows, ncols)
+    assert dumps(rows, ncols) == reference_dumps_alist(rows, ncols)
 
 
-@given(st.sampled_from([9, 10, 11, 99, 100, 101]), st.data())
+@given(st.sampled_from([9, 10, 11, 99, 100, 101, 999, 1000, 1001]), st.data())
 @settings(deadline=None, max_examples=60)
 def test_writer_matches_the_reference_across_digit_counts(size, data):
-    """Indices whose digit count changes, 9/10 and 99/100, in the row
-    lines (columns) and in the column lines (rows)."""
+    """Indices whose digit count changes, 9/10, 99/100 and 999/1000, in
+    the row lines (columns) and in the column lines (rows); the rows
+    come from a drawn seed, up to 4 entries each, some empty."""
     ncols = data.draw(st.integers(size - 1, size + 1))
     m = data.draw(st.integers(size - 1, size + 1))
-    rows = [data.draw(st.lists(st.integers(0, ncols - 1), max_size=4)) for _ in range(m)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = [rng.integers(0, ncols, rng.integers(0, 5)).tolist() for _ in range(m)]
     rows[-1] += [ncols - 1, 0]
-    assert dumps_alist(rows, ncols) == reference_dumps_alist(rows, ncols)
+    assert dumps(rows, ncols) == reference_dumps_alist(rows, ncols)
 
 
 @pytest.mark.parametrize("rows,ncols", [
     ([], 0), ([], 5), ([[]], 0), ([[], [], []], 4), ([[0] * 10], 1),
 ])
 def test_writer_edge_shapes(rows, ncols):
-    text = dumps_alist(rows, ncols)
+    text = dumps(rows, ncols)
     assert text == reference_dumps_alist(rows, ncols)
     assert text.count("\n") == 4 + ncols + len(rows)
 
@@ -99,27 +115,33 @@ def test_writer_edge_shapes(rows, ncols):
 @settings(deadline=None, max_examples=200)
 def test_out_of_range_names_the_first_bad_column_in_row_order(rows):
     """The first row with a column outside range(7) names its first such
-    column once sorted, as the reference does."""
+    column once sorted, as the reference does, whatever the order of the
+    row in the CSR pair."""
     try:
         want = reference_dumps_alist(rows, 7)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{exc}$"):
-            dumps_alist(rows, 7)
+            dumps_alist(*csr(rows), 7)
     else:
-        assert dumps_alist(rows, 7) == want
+        assert dumps(rows, 7) == want
 
 
 def test_first_difference_names_row_before_columns():
     rows = [[0, 3, 5], [1, 2], [0, 1, 2, 6]]
-    text = dumps_alist(rows, 7)
-    assert first_difference(text, text) is None
+    text = dumps(rows, 7)
+
+    def where(got: str):
+        return first_difference(got.encode(), text.encode())
+
+    assert where(text) is None
     # one moved entry changes row 1 and two column lines that come first
-    moved = dumps_alist([[0, 3, 5], [1, 4], [0, 1, 2, 6]], 7)
-    assert first_difference(moved, text) == "row 1 differs (line 13)"
+    moved = dumps([[0, 3, 5], [1, 4], [0, 1, 2, 6]], 7)
+    assert where(moved) == "row 1 differs (line 13)"
     lines = text.splitlines()
     lines[5] += " "                      # column 1, row lines untouched
-    assert first_difference("\n".join(lines) + "\n", text) == "column 1 differs (line 6)"
+    assert where("\n".join(lines) + "\n") == "column 1 differs (line 6)"
     lines[1] = "9 9"
-    assert first_difference("\n".join(lines) + "\n", text) == "header differs (line 2)"
-    assert first_difference(text.rstrip("\n"), text) == "line count or line endings differ"
-    assert first_difference(text.rsplit("\n", 2)[0], text) == "row 2 differs (line 14)"
+    assert where("\n".join(lines) + "\n") == "header differs (line 2)"
+    assert where(text.rstrip("\n")) == "line count or line endings differ"
+    assert where(text.replace("\n", "\r\n")) == "line count or line endings differ"
+    assert where(text.rsplit("\n", 2)[0]) == "row 2 differs (line 14)"

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -12,6 +13,8 @@ import pytest
 
 import cayleycodes
 from cayleycodes import cli, cyclic, quaternion, spectra, tanner
+
+from gf2_reference import csr
 
 
 def test_bch_writes_code_and_table(tmp_path, capsys):
@@ -246,7 +249,8 @@ def test_tampered_verify_fails_before_elimination(tmp_path, monkeypatch, capsys)
 
     n, _, rows = alist.read_alist(out / "code.alist")
     rows[100][0] = next(c for c in range(n) if c not in rows[100])
-    (out / "code.alist").write_text(alist.dumps_alist(rows, n))
+    rows[100].sort()
+    (out / "code.alist").write_bytes(alist.dumps_alist(*csr(rows), n))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("verify kept working after the alist mismatch")
@@ -325,3 +329,21 @@ def test_build_and_verify_never_pack_h(tmp_path, monkeypatch, capsys, packed):
     assert "matrix" not in verified.__dict__ and verified.rank == 13566
     assert packed == []
 
+
+@pytest.mark.parametrize("name,group,inner", [
+    ("q5e2_psl_6_4", ["--q", "5", "--e", "2"], "6 4\n7\n"),
+    ("q19_psl_20_16", ["--q", "19"], "20 16\n11\n"),
+])
+def test_build_matches_the_benchmark_digests(tmp_path, name, group, inner):
+    """code.alist, graph.edges and inner.code of the benchmark's two
+    builds, byte for byte, and their rank and rate."""
+    expected = json.loads((Path(__file__).parents[1] / "benchmarks" / "expected.json").read_text())
+    want = expected["instances"][name]
+    (tmp_path / "inner.code").write_text(inner)
+    out = tmp_path / name
+    assert cli.main(["build", *group, "--variant", "psl", "--inner", str(tmp_path / "inner.code"),
+                     "--out", str(out)]) == 0
+    for file, digest in want["files"].items():
+        assert hashlib.sha256((out / file).read_bytes()).hexdigest() == digest, file
+    bounds = json.loads((out / "report.json").read_text())["bounds"]
+    assert {key: bounds[key] for key in want["report"]} == want["report"]

@@ -11,7 +11,7 @@ from cayleycodes.gf2poly import x_pow_n_minus_1
 from cayleycodes.graphs import generate_group
 from cayleycodes.tanner import build_parity_check
 
-from gf2_reference import (contains_int, from_ints, gcd, int_span_equal, pack_int, reduce,
+from gf2_reference import (contains_int, csr, from_ints, gcd, int_span_equal, pack_int, reduce,
                            reference_echelon, reference_from_supports, reference_nullspace,
                            reference_rref, row_as_int)
 from group_reference import ZnGroup
@@ -102,12 +102,13 @@ def test_int_rank_and_span():
 
 def test_from_supports_bounds():
     for bad in ([[4]], [[0, 1], [-1]]):
-        for pack in (Gf2Matrix.from_supports, reference_from_supports):
-            with pytest.raises(ValueError, match=f"column {bad[-1][-1]} out of range"):
-                pack(4, bad)
+        with pytest.raises(ValueError, match=f"column {bad[-1][-1]} out of range"):
+            Gf2Matrix.from_supports(4, *csr(bad))
+        with pytest.raises(ValueError, match=f"column {bad[-1][-1]} out of range"):
+            reference_from_supports(4, bad)
     with pytest.raises(ValueError):
         from_ints(4, [0b10000])
-    assert Gf2Matrix.from_supports(0, [[], []]).data.shape == (2, 0)
+    assert Gf2Matrix.from_supports(0, *csr([[], []])).data.shape == (2, 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -116,13 +117,13 @@ def test_from_supports_bounds():
     st.lists(st.lists(st.integers(0, ncols - 1), max_size=12), max_size=20))))
 def test_from_supports_matches_reference(case):
     """One scatter of all (row, word) pairs packs the same bits as the
-    loop, repeated columns included; lists and a 2-D array agree."""
+    loop, repeated columns included; int32 and int64 indices agree."""
     ncols, supports = case
-    packed = Gf2Matrix.from_supports(ncols, supports).data
+    indptr, indices = csr(supports)
+    packed = Gf2Matrix.from_supports(ncols, indptr, indices).data
     assert np.array_equal(packed, reference_from_supports(ncols, supports).data)
-    if supports and len({len(s) for s in supports}) == 1:
-        square = np.array(supports, dtype=np.int64).reshape(len(supports), -1)
-        assert np.array_equal(Gf2Matrix.from_supports(ncols, square).data, packed)
+    wide = Gf2Matrix.from_supports(ncols, indptr, indices.astype(np.int64)).data
+    assert np.array_equal(wide, packed)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from cayleycodes.graphs import (edge_orbit, edge_permutation,
 
 from field_reference import decode
 from group_reference import (SdpElement, ZnGroup, left_translation_maps, object_vertices,
-                             parse_edge_list, sdp_edge_permutation,
+                             parse_edge_list, reference_export_edges, sdp_edge_permutation,
                              verify_vertex_transitive)
 
 
@@ -79,13 +79,27 @@ def test_edge_ids_consistent():
 
 def test_export_parse_round_trip():
     g = zn_graph(6, [1, 5, 3])
-    text = g.export_edges()
+    text = g.export_edges().decode("ascii")
     n, m, deg, edges = parse_edge_list(text)
     assert (n, m, deg) == (6, 9, 3)
     assert len(edges) == 9
     recovered = {(u, v) for u, v, _ in edges}
     for u, v, i in edges:
         assert int(g.adj[u, i]) == v
+
+
+@pytest.mark.parametrize("n,steps", [(2, [1]), (6, [1, 5, 3]), (12, [1, 11, 5, 7]),
+                                     (1000, [1, 999, 10, 990])])
+def test_export_edges_matches_the_reference_writer_on_toys(n, steps):
+    """The digit writer against one f-string per edge: an involution, and
+    vertex and edge ids across the digit counts up to 4."""
+    g = zn_graph(n, steps)
+    assert g.export_edges() == reference_export_edges(g).encode()
+
+
+def test_export_edges_matches_the_reference_writer_on_q19(q19_psl_graph, q19_pgl_graph):
+    for g in (q19_psl_graph, q19_pgl_graph):
+        assert g.export_edges() == reference_export_edges(g).encode()
 
 
 def test_q19_group_orders(q19_psl_graph, q19_pgl_graph):

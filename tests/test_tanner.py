@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cayleycodes import spectra, tanner
-from cayleycodes.cyclic import CyclicCode
+from cayleycodes.cyclic import CyclicCode, dual_basis_rows
 from cayleycodes.errors import CheckFailure, ConstructionError
 from cayleycodes.gf2 import Gf2Matrix, int_rank
 from cayleycodes.gf2poly import divmod_, mul, x_pow_n_minus_1
@@ -23,8 +24,8 @@ from cayleycodes.tanner import (StarPivots, _locate_rows, build_parity_check,
                                 star_pivots, verify_invariance, verify_single_orbit)
 
 from code_reference import codeword_set_brute_force, codeword_set_from_nullspace, local_view
-from gf2_reference import (contains, from_ints, int_span_equal, reference_echelon,
-                           reference_from_supports)
+from gf2_reference import (contains, csr, from_ints, int_span_equal, reference_echelon,
+                           reference_from_supports, rows_of)
 from group_reference import ZnGroup, left_translation_maps
 
 
@@ -70,6 +71,41 @@ def z17_torus_instance():
 def test_build_validates_length(q19_psl_graph):
     with pytest.raises(ConstructionError):
         build_parity_check(q19_psl_graph, CyclicCode(3, 0b11))
+
+
+def test_parity_check_rows_are_the_dual_words_on_each_star(monkeypatch):
+    """Row v r + j of H is dual word j on the star of vertex v, its edge
+    ids sorted, as an int64 indptr and int32 indices.  A basis of the
+    dual with words of weight 4, 8 and 4 is laid out as well, and spans
+    the same rows."""
+    inst = z17_torus_instance()
+    d = inst.dual_rows
+    monkeypatch.setattr(tanner, "dual_basis_rows", lambda inner: [d[0], d[0] ^ d[2], d[1]])
+    mixed = build_parity_check(inst.graph, inst.inner)
+    assert [bin(w).count("1") for w in mixed.dual_rows] == [4, 8, 4]
+    for h in (inst, mixed):
+        eid = h.graph.eid.tolist()
+        assert rows_of(h.indptr, h.indices) == [
+            sorted(star[i] for i in range(h.graph.degree) if w >> i & 1)
+            for star in eid for w in h.dual_rows]
+        assert h.indptr.dtype == np.int64 and h.indices.dtype == np.int32
+    assert mixed.rank == inst.rank == reference_echelon(mixed.matrix).rank
+
+
+def test_build_parity_check_allocates_under_1_mb(q19_psl_graph):
+    """H at q = 19 with [20,16] is 13680 rows of 5 edge ids, 0.4 MB as a
+    CSR pair; its build, numpy's allocations included (tracemalloc counts
+    them, and unlike RSS repeats exactly), peaks under 1 MB.  As lists of
+    Python ints it took 3.7 MB."""
+    inner = CyclicCode(20, 0b10001)
+    tracemalloc.start()
+    try:
+        inst = build_parity_check(q19_psl_graph, inner)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.indptr.size == 13681 and inst.indices.dtype == np.int32
+    assert peak < 10**6
 
 
 def test_full_space_inner_gives_no_constraints():
@@ -157,7 +193,7 @@ def test_rate_example_values():
 
 def permuted_rows(inst, perm):
     """Every row of H pushed through an edge permutation, packed."""
-    return Gf2Matrix.from_supports(inst.n, [perm[sup].tolist() for sup in inst.supports])
+    return Gf2Matrix.from_supports(inst.n, inst.indptr, perm[inst.indices])
 
 
 def test_invariance_toy():
@@ -307,7 +343,7 @@ def reference_row_orbit(inst, perms, start_row=0):
     """The one-support-at-a-time BFS over sorted support tuples: the
     slow reference for tanner.row_orbit."""
     plists = [perm.tolist() for perm in perms]
-    start = tuple(inst.supports[start_row])
+    start = tuple(rows_of(inst.indptr, inst.indices)[start_row])
     seen = {start}
     queue = [start]
     head = 0
@@ -410,7 +446,8 @@ def test_single_orbit_weight_one_rows_match_reference():
                            (40, [1, 39, 9, 31], None)):
         graph = zn_graph(n, steps)
         inst = replace(build_parity_check(graph, CyclicCode(graph.degree, 0b11)),
-                       supports=[[e] for e in range(graph.n_edges)],
+                       indptr=np.arange(graph.n_edges + 1),
+                       indices=np.arange(graph.n_edges, dtype=np.int32),
                        dual_rows=[1 << i for i in range(graph.degree)])
         perms = toy_perms(graph, mult)
         for start in (0, 1, 2):
@@ -422,7 +459,7 @@ def orbit_oracle(inst, perms):
     """The global route, kept as an independent check of the local
     certificate: (rank of the raw orbit rows, whether every orbit row
     reduces to zero against the echelon form of H)."""
-    orbit = Gf2Matrix.from_supports(inst.n, row_orbit(inst, perms))
+    orbit = Gf2Matrix.from_supports(inst.n, *csr(row_orbit(inst, perms).tolist()))
     in_span = not inst.matrix.echelon().reduce_batch(orbit.data).any()
     return orbit.echelon().rank, in_span
 
@@ -472,7 +509,7 @@ def test_single_orbit_names_non_local_row():
     makes an orbit row that is not vertex-local; the report names it."""
     inst = z17_torus_instance()
     perms = toy_perms(inst.graph, mult=2)
-    start = inst.supports[0]
+    start = rows_of(inst.indptr, inst.indices)[0]
     far = next(e for e in range(inst.n) if e not in inst.graph.eid[0].tolist()
                and not set(endpoint_vertices(inst.graph, e))
                & set(endpoint_vertices(inst.graph, start[0])))
@@ -696,6 +733,24 @@ def test_residual_rank_sends_heavier_columns_to_the_kernel(packed):
     assert echelon.call_count == 1 and shapes(packed) == [(3, 4)]
 
 
+def test_residual_rank_sort_key_passes_int32(packed):
+    """A 4 x 4 matrix in the last rows and columns of a 70000 x 70000
+    one, so rows x ncols > 2^31: the contraction round sums its heavy
+    column through the key component * ncols + col, which passes 2^31
+    (component about 70000: every empty row is a component) and must be
+    int64.  The rank is the small matrix's."""
+    small = [[0, 2], [0, 1, 2], [1, 2], [2, 3]]    # weights 2, 2, 4, 1
+    n, base = 70000, 70000 - 4
+    row, col = entries_of(small)
+    want = reference_echelon(reference_from_supports(4, small)).rank
+    assert residual_rank(n, n, row + base, col + base) == want == 4
+    # one round: rows 0..69995 and {69996, 69997, 69998} stay as
+    # components, 69999 is grounded; the triple sums to column 2 alone
+    ((ncols_left, rows_left),) = packed
+    assert ncols_left == 1 and len(rows_left) == n - 3
+    assert [i for i, r in enumerate(rows_left) if r] == [n - 4]
+
+
 def test_residual_memory_guard(monkeypatch, packed, q5e2_psl_graph):
     """rows x 64-column words x 8 bytes above spectra.MATRIX_BYTES_LIMIT
     is refused before packing: the q = 43 [44,40] residual would take
@@ -737,12 +792,13 @@ def test_rank_of_h_from_its_own_column_graph(q19_psl_graph):
     dim C(G, B-dual) is the number of components of H's column graph on
     its r|V| rows, found here by union-find: 114 at q = 19."""
     inst = build_parity_check(q19_psl_graph, CyclicCode(20, 0b10001))
+    supports = rows_of(inst.indptr, inst.indices)
     ends: list[list[int]] = [[] for _ in range(inst.n)]
-    for i, sup in enumerate(inst.supports):
+    for i, sup in enumerate(supports):
         for e in sup:
             ends[e].append(i)
     assert all(len(rows) == 2 for rows in ends)
-    parent = list(range(len(inst.supports)))
+    parent = list(range(len(supports)))
 
     def find(x):
         while parent[x] != x:
@@ -754,7 +810,7 @@ def test_rank_of_h_from_its_own_column_graph(q19_psl_graph):
         parent[find(a)] = find(b)
     components = sum(find(x) == x for x in range(len(parent)))
     assert components == 114
-    assert inst.rank == len(inst.supports) - components == 13566
+    assert inst.rank == len(supports) - components == 13566
 
 
 def test_star_rank_q19_20_12(q19_instance):
