@@ -23,8 +23,8 @@ _EXPORTS = {
     "quaternion": "GeneratorSet ResidueParams build_generators choose_ideal classify "
                   "residue_params split_quaternion",
     "spectra": "SpectrumReport is_ramanujan spectrum",
-    "tanner": "CayleyCodeInstance VerificationReport build_parity_check code_distance "
-              "measured_rate run_verification verify_invariance verify_single_orbit",
+    "tanner": "CayleyCodeInstance VerificationReport build_parity_check measured_rate "
+              "run_verification verify_invariance verify_single_orbit",
 }
 # name -> defining submodule; a submodule's own name maps to itself
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

@@ -3,9 +3,8 @@
 Subcommands: bch, double, graph, build, verify.  Exit codes: 0 when all
 checks pass, 1 when a mathematical check fails, 2 for usage or IO
 errors, so CI can gate on mathematical correctness separately from
-plumbing problems.  The only randomness, the sampled distance search
-of build, sits behind its --seed; equal seeds and flags give
-byte-identical outputs.
+plumbing problems.  Nothing is random: equal flags give byte-identical
+outputs.  build --seed is only recorded in report.json as params.seed.
 
 Importing this module loads only the integer layer (cyclic, gf2poly,
 fpoly).  graph, build (past --paper-instance and its inner code) and
@@ -143,8 +142,7 @@ def cmd_build(args) -> int:
     gens = quaternion.build_generators(params)
     graph = graphs.graph_from_generators(gens)
     report, inst = tanner.run_verification(
-        gens, graph, inner, seed=args.seed, distance_trials=args.distance_trials,
-        inner_d_lower=args.inner_dlower)
+        gens, graph, inner, seed=args.seed, inner_d_lower=args.inner_dlower)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(report.to_json())
@@ -271,11 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build and verify the edge code")
     add_group_args(p, q_required=False)
     p.add_argument("--seed", type=int, default=0,
-                   help="seed of the sampled distance search")
+                   help="recorded as params.seed in report.json; no other "
+                        "output depends on it")
     p.add_argument("--inner", help="inner code file (length q + 1)")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--distance-trials", type=int, default=0,
-                   help="sampled distance search trials (0 = skip)")
     p.add_argument("--inner-dlower", type=int, default=None,
                    help="proven distance bound of the inner code, if known")
     p.add_argument("--paper-instance", action="store_true",

@@ -242,36 +242,28 @@ def gray_codewords(basis: Sequence[int]) -> Iterator[int]:
         yield word
 
 
-def lightest_codeword(basis: Sequence[int]) -> tuple[Optional[int], Optional[int]]:
-    """(minimum weight, first word of that weight in Gray-code order)
-    over the nonzero words of span(basis); (None, None) when empty."""
-    best = None
-    witness = None
-    for word in gray_codewords(basis):
-        w = word.bit_count()
-        if best is None or w < best:
-            best, witness = w, word
-    return best, witness
-
-
 @dataclass(frozen=True)
 class DistanceReport:
-    mode: str                  # "exact" or "sampled"
-    value: Optional[int]       # exact distance, or best observed weight
+    value: Optional[int]       # the exact minimum distance
     witness: Optional[int]     # a codeword achieving `value`
-    trials: int = 0
 
 
 def min_distance(code: CyclicCode) -> DistanceReport:
-    """Minimum weight of a nonzero codeword, by a Gray-code walk over
-    all 2^k - 1 nonzero codewords; capped at dim <=
+    """Minimum weight of a nonzero codeword and the first word of that
+    weight, by a Gray-code walk over all 2^k - 1 nonzero codewords
+    (None, None for the zero code); capped at dim <=
     EXACT_DISTANCE_MAX_DIM to stay under a minute."""
     k = code.dim
     if k > EXACT_DISTANCE_MAX_DIM:
         raise ValueError(
             f"exact enumeration capped at dim {EXACT_DISTANCE_MAX_DIM}, code has {k}"
         )
-    return DistanceReport("exact", *lightest_codeword(code.basis()))
+    best = witness = None
+    for word in gray_codewords(code.basis()):
+        w = word.bit_count()
+        if best is None or w < best:
+            best, witness = w, word
+    return DistanceReport(best, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -81,19 +81,12 @@ def _apply_tables(m: np.ndarray, idx: np.ndarray, block: list[int],
             m[idx[part], start:] ^= table[key[part]]
 
 
-def unpack_int(row: np.ndarray) -> int:
-    return int.from_bytes(row.tobytes(), "little")
-
-
 class Gf2Matrix:
     """A list of equal-width GF(2) rows, packed into uint64 words."""
 
-    def __init__(self, ncols: int, data: np.ndarray | None = None):
+    def __init__(self, ncols: int, data: np.ndarray):
         self.ncols = ncols
-        nw = _n_words(ncols)
-        if data is None:
-            data = np.zeros((0, nw), dtype=np.uint64)
-        if data.ndim != 2 or data.shape[1] != nw:
+        if data.ndim != 2 or data.shape[1] != _n_words(ncols):
             raise ValueError("packed data has wrong width")
         self.data = data
 
@@ -115,9 +108,6 @@ class Gf2Matrix:
     @property
     def nrows(self) -> int:
         return self.data.shape[0]
-
-    def to_ints(self) -> list[int]:
-        return [unpack_int(r) for r in self.data]
 
     def row_support(self, i: int) -> list[int]:
         out = []
@@ -205,35 +195,6 @@ class Echelon:
             if hit.size:
                 m[hit] ^= self.rows[i]
         return m
-
-
-def rref(matrix: Gf2Matrix) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form: (packed rows, pivot column list), the
-    i-th row holding the i-th pivot."""
-    ech = matrix.echelon()
-    m = ech.rows[[i for i, _ in ech.pivots]]
-    cols = [c for _, c in ech.pivots]
-    for i in reversed(range(len(cols))):
-        hit = np.flatnonzero((m[:i, cols[i] >> 6] >> np.uint64(cols[i] & 63)) & _ONE)
-        if hit.size:
-            m[hit] ^= m[i]
-    return m, cols
-
-
-def nullspace(matrix: Gf2Matrix) -> Gf2Matrix:
-    """Basis of the right nullspace {x : M x = 0}, one packed row per
-    free column, in free-column order: the basis vector of free column
-    f has bit f and the pivot columns of the rref rows with bit f."""
-    m, pivot_cols = rref(matrix)
-    ncols = matrix.ncols
-    pivots = np.array(pivot_cols, dtype=np.int64)
-    free_cols = np.setdiff1d(np.arange(ncols), pivots)
-    basis = np.zeros((free_cols.size, _n_words(ncols)), dtype=np.uint64)
-    basis[np.arange(free_cols.size), free_cols >> 6] = _ONE << (free_cols & 63).astype(np.uint64)
-    for bi, f in enumerate(free_cols.tolist()):
-        cols = pivots[np.flatnonzero((m[:, f >> 6] >> np.uint64(f & 63)) & _ONE)]
-        np.bitwise_or.at(basis[bi], cols >> 6, _ONE << (cols & 63).astype(np.uint64))
-    return Gf2Matrix(ncols, basis)
 
 
 def int_rank(rows: Sequence[int]) -> int:

@@ -11,7 +11,8 @@ views with local_view.
 from __future__ import annotations
 
 from cayleycodes.cyclic import gray_codewords
-from cayleycodes.gf2 import nullspace
+
+from gf2_reference import reference_nullspace, to_ints
 
 BRUTE_FORCE_MAX_EDGES = 24
 
@@ -27,10 +28,10 @@ def local_view(inst, word: int, vertex: int) -> int:
 
 def codeword_set_from_nullspace(inst, max_dim: int = 20) -> set[int]:
     """All codewords by spanning the nullspace of H (small codes only)."""
-    basis = nullspace(inst.matrix)
+    basis = reference_nullspace(inst.matrix)
     if basis.nrows > max_dim:
         raise ValueError(f"nullspace dimension {basis.nrows} exceeds {max_dim}")
-    return {0, *gray_codewords(basis.to_ints())}
+    return {0, *gray_codewords(to_ints(basis))}
 
 
 def codeword_set_brute_force(inst) -> set[int]:

@@ -4,7 +4,8 @@ cayleycodes.gf2 packs row supports in one scatter and eliminates one
 64-column word at a time.  This module keeps the bit-at-a-time packing,
 the textbook column-at-a-time elimination (one strided pivot search per
 column, a row swap per pivot, full-width row XORs), the rref and the
-double-loop nullspace built on it, and the one-row membership helpers
+double-loop nullspace built on it (the only nullspace: the codeword
+oracles of code_reference span it), and the one-row membership helpers
 and the span equality of integer-encoded rows the tests use, as an
 independent oracle; plus the integer, coefficient-list and CSR
 conversions and the polynomial gcd the tests build inputs with.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cayleycodes.gf2 import Echelon, Gf2Matrix, int_rank, unpack_int
+from cayleycodes.gf2 import Echelon, Gf2Matrix, int_rank
 from cayleycodes.gf2poly import mod
 
 _ONE = np.uint64(1)
@@ -23,6 +24,15 @@ _ONE = np.uint64(1)
 def pack_int(ncols: int, value: int) -> np.ndarray:
     nw = (ncols + 63) >> 6
     return np.frombuffer(value.to_bytes(nw * 8, "little"), dtype=np.uint64).copy()
+
+
+def unpack_int(row: np.ndarray) -> int:
+    return int.from_bytes(row.tobytes(), "little")
+
+
+def to_ints(matrix: Gf2Matrix) -> list[int]:
+    """The integer-encoded rows of a packed matrix (bit c = column c)."""
+    return [unpack_int(r) for r in matrix.data]
 
 
 def from_ints(ncols: int, rows) -> Gf2Matrix:
@@ -151,7 +161,3 @@ def int_span_equal(rows_a, rows_b) -> bool:
     ra = int_rank(list(rows_a))
     rb = int_rank(list(rows_b))
     return ra == rb == int_rank(list(rows_a) + list(rows_b))
-
-
-def row_as_int(matrix: Gf2Matrix, i: int) -> int:
-    return unpack_int(matrix.data[i])

@@ -129,20 +129,6 @@ def test_graph_over_the_memory_limit_fails_fast(monkeypatch, capsys):
     assert cli.main(["graph", "--q", "19", "--mode", "dense"]) == 2   # the flag is gone
 
 
-def test_distance_trials_over_the_memory_limit_exit_2(tmp_path, monkeypatch, capsys, packed):
-    """build --distance-trials packs H; an H above the limit is refused
-    before it is packed, with its size: exit 2, not an uncaught
-    allocation error.  At q = 19 with [20,16], H is 13680 x 34200."""
-    inner = tmp_path / "inner20.code"
-    inner.write_text("20 16\n11\n")
-    monkeypatch.setattr(spectra, "MATRIX_BYTES_LIMIT", 50 * 10**6)
-    assert cli.main(["build", "--q", "19", "--inner", str(inner), "--out", str(tmp_path / "out"),
-                     "--distance-trials", "1"]) == 2
-    assert ("H (13680 x 34200) would take 59 MB packed, above the 50 MB limit"
-            in capsys.readouterr().err)
-    assert packed == [] and not (tmp_path / "out").exists()
-
-
 def test_graph_bad_delta(capsys):
     assert cli.main(["graph", "--q", "19", "--delta", "4"]) == 2  # 4 is a square
 
@@ -268,13 +254,18 @@ def test_tampered_verify_fails_before_elimination(tmp_path, monkeypatch, capsys)
 
 def test_trials_flags_are_gone(tmp_path, capsys):
     """Invariance is proven on every row, so neither build nor verify
-    takes a sample size any more; the old flag is a usage error."""
+    takes a sample size any more, and the distance guarantee is the
+    expansion bound, so build runs no sampled distance search; the old
+    flags are usage errors."""
     inner = tmp_path / "inner6.code"
     inner.write_text("6 4\n7\n")
     assert cli.main(["build", "--q", "5", "--e", "2", "--inner", str(inner),
                      "--out", str(tmp_path / "out"), "--trials", "5"]) == 2
     assert cli.main(["verify", str(tmp_path), "--trials", "5"]) == 2
     assert "unrecognized arguments: --trials 5" in capsys.readouterr().err
+    assert cli.main(["build", "--q", "5", "--e", "2", "--inner", str(inner),
+                     "--out", str(tmp_path / "out"), "--distance-trials", "1"]) == 2
+    assert "unrecognized arguments: --distance-trials 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -336,14 +327,16 @@ def test_build_and_verify_never_pack_h(tmp_path, monkeypatch, capsys, packed):
 ])
 def test_build_matches_the_benchmark_digests(tmp_path, name, group, inner):
     """code.alist, graph.edges and inner.code of the benchmark's two
-    builds, byte for byte, and their rank and rate."""
+    builds, byte for byte, and their rank and rate, from the benchmark's
+    own command line: --seed is only recorded as params.seed."""
     expected = json.loads((Path(__file__).parents[1] / "benchmarks" / "expected.json").read_text())
     want = expected["instances"][name]
     (tmp_path / "inner.code").write_text(inner)
     out = tmp_path / name
     assert cli.main(["build", *group, "--variant", "psl", "--inner", str(tmp_path / "inner.code"),
-                     "--out", str(out)]) == 0
+                     "--out", str(out), "--seed", "3"]) == 0
     for file, digest in want["files"].items():
         assert hashlib.sha256((out / file).read_bytes()).hexdigest() == digest, file
-    bounds = json.loads((out / "report.json").read_text())["bounds"]
-    assert {key: bounds[key] for key in want["report"]} == want["report"]
+    report = json.loads((out / "report.json").read_text())
+    assert {key: report["bounds"][key] for key in want["report"]} == want["report"]
+    assert report["params"]["seed"] == 3 and report["distance"] == {"mode": "skipped"}

@@ -19,12 +19,12 @@ from cayleycodes.gf2 import Gf2Matrix, int_rank
 from cayleycodes.gf2poly import divmod_, mul, x_pow_n_minus_1
 from cayleycodes.graphs import KeyIndex, edge_permutation, generate_group
 from cayleycodes.tanner import (StarPivots, _locate_rows, build_parity_check,
-                                code_distance, measured_rate, row_orbit, edge_code_bounds,
+                                measured_rate, row_orbit, edge_code_bounds,
                                 require_packed_fits, residual_rank, run_verification,
                                 star_pivots, verify_invariance, verify_single_orbit)
 
 from code_reference import codeword_set_brute_force, codeword_set_from_nullspace, local_view
-from gf2_reference import (contains, csr, from_ints, int_span_equal, reference_echelon,
+from gf2_reference import (contains, csr, int_span_equal, reference_echelon,
                            reference_from_supports, rows_of)
 from group_reference import ZnGroup, left_translation_maps
 
@@ -769,6 +769,24 @@ def test_residual_memory_guard(monkeypatch, packed, q5e2_psl_graph):
     assert packed == []
 
 
+def test_matrix_memory_guard(monkeypatch, packed, q19_psl_graph, inner20):
+    """CayleyCodeInstance.matrix refuses an H above
+    spectra.MATRIX_BYTES_LIMIT before packing it, with its shape and
+    size, and caches nothing: at q = 19 H is 13680 x 34200 with [20,16]
+    and 27360 x 34200 with [20,12].  Fresh instances, so that no other
+    test's packed H is cached on them."""
+    monkeypatch.setattr(spectra, "MATRIX_BYTES_LIMIT", 50 * 10**6)
+    for inner, message in [
+            (CyclicCode(20, 0b10001), r"H \(13680 x 34200\) would take 59 MB packed, "
+                                      "above the 50 MB limit"),
+            (inner20, r"H \(27360 x 34200\) would take 117 MB packed")]:
+        inst = build_parity_check(q19_psl_graph, inner)
+        with pytest.raises(ValueError, match=message):
+            inst.matrix
+        assert "matrix" not in inst.__dict__
+    assert packed == []
+
+
 @pytest.mark.parametrize("name", ["q19", "q5e2"])
 def test_star_rank_exact_on_cli_instances(name, q19_psl_graph, q5e2_psl_graph, packed):
     """The benchmark instances: q = 19 PSL with [20,16], whose residual
@@ -909,28 +927,3 @@ def test_run_verification_never_packs_h(q19_psl_gens, q19_psl_graph, packed):
     assert report.bounds["rank"] == inst.rank == 13566 and report.all_passed
     assert "matrix" not in inst.__dict__
     assert packed == []
-
-
-def test_code_distance_toy():
-    inst = z6_even_instance()
-    exact = code_distance(inst, "exact")
-    words = codeword_set_brute_force(inst)
-    true_d = min(w.bit_count() for w in words if w)
-    assert exact.value == true_d
-    assert exact.witness in words
-    sampled = code_distance(inst, "sampled", trials=500, seed=2)
-    assert sampled.value >= exact.value
-
-
-def test_code_distance_zero_code():
-    # force full rank: a constraint matrix pinning every edge to zero
-    inst = z6_even_instance()
-    inst.matrix = from_ints(inst.n, [1 << i for i in range(inst.n)])
-    inst.rank = inst.n
-    rep = code_distance(inst, "exact")
-    assert rep.value is None and rep.witness is None
-
-
-def test_code_distance_exact_cap(q19_instance):
-    with pytest.raises(ValueError):
-        code_distance(q19_instance, "exact")
