@@ -15,9 +15,9 @@ Runs in a few seconds, from the root of the checkout:
     PYTHONPATH=src:tests python3 demos/02_expander_graph.py
 """
 
-from cayleycodes import (build_generators, choose_ideal, classify,
+from cayleycodes import (build_generators, choose_ideal, classify, edge_orbit,
                          is_ramanujan, ramanujan_bound, spectrum,
-                         symmetry_edge_permutations, verify_edge_transitive)
+                         symmetry_edge_permutations)
 from cayleycodes.graphs import graph_from_generators
 
 from group_reference import verify_vertex_transitive
@@ -46,6 +46,8 @@ print(f"same eigenvalue set as the dense reference: "
       f"{set_distance(rep.eigenvalues, dense.nontrivial) < 1e-9}")
 
 print(f"vertex transitive: {verify_vertex_transitive(graph)}")
-ok, orbit = verify_edge_transitive(graph, symmetry_edge_permutations(graph, gens))
-print(f"edge transitive: {ok} (orbit of one edge covers {orbit} of "
-      f"{graph.n_edges} edges)")
+# one BFS over the vertices under two edge permutations; Schreier's lemma
+# turns its paths into the stabiliser of vertex 0 on its star positions
+orbit = edge_orbit(graph, symmetry_edge_permutations(graph, gens))
+print(f"edge transitive: {orbit.transitive} (orbit of one edge covers {orbit.size} of "
+      f"{graph.n_edges} edges; {len(orbit.schreier)} distinct Schreier generators)")

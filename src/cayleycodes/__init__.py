@@ -17,8 +17,8 @@ _EXPORTS = {
     "fields": "FieldTables",
     "gf2": "Gf2Matrix",
     "gf2poly": "",
-    "graphs": "CayleyGraph generate_group graph_from_generators "
-              "symmetry_edge_permutations verify_edge_transitive",
+    "graphs": "CayleyGraph edge_orbit generate_group graph_from_generators "
+              "symmetry_edge_permutations",
     "projective": "PglGroup",
     "quaternion": "GeneratorSet ResidueParams build_generators choose_ideal classify "
                   "residue_params split_quaternion",

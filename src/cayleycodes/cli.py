@@ -200,7 +200,7 @@ def cmd_verify(args) -> int:
 
     inst = tanner.build_parity_check(graph, inner)
     # byte equality makes the shipped matrix the rebuilt H itself, so the
-    # rank check and the invariance certificate (proven on every row of H)
+    # rank check and the symmetry certificate (proven on every row of H)
     # below cover the shipped constraints; on a mismatch verify has
     # failed, and they and the spectrum are skipped
     where = alist.first_difference(alist_path.read_bytes(),
@@ -216,9 +216,10 @@ def cmd_verify(args) -> int:
         rate = tanner.measured_rate(inst)
         results["rate_bound"] = (f"{rate.numerator}/{rate.denominator}"
                                  == want["bounds.measured_rate"])
-        perms = graphs.symmetry_edge_permutations(graph, gens)
-        inv = tanner.verify_invariance(inst, perms)
-        results["invariance"] = inv.passed
+        orbit = graphs.edge_orbit(graph, graphs.symmetry_edge_permutations(graph, gens))
+        results["invariance"] = tanner.verify_invariance(inst, orbit).passed
+        results["edge_transitive"] = orbit.transitive
+        results["single_orbit"] = tanner.verify_single_orbit(inst, orbit).passed
     else:
         results["alist_exact"] = False
 

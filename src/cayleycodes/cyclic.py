@@ -66,30 +66,18 @@ class CyclicCode:
             raise ValueError("word does not fit in n bits")
         return gf2poly.mod(word, self.h) == 0
 
-    def shift(self, word: int, amount: int = 1) -> int:
-        return gf2poly.cyclic_shift(word, self.n, amount)
-
 
 @dataclass(frozen=True)
 class CodeParams:
-    """Reported parameters of a code; d_lower is a proven bound,
-    d_upper the best observed codeword weight, d_exact only when an
-    exhaustive search has run."""
+    """Reported parameters of a code; d_lower is a proven bound."""
 
     n: int
     k: int
     d_lower: int
-    d_exact: Optional[int] = None
-    d_upper: Optional[int] = None
 
     def __post_init__(self):
         if not 0 < self.k <= self.n:
             raise ValueError("need 0 < k <= n")
-        if self.d_exact is not None:
-            if not self.d_lower <= self.d_exact:
-                raise ValueError("d_lower must not exceed d_exact")
-            if self.d_upper is not None and self.d_exact > self.d_upper:
-                raise ValueError("d_exact must not exceed d_upper")
 
     @property
     def rate(self) -> Fraction:

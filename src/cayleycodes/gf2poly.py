@@ -13,16 +13,6 @@ def degree(a: int) -> int:
     return a.bit_length() - 1
 
 
-def weight(a: int) -> int:
-    """Number of nonzero coefficients."""
-    return a.bit_count()
-
-
-def add(a: int, b: int) -> int:
-    """Sum over GF(2): coefficient-wise xor."""
-    return a ^ b
-
-
 def mul(a: int, b: int) -> int:
     """Carry-less product."""
     r = 0
@@ -66,13 +56,6 @@ def reciprocal(a: int) -> int:
         if (a >> i) & 1:
             r |= 1 << (d - i)
     return r
-
-
-def cyclic_shift(word: int, n: int, amount: int = 1) -> int:
-    """Cyclic shift of an n-bit word: multiplication by x^amount mod x^n - 1."""
-    amount %= n
-    mask = (1 << n) - 1
-    return ((word << amount) | (word >> (n - amount))) & mask
 
 
 def to_hex(a: int) -> str:

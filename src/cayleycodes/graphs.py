@@ -19,7 +19,7 @@ counting.  Edge ids are assigned in first-encounter order over
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -218,27 +218,109 @@ def symmetry_edge_permutations(graph: CayleyGraph, gens: GeneratorSet
             "torus_t0": edge_permutation(graph, vertex_map, gen_perm)}
 
 
-def edge_orbit(perms: Sequence[np.ndarray], n_points: int, start: int = 0) -> int:
-    """Size of the orbit of one point under permutations of
-    range(n_points): edge ids for the edge action, vertex ids for the
-    vertex action.  Breadth first, one frontier at a time."""
-    perms = np.asarray(perms)
-    seen = np.zeros(n_points, dtype=bool)
-    seen[start] = True
-    frontier = np.array([start])
+class EdgeOrbit(NamedTuple):
+    """The certificate of edge_orbit, from the star maps of the named edge
+    permutations; tanner reads it for invariance and single orbit."""
+    names: list[str]                     # the permutations, in name order
+    bad: tuple[str, int, int] | None     # first (name, vertex, position) of no star map
+    vertices: int                        # size of the orbit of vertex 0
+    missed: int | None                   # the first vertex outside it
+    size: int | None                     # edges in the orbit of edge 0; None when bad
+    transitive: bool                     # size == |E|
+    taus: list[tuple[str, int, list[int]]]  # per name, each distinct tau_v, its first v
+    schreier: np.ndarray                 # (k, degree) the distinct Schreier generators
+
+
+def _star_map(graph: CayleyGraph, perm: np.ndarray):
+    """(u, tau, ok): per vertex v the vertex u(v) whose star perm maps the
+    star of v onto, and per position i the position tau_v(i) there; ok
+    where perm is a bijection and perm(eid[v, i]) = eid[u(v), tau_v(i)].
+    Distinct edges share at most one endpoint, so u(v) can only be the
+    shared endpoint of the images of eid[v, 0] and eid[v, 1]."""
+    # int32 gathers take half the memory and time of int64 ones
+    img = perm.astype(np.int32)[graph.eid]
+    a, j = (graph.edge_canonical[:, k].astype(np.int32)[img] for k in (0, 1))
+    pair = [0, min(1, graph.degree - 1)]     # degree 1: the one edge twice
+    (a0, a1), (b0, b1) = a[:, pair].T, graph.adj[a[:, pair], j[:, pair]].T
+    u = np.where((a0 == a1) | (a0 == b1), a0, np.where((b0 == a1) | (b0 == b1), b0, -1))
+    tau = np.where(a == u[:, None], j, graph.inv_gen.astype(np.int32)[j])
+    ok = (u >= 0)[:, None] & (graph.eid[u[:, None], tau] == img)
+    return u, tau, ok & (np.bincount(perm, minlength=graph.n_edges) == 1)[img]
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct row, ascending."""
+    rows = np.ascontiguousarray(rows)
+    key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    return np.sort(np.unique(key, return_index=True)[1])
+
+
+def edge_orbit(graph: CayleyGraph, perms: dict[str, np.ndarray]) -> EdgeOrbit:
+    """The orbit of edge 0 under the group G that the named edge
+    permutations generate, by one BFS over the vertices and Schreier's
+    lemma (Seress, Permutation Group Algorithms, CUP 2003, 4.1).
+
+    Star maps.  Each pi must be a bijection that maps the star of every
+    vertex v onto the star of one vertex u(v): pi(eid[v, i]) =
+    eid[u(v), tau_v(i)] at every position i.  The first (name, vertex,
+    position) where one is not is `bad`, and nothing else is computed:
+    every check built on this certificate fails.  Otherwise pi acts on
+    the flags (v, i) by (v, i) -> (u(v), tau_v(i)), and eid carries that
+    action onto the edge action and the flag (0, 0) onto edge 0.
+
+    Orbit.  The BFS from vertex 0 through the maps u records, for each
+    vertex v it reaches, the product p_v of the generators along its
+    tree path and path[v], which sends each position i of vertex 0 to
+    the position of v that p_v moves it to: reaching u = u_pi(v) from v
+    gives p_u = pi p_v and path[u] = tau_v o path[v].  The Schreier
+    generators p_u(v)^-1 pi p_v, over every reached v and every pi,
+    generate the stabiliser of vertex 0 in the flag group (Schreier's
+    lemma); on the positions of vertex 0 they act as
+    sigma = path[u(v)]^-1 o tau_v o path[v] and generate its image
+    Gamma.  A g that maps vertex 0 to v is p_v h with h in the
+    stabiliser, so the orbit of the flag (0, 0) is {(v, path[v][x]) :
+    v reached, x in Gamma.0}, and `size` counts the distinct edges
+    eid[v, path[v][x]] exactly: G is edge transitive iff they are all of
+    E.  An orbit of a finite group is the closure under its generators,
+    so no BFS needs inverses.  tanner.verify_single_orbit runs Gamma on
+    words.
+    """
+    names = sorted(perms)
+    n, d = graph.n_vertices, graph.degree
+    u = np.empty((len(names), n), dtype=np.int32)
+    tau = np.empty((len(names), n, d), dtype=np.int32)
+    for p, name in enumerate(names):
+        u[p], tau[p], ok = _star_map(graph, np.asarray(perms[name]))
+        if not ok.all():
+            v, i = np.unravel_index(np.argmin(ok), ok.shape)
+            return EdgeOrbit(names, (name, int(v), int(i)), 0, None, None, False, [],
+                             np.zeros((0, d), dtype=np.int32))
+    taus = [(name, int(v), t[v].tolist()) for name, t in zip(names, tau)
+            for v in _distinct_rows(t)]
+    path = np.full((n, d), -1, dtype=np.int32)
+    path[0] = np.arange(d)
+    frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
-        reached = np.zeros(n_points, dtype=bool)
-        reached[perms[:, frontier]] = True
-        frontier = np.flatnonzero(reached & ~seen)
-        seen |= reached
-    return int(seen.sum())
-
-
-def verify_edge_transitive(graph: CayleyGraph, perms: dict[str, np.ndarray]
-                           ) -> tuple[bool, int]:
-    """Whether the semi-direct product, given by the edge permutations
-    of its two generators (symmetry_edge_permutations), reaches every
-    undirected edge from edge 0; and the size of that orbit."""
-    size = edge_orbit(list(perms.values()), graph.n_edges)
-    return size == graph.n_edges, size
-
+        # images in (frontier vertex, permutation) order, each new vertex
+        # reached through its first one
+        new, first = np.unique(u[:, frontier].T.ravel(), return_index=True)
+        fresh = path[new, 0] < 0
+        at, p = np.divmod(first[fresh], len(names))
+        frontier, v = new[fresh], frontier[at]
+        path[frontier] = np.take_along_axis(tau[p, v], path[v], axis=1)
+    is_reached = path[:, 0] >= 0
+    reached = np.flatnonzero(is_reached)
+    inverse = np.empty((n, d), dtype=np.int32)          # inverse[v, path[v][i]] = i
+    inverse[reached[:, None], path[reached]] = np.arange(d, dtype=np.int32)
+    sigma = inverse[u[:, reached, None], tau[:, reached[:, None], path[reached]]].reshape(-1, d)
+    schreier = sigma[_distinct_rows(sigma)]
+    # Gamma.0, then the edges at the positions path[v][Gamma.0]
+    gamma_0 = [0]
+    for x in gamma_0:                    # the list grows as it is read
+        gamma_0 += sorted(set(schreier[:, x].tolist()) - set(gamma_0))
+    hit = np.zeros(graph.n_edges, dtype=bool)
+    hit[graph.eid[reached[:, None], path[reached][:, gamma_0]]] = True
+    size = int(hit.sum())
+    return EdgeOrbit(names, None, len(reached),
+                     None if is_reached.all() else int(np.argmin(is_reached)),
+                     size, size == graph.n_edges, taus, schreier)

@@ -109,7 +109,7 @@ from . import gf2poly
 from .cyclic import CyclicCode, dual_basis_rows, edge_code_bounds
 from .errors import CheckFailure, ConstructionError
 from .gf2 import Gf2Matrix, int_rank
-from .graphs import CayleyGraph
+from .graphs import CayleyGraph, EdgeOrbit
 
 
 class StarPivots(NamedTuple):
@@ -411,6 +411,14 @@ def measured_rate(inst: CayleyCodeInstance) -> Fraction:
 # Invariance of the row space under the symmetry generators
 # ---------------------------------------------------------------------------
 
+def _star_failure_text(perm: str, vertex: int, position: Optional[int]) -> str:
+    if position is not None:
+        return (f"{perm!r} maps position {position} of the star of vertex {vertex} "
+                "off the image star")
+    return (f"{perm!r} permutes the star positions of vertex {vertex} by a map that "
+            "does not preserve the dual of the inner code")
+
+
 @dataclass
 class InvarianceReport:
     passed: bool
@@ -421,78 +429,54 @@ class InvarianceReport:
 
     def require(self) -> None:
         if not self.passed:
-            what = (f"maps position {self.bad_position} of the star of vertex "
-                    f"{self.bad_vertex} off the image star"
-                    if self.bad_position is not None else
-                    f"permutes the star positions of vertex {self.bad_vertex} "
-                    "by a map that does not preserve the dual of the inner code")
-            raise CheckFailure(f"invariance failed: {self.bad_perm!r} {what}")
+            raise CheckFailure("invariance failed: " + _star_failure_text(
+                self.bad_perm, self.bad_vertex, self.bad_position))
 
 
-def _endpoints(graph: CayleyGraph, edges: np.ndarray):
-    """Canonical endpoint a, its generator index j and the other
-    endpoint adj[a, j] of each edge id, each shaped like `edges`."""
-    a, j = np.moveaxis(graph.edge_canonical[edges], -1, 0)
-    return a, j, graph.adj[a, j]
+def _word_moved(word: int, tau: Sequence[int]) -> int:
+    """tau w: bit tau(i) is bit i of w."""
+    return sum((word >> i & 1) << p for i, p in enumerate(tau))
 
 
-def _shared_endpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The endpoint shared by the edges {a[:, 0], b[:, 0]} and
-    {a[:, 1], b[:, 1]}, -1 where there is none."""
-    (a0, a1), (b0, b1) = a.T, b.T
-    return np.where((a0 == a1) | (a0 == b1), a0,
-                    np.where((b0 == a1) | (b0 == b1), b0, -1))
+def _star_failure(inst: CayleyCodeInstance, orbit: EdgeOrbit
+                  ) -> Optional[tuple[str, int, Optional[int]]]:
+    """The first (permutation, vertex, position) where a permutation is no
+    star map; else the first (permutation, vertex, None), in name and then
+    vertex order, whose tau_v does not map B-dual onto itself; else None."""
+    if orbit.bad is not None:
+        return orbit.bad
+    rank_b = int_rank(inst.dual_rows)
+    for name, v, tau in orbit.taus:
+        moved = [_word_moved(w, tau) for w in inst.dual_rows]
+        if not int_rank(moved) == rank_b == int_rank(inst.dual_rows + moved):
+            return name, v, None
+    return None
 
 
-def verify_invariance(inst: CayleyCodeInstance, perms: dict[str, np.ndarray]
-                      ) -> InvarianceReport:
+def verify_invariance(inst: CayleyCodeInstance, orbit: EdgeOrbit) -> InvarianceReport:
     """Each edge permutation maps rowspace(H) onto itself, proven for
     every row by a local certificate: no sampling, no elimination.
 
-    For each pi, on img = pi[eid], the whole (|V|, degree) table, so
-    both directed forms of every edge: pi is a bijection; every img[v]
-    is the star of one vertex u(v), img[v, i] = eid[u(v), tau_v(i)] at
-    every position i; and every distinct tau_v maps B-dual :=
+    The check, on the star maps of graphs.edge_orbit: every pi is a star
+    map, img[v, i] = pi(eid[v, i]) = eid[u(v), tau_v(i)] for every vertex
+    v and position i, and every distinct tau_v maps B-dual :=
     span(inst.dual_rows) onto itself, tau w having bit tau(i) = bit i of
-    w.  Distinct edges share at most one endpoint, so u(v) can only be
-    the shared endpoint of img[v, 0] and img[v, 1], as in _locate_rows.
-    The first failure is named, in (vertex, position) order.
+    w.  The first failure is named: permutation, vertex and position.
 
     Proof.  Row L_v(w) of H puts bit i of the dual word w on eid[v, i];
     pi moves it to eid[u(v), tau_v(i)], so pi(L_v(w)) = L_{u(v)}(tau_v w),
     a sum of rows of H at u(v) since tau_v w is in B-dual.  So the
     injective linear map pi sends rowspace(H) into, hence onto, itself.
-    In build this also follows from single_orbit: the orbit is closed
-    under every pi and spans rowspace(H).
 
-    Sufficient, not necessary: on Z_19, S = [1, 18, 2, 17, 5, 14], with
-    x -> -x and h = 0b1001 every row stays in rowspace(H), yet
-    tau = (01)(23)(45) does not preserve B-dual.  On every instance the
+    Sufficient, not necessary, and verify_single_orbit asks the same:
+    on Z_19, S = [1, 18, 2, 17, 5, 14], with x -> -x and h = 0b1001
+    every row stays in rowspace(H), yet tau = (01)(23)(45) does not
+    preserve B-dual, so both checks fail there.  On every instance the
     command line builds, tau is the identity (left translations) or the
-    cyclic shift (the torus) and B is cyclic, so these pass by
-    construction.
+    cyclic shift (the torus) and B is cyclic: these pass by construction.
     """
-    graph, names = inst.graph, sorted(perms)
-    pair = [0, min(1, graph.degree - 1)]     # degree 1: the one edge twice
-    rank_b = int_rank(inst.dual_rows)
-    for name in names:
-        perm = np.asarray(perms[name])
-        img = perm[graph.eid]
-        a, j, b = _endpoints(graph, img)
-        u = _shared_endpoint(a[:, pair], b[:, pair])[:, None]
-        tau = np.where(a == u, j, graph.inv_gen[j])
-        hits = np.bincount(perm, minlength=graph.n_edges)[img]
-        ok = (u >= 0) & (graph.eid[u, tau] == img) & (hits == 1)
-        if not ok.all():
-            v, i = np.unravel_index(np.argmin(ok), ok.shape)
-            return InvarianceReport(False, names, name, int(v), int(i))
-        taus, first = np.unique(tau, axis=0, return_index=True)
-        for v, t in sorted(zip(first.tolist(), taus.tolist())):
-            moved = [sum(((w >> i) & 1) << p for i, p in enumerate(t))
-                     for w in inst.dual_rows]
-            if not int_rank(moved) == rank_b == int_rank(inst.dual_rows + moved):
-                return InvarianceReport(False, names, name, v, None)
-    return InvarianceReport(True, names)
+    bad = _star_failure(inst, orbit)
+    return InvarianceReport(bad is None, orbit.names, *(bad or ()))
 
 
 # ---------------------------------------------------------------------------
@@ -502,115 +486,72 @@ def verify_invariance(inst: CayleyCodeInstance, perms: dict[str, np.ndarray]
 @dataclass
 class SingleOrbitReport:
     passed: bool
-    orbit_size: int
+    orbit_size: int                      # |orbit of vertex 0| x |Gamma.w0|
     rank_h: int
     orbit_rank: Optional[int]            # rank_h on a pass, None on a failure
-    start_weight: int
-    bad_vertex: Optional[int] = None     # first vertex whose local span differs
-    bad_row: Optional[int] = None        # first orbit row that is not vertex-local
+    failure: Optional[str] = None        # what broke, naming where
 
     def require(self) -> None:
-        if self.passed:
-            return
-        if self.bad_row is not None:
-            where = f"orbit row {self.bad_row} is not supported on one vertex star"
-        else:
-            where = (f"at vertex {self.bad_vertex} the orbit's local words do not "
-                     "span the dual of the inner code")
-        raise CheckFailure(
-            f"single-orbit check failed: {where} "
-            f"(orbit size {self.orbit_size}, rank(H) = {self.rank_h})"
-        )
+        if not self.passed:
+            raise CheckFailure(
+                f"single-orbit check failed: {self.failure} "
+                f"(orbit size {self.orbit_size}, rank(H) = {self.rank_h})")
 
 
-def row_orbit(inst: CayleyCodeInstance, perms: Sequence[np.ndarray],
-              start_row: int = 0) -> np.ndarray:
-    """Orbit of one constraint row under the edge permutations, one
-    sorted support per row, in the order of the sequential BFS: one
-    frontier at a time, images read in (frontier row, permutation) order,
-    unseen ones kept in order of first encounter, which is that order by
-    the argument in graphs.generate_group."""
-    table = np.stack(perms).astype(np.int32)
-    frontier = inst.indices[inst.indptr[start_row]:inst.indptr[start_row + 1]][None]
-    k = frontier.shape[1]
-    as_key = np.dtype((np.void, 4 * k))   # a support as one opaque value
-    levels, seen = [frontier], frontier.view(as_key).ravel()
-    while frontier.size:
-        images = np.ascontiguousarray(table.T[frontier].swapaxes(1, 2)).reshape(-1, k)
-        images.sort(axis=1)
-        keys = images.view(as_key).ravel()
-        new, first = np.unique(keys, return_index=True)
-        unseen = ~np.isin(new, seen, assume_unique=True)   # as in generate_group
-        new = new[unseen]
-        frontier = images[np.sort(first[unseen])]
-        levels.append(frontier)
-        seen = np.concatenate([seen, new])
-    return np.concatenate(levels)
+def row_orbit(inst: CayleyCodeInstance, orbit: EdgeOrbit) -> list[int]:
+    """Gamma.w0, breadth first from w0 = dual_rows[0] (none when B-dual
+    is empty): the local words at vertex 0 of the orbit of row 0 of H,
+    L_0(w0), with Gamma generated by orbit.schreier."""
+    words = inst.dual_rows[:1]
+    schreier = orbit.schreier.tolist()
+    for word in words:                   # the list grows as it is read
+        words += [w for w in dict.fromkeys(_word_moved(word, s) for s in schreier)
+                  if w not in words]
+    return words
 
 
-def _locate_rows(inst: CayleyCodeInstance, orbit: np.ndarray
-                 ) -> tuple[np.ndarray, list[int]]:
-    """Per orbit row of distinct edges: the vertex whose star holds it
-    (-1 if none) and its local mask there.  Distinct edges share at most
-    one endpoint (no repeated generators), so only the shared endpoint
-    of the first two edges can qualify; a weight-1 row lies on both
-    endpoint stars and goes to the first one in Python's set order."""
-    graph = inst.graph
-    v, _, w = _endpoints(graph, orbit[:, :2])
-    if orbit.shape[1] == 1:
-        vertex = np.array([next(iter({a, b})) for a, b in
-                           zip(v[:, 0].tolist(), w[:, 0].tolist())], dtype=np.int64)
-    else:
-        vertex = _shared_endpoint(v, w)
-    on_star = orbit[:, :, None] == graph.eid[vertex][:, None, :]
-    vertex[~on_star.any(axis=2).all(axis=1)] = -1
-    packed = np.packbits(on_star.any(axis=1), axis=1, bitorder="little")
-    return vertex, [int.from_bytes(row, "little") for row in packed.tolist()]
+def verify_single_orbit(inst: CayleyCodeInstance, orbit: EdgeOrbit) -> SingleOrbitReport:
+    """The orbit of the single constraint L_0(w0), row 0 of H with
+    w0 = dual_rows[0], under the group of graphs.edge_orbit spans the
+    whole row space of H, certified on the stabiliser of vertex 0.
 
+    The check: every pi is a star map (one that is not fails this,
+    invariance and edge transitivity alike, named by permutation, vertex
+    and position), every distinct tau_v maps B-dual :=
+    span(inst.dual_rows) onto itself, the orbit of vertex 0 is all of V,
+    and span(Gamma.w0) = B-dual; the first failure is named.
 
-def verify_single_orbit(inst: CayleyCodeInstance, perms: Sequence[np.ndarray],
-                        start_row: int = 0) -> SingleOrbitReport:
-    """The orbit of the single starting constraint must span the whole
-    row space of H, certified vertex by vertex.
-
-    The check: every orbit row lies in the star of one vertex v, and at
-    every v the local words M_v of the orbit rows found there span
-    B-dual := span(inst.dual_rows).  The first vertex or orbit row that
-    breaks this is named in the report.
-
-    Why that is the whole check.  For a vertex v let L_v map a local
-    word (bit i at generator position i) to the edge vector with the
-    same bits on the star of v.  L_v is linear, and it is injective
-    because generate_group rejects repeated generators and the
-    identity: the star positions of v are distinct edges.  So an
-    edge vector supported on the star has exactly one local word, the
-    mask read off by _locate_rows.  The rows of H are the
-    L_v(dual word), hence rowspace(H) = sum over v of L_v(B-dual).  When
-    every orbit row is vertex-local, span(orbit) = sum over v of
-    L_v(M_v).  If M_v = B-dual at every v the two sums are equal term by
-    term, so rank(orbit) = rank(H) and every orbit row lies in
-    rowspace(H); eliminating the orbit rows globally, or reducing them
-    against H, can only confirm this.
+    Proof.  Let L_v map a local word (bit i at position i) to the edge
+    vector with the same bits on the star of v; L_v is injective, as
+    generate_group rejects repeated generators and the identity, and
+    rowspace(H) = sum over v of L_v(B-dual).  A star map pi sends L_v(w)
+    to L_{u(v)}(tau_v w), so with g = p_v h as in graphs.edge_orbit the
+    orbit of the row is {L_v(path[v] x) : v reached, x in Gamma.w0};
+    orbit_size = |V| |Gamma.w0| counts its rows when w0 has weight 2 or
+    more (two stars share at most one edge).  path[v] is a product of
+    maps tau, so path[v] B-dual = B-dual, and the orbit rows at v span
+    L_v(path[v] span(Gamma.w0)) = L_v(B-dual).  With every vertex
+    reached, span(orbit) = rowspace(H): rank(orbit) = rank(H), and
+    every orbit row lies in rowspace(H).  Conversely, for star maps the
+    check holds exactly when the orbit's local words span B-dual at
+    every vertex: at vertex 0 that is span(Gamma.w0) = B-dual, and then
+    tau_v = path[u(v)] o sigma o path[v]^-1, sigma in Gamma, maps B-dual
+    onto itself, as Gamma permutes Gamma.w0.
     """
-    orbit = row_orbit(inst, perms, start_row)
+    words = row_orbit(inst, orbit)
     rank_h = inst.rank
-
-    def failed(**where) -> SingleOrbitReport:
-        return SingleOrbitReport(False, len(orbit), rank_h, None, len(orbit[0]),
-                                 **where)
-
-    vertex, masks = _locate_rows(inst, orbit)
-    if (vertex < 0).any():
-        return failed(bad_row=int(np.argmax(vertex < 0)))
-
-    local_masks: list[list[int]] = [[] for _ in range(inst.graph.n_vertices)]
-    for v, mask in zip(vertex.tolist(), masks):
-        local_masks[v].append(mask)
-    rank_b = int_rank(inst.dual_rows)
-    for v, local in enumerate(local_masks):
-        if not int_rank(local) == rank_b == int_rank(inst.dual_rows + local):
-            return failed(bad_vertex=v)
-    return SingleOrbitReport(True, len(orbit), rank_h, rank_h, len(orbit[0]))
+    bad, rank_b = _star_failure(inst, orbit), int_rank(inst.dual_rows)
+    if bad is not None:
+        failure = _star_failure_text(*bad)
+    elif orbit.missed is not None:
+        failure = f"the permutations never reach vertex {orbit.missed} from vertex 0"
+    elif not int_rank(words) == rank_b == int_rank(inst.dual_rows + words):
+        failure = (f"the stabiliser orbit of the start word spans rank {int_rank(words)}, "
+                   f"not the dual of the inner code (rank {rank_b})")
+    else:
+        failure = None
+    return SingleOrbitReport(failure is None, orbit.vertices * len(words), rank_h,
+                             None if failure else rank_h, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +613,9 @@ def run_verification(gens, graph: CayleyGraph, inner: CyclicCode, seed: int = 0,
     """Full pipeline on a built graph: classification, spectrum and the
     expansion certificate, edge transitivity, single orbit (which
     computes rank(H), so star elimination runs inside it), the code's
-    rate bound and invariance.  The symmetry checks run on the two
-    generating edge permutations of symmetry_edge_permutations.
+    rate bound and invariance.  The three symmetry checks read one
+    certificate, graphs.edge_orbit of the two generating edge
+    permutations of symmetry_edge_permutations.
 
     inner_d_lower, when given, is a proven distance bound for the inner
     code (e.g. its designed distance); otherwise the exact distance is
@@ -685,7 +627,7 @@ def run_verification(gens, graph: CayleyGraph, inner: CyclicCode, seed: int = 0,
     feeds nothing else.
     """
     from .cyclic import EXACT_DISTANCE_MAX_DIM, min_distance
-    from .graphs import symmetry_edge_permutations, verify_edge_transitive
+    from .graphs import edge_orbit, symmetry_edge_permutations
     from .quaternion import classify, expected_group_order
     from .spectra import is_ramanujan, ramanujan_bound, spectrum
 
@@ -700,11 +642,10 @@ def run_verification(gens, graph: CayleyGraph, inner: CyclicCode, seed: int = 0,
     spec = spectrum(graph.group, graph.gens)
     ram = is_ramanujan(spec, q)
 
-    perms = symmetry_edge_permutations(graph, gens)
-    et_ok, orbit_edges = verify_edge_transitive(graph, perms)
+    orbit = edge_orbit(graph, symmetry_edge_permutations(graph, gens))
 
     inst = build_parity_check(graph, inner)
-    orbit_rep = verify_single_orbit(inst, list(perms.values()))
+    orbit_rep = verify_single_orbit(inst, orbit)
     rate = measured_rate(inst)
     if inner_d_lower is not None:
         delta_b = Fraction(inner_d_lower, inner.n)
@@ -717,7 +658,7 @@ def run_verification(gens, graph: CayleyGraph, inner: CyclicCode, seed: int = 0,
         delta_source = "unknown"
     rate_lb, dist_lb = edge_code_bounds(inner.rate, delta_b, spec.lambda2)
 
-    inv = verify_invariance(inst, perms)
+    inv = verify_invariance(inst, orbit)
 
     report = VerificationReport(
         params={
@@ -753,8 +694,8 @@ def run_verification(gens, graph: CayleyGraph, inner: CyclicCode, seed: int = 0,
             "classification": bip_ok and order_ok,
             "regular": regular_ok,
             "ramanujan": ram,
-            "edge_transitive": et_ok,
-            "edge_orbit_size": orbit_edges,
+            "edge_transitive": orbit.transitive,
+            "edge_orbit_size": orbit.size,
             "rate_bound": rate >= rate_lb,
             "invariance": inv.passed,
             "single_orbit": orbit_rep.passed,

@@ -8,7 +8,8 @@ double-loop nullspace built on it (the only nullspace: the codeword
 oracles of code_reference span it), and the one-row membership helpers
 and the span equality of integer-encoded rows the tests use, as an
 independent oracle; plus the integer, coefficient-list and CSR
-conversions and the polynomial gcd the tests build inputs with.
+conversions, the polynomial gcd, weight and cyclic shift the tests
+build inputs with.
 """
 
 from __future__ import annotations
@@ -79,6 +80,18 @@ def gcd(a: int, b: int) -> int:
     while b:
         a, b = b, mod(a, b)
     return a
+
+
+def weight(a: int) -> int:
+    """Number of nonzero coefficients."""
+    return a.bit_count()
+
+
+def cyclic_shift(word: int, n: int, amount: int = 1) -> int:
+    """Cyclic shift of an n-bit word: multiplication by x^amount mod x^n - 1."""
+    amount %= n
+    mask = (1 << n) - 1
+    return ((word << amount) | (word >> (n - amount))) & mask
 
 
 def to_coeffs(a: int, length: int | None = None) -> list[int]:

@@ -22,9 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from cayleycodes.errors import ConstructionError
-from cayleycodes.graphs import CayleyGraph, KeyIndex, edge_orbit, edge_permutation
+from cayleycodes.graphs import CayleyGraph, KeyIndex, edge_permutation
 
 from field_reference import FiniteField, ProjectiveMatrix, decode, matrix_key
+from orbit_reference import point_orbit
 
 
 class AddGroupElement:
@@ -295,4 +296,4 @@ def sdp_edge_permutation(graph: CayleyGraph, h: SdpElement) -> np.ndarray:
 def verify_vertex_transitive(graph: CayleyGraph) -> bool:
     """Left translations act transitively on vertices (orbit of vertex 0
     under v -> s * v covers everything)."""
-    return edge_orbit(left_translation_maps(graph), graph.n_vertices) == graph.n_vertices
+    return point_orbit(left_translation_maps(graph), graph.n_vertices) == graph.n_vertices

@@ -1,0 +1,88 @@
+"""The orbit enumerations that graphs.edge_orbit and
+tanner.verify_single_orbit replace, kept as oracles: a BFS over points
+(edge or vertex ids) under permutations, a BFS over the sorted supports
+of rows of H, the vertex star that holds each orbit row, and the
+per-vertex single-orbit check built on them."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from cayleycodes.gf2 import int_rank
+
+
+def point_orbit(perms, n_points: int, start: int = 0) -> int:
+    """Size of the orbit of one point under permutations of
+    range(n_points), breadth first, one frontier at a time."""
+    perms = np.asarray(perms)
+    seen = np.zeros(n_points, dtype=bool)
+    seen[start] = True
+    frontier = np.array([start])
+    while frontier.size:
+        reached = np.zeros(n_points, dtype=bool)
+        reached[perms[:, frontier]] = True
+        frontier = np.flatnonzero(reached & ~seen)
+        seen |= reached
+    return int(seen.sum())
+
+
+def row_orbit(inst, perms, start_row: int = 0) -> np.ndarray:
+    """Orbit of one row of H under edge permutations, one sorted support
+    per row, in the order of the sequential BFS: one frontier at a time,
+    images read in (frontier row, permutation) order, unseen ones kept in
+    order of first encounter."""
+    table = np.stack(perms).astype(np.int32)
+    frontier = inst.indices[inst.indptr[start_row]:inst.indptr[start_row + 1]][None]
+    k = frontier.shape[1]
+    as_key = np.dtype((np.void, 4 * k))   # a support as one opaque value
+    levels, seen = [frontier], frontier.view(as_key).ravel()
+    while frontier.size:
+        images = np.ascontiguousarray(table.T[frontier].swapaxes(1, 2)).reshape(-1, k)
+        images.sort(axis=1)
+        keys = images.view(as_key).ravel()
+        new, first = np.unique(keys, return_index=True)
+        unseen = ~np.isin(new, seen, assume_unique=True)
+        new = new[unseen]
+        frontier = images[np.sort(first[unseen])]
+        levels.append(frontier)
+        seen = np.concatenate([seen, new])
+    return np.concatenate(levels)
+
+
+def locate_rows(inst, orbit: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Per orbit row of distinct edges: the vertex whose star holds it
+    (-1 if none) and its local mask there.  Distinct edges share at most
+    one endpoint, so only the shared endpoint of the first two edges can
+    qualify; a weight-1 row lies on both endpoint stars and goes to the
+    first one in Python's set order."""
+    graph = inst.graph
+    v, j = np.moveaxis(graph.edge_canonical[orbit[:, :2]], -1, 0)
+    w = graph.adj[v, j]
+    if orbit.shape[1] == 1:
+        vertex = np.array([next(iter({a, b})) for a, b in
+                           zip(v[:, 0].tolist(), w[:, 0].tolist())], dtype=np.int64)
+    else:
+        (v0, v1), (w0, w1) = v.T, w.T
+        vertex = np.where((v0 == v1) | (v0 == w1), v0,
+                          np.where((w0 == v1) | (w0 == w1), w0, -1))
+    on_star = orbit[:, :, None] == graph.eid[vertex][:, None, :]
+    vertex[~on_star.any(axis=2).all(axis=1)] = -1
+    packed = np.packbits(on_star.any(axis=1), axis=1, bitorder="little")
+    return vertex, [int.from_bytes(row, "little") for row in packed.tolist()]
+
+
+def single_orbit(inst, orbit: np.ndarray) -> tuple[bool, int | None, int | None]:
+    """(passed, bad_row, bad_vertex) of the per-vertex check on an orbit
+    of rows: every row lies on one vertex star, and at every vertex the
+    local words of the rows found there span the dual of the inner code."""
+    vertex, masks = locate_rows(inst, orbit)
+    if (vertex < 0).any():
+        return False, int(np.argmax(vertex < 0)), None
+    local_masks: list[list[int]] = [[] for _ in range(inst.graph.n_vertices)]
+    for v, mask in zip(vertex.tolist(), masks):
+        local_masks[v].append(mask)
+    rank_b = int_rank(inst.dual_rows)
+    for v, local in enumerate(local_masks):
+        if not int_rank(local) == rank_b == int_rank(inst.dual_rows + local):
+            return False, None, v
+    return True, None, None

@@ -19,8 +19,7 @@ from cayleycodes import cli, cyclic, gf2poly
 from cayleycodes.cyclic import CyclicCode
 from cayleycodes.errors import ConstructionError
 from cayleycodes.gf2 import Gf2Matrix
-from cayleycodes.graphs import (generate_group, symmetry_edge_permutations,
-                                verify_edge_transitive)
+from cayleycodes.graphs import edge_orbit, generate_group, symmetry_edge_permutations
 from cayleycodes.quaternion import (build_generators, classify,
                                     residue_params, split_quaternion)
 from cayleycodes.spectra import is_ramanujan, ramanujan_bound, spectrum
@@ -30,7 +29,7 @@ from cayleycodes.tanner import (build_parity_check, measured_rate, verify_invari
 from field_reference import raw_mul, reference_field, split_matrices
 
 from code_reference import codeword_set_brute_force, codeword_set_from_nullspace
-from gf2_reference import csr
+from gf2_reference import csr, cyclic_shift
 from group_reference import ZnGroup
 from spectra_reference import set_distance, spectrum_dense, spectrum_lanczos
 
@@ -74,7 +73,7 @@ def test_criterion_2_bch_oracle():
     assert (doubled.n, doubled.dim) == (30, 22)
     # cyclic: shift closure over the whole spanning basis
     for word in doubled.basis():
-        assert doubled.contains(doubled.shift(word))
+        assert doubled.contains(cyclic_shift(word, doubled.n))
     # a weight-3 codeword: the interleaved image of the minimum word
     witness = cyclic.interleave(exact.witness, 0, 15)
     assert witness.bit_count() == 3 and doubled.contains(witness)
@@ -106,8 +105,8 @@ def test_criterion_3_ramanujan_certification(q19_psl_graph, q19_pgl_graph, q19_p
 def test_criterion_4_edge_transitivity(q19_psl_graph, q19_psl_gens):
     t0 = time.time()
     perms = symmetry_edge_permutations(q19_psl_graph, q19_psl_gens)
-    ok, orbit = verify_edge_transitive(q19_psl_graph, perms)
-    assert ok and orbit == 34200 == q19_psl_graph.n_edges
+    orbit = edge_orbit(q19_psl_graph, perms)
+    assert orbit.transitive and orbit.size == 34200 == q19_psl_graph.n_edges
     _report(4, "edge transitivity", t0, 60)
 
 
@@ -119,13 +118,13 @@ def test_criterion_5_structural_code_checks(q19_instance, q19_perms):
     assert rate == Fraction(inst.n - inst.rank, 34200)
     assert rate >= 2 * inst.inner.rate - 1  # exact rational comparison
     # exhaustive: every vertex star and every star position of both maps
-    inv = verify_invariance(
-        inst,
-        {"left_gamma": q19_perms["left_s0"], "torus_t0": q19_perms["torus_t0"]})
+    orbit = edge_orbit(inst.graph, {"left_gamma": q19_perms["left_s0"],
+                                    "torus_t0": q19_perms["torus_t0"]})
+    inv = verify_invariance(inst, orbit)
     assert inv.passed and inv.perm_names == ["left_gamma", "torus_t0"]
     assert inv.bad_perm is inv.bad_vertex is inv.bad_position is None
-    orbit_rep = verify_single_orbit(inst, list(q19_perms.values()))
-    assert orbit_rep.passed
+    orbit_rep = verify_single_orbit(inst, orbit)
+    assert orbit_rep.passed and orbit_rep.orbit_size == 3420 * 20
     assert orbit_rep.orbit_rank == orbit_rep.rank_h == inst.rank
     _report(5, "structural code checks", t0, 1800)
 

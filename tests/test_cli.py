@@ -180,15 +180,17 @@ def test_cli_import_loads_no_scipy(tmp_path):
     """The command line never imports scipy, which serves the tests, and
     imports numpy only once graph, build or verify starts work: importing
     it, the inner-code commands and a verify of a missing directory
-    load neither, and a build loads numpy but not numpy.ma, which
-    np.unique without return_index and np.isin on repeated values
-    import (1.3 MB)."""
+    load neither, and a build, then a verify of what it built (which
+    runs the symmetry certificate too), load numpy but not numpy.ma,
+    which np.unique without return_index or with axis, and np.isin on
+    repeated values, import (1.3 MB)."""
     assert _layers_loaded(tmp_path, ["bch", "--m", "11", "--a", "8", "-o", "bch11.code"],
                           ["double", "bch11.code"], ["build", "--paper-instance"],
                           ["verify", "no_such_dir"]) == [[], [0, []], [0, []], [0, []], [2, []]]
     (tmp_path / "inner6.code").write_text("6 4\n7\n")
     assert _layers_loaded(tmp_path, ["build", "--q", "5", "--e", "2", "--inner", "inner6.code",
                                      "--out", "q5e2"]) == [[], [0, ["numpy"]]]
+    assert _layers_loaded(tmp_path, ["verify", "q5e2"]) == [[], [0, ["numpy"]]]
 
 
 def test_package_exports_resolve_lazily():
@@ -214,15 +216,15 @@ def test_unknown_command():
 PRISTINE_VERIFY_STDOUT = [
     "graph_shape: pass", "edge_list: pass", "ramanujan: pass", "spectrum_matches: pass",
     "alist_exact: pass", "rank_matches: pass", "rate_bound: pass", "invariance: pass",
-    "all checks passed",
+    "edge_transitive: pass", "single_orbit: pass", "all checks passed",
 ]
 
 
 def test_tampered_verify_fails_before_elimination(tmp_path, monkeypatch, capsys):
     """A code.alist that differs from the rebuilt H fails verify with
-    the row named, before the spectrum, any elimination or the invariance
+    the row named, before the spectrum, any elimination or the symmetry
     certificate runs; the pristine directory prints every check in order."""
-    from cayleycodes import alist, gf2
+    from cayleycodes import alist, gf2, graphs
 
     inner = tmp_path / "inner6.code"
     inner.write_text("6 4\n7\n")
@@ -242,13 +244,15 @@ def test_tampered_verify_fails_before_elimination(tmp_path, monkeypatch, capsys)
         raise AssertionError("verify kept working after the alist mismatch")
 
     monkeypatch.setattr(spectra, "spectrum", forbidden)
+    monkeypatch.setattr(graphs, "edge_orbit", forbidden)
     monkeypatch.setattr(tanner, "verify_invariance", forbidden)
     monkeypatch.setattr(gf2.Gf2Matrix, "echelon", forbidden)
     assert cli.main(["verify", str(out)]) == 1
     captured = capsys.readouterr()
     assert "code.alist: row 100 differs" in captured.err
     assert "alist_exact: FAIL" in captured.out
-    for skipped in ("ramanujan:", "spectrum_matches:", "rank_matches", "invariance"):
+    for skipped in ("ramanujan:", "spectrum_matches:", "rank_matches", "invariance",
+                    "edge_transitive", "single_orbit"):
         assert skipped not in captured.out
 
 

@@ -6,7 +6,7 @@ import pytest
 from cayleycodes.errors import ConstructionError
 from cayleycodes.graphs import (edge_orbit, edge_permutation,
                                 generate_group, graph_from_generators,
-                                symmetry_edge_permutations, verify_edge_transitive)
+                                symmetry_edge_permutations)
 
 from field_reference import decode
 from group_reference import (SdpElement, ZnGroup, left_translation_maps, object_vertices,
@@ -141,16 +141,19 @@ def test_edge_permutation_bijection_and_composition(q19_psl_graph, q19_psl_gens)
 
 
 def test_edge_transitive_q19(q19_psl_graph, q19_perms):
-    ok, size = verify_edge_transitive(q19_psl_graph, q19_perms)
-    assert ok and size == 34200
+    orbit = edge_orbit(q19_psl_graph, q19_perms)
+    assert orbit.transitive and orbit.size == 34200
+    assert orbit.bad is None and orbit.missed is None and orbit.vertices == 3420
 
 
 def test_toy_edge_orbit_under_translations_only():
     # the cycle C_8 is edge transitive under rotations alone
     g = zn_graph(8, [1, 7])
     ident_gen_perm = list(range(g.degree))
-    perms = [edge_permutation(g, vm, ident_gen_perm) for vm in left_translation_maps(g)]
-    assert edge_orbit(perms, g.n_edges) == g.n_edges
+    perms = {f"left_{i}": edge_permutation(g, vm, ident_gen_perm)
+             for i, vm in enumerate(left_translation_maps(g))}
+    orbit = edge_orbit(g, perms)
+    assert orbit.transitive and orbit.size == g.n_edges
 
 
 def test_symmetry_perms_count(q19_perms):

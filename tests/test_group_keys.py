@@ -22,6 +22,7 @@ from field_reference import (ProjectiveMatrix, matrix_key, reference_field,
 from group_reference import (AddGroupElement, ZnGroup, left_translation_maps,
                              left_translation_vertex_map, reference_closure,
                              reference_edge_permutation, reference_symmetry_permutations)
+from orbit_reference import point_orbit, row_orbit as reference_row_orbit
 
 GROUPS = {"F_19": PglGroup(FieldTables(19)), "F_25": PglGroup(FieldTables(5, 2)),
           "F_49": PglGroup(FieldTables(7, 2))}
@@ -157,15 +158,22 @@ def test_two_generators_give_the_orbits_of_all(keyed_and_reference, reference_pe
     """The orbits that build reports, under left_s0 and torus_t0 alone,
     are those under all |S| left translations and the torus: the same
     set of rows of H in the orbit of row 0 ([20,16] at q = 19, [6,4] at
-    q = 5, e = 2) and the same number of edges in the orbit of edge 0."""
+    q = 5, e = 2) and the same number of edges in the orbit of edge 0,
+    by the certificate and by the BFS oracles over rows and edges."""
     gens, graph, _, _ = keyed_and_reference
-    two = list(symmetry_edge_permutations(graph, gens).values())
-    every = list(reference_perms.values())
+    two = symmetry_edge_permutations(graph, gens)
+    every = reference_perms
     assert len(every) == graph.degree + 1
     inst = build_parity_check(graph, INNER_CODES[graph.degree])
-    rows = [{tuple(r) for r in row_orbit(inst, perms).tolist()} for perms in (two, every)]
+    rows = [{tuple(r) for r in reference_row_orbit(inst, list(perms.values())).tolist()}
+            for perms in (two, every)]
     assert rows[0] == rows[1]
-    assert edge_orbit(two, graph.n_edges) == edge_orbit(every, graph.n_edges)
+    edges = point_orbit(list(every.values()), graph.n_edges)
+    assert point_orbit(list(two.values()), graph.n_edges) == edges
+    for perms in (two, every):
+        orbit = edge_orbit(graph, perms)
+        assert orbit.size == edges == graph.n_edges
+        assert orbit.vertices * len(row_orbit(inst, orbit)) == len(rows[0])
 
 
 @st.composite

@@ -17,8 +17,8 @@ from cayleycodes.cyclic import CyclicCode, dual_basis_rows
 from cayleycodes.errors import CheckFailure, ConstructionError
 from cayleycodes.gf2 import Gf2Matrix, int_rank
 from cayleycodes.gf2poly import divmod_, mul, x_pow_n_minus_1
-from cayleycodes.graphs import KeyIndex, edge_permutation, generate_group
-from cayleycodes.tanner import (StarPivots, _locate_rows, build_parity_check,
+from cayleycodes.graphs import KeyIndex, edge_orbit, edge_permutation, generate_group
+from cayleycodes.tanner import (StarPivots, build_parity_check,
                                 measured_rate, row_orbit, edge_code_bounds,
                                 require_packed_fits, residual_rank, run_verification,
                                 star_pivots, verify_invariance, verify_single_orbit)
@@ -27,6 +27,7 @@ from code_reference import codeword_set_brute_force, codeword_set_from_nullspace
 from gf2_reference import (contains, csr, int_span_equal, reference_echelon,
                            reference_from_supports, rows_of)
 from group_reference import ZnGroup, left_translation_maps
+import orbit_reference as oracle
 
 
 def zn_graph(n, steps):
@@ -196,11 +197,18 @@ def permuted_rows(inst, perm):
     return Gf2Matrix.from_supports(inst.n, inst.indptr, perm[inst.indices])
 
 
+def certify(inst, perms):
+    """graphs.edge_orbit of a dict of permutations, or of a list named
+    p0, p1, ..."""
+    if not isinstance(perms, dict):
+        perms = {f"p{i}": p for i, p in enumerate(perms)}
+    return edge_orbit(inst.graph, perms)
+
+
 def test_invariance_toy():
     inst = z17_torus_instance()
-    perms = toy_perms(inst.graph, mult=2)
-    named = {f"p{i}": p for i, p in enumerate(perms)}
-    rep = verify_invariance(inst, named)
+    named = {f"p{i}": p for i, p in enumerate(toy_perms(inst.graph, mult=2))}
+    rep = verify_invariance(inst, certify(inst, named))
     assert rep.passed and rep.perm_names == sorted(named)
     assert rep.bad_perm is rep.bad_vertex is rep.bad_position is None
     rep.require()
@@ -209,11 +217,11 @@ def test_invariance_toy():
 def test_invariance_identity_perm_trivial():
     inst = z6_even_instance()
     ident = np.arange(inst.n, dtype=np.int64)
-    rep = verify_invariance(inst, {"id": ident})
+    rep = verify_invariance(inst, certify(inst, {"id": ident}))
     assert rep.passed
     # degree 1 (K_2): the one star edge is paired with itself
     k2 = build_parity_check(zn_graph(2, [1]), CyclicCode(1, 1))
-    assert verify_invariance(k2, {"id": np.arange(1)}).passed
+    assert verify_invariance(k2, certify(k2, {"id": np.arange(1)})).passed
 
 
 def test_invariance_detects_broken_permutation():
@@ -224,7 +232,7 @@ def test_invariance_detects_broken_permutation():
     inst = z17_torus_instance()
     bad = np.arange(inst.n, dtype=np.int64)
     bad[[0, 1]] = bad[[1, 0]]  # a transposition is not a code symmetry here
-    rep = verify_invariance(inst, {"bad": bad})
+    rep = verify_invariance(inst, certify(inst, {"bad": bad}))
     assert not rep.passed
     assert (rep.bad_perm, rep.bad_vertex, rep.bad_position) == ("bad", 1, 4)
     assert inst.graph.eid[1, 4] == 0
@@ -234,7 +242,7 @@ def test_invariance_detects_broken_permutation():
     # a map that is not a bijection fails where an image edge is hit twice
     merged = np.arange(inst.n, dtype=np.int64)
     merged[0] = 1
-    rep = verify_invariance(inst, {"merged": merged})
+    rep = verify_invariance(inst, certify(inst, {"merged": merged}))
     assert (rep.passed, rep.bad_vertex, rep.bad_position) == (False, 0, 0)
 
 
@@ -242,17 +250,26 @@ def assert_swap_in_star_rejected(inst, left, torus, v, i1, i2):
     """The torus permutation with the images of edges eid[v, i1] and
     eid[v, i2] swapped maps the star of v onto the same star, but each
     swapped edge's other endpoint now has an image edge off its image
-    star: the certificate names the first of the two, and the permuted
-    rows of H do leave rowspace(H)."""
+    star: the one certificate names the first of the two, and fails
+    invariance, edge transitivity and single orbit with it; and the
+    permuted rows of H do leave rowspace(H)."""
     graph = inst.graph
-    assert verify_invariance(inst, {"left": left, "torus": torus}).passed
+    assert verify_invariance(inst, certify(inst, {"left": left, "torus": torus})).passed
     e1, e2 = graph.eid[v, i1], graph.eid[v, i2]
     bad = torus.copy()
     bad[[e1, e2]] = bad[[e2, e1]]
-    rep = verify_invariance(inst, {"left": left, "torus": bad})
+    orbit = certify(inst, {"left": left, "torus": bad})
+    rep = verify_invariance(inst, orbit)
     assert not rep.passed and rep.bad_perm == "torus"
     ends = [(int(graph.adj[v, i]), int(graph.inv_gen[i])) for i in (i1, i2)]
     assert (rep.bad_vertex, rep.bad_position) == min(ends)
+    assert orbit.bad == ("torus", *min(ends))
+    assert not orbit.transitive and orbit.size is None
+    single = verify_single_orbit(inst, orbit)
+    assert not single.passed and single.orbit_rank is None
+    with pytest.raises(CheckFailure, match=f"'torus' maps position {min(ends)[1]} of the "
+                                           f"star of vertex {min(ends)[0]} "):
+        single.require()
     assert inst.matrix.echelon().reduce_batch(permuted_rows(inst, bad).data).any()
 
 
@@ -272,17 +289,21 @@ def test_invariance_certificate_rejects_a_position_map_off_the_dual():
     """Z_19, S = [1, 18, 2, 17, 5, 14], the graph automorphism x -> -x:
     every star maps onto a star, by tau = (01)(23)(45).  With h = x^2+x+1
     tau does not preserve the dual of the inner code, the certificate
-    fails naming vertex 0 and no position, and the reference reduction
-    confirms that H is not invariant."""
+    fails naming vertex 0 and no position, for invariance and single
+    orbit alike, and the reference reduction confirms that H is not
+    invariant."""
     graph = zn_graph(19, [1, 18, 2, 17, 5, 14])
     inst = build_parity_check(graph, CyclicCode(6, 0b111))
     neg = toy_perms(graph, mult=18)[-1]
-    rep = verify_invariance(inst, {"neg": neg})
+    orbit = certify(inst, {"neg": neg})
+    rep = verify_invariance(inst, orbit)
     assert not rep.passed
     assert (rep.bad_perm, rep.bad_vertex, rep.bad_position) == ("neg", 0, None)
-    with pytest.raises(CheckFailure, match="'neg' permutes the star positions of vertex 0 "
-                                           "by a map that does not preserve the dual"):
+    message = "'neg' permutes the star positions of vertex 0 by a map that does not preserve"
+    with pytest.raises(CheckFailure, match=message):
         rep.require()
+    with pytest.raises(CheckFailure, match=message):
+        verify_single_orbit(inst, orbit).require()
     ech = reference_echelon(inst.matrix)
     moved = permuted_rows(inst, neg)
     assert not all(contains(ech, row) for row in moved.data)
@@ -300,15 +321,7 @@ def test_invariance_pass_implies_rows_in_span(n, data):
     steps = data.draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=6))
     steps = data.draw(st.permutations(sorted(steps | {n - s for s in steps})))
     graph = zn_graph(n, steps)
-    factors = factor_x_pow_n_minus_1(graph.degree)
-    chosen = data.draw(st.lists(st.booleans(), min_size=len(factors),
-                                max_size=len(factors)))
-    chosen[0] = chosen[0] and not all(chosen)  # the zero code is excluded
-    h = 1
-    for f, take in zip(factors, chosen):
-        if take:
-            h = mul(h, f)
-    inst = build_parity_check(graph, CyclicCode(graph.degree, h))
+    inst = build_parity_check(graph, CyclicCode(graph.degree, draw_check_poly(graph, data)))
     units = [u for u in range(2, n) if gcd(u, n) == 1
              and {u * s % n for s in steps} == set(steps)]
     mult = data.draw(st.sampled_from([None] + units))
@@ -317,7 +330,7 @@ def test_invariance_pass_implies_rows_in_span(n, data):
     if data.draw(st.booleans()):
         e1, e2 = data.draw(st.lists(st.integers(0, inst.n - 1), min_size=2, max_size=2))
         perm[[e1, e2]] = perm[[e2, e1]]
-    rep = verify_invariance(inst, {"p": perm})
+    rep = verify_invariance(inst, certify(inst, {"p": perm}))
     if rep.passed:
         residual = inst.matrix.echelon().reduce_batch(permuted_rows(inst, perm).data)
         assert not residual.any()
@@ -339,9 +352,22 @@ def factor_x_pow_n_minus_1(n):
     return out
 
 
+def draw_check_poly(graph, data):
+    """A drawn divisor of x^degree - 1, short of the zero code."""
+    factors = factor_x_pow_n_minus_1(graph.degree)
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(factors),
+                                max_size=len(factors)))
+    chosen[0] = chosen[0] and not all(chosen)  # the zero code is excluded
+    h = 1
+    for f, take in zip(factors, chosen):
+        if take:
+            h = mul(h, f)
+    return h
+
+
 def reference_row_orbit(inst, perms, start_row=0):
     """The one-support-at-a-time BFS over sorted support tuples: the
-    slow reference for tanner.row_orbit."""
+    slow reference for the row BFS oracle."""
     plists = [perm.tolist() for perm in perms]
     start = tuple(rows_of(inst.indptr, inst.indices)[start_row])
     seen = {start}
@@ -359,16 +385,32 @@ def reference_row_orbit(inst, perms, start_row=0):
 
 
 def assert_orbit_matches_reference(inst, perms, start_row=0):
-    orbit = row_orbit(inst, perms, start_row)
+    orbit = oracle.row_orbit(inst, perms, start_row)
     assert [tuple(r) for r in orbit.tolist()] == reference_row_orbit(inst, perms, start_row)
 
 
+def assert_certificate_matches_row_oracle(inst, perms):
+    """From row 0 the oracle's row orbit has |orbit of vertex 0| x
+    |Gamma.w0| rows, and those on the star of vertex 0 are L_0 of the
+    words of tanner.row_orbit, Gamma.w0."""
+    rows = oracle.row_orbit(inst, perms)
+    orbit = certify(inst, perms)
+    words = row_orbit(inst, orbit)
+    assert words[0] == inst.dual_rows[0] and len(set(words)) == len(words)
+    assert len(rows) == orbit.vertices * len(words)
+    vertex, masks = oracle.locate_rows(inst, rows)
+    assert sorted(m for v, m in zip(vertex.tolist(), masks) if v == 0) == sorted(words)
+
+
 def test_row_orbit_matches_reference_toys():
-    assert_orbit_matches_reference(z6_even_instance(), toy_perms(z6_even_instance().graph))
+    inst = z6_even_instance()
+    assert_orbit_matches_reference(inst, toy_perms(inst.graph))
+    assert_certificate_matches_row_oracle(inst, toy_perms(inst.graph))
     inst = z17_torus_instance()
     for mult in (None, 2):
         for start in (0, 1, 7):
             assert_orbit_matches_reference(inst, toy_perms(inst.graph, mult), start)
+        assert_certificate_matches_row_oracle(inst, toy_perms(inst.graph, mult))
 
 
 def test_row_orbit_matches_reference_q19(q19_psl_graph, q19_perms):
@@ -377,6 +419,8 @@ def test_row_orbit_matches_reference_q19(q19_psl_graph, q19_perms):
     perms = list(q19_perms.values())
     assert_orbit_matches_reference(inst, perms)
     assert_orbit_matches_reference(inst, perms[::-1], start_row=5)
+    assert_certificate_matches_row_oracle(inst, perms)
+    assert len(row_orbit(inst, certify(inst, q19_perms))) == 4
 
 
 def endpoint_vertices(graph, e):
@@ -387,7 +431,7 @@ def endpoint_vertices(graph, e):
 def reference_locate_row_vertex(graph, support):
     """(vertex, local mask) when the support lies in one vertex's star,
     searched row by row over the endpoint stars of its first two edges:
-    the slow reference for tanner._locate_rows."""
+    the slow reference for the oracle's locate_rows."""
     ends = [set(endpoint_vertices(graph, e)) for e in support[:2]]
     candidates = ends[0] if len(ends) == 1 else ends[0] & ends[1]
     for v in candidates:
@@ -401,8 +445,8 @@ def reference_locate_row_vertex(graph, support):
 
 
 def reference_single_orbit(inst, located):
-    """(passed, bad_row, bad_vertex) of the per-vertex certificate, from
-    the orbit rows' (vertex, local mask) pairs, None for a non-local row."""
+    """(passed, bad_row, bad_vertex) of the per-vertex check, from the
+    orbit rows' (vertex, local mask) pairs, None for a non-local row."""
     local_masks = {}
     for idx, found in enumerate(located):
         if found is None:
@@ -415,31 +459,40 @@ def reference_single_orbit(inst, located):
     return True, None, None
 
 
-def assert_single_orbit_matches_reference(inst, perms, start_row=0):
-    """Every orbit row is located as by the row-by-row search, and the
-    report agrees with the reference certificate."""
-    orbit = row_orbit(inst, perms, start_row)
+def assert_oracle_matches_reference(inst, perms, start_row=0):
+    """The oracle locates every orbit row as the row-by-row search does,
+    and its per-vertex check agrees with the reference; returns it."""
+    orbit = oracle.row_orbit(inst, perms, start_row)
     located = [reference_locate_row_vertex(inst.graph, sup) for sup in orbit.tolist()]
-    vertex, masks = _locate_rows(inst, orbit)
+    vertex, masks = oracle.locate_rows(inst, orbit)
     assert [None if v < 0 else (v, m) for v, m in zip(vertex.tolist(), masks)] == located
-    rep = verify_single_orbit(inst, perms, start_row)
-    assert (rep.passed, rep.bad_row, rep.bad_vertex) == reference_single_orbit(inst, located)
-    return rep
+    result = oracle.single_orbit(inst, orbit)
+    assert result == reference_single_orbit(inst, located)
+    return result
 
 
 def test_single_orbit_matches_reference_q19(q19_psl_graph, q19_perms):
-    """Passing and failing runs on q = 19 with the [20, 16] inner code
-    agree with the row-by-row reference."""
+    """Passing and failing runs on q = 19 with the [20, 16] inner code:
+    the certificate agrees with the per-vertex oracle, which agrees with
+    the row-by-row reference.  Without the torus the left translation by
+    s0 alone reaches only the coset of its cyclic group."""
     inst = build_parity_check(q19_psl_graph, CyclicCode(20, 0b10001))
     perms = list(q19_perms.values())
-    assert assert_single_orbit_matches_reference(inst, perms[::-1], start_row=5).passed
-    no_torus = [q19_perms[name] for name in q19_perms if name != "torus_t0"]
-    assert assert_single_orbit_matches_reference(inst, no_torus).bad_vertex is not None
+    assert assert_oracle_matches_reference(inst, perms[::-1], start_row=5)[0]
+    assert assert_oracle_matches_reference(inst, perms)[0]
+    assert verify_single_orbit(inst, certify(inst, q19_perms)).passed
+    no_torus = {"left_s0": q19_perms["left_s0"]}
+    assert assert_oracle_matches_reference(inst, list(no_torus.values()))[2] is not None
+    orbit = certify(inst, no_torus)
+    assert orbit.missed is not None and orbit.vertices < 3420
+    rep = verify_single_orbit(inst, orbit)
+    with pytest.raises(CheckFailure, match=f"never reach vertex {orbit.missed} from vertex 0"):
+        rep.require()
 
 
 def test_single_orbit_weight_one_rows_match_reference():
-    """A weight-1 row lies on both endpoint stars; the vertex it is
-    credited to, and its mask there, must be the reference's choice.  No
+    """A weight-1 row lies on both endpoint stars; the vertex the oracle
+    credits it to, and its mask there, must be the reference's choice.  No
     nonzero cyclic inner code has weight-1 dual words, so the rows are
     made by hand: one per edge, against all unit words as the local dual."""
     for n, steps, mult in ((6, [1, 5, 3], None), (17, [pow(2, i, 17) for i in range(8)], 2),
@@ -451,15 +504,15 @@ def test_single_orbit_weight_one_rows_match_reference():
                        dual_rows=[1 << i for i in range(graph.degree)])
         perms = toy_perms(graph, mult)
         for start in (0, 1, 2):
-            assert not assert_single_orbit_matches_reference(inst, perms, start).passed
-            assert_single_orbit_matches_reference(inst, perms[:1], start)
+            assert not assert_oracle_matches_reference(inst, perms, start)[0]
+            assert_oracle_matches_reference(inst, perms[:1], start)
 
 
 def orbit_oracle(inst, perms):
     """The global route, kept as an independent check of the local
     certificate: (rank of the raw orbit rows, whether every orbit row
     reduces to zero against the echelon form of H)."""
-    orbit = Gf2Matrix.from_supports(inst.n, *csr(row_orbit(inst, perms).tolist()))
+    orbit = Gf2Matrix.from_supports(inst.n, *csr(oracle.row_orbit(inst, perms).tolist()))
     in_span = not inst.matrix.echelon().reduce_batch(orbit.data).any()
     return orbit.echelon().rank, in_span
 
@@ -469,10 +522,8 @@ def test_single_orbit_toy_even_weight():
     all-ones star row under translations is exactly the row set."""
     inst = z6_even_instance()
     perms = toy_perms(inst.graph)
-    orbit = row_orbit(inst, perms)
-    assert len(orbit) == 6
-    rep = verify_single_orbit(inst, perms)
-    assert rep.passed
+    rep = verify_single_orbit(inst, certify(inst, perms))
+    assert rep.passed and rep.orbit_size == 6 == len(oracle.row_orbit(inst, perms))
     assert rep.orbit_rank == rep.rank_h == 5
     # the global route agrees with the local certificate
     assert orbit_oracle(inst, perms) == (rep.rank_h, True)
@@ -481,67 +532,89 @@ def test_single_orbit_toy_even_weight():
 def test_single_orbit_toy_torus():
     inst = z17_torus_instance()
     perms = toy_perms(inst.graph, mult=2)
-    rep = verify_single_orbit(inst, perms)
-    assert rep.passed
+    rep = verify_single_orbit(inst, certify(inst, perms))
+    assert rep.passed and rep.failure is None
     assert rep.orbit_rank == rep.rank_h
-    assert rep.bad_vertex is None and rep.bad_row is None
-    assert rep.start_weight <= inst.graph.degree
     assert orbit_oracle(inst, perms) == (rep.rank_h, True)
 
 
 def test_single_orbit_fails_without_torus():
     """Dropping the multiplicative generator leaves only translations:
-    the orbit misses the shifted dual words and cannot span."""
+    the stabiliser of vertex 0 is trivial, Gamma.w0 is w0 alone, and its
+    span misses the shifted dual words, as the oracles confirm."""
     inst = z17_torus_instance()
     perms = toy_perms(inst.graph)  # translations only
-    rep = verify_single_orbit(inst, perms)
-    assert not rep.passed
-    assert rep.orbit_rank is None
-    assert rep.bad_vertex is not None and rep.bad_row is None
+    orbit = certify(inst, perms)
+    assert orbit.missed is None and orbit.schreier.tolist() == [list(range(8))]
+    rep = verify_single_orbit(inst, orbit)
+    assert not rep.passed and rep.orbit_rank is None
+    assert rep.orbit_size == 17
     orbit_rank, _ = orbit_oracle(inst, perms)
     assert orbit_rank < rep.rank_h
-    with pytest.raises(CheckFailure, match=f"at vertex {rep.bad_vertex} "):
+    assert oracle.single_orbit(inst, oracle.row_orbit(inst, perms))[2] is not None
+    with pytest.raises(CheckFailure, match=r"spans rank 1, not the dual of the inner "
+                                           r"code \(rank 3\) \(orbit size 17, "):
         rep.require()
 
 
-def test_single_orbit_names_non_local_row():
-    """A permutation that moves one edge of the starting star elsewhere
-    makes an orbit row that is not vertex-local; the report names it."""
+def test_single_orbit_names_a_permutation_that_is_no_star_map():
+    """A permutation that swaps one edge of the starting star with an
+    edge far from it is no star map: the certificate names it, with the
+    vertex and position where it breaks, an endpoint of a swapped edge,
+    and fails all three checks; the oracle's orbit leaves the stars."""
     inst = z17_torus_instance()
-    perms = toy_perms(inst.graph, mult=2)
+    graph = inst.graph
+    perms = toy_perms(graph, mult=2)
     start = rows_of(inst.indptr, inst.indices)[0]
-    far = next(e for e in range(inst.n) if e not in inst.graph.eid[0].tolist()
-               and not set(endpoint_vertices(inst.graph, e))
-               & set(endpoint_vertices(inst.graph, start[0])))
+    far = next(e for e in range(inst.n) if e not in graph.eid[0].tolist()
+               and not set(endpoint_vertices(graph, e))
+               & set(endpoint_vertices(graph, start[0])))
     swap = np.arange(inst.n, dtype=np.int64)
     swap[[start[0], far]] = swap[[far, start[0]]]
-    rep = assert_single_orbit_matches_reference(inst, [swap] + perms)
+    orbit = certify(inst, {"swap": swap, **{f"p{i}": p for i, p in enumerate(perms)}})
+    name, v, i = orbit.bad
+    assert name == "swap" and v in endpoint_vertices(graph, start[0]) + endpoint_vertices(graph, far)
+    assert orbit.size is None and not orbit.transitive
+    assert not verify_invariance(inst, orbit).passed
+    rep = verify_single_orbit(inst, orbit)
     assert not rep.passed and rep.orbit_rank is None
-    assert rep.bad_row == 1 and rep.bad_vertex is None
-    with pytest.raises(CheckFailure, match="orbit row 1 "):
+    with pytest.raises(CheckFailure, match=f"'swap' maps position {i} of the star of vertex {v} "):
         rep.require()
+    assert oracle.single_orbit(inst, oracle.row_orbit(inst, [swap] + perms))[1] == 1
+
+
+def test_single_orbit_names_a_vertex_the_orbit_misses():
+    """Z_6, S = [1, 5, 3]: the translation by 3 alone pairs vertex 0
+    (key 0) with vertex 3 (key 3), so the orbit of vertex 0 misses
+    vertex 1 (key 1), and the certificate names it; the per-vertex
+    oracle fails too."""
+    inst = z6_even_instance()
+    half_turn = toy_perms(inst.graph)[2]
+    orbit = certify(inst, {"half_turn": half_turn})
+    assert (orbit.vertices, orbit.missed, orbit.transitive) == (2, 1, False)
+    rep = verify_single_orbit(inst, orbit)
+    assert not rep.passed and rep.orbit_size == 2
+    with pytest.raises(CheckFailure, match="never reach vertex 1 from vertex 0"):
+        rep.require()
+    assert not oracle.single_orbit(inst, oracle.row_orbit(inst, [half_turn]))[0]
 
 
 @given(st.integers(min_value=5, max_value=16), st.data())
 @settings(deadline=None, max_examples=60)
 def test_single_orbit_pass_implies_global_oracle(n, data):
-    """Whenever the local certificate passes on a toy Z_n instance, the
-    global route agrees: the raw orbit rows have rank(H) and every one
-    of them lies in the row space of H."""
+    """The certificate against the oracles on toy Z_n instances: S in a
+    drawn order, a drawn multiplier, a drawn subset of the permutations,
+    a drawn cyclic inner code, and sometimes two edges swapped in one
+    permutation.  While every permutation is a star map the certificate
+    counts the oracle's edge orbit and agrees with the per-vertex oracle
+    (the converse in verify_single_orbit); whenever it passes, the
+    oracle passes with as many rows, and the global route agrees: the
+    raw orbit rows have rank(H) and lie in the row space of H."""
     steps = data.draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=6))
-    steps = sorted(steps | {n - s for s in steps})
+    steps = data.draw(st.permutations(sorted(steps | {n - s for s in steps})))
     graph = zn_graph(n, steps)
-    deg = graph.degree
-    factors = factor_x_pow_n_minus_1(deg)
-    chosen = data.draw(st.lists(st.booleans(), min_size=len(factors),
-                                max_size=len(factors)))
-    chosen[0] = chosen[0] and not all(chosen)  # the zero code is excluded
-    h = 1
-    for f, take in zip(factors, chosen):
-        if take:
-            h = mul(h, f)
-    inst = build_parity_check(graph, CyclicCode(deg, h))
-    if inst.matrix.nrows == 0:
+    inst = build_parity_check(graph, CyclicCode(graph.degree, draw_check_poly(graph, data)))
+    if not inst.dual_rows:
         return
     units = [u for u in range(2, n) if gcd(u, n) == 1
              and {u * s % n for s in steps} == set(steps)]
@@ -549,14 +622,24 @@ def test_single_orbit_pass_implies_global_oracle(n, data):
     keep = data.draw(st.lists(st.booleans(), min_size=len(all_perms),
                               max_size=len(all_perms)))
     perms = [p for p, k in zip(all_perms, keep) if k] or all_perms[:1]
-    assert_orbit_matches_reference(inst, perms)
-    rep = assert_single_orbit_matches_reference(inst, perms)
+    if data.draw(st.booleans()):
+        t = data.draw(st.integers(0, len(perms) - 1))
+        e1, e2 = data.draw(st.lists(st.integers(0, inst.n - 1), min_size=2, max_size=2))
+        perms[t] = perms[t].copy()
+        perms[t][[e1, e2]] = perms[t][[e2, e1]]
+    orbit = certify(inst, perms)
+    rep = verify_single_orbit(inst, orbit)
+    rows = oracle.row_orbit(inst, perms)
+    passed = oracle.single_orbit(inst, rows)[0]
+    if orbit.bad is None:
+        assert orbit.size == oracle.point_orbit(perms, inst.n)
+        assert rep.passed == passed
     if rep.passed:
+        assert passed and rep.orbit_size == len(rows)
         assert rep.orbit_rank == rep.rank_h == inst.rank
         assert orbit_oracle(inst, perms) == (rep.rank_h, True)
     else:
-        assert rep.orbit_rank is None
-        assert (rep.bad_vertex is None) != (rep.bad_row is None)
+        assert rep.orbit_rank is None and rep.failure
 
 
 # ---------------------------------------------------------------------------
