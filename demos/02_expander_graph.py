@@ -5,10 +5,11 @@ q + 1 = 20 inside PGL_2(19) conjugates one explicitly constructed
 element gamma (the image of 1 + z^-1 under a quaternion-algebra
 splitting).  That symmetry makes the graph edge transitive, and its
 normalized spectrum meets the optimal-expansion bound 2 sqrt(q)/(q+1).
-The spectrum comes from a 360 x 360 matrix built from the generators
-(the Gelfand-Graev representation) and is compared with the dense
-eigenvalues of the 3420 x 3420 adjacency matrix, the reference kept
-with the tests.
+The spectrum comes from the two 180 x 180 determinant-class blocks of
+a 360 x 360 matrix built from the generators (the Gelfand-Graev
+representation; the whole matrix is never formed) and is compared
+with the dense eigenvalues of the 3420 x 3420 adjacency matrix, the
+reference kept with the tests.
 
 Runs in a few seconds, from the root of the checkout:
 

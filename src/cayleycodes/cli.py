@@ -206,8 +206,9 @@ def cmd_verify(args) -> int:
     where = alist.first_difference(alist_path.read_bytes(),
                                    alist.dumps_alist(inst.indptr, inst.indices, inst.n))
     if where is None:
-        # H is packed on first use, after the spectrum: the Gelfand-Graev
-        # matrix and the packed H are never in memory together
+        # neither the whole Gelfand-Graev matrix nor a packed H is ever
+        # allocated: the spectrum eigensolves its determinant-class blocks
+        # one at a time, and the rank comes from star elimination
         spec = spectra.spectrum(graph.group, graph.gens)
         results["ramanujan"] = spectra.is_ramanujan(spec, q)
         results["spectrum_matches"] = abs(spec.lambda2 - want["spectrum.lambda2"]) < 1e-5

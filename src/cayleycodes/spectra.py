@@ -65,9 +65,33 @@ when c = 0.  With f_i the function on U g_i with f_i(u_x g_i) = psi(x),
 (R(s) f_i)(g_j) = f_i(g_j s), so M[j, i] = sum of psi(x) over the s
 with g_j s = u_x g_i.  The f_i have disjoint supports and equal norms,
 so M is the operator in an orthogonal basis, Hermitian for a symmetric
-S, and the nontrivial normalized spectrum is eigvalsh(M) / d.  The
-symmetric eigensolver is backward stable; its results are checked to
-an absolute tolerance of 1e-6.
+S, and the nontrivial normalized spectrum is that of M / d.
+
+The blocks.  M is never formed: its nonzero entries sit in two of the
+four blocks cut out by the determinant class, square or not, of the
+cosets.  The class is defined in PGL_2, where scaling by a multiplies
+the determinant by the square a^2, and:
+
+- g_j s has the class of g_j times that of s (det is multiplicative);
+- u_x g_i has the class of g_i (det u_x = 1), so each coset U g_i has
+  one class, that of D;
+- so M[j, i] != 0 only if some s has class(g_i) = class(g_j) class(s):
+  a generator of square class keeps the coset class, and one of
+  nonsquare class swaps it.
+
+Each class holds (Q^2 - 1) / 2 cosets ((Q - 1) / 2 square values of D,
+for each of the Q + 1 bottom rows).  When every generator has square
+determinant (the PSL variant), M = diag(M_sq, M_ns) in the basis
+ordered by class, and its eigenvalues, with M's multiplicities, are
+those of M_sq together with those of M_ns.  When every generator has
+nonsquare determinant (the PGL variant), M = [[0, B], [B^H, 0]] with
+B = M[sq, ns], and with B = U Sigma V^H the vectors (u_k, +-v_k) give
+the eigenvalues +-sigma_k(B), again with M's multiplicities.  A set
+that mixes the classes has neither form and is refused; the
+classification of the quaternion generators already refuses one.  The
+symmetric eigensolver and the singular value decomposition are
+backward stable; the results are checked to an absolute tolerance of
+1e-6.
 
 A (q+1)-regular graph certifies as Ramanujan when every nontrivial
 normalized eigenvalue has magnitude at most 2 sqrt(q)/(q+1)
@@ -87,19 +111,37 @@ from .errors import CheckFailure
 from .projective import PglGroup
 
 SPECTRUM_TOL = 1e-6
-# the complex (Q^2 - 1)-square matrix may take at most this many bytes:
-# Q = 61 (221 MB) fits, Q = 67 (322 MB) does not
+# lambda2 and lambda_min are rounded outward to multiples of
+# 1 / SPECTRUM_GRID (see SpectrumReport)
+SPECTRUM_GRID = 10**10
+# the scale limit, in bytes of the complex (Q^2 - 1)-square M that the
+# blocks stand for (they take a quarter of it each, and M is never
+# allocated): Q = 61 (221 MB) fits, Q = 67 (322 MB) does not.  A packed
+# H or star residual is held to the same number of bytes (tanner)
 MATRIX_BYTES_LIMIT = 256 * 10**6
 
 
 @dataclass
 class SpectrumReport:
+    """The nontrivial spectrum and its extremes.  The extremes are rounded
+    outward, once, here: to the nearest point of the 1e-10 grid, then
+    one step up for lambda2 and down for lambda_min.  Their last bits
+    otherwise depend on the BLAS thread count, and report.json and
+    bounds.distance_lower would too; rounding to the nearest point
+    first keeps an eigenvalue that is exactly on the grid
+    (lambda_min = -0.4 at q = 19) from straddling it.  Moving outward
+    by at most 1.5e-10 only tightens is_ramanujan and the distance
+    bound, against the 1e-6 tolerance."""
     method: str
     tolerance: float
     lambda2: float                # largest nontrivial eigenvalue
     lambda_min: float             # smallest nontrivial eigenvalue
     eigenvalues: np.ndarray       # the nontrivial ones, ascending; multiplicities are M's
     iterations: Optional[int] = None
+
+    def __post_init__(self):
+        self.lambda2 = (round(self.lambda2 * SPECTRUM_GRID) + 1) / SPECTRUM_GRID
+        self.lambda_min = (round(self.lambda_min * SPECTRUM_GRID) - 1) / SPECTRUM_GRID
 
 
 def require_matrix_fits(order: int) -> None:
@@ -143,28 +185,52 @@ def additive_character(p: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(p) / p)
 
 
-def gelfand_graev_matrix(group: PglGroup, gens) -> np.ndarray:
-    """M = sum over s in gens of R(s) on Ind_U^G psi, in the coset basis."""
-    require_matrix_fits(group.tables.order)
-    gens = np.asarray(gens, dtype=np.int64)
-    reps = coset_representatives(group)
-    index, x = coset_positions(group, group.mul(reps[:, None], gens[None, :]))
-    m = np.zeros((len(reps), len(reps)), dtype=complex)
-    np.add.at(m, (np.repeat(np.arange(len(reps)), len(gens)), index.ravel()),
+def gelfand_graev_block(group: PglGroup, gens: np.ndarray, reps: np.ndarray,
+                        rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """M[rows, cols] for M = sum over s in gens of R(s) on Ind_U^G psi,
+    rows and cols coset indices and reps all the representatives.  A
+    product g_j s that lands outside cols has the out-of-range column
+    len(cols), so np.add.at raises IndexError rather than misplace it."""
+    local = np.full(len(reps), len(cols), dtype=np.int64)
+    local[cols] = np.arange(len(cols))
+    index, x = coset_positions(group, group.mul(reps[rows, None], gens[None, :]))
+    block = np.zeros((len(rows), len(cols)), dtype=complex)
+    np.add.at(block, (np.repeat(np.arange(len(rows)), len(gens)), local[index.ravel()]),
               additive_character(group.tables.p)[x.ravel() % group.tables.p])
-    return m
+    return block
 
 
 def spectrum(group: PglGroup, gens, tol: float = SPECTRUM_TOL) -> SpectrumReport:
     """The nontrivial normalized spectrum of the Cayley graph of the
-    generator keys, from the Gelfand-Graev matrix (no closure needed).
-    Raises ValueError over the memory limit, and CheckFailure when the
-    generators are not symmetric or an eigenvalue reaches +-1 (the
-    graph is disconnected, or bipartite beyond the determinant class)."""
+    generator keys, from the determinant-class blocks of the
+    Gelfand-Graev matrix (no closure needed).  Raises ValueError over
+    the memory limit, and CheckFailure when the generators are not
+    symmetric, mix the determinant classes, or have an eigenvalue at
+    +-1 (the graph is disconnected, or bipartite beyond the
+    determinant class)."""
+    require_matrix_fits(group.tables.order)
     gens = np.asarray(gens, dtype=np.int64)
     if not np.array_equal(np.sort(group.inverse(gens)), np.sort(gens)):
         raise CheckFailure("generator set is not closed under inverses")
-    eigs = np.linalg.eigvalsh(gelfand_graev_matrix(group, gens)) / len(gens)
+    square_gens = group.in_psl(gens)
+    reps = coset_representatives(group)
+    in_square = group.in_psl(reps)
+    square, nonsquare = np.flatnonzero(in_square), np.flatnonzero(~in_square)
+    if square_gens.all():
+        # one block at a time: the first is freed before the second is built
+        eigs = np.sort(np.concatenate([
+            np.linalg.eigvalsh(gelfand_graev_block(group, gens, reps, square, square)),
+            np.linalg.eigvalsh(gelfand_graev_block(group, gens, reps, nonsquare, nonsquare)),
+        ]))
+    elif not square_gens.any():
+        sigma = np.linalg.svd(gelfand_graev_block(group, gens, reps, square, nonsquare),
+                              compute_uv=False)
+        eigs = np.concatenate([-sigma, sigma[::-1]])
+    else:
+        n_square = int(square_gens.sum())
+        raise CheckFailure(f"generator set mixes determinant classes: {n_square} square, "
+                           f"{len(gens) - n_square} nonsquare")
+    eigs /= len(gens)
     for e in (eigs[-1], eigs[0]):
         if abs(e) >= 1.0 - tol:
             raise CheckFailure(

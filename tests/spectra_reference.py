@@ -1,9 +1,11 @@
-"""Reference spectra of Cayley graphs from the neighbour table, kept as
-oracles for the Gelfand-Graev route in cayleycodes.spectra.
+"""Reference spectra of Cayley graphs, kept as oracles for the
+Gelfand-Graev route in cayleycodes.spectra.
 
-The library computes the nontrivial spectrum from a (Q^2 - 1)-square
-matrix built from the generators alone.  The routes here work on the
-whole graph, for any group (the Z_n toys included):
+The library computes the nontrivial spectrum from the determinant-class
+blocks of a (Q^2 - 1)-square matrix M built from the generators alone.
+`gelfand_graev_matrix` builds all of M, whose eigvalsh is the spectrum
+the blocks must reproduce.  The other routes work on the whole graph,
+for any group (the Z_n toys included):
 
 dense     full eigenvalue list of the normalized adjacency matrix via
           the symmetric eigensolver;
@@ -34,6 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from cayleycodes.errors import CheckFailure
+from cayleycodes.spectra import additive_character, coset_positions, coset_representatives
 
 SPECTRUM_TOL = 1e-6
 
@@ -65,6 +68,17 @@ def set_distance(a: np.ndarray, b: np.ndarray) -> float:
         pos = np.clip(np.searchsorted(y, x), 1, len(y) - 1)
         return float(np.minimum(np.abs(x - y[pos - 1]), np.abs(x - y[pos])).max())
     return max(one_way(a, b), one_way(b, a))
+
+
+def gelfand_graev_matrix(group, gens) -> np.ndarray:
+    """M = sum over s in gens of R(s) on Ind_U^G psi, in the coset basis."""
+    gens = np.asarray(gens, dtype=np.int64)
+    reps = coset_representatives(group)
+    index, x = coset_positions(group, group.mul(reps[:, None], gens[None, :]))
+    m = np.zeros((len(reps), len(reps)), dtype=complex)
+    np.add.at(m, (np.repeat(np.arange(len(reps)), len(gens)), index.ravel()),
+              additive_character(group.tables.p)[x.ravel() % group.tables.p])
+    return m
 
 
 def normalized_adjacency(graph) -> np.ndarray:

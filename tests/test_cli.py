@@ -325,6 +325,24 @@ def test_build_and_verify_never_pack_h(tmp_path, monkeypatch, capsys, packed):
     assert packed == []
 
 
+def test_report_independent_of_blas_threads(tmp_path):
+    """The last bits of an eigensolver's result depend on the BLAS thread
+    count; the spectrum extremes are rounded outward to a grid, so a
+    q = 19 [20,16] build writes the same report.json at 1 and 2 threads."""
+    (tmp_path / "inner.code").write_text("20 16\n11\n")
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(cayleycodes.__file__).parents[1]),
+                   OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "cayleycodes.cli", "build", "--q", "19",
+                        "--inner", str(tmp_path / "inner.code"), "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("name,group,inner", [
     ("q5e2_psl_6_4", ["--q", "5", "--e", "2"], "6 4\n7\n"),
     ("q19_psl_20_16", ["--q", "19"], "20 16\n11\n"),

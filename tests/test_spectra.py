@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,14 +11,14 @@ from cayleycodes.errors import CheckFailure
 from cayleycodes.fields import FieldTables
 from cayleycodes.graphs import generate_group
 from cayleycodes.projective import PglGroup
-from cayleycodes.spectra import (coset_positions, coset_representatives,
-                                 gelfand_graev_matrix, is_ramanujan, ramanujan_bound,
+from cayleycodes.spectra import (SpectrumReport, coset_positions, coset_representatives,
+                                 gelfand_graev_block, is_ramanujan, ramanujan_bound,
                                  spectrum)
 
 from group_reference import ZnGroup
-from spectra_reference import (adjacency, normalized_adjacency, normalized_matvec,
-                               reference_lanczos, set_distance, spectrum_dense,
-                               spectrum_lanczos)
+from spectra_reference import (adjacency, gelfand_graev_matrix, normalized_adjacency,
+                               normalized_matvec, reference_lanczos, set_distance,
+                               spectrum_dense, spectrum_lanczos)
 
 
 def zn_graph(n, steps):
@@ -211,6 +212,14 @@ def test_mackey_split_of_the_coset_basis(q19_psl_graph, q19_pgl_graph):
         assert not (other if keeps else same).any() and (same if keeps else other).any()
 
 
+def unipotent_psl13():
+    """PSL_2(13) with u_{+-1} and their transposes: the two halves of M
+    are not isospectral (test_square_determinant_cosets_lose_eigenvalues)."""
+    group = PglGroup(FieldTables(13))
+    one = np.ones(4, dtype=np.int64)
+    return group, group.canonical_key(one, np.array([1, 12, 0, 0]), np.array([0, 0, 1, 12]), one)
+
+
 def test_square_determinant_cosets_lose_eigenvalues():
     """Keeping only Ind_U^PSL psi (the cosets of square determinant) drops
     the representation that is generic only for psi_eps.  On PSL_2(13)
@@ -220,15 +229,77 @@ def test_square_determinant_cosets_lose_eigenvalues():
     isospectral: for Q = 3 mod 4 they are complex conjugates; for e = 1
     the torus-orbit S is fixed by conjugation with t0, which lies outside
     PSL and so swaps the halves; and at q = 5, e = 2 it was observed."""
-    group = PglGroup(FieldTables(13))
-    one = np.ones(4, dtype=np.int64)
-    gens = group.canonical_key(one, np.array([1, 12, 0, 0]), np.array([0, 0, 1, 12]), one)
+    group, gens = unipotent_psl13()
     ref = spectrum_dense(generate_group(group, gens, cap=2000)).nontrivial
     m = gelfand_graev_matrix(group, gens)
     square = square_determinant_cosets(group)
     half = np.linalg.eigvalsh(m[np.ix_(square, square)]) / len(gens)
     assert set_distance(half, ref) > 1e-2
     assert set_distance(spectrum(group, gens).eigenvalues, ref) < 1e-9
+
+
+@pytest.mark.parametrize("instance", [(19, 1, "psl"), (19, 1, "pgl"), (5, 2, "psl"),
+                                      (5, 2, "pgl"), "psl13-unipotent"], ids=str)
+def test_blocks_reproduce_the_whole_matrix(instance):
+    """The determinant-class blocks give eigvalsh of all of M, with its
+    multiplicities: two diagonal blocks for PSL generators, +- the
+    singular values of the off-diagonal block for PGL generators; so
+    the block route and the whole-matrix route report the same bytes."""
+    group, gens = (unipotent_psl13() if instance == "psl13-unipotent"
+                   else generator_keys(*instance))
+    want = np.linalg.eigvalsh(gelfand_graev_matrix(group, gens)) / len(gens)
+    rep = spectrum(group, gens)
+    got = rep.eigenvalues
+    assert len(got) == len(want) == group.tables.order ** 2 - 1
+    assert np.abs(np.sort(got) - want).max() < 1e-9
+    # and the rounded extremes are the whole matrix's, to the bit
+    full = SpectrumReport(rep.method, rep.tolerance, float(want[-1]), float(want[0]), want)
+    assert (rep.lambda2, rep.lambda_min) == (full.lambda2, full.lambda_min)
+
+
+def test_spectrum_refuses_mixed_determinant_classes(q19_psl_graph, q19_pgl_graph):
+    """The union of the PSL and the PGL generator sets is symmetric, but
+    neither keeps nor swaps the determinant class of every coset."""
+    gens = np.concatenate([q19_psl_graph.gens, q19_pgl_graph.gens])
+    with pytest.raises(CheckFailure, match="mixes determinant classes: 20 square, 20 nonsquare"):
+        spectrum(q19_psl_graph.group, gens)
+
+
+def test_block_refuses_a_product_outside_its_columns(q19_psl_graph):
+    """PSL generators keep the class, so the square-to-nonsquare block
+    has no entry to hold: every product lands outside its columns."""
+    group, gens = q19_psl_graph.group, q19_psl_graph.gens
+    reps = coset_representatives(group)
+    square = group.in_psl(reps)
+    with pytest.raises(IndexError):
+        gelfand_graev_block(group, gens, reps, np.flatnonzero(square), np.flatnonzero(~square))
+
+
+def test_spectrum_never_allocates_the_whole_matrix():
+    """At q = 5, e = 2, M is 624-square, 6.2 MB complex: the traced peak
+    inside spectrum stays under half of that, as a block is a quarter."""
+    group, gens = generator_keys(5, 2, "psl")
+    whole = 16 * (25 * 25 - 1) ** 2
+    tracemalloc.start()
+    try:
+        spectrum(group, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole / 2
+
+
+@pytest.mark.parametrize("lambda2,lambda_min", [
+    (0.4162186543260412, -0.4000000000000009),
+    (0.4162186543260414, -0.39999999999999997),
+])
+def test_extremes_rounded_outward_to_the_grid(lambda2, lambda_min):
+    """Last-bit differences (two BLAS thread counts at q = 19) vanish, an
+    extreme exactly on the grid (-0.4) lands on one side, and both move
+    outward."""
+    rep = SpectrumReport("gelfand-graev", 1e-6, lambda2, lambda_min, np.array([]))
+    assert (rep.lambda2, rep.lambda_min) == (0.4162186544, -0.4000000001)
+    assert rep.lambda2 > lambda2 and rep.lambda_min < lambda_min
 
 
 def test_spectrum_rejects_broken_generators(q19_psl_graph):
