@@ -24,31 +24,37 @@ from typing import Optional
 
 import numpy as np
 
+_BLOCK = 1 << 14       # table entries per block of digit cells
 
-def decimal_lines(table: np.ndarray) -> bytes:
+
+def decimal_lines(table: np.ndarray, out: bytearray | None = None) -> bytearray:
     """The rows of a table of non-negative int32 values as ASCII lines,
-    one per row, its entries in decimal separated by single spaces.  Each
-    entry gets a row of uint8 cells, as many digits as the largest entry
-    has and its separator; the leading zeros are masked out and the kept
-    cells read in order.  A table of width 0 gives empty lines.  The
-    alist and graph.edges are both written by it."""
+    one per row, its entries in decimal separated by single spaces,
+    appended to `out` (a new bytearray by default), which is returned.
+    Per block of _BLOCK entries, read row-major, each entry gets a row of
+    uint8 cells, as many digits as the block's largest entry has and its
+    separator; the leading zeros are masked out and the kept cells
+    appended in order.  A table of width 0 gives empty lines."""
+    out = bytearray() if out is None else out
     lines, width = table.shape
-    if width == 0:
-        return b"\n" * lines
-    value = table.astype(np.int32).ravel()
-    ndigits = len(str(int(value.max(initial=0))))
-    cells = np.full((value.size, ndigits + 1), ord(" "), dtype=np.uint8)
-    cells[width - 1::width, ndigits] = ord("\n")
-    keep = np.ones(cells.shape, dtype=bool)
-    for k in range(ndigits - 1, -1, -1):          # digit cells, right to left
-        cells[:, k] = value % 10 + ord("0")
-        value //= 10
-        if k:
-            keep[:, k - 1] = value > 0
-    return cells[keep].tobytes()
+    flat = table.reshape(-1)
+    out += b"\n" * (lines if width == 0 else 0)
+    for start in range(0, flat.size, _BLOCK):
+        value = flat[start:start + _BLOCK].astype(np.int32)
+        ndigits = len(str(int(value.max())))
+        cells = np.full((value.size, ndigits + 1), ord(" "), dtype=np.uint8)
+        cells[(width - 1 - start) % width::width, ndigits] = ord("\n")
+        keep = np.ones(cells.shape, dtype=bool)
+        for k in range(ndigits - 1, -1, -1):      # digit cells, right to left
+            cells[:, k] = value % 10 + ord("0")
+            value //= 10
+            if k:
+                keep[:, k - 1] = value > 0
+        out += cells[keep].data
+    return out
 
 
-def dumps_alist(indptr: np.ndarray, indices: np.ndarray, ncols: int) -> bytes:
+def dumps_alist(indptr: np.ndarray, indices: np.ndarray, ncols: int) -> bytearray:
     """The alist of the matrix whose row i has a 1 in each column of
     indices[indptr[i]:indptr[i + 1]], written in that order (the rows of
     H are sorted); ValueError names the first column out of range, in row
@@ -60,23 +66,26 @@ def dumps_alist(indptr: np.ndarray, indices: np.ndarray, ncols: int) -> bytes:
     if bad.any():
         first = rows[np.argmax(bad)]
         raise ValueError(f"column index {cols[bad & (rows == first)].min()} out of range")
-    order = np.argsort(cols, kind="stable")       # column order, rows ascending
     col_deg = np.bincount(cols, minlength=ncols)
     max_col = int(col_deg.max(initial=0))
     max_row = int(lengths.max(initial=0))
 
     def table(key: np.ndarray, start: np.ndarray, entry: np.ndarray, shape) -> np.ndarray:
-        """Zero-padded 1-based index table: entry t at row key[t], in
-        slot t - start[key[t]]."""
-        out = np.zeros(shape, dtype=np.int32)
-        out[key, np.arange(key.size) - start[key]] = entry + 1
-        return out
+        """Zero-padded table of 1-based indices: entry[t] at row key[t], slot t - start[key[t]]."""
+        slot = np.arange(key.size, dtype=np.int32)
+        slot -= start.astype(np.int32)[key]
+        table = np.zeros(shape, dtype=np.int32)
+        table[key, slot] = entry
+        return table
 
-    by_col = table(cols[order], np.cumsum(col_deg) - col_deg, rows[order], (ncols, max_col))
-    by_row = table(rows, indptr[:-1], cols, (m, max_row))
-    head = f"{ncols} {m}\n{max_col} {max_row}\n".encode()
-    return b"".join([head, decimal_lines(col_deg[None]), decimal_lines(lengths[None]),
-                     decimal_lines(by_col), decimal_lines(by_row)])
+    out = bytearray(f"{ncols} {m}\n{max_col} {max_row}\n".encode())
+    decimal_lines(lengths[None], decimal_lines(col_deg[None], out))
+    order = np.argsort(cols, kind="stable")       # column order, rows ascending
+    key, entry = cols[order], rows[order] + 1
+    del order
+    decimal_lines(table(key, np.cumsum(col_deg) - col_deg, entry, (ncols, max_col)), out)
+    del key, entry
+    return decimal_lines(table(rows, indptr[:-1], cols + 1, (m, max_row)), out)
 
 
 def first_difference(data: bytes, expected: bytes) -> Optional[str]:

@@ -15,8 +15,9 @@ as a table has entries) defers those XORs: a mask per row records the
 block pivots it absorbed, and at the end of the word each row takes its
 combination of the pivot rows, as gathered, from tables of all XOR
 combinations of 8 pivot rows: one XOR per 8 pivots, the same row
-operations.  Pivot rows are tracked by index and compacted in place at
-the end, so nothing of the size of H is allocated beyond its one copy.
+operations.  The matrix is eliminated in its own array (echelon
+consumes it), pivot rows are tracked by index and compacted in place,
+and no step copies more than _CHUNK_ROWS rows, packing included.
 
 Before column c every free row is zero in all columns before c: a pivot
 at bit b clears b from every free row, and none has a lower set bit.
@@ -51,7 +52,7 @@ import numpy as np
 
 _ONE = np.uint64(1)
 _TABLE_BITS = 8        # pivots per Four-Russians table (2^8 entries)
-_CHUNK_ROWS = 256      # rows per step wherever a step copies rows of H
+_CHUNK_ROWS = 64       # rows per step wherever a step copies packed rows
 
 
 def _n_words(ncols: int) -> int:
@@ -69,11 +70,10 @@ def _apply_tables(m: np.ndarray, idx: np.ndarray, block: list[int],
     rows named by the bits of comb[i], read from Four-Russians tables."""
     pivots = m[idx[block], start:]
     mask = np.uint64((1 << _TABLE_BITS) - 1)
+    table = np.zeros((1 << _TABLE_BITS, pivots.shape[1]), dtype=np.uint64)  # one for all groups
     for g in range(0, len(block), _TABLE_BITS):
-        rows = pivots[g:g + _TABLE_BITS]
-        table = np.zeros((1 << len(rows), rows.shape[1]), dtype=np.uint64)
-        for t, row in enumerate(rows):
-            table[1 << t:2 << t] = table[:1 << t] ^ row
+        for t, row in enumerate(pivots[g:g + _TABLE_BITS]):
+            np.bitwise_xor(table[:1 << t], row, out=table[1 << t:2 << t])
         key = (comb >> np.uint64(g)) & mask
         sel = np.flatnonzero(key)
         for s in range(0, sel.size, _CHUNK_ROWS):
@@ -93,16 +93,18 @@ class Gf2Matrix:
     @classmethod
     def from_supports(cls, ncols: int, indptr: np.ndarray, indices: np.ndarray) -> "Gf2Matrix":
         """The CSR pair's matrix: row i has a 1 in each column of
-        indices[indptr[i]:indptr[i + 1]].  One scatter of all (row, word)
-        pairs."""
-        cols = indices.astype(np.int64)
-        out = (cols < 0) | (cols >= ncols)
+        indices[indptr[i]:indptr[i + 1]], scattered _CHUNK_ROWS rows at a
+        time from the indices in their own dtype."""
+        out = (indices < 0) | (indices >= ncols)
         if out.any():
-            raise ValueError(f"column {cols[np.argmax(out)]} out of range")
-        lengths = np.diff(indptr)
-        data = np.zeros((lengths.size, _n_words(ncols)), dtype=np.uint64)
-        rows = np.repeat(np.arange(lengths.size), lengths)
-        np.bitwise_or.at(data, (rows, cols >> 6), _ONE << (cols & 63).astype(np.uint64))
+            raise ValueError(f"column {indices[np.argmax(out)]} out of range")
+        nrows = indptr.size - 1
+        data = np.zeros((nrows, _n_words(ncols)), dtype=np.uint64)
+        for s in range(0, nrows, _CHUNK_ROWS):
+            bounds = indptr[s:s + _CHUNK_ROWS + 1]
+            cols = indices[bounds[0]:bounds[-1]]
+            rows = np.repeat(np.arange(s, s + bounds.size - 1), np.diff(bounds))
+            np.bitwise_or.at(data, (rows, cols >> 6), _ONE << (cols & 63).astype(np.uint64))
         return cls(ncols, data)
 
     @property
@@ -120,9 +122,9 @@ class Gf2Matrix:
         return out
 
     def echelon(self) -> "Echelon":
-        """Forward elimination on a copy, one 64-column word at a time
-        (kernel and proofs in the module docstring)."""
-        m = self.data.copy()
+        """Forward elimination in place, one 64-column word at a time (module
+        docstring); the Echelon's rows are the first rank rows of self.data."""
+        m = self.data
         nrows = m.shape[0]
         free = np.ones(nrows, dtype=bool)
         pivot_rows, pivot_cols = [], []

@@ -13,7 +13,8 @@ The undirected edge {(g, s_i), (g s_i, s_i^-1)} is keyed by the smaller
 of the two directed forms (vertex id, generator index) in lexicographic
 order, which also handles involutive generators without double
 counting.  Edge ids are assigned in first-encounter order over
-(vertex, generator) pairs.
+(vertex, generator) pairs.  Vertex and edge ids are int32 (|V| x degree
+< 2^31); the closure and edge_orbit work _CHUNK products at a time.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import numpy as np
 from .alist import decimal_lines
 from .errors import ConstructionError
 from .quaternion import GeneratorSet
+
+_CHUNK = 1 << 14       # products or flags per step of the closure and edge_orbit
 
 
 class KeyIndex:
@@ -72,12 +75,12 @@ class CayleyGraph:
                 f"{int((ids < 0).sum())} group elements are not vertices of the graph")
         return ids
 
-    def export_edges(self) -> bytes:
+    def export_edges(self) -> bytearray:
         """graph.edges: "vertices edges degree", then per edge id "a b i" for
         its canonical form (a, i), b = adj[a, i]; by alist's digit writer."""
         v, i = self.edge_canonical.T
         head = f"{self.n_vertices} {self.n_edges} {self.degree}\n".encode()
-        return head + decimal_lines(np.stack([v, self.adj[v, i], i], axis=1))
+        return decimal_lines(np.stack([v, self.adj[v, i], i], axis=1), bytearray(head))
 
 
 def generate_group(group, gens: Sequence[int], cap: int) -> CayleyGraph:
@@ -87,11 +90,11 @@ def generate_group(group, gens: Sequence[int], cap: int) -> CayleyGraph:
     inverse, identity excluded (loops must not occur).  Raises when the
     closure exceeds `cap` vertices.
 
-    The closure runs one BFS frontier at a time: the whole frontier is
-    multiplied by all generators at once, the products are read in
-    row-major (vertex, generator) order, products that are already
-    vertices are dropped, and the new keys are numbered in order of
-    first encounter (np.unique with return_index).  This is exactly the
+    The closure runs one BFS frontier at a time: the frontier is
+    multiplied by all generators, _CHUNK products at a time, read in
+    row-major (vertex, generator) order; products that are vertices get
+    their ids (adj), and the new keys are numbered in order of first
+    encounter (np.unique with return_index).  This is exactly the
     numbering of the sequential BFS that pops one vertex at a time and
     numbers each unseen g * s on sight.  In that BFS every vertex at
     distance k + 1 from the identity is first met while vertices at
@@ -101,7 +104,7 @@ def generate_group(group, gens: Sequence[int], cap: int) -> CayleyGraph:
     the first-encounter order of the unseen products over (frontier
     vertex in id order, generator in list order) -- the order used
     here.  adj, eid and edge_canonical therefore do not depend on which
-    of the two loops built them.
+    of the two loops built them.  Needs cap x degree < 2^31 (int32 ids).
     """
     gens = np.asarray(gens, dtype=np.int64)
     if not len(gens):
@@ -118,38 +121,44 @@ def generate_group(group, gens: Sequence[int], cap: int) -> CayleyGraph:
         )
 
     t = len(gens)
-    frontier = np.array([group.identity], dtype=np.int64)
-    levels, products, seen = [frontier], [], frontier
+    if cap * t >= 2**31:
+        raise ConstructionError(f"cap x degree = {cap * t} does not fit int32 ids")
+    frontier = keys = np.array([group.identity], dtype=np.int64)
+    levels, rows, index, step = [frontier], [], KeyIndex(keys), max(1, _CHUNK // t)
     while frontier.size:
-        prod = group.mul(frontier[:, None], gens[None, :]).reshape(-1)
-        products.append(prod)
-        # distinct products first: np.isin on repeated values calls
-        # np.unique without return_index, which imports numpy.ma (1.3 MB)
-        new, first = np.unique(prod, return_index=True)
-        unseen = ~np.isin(new, seen, assume_unique=True)
-        new = new[unseen]
-        if len(seen) + len(new) > cap:
+        # the vertex id of each product; the unseen ones (-1) make the next level
+        ids, unseen = np.empty(frontier.size * t, dtype=np.int32), []
+        for s in range(0, frontier.size, step):
+            prod = group.mul(frontier[s:s + step, None], gens).reshape(-1)
+            ids[s * t:s * t + prod.size] = found = index.find(prod)
+            unseen.append(prod[found < 0])
+        unseen = np.concatenate(unseen)
+        # distinct keys first: np.unique without return_index imports numpy.ma (1.3 MB)
+        new, first = np.unique(unseen, return_index=True)
+        if len(keys) + len(new) > cap:
             raise ConstructionError(f"group closure exceeded cap = {cap}")
-        frontier = prod[np.sort(first[unseen])]
-        levels.append(frontier)
-        seen = np.concatenate([seen, new])
-
-    keys = np.concatenate(levels)
+        order = np.argsort(first)            # the new keys by first encounter
+        ids[ids < 0] = len(keys) + np.argsort(order)[np.searchsorted(new, unseen)]
+        rows.append(ids)
+        levels.append(frontier := new[order])
+        keys = np.concatenate(levels)
+        index = KeyIndex(keys)
     n = len(keys)
-    index = KeyIndex(keys)
-    adj = index.find(np.concatenate(products)).reshape(n, t).astype(np.int32)
+    adj = np.concatenate(rows).reshape(n, t)
+    del rows
 
     # the edge with directed forms f = (v, i) < partner (w, j) gets the
     # number of such canonical forms before it, in (v, i) order
-    flat = np.arange(n * t)
-    partner = (adj.astype(np.int64) * t + inv_gen).reshape(-1)
+    flat = np.arange(n * t, dtype=np.int32)
+    partner = (adj * np.int32(t) + inv_gen.astype(np.int32)).reshape(-1)
     canonical = flat < partner
-    first_id = np.cumsum(canonical) - 1
-    eid = np.where(canonical, first_id, first_id[partner]).reshape(n, t).astype(np.int32)
-    edge_canonical = np.stack(np.divmod(flat[canonical], t), axis=1)
+    edge_canonical = np.stack(np.divmod(flat[canonical], np.int32(t)), axis=1)
     n_edges = len(edge_canonical)
     if 2 * n_edges != n * t or not np.array_equal(partner[partner], flat):
         raise AssertionError("handshake failed: directed edges did not pair up")
+    eid = np.cumsum(canonical, dtype=np.int32) - 1
+    eid[~canonical] = eid[partner[~canonical]]
+    eid = eid.reshape(n, t)
 
     # the graph is connected, so it is bipartite exactly when the parity
     # of the BFS level is a proper 2-coloring
@@ -177,10 +186,10 @@ def graph_from_generators(gens: GeneratorSet, cap: int | None = None) -> CayleyG
 def edge_permutation(graph: CayleyGraph, vertex_map: Sequence[int],
                      gen_perm: Sequence[int]) -> np.ndarray:
     """Permutation of undirected edge ids induced by a graph map acting
-    as `vertex_map` on vertices and `gen_perm` on generator indices.
-    Verified to be a bijection."""
+    as `vertex_map` on vertices and `gen_perm` on generator indices, as
+    int32.  Verified to be a bijection."""
     v, i = graph.edge_canonical.T
-    perm = graph.eid[np.asarray(vertex_map)[v], np.asarray(gen_perm)[i]].astype(np.int64)
+    perm = graph.eid[np.asarray(vertex_map)[v], np.asarray(gen_perm)[i]]
     if np.bincount(perm, minlength=graph.n_edges).max() != 1:
         raise ConstructionError("edge action is not a bijection")
     return perm
@@ -237,22 +246,28 @@ def _star_map(graph: CayleyGraph, perm: np.ndarray):
     where perm is a bijection and perm(eid[v, i]) = eid[u(v), tau_v(i)].
     Distinct edges share at most one endpoint, so u(v) can only be the
     shared endpoint of the images of eid[v, 0] and eid[v, 1]."""
-    # int32 gathers take half the memory and time of int64 ones
-    img = perm.astype(np.int32)[graph.eid]
-    a, j = (graph.edge_canonical[:, k].astype(np.int32)[img] for k in (0, 1))
+    img = perm[graph.eid]
+    a, tau = (graph.edge_canonical[:, k][img] for k in (0, 1))
     pair = [0, min(1, graph.degree - 1)]     # degree 1: the one edge twice
-    (a0, a1), (b0, b1) = a[:, pair].T, graph.adj[a[:, pair], j[:, pair]].T
+    (a0, a1), (b0, b1) = a[:, pair].T, graph.adj[a[:, pair], tau[:, pair]].T
     u = np.where((a0 == a1) | (a0 == b1), a0, np.where((b0 == a1) | (b0 == b1), b0, -1))
-    tau = np.where(a == u[:, None], j, graph.inv_gen.astype(np.int32)[j])
+    flip = a != u[:, None]                   # the image edge is (w, j), w != u: tau = j^-1
+    tau[flip] = graph.inv_gen[tau[flip]]
     ok = (u >= 0)[:, None] & (graph.eid[u[:, None], tau] == img)
     return u, tau, ok & (np.bincount(perm, minlength=graph.n_edges) == 1)[img]
 
 
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """Index of the first occurrence of each distinct row, ascending."""
-    rows = np.ascontiguousarray(rows)
-    key = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    return np.sort(np.unique(key, return_index=True)[1])
+    """Index of the first occurrence of each distinct row, ascending: the
+    first ones inside each block of _CHUNK entries, then among those."""
+    def firsts(block: np.ndarray) -> np.ndarray:
+        key = np.ascontiguousarray(block).view(f"V{block.itemsize * block.shape[1]}")
+        return np.sort(np.unique(key.ravel(), return_index=True)[1])
+
+    step = max(1, _CHUNK // rows.shape[1])
+    at = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        s + firsts(rows[s:s + step]) for s in range(0, len(rows), step)])
+    return at[firsts(rows[at])]
 
 
 def edge_orbit(graph: CayleyGraph, perms: dict[str, np.ndarray]) -> EdgeOrbit:
@@ -310,9 +325,14 @@ def edge_orbit(graph: CayleyGraph, perms: dict[str, np.ndarray]) -> EdgeOrbit:
         path[frontier] = np.take_along_axis(tau[p, v], path[v], axis=1)
     is_reached = path[:, 0] >= 0
     reached = np.flatnonzero(is_reached)
+    step = max(1, _CHUNK // d)              # vertices per block; a block keeps its distinct sigma
+    blocks = [reached[s:s + step] for s in range(0, reached.size, step)]
     inverse = np.empty((n, d), dtype=np.int32)          # inverse[v, path[v][i]] = i
     inverse[reached[:, None], path[reached]] = np.arange(d, dtype=np.int32)
-    sigma = inverse[u[:, reached, None], tau[:, reached[:, None], path[reached]]].reshape(-1, d)
+    sigma = np.concatenate([np.zeros((0, d), dtype=np.int32)] + [
+        block[_distinct_rows(block)] for block in (
+            inverse[u[p, v, None], tau[p, v[:, None], path[v]]]
+            for p in range(len(names)) for v in blocks)])
     schreier = sigma[_distinct_rows(sigma)]
     # Gamma.0, then the edges at the positions path[v][Gamma.0]
     gamma_0 = [0]

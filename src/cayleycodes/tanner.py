@@ -93,10 +93,14 @@ vertex points at a root, and stops when both ends of every column share
 a root.  A round that does not stop hooks at least one root, so the
 rounds end, and the roots left are one per component, its smallest
 vertex.
+
+Working memory: the residual is int32 entries, summed in one key array
+sorted in place; only what contraction leaves is packed, once.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
@@ -137,12 +141,12 @@ class CayleyCodeInstance:
     def n(self) -> int:
         return self.graph.n_edges
 
-    @cached_property
+    @property
     def matrix(self) -> Gf2Matrix:
-        """H, one row per (vertex, dual word), packed on first use.
-        Nothing in the package reads it: the tests pack H as the input
-        of their oracles, and the benchmark tracer's tanner.assemble
-        span records its row count, so it stays while they do."""
+        """H, one row per (vertex, dual word), packed afresh on every read
+        (an echelon consumes it).  Nothing in the package reads it: the
+        tests pack H as the input of their oracles, and the benchmark
+        tracer's tanner.assemble span records its row count."""
         require_packed_fits("H", self.indptr.size - 1, self.n)
         return Gf2Matrix.from_supports(self.n, self.indptr, self.indices)
 
@@ -288,41 +292,55 @@ def star_rank(inst: CayleyCodeInstance) -> int:
 
     # pivot k = r a + b is the edge at position pos[a, b] of vertex chosen[a]
     pivot_of = np.full(n, -1, dtype=np.int32)
-    pivot_of[graph.eid[chosen[:, None], pos].ravel()] = np.arange(chosen.size * r)
+    pivot_of[graph.eid[chosen[:, None], pos].ravel()] = np.arange(pos.size, dtype=np.int32)
     # residual row r x + j is L_u(dual[j]) for u = outside[x] ...
     outside = np.flatnonzero(~in_i)
     j, i = np.nonzero(np.array(dual, dtype=np.int64)[:, None] >> np.arange(degree) & 1)
     row = (r * np.arange(outside.size, dtype=np.int32)[:, None] + j.astype(np.int32)).ravel()
-    edge = graph.eid[outside][:, i].ravel()
-    # ... plus L_v(s_p) for each pivot edge p of a vertex v it meets
+    edge = graph.eid[outside[:, None], i].ravel()
+    # ... plus L_v(s_p) for each pivot edge p of a vertex v it meets, bit by bit
     hit = np.flatnonzero(pivot_of[edge] >= 0)
     k = pivot_of[edge[hit]]
-    t, i = np.nonzero(words.reshape(-1)[k, None] >> np.arange(degree) & 1)
-    row = np.concatenate([row, row[hit][t]])
-    edge = np.concatenate([edge, graph.eid[chosen[k[t] // r], i]])
-    row, edge = _odd_entries(row, edge, n)
+    word, vertex = words.reshape(-1)[k], chosen[k // r]
+    parts = ((row[hit[t]], graph.eid[vertex[t], b]) for b, t in
+             enumerate(np.flatnonzero(word >> b & 1) for b in range(degree)))
+    row, edge = _odd_entries(r * outside.size, n, edge.size + int(np.bitwise_count(word).sum()),
+                             itertools.chain([(row, edge)], parts))
     # 3. the residual is zero on the pivot columns
     left = pivot_of[edge] >= 0
     if left.any():
         fail(int(pivot_of[edge[np.argmax(left)]] // r),
              "leaves its pivot column in the residual")
+    col = (np.cumsum(pivot_of < 0, dtype=np.int32) - 1)[edge]   # non-pivot edges, renumbered
+    del pivot_of, left, edge
+    return r * chosen.size + residual_rank(r * outside.size, n - r * chosen.size, row, col)
 
-    column = np.cumsum(pivot_of < 0, dtype=np.int32) - 1   # non-pivot edges, renumbered
-    return r * chosen.size + residual_rank(r * outside.size, n - r * chosen.size,
-                                           row, column[edge])
 
-
-def _odd_entries(row, col, ncols: int) -> tuple[np.ndarray, np.ndarray]:
-    """The GF(2) sum of the entries (row[t], col[t]), in row order, as int32;
-    the sort key is int64, as rows x ncols passes 2^31 (q = 43)."""
-    keys, count = np.unique(row.astype(np.int64) * ncols + col, return_counts=True)
-    row, col = np.divmod(keys[count & 1 == 1], ncols)
-    return row.astype(np.int32), col.astype(np.int32)
+def _odd_entries(nrows: int, ncols: int, size: int, parts) -> tuple[np.ndarray, np.ndarray]:
+    """The GF(2) sum of the `size` entries (row, col) of the parts, in row
+    order as int32: their keys row * ncols + col (int64 once nrows x ncols
+    passes 2^31, as at q = 43) are sorted in place, and a run of equal keys
+    survives when its last position and that of the run before (-1 for
+    the first) differ in parity: when its length is odd."""
+    key = np.empty(size, dtype=np.int32 if nrows * ncols < 2**31 else np.int64)
+    end = 0
+    for row, col in parts:
+        part = key[end:(end := end + row.size)]
+        np.add(np.multiply(row, ncols, out=part, dtype=key.dtype), col, out=part)
+    key.sort()
+    last = np.ones(key.size, dtype=bool)           # the last entry of each run
+    np.not_equal(key[1:], key[:-1], out=last[:-1])
+    ends = np.resize(np.array([False, True]), key.size)[last]    # at an odd position
+    last[last] = ends != np.append(True, ends[:-1])
+    key = key[last]                                # row = key // ncols < nrows fits int32
+    return tuple(f(key, ncols, out=np.empty(key.size, dtype=np.int32), casting="unsafe")
+                 for f in (np.floor_divide, np.remainder))
 
 
 def require_packed_fits(what: str, nrows: int, ncols: int) -> None:
     """Refuse to pack H or a residual of more than spectra.MATRIX_BYTES_LIMIT
-    bytes, rows x 64-column words x 8; called before it is packed."""
+    bytes, rows x 64-column words x 8; called before it is packed.  That
+    one copy is the whole peak of its elimination, which runs in place."""
     from .spectra import MATRIX_BYTES_LIMIT
 
     size = nrows * ((ncols + 63) >> 6) * 8
@@ -336,7 +354,7 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The root of each vertex of the multigraph on range(n) with edges
     {a[t], b[t]}, the smallest vertex of its component: min-label
     propagation with pointer jumping (module docstring)."""
-    root = np.arange(n)
+    root = np.arange(n, dtype=np.int32)
     while True:
         ra, rb = root[a], root[b]
         if np.array_equal(ra, rb):
@@ -364,7 +382,7 @@ def residual_rank(nrows: int, ncols: int, row: np.ndarray, col: np.ndarray) -> i
             break
         # the rows of a light column are its smallest and largest; a
         # weight-1 column joins its row to the ground vertex, nrows
-        first, last = np.full(ncols, nrows), np.full(ncols, -1)
+        first, last = np.full(ncols, nrows, dtype=np.int32), np.full(ncols, -1, dtype=np.int32)
         np.minimum.at(first, col, row)
         np.maximum.at(last, col, row)
         root = _components(nrows + 1, first[light],
@@ -374,14 +392,15 @@ def residual_rank(nrows: int, ncols: int, row: np.ndarray, col: np.ndarray) -> i
         free = root == np.arange(nrows + 1)
         free[root[nrows]] = False
         free = free[:nrows]
-        component = np.cumsum(free) - 1
+        component = np.cumsum(free, dtype=np.int32) - 1
         keep = ~light[col] & free[root[row]]
-        row, col = _odd_entries(component[root[row[keep]]], col[keep], ncols)
         c0 = int(np.count_nonzero(free))
+        row, col = _odd_entries(c0, ncols, int(np.count_nonzero(keep)),
+                                [(component[root[row[keep]]], col[keep])])
         rank += nrows - c0
         stalled = 2 * c0 > nrows
         used = np.bincount(col, minlength=ncols) > 0
-        nrows, ncols, col = c0, int(used.sum()), (np.cumsum(used) - 1)[col]
+        nrows, ncols, col = c0, int(used.sum()), (np.cumsum(used, dtype=np.int32) - 1)[col]
         if stalled:
             break
     if row.size == 0:

@@ -2,8 +2,9 @@
 
 cayleycodes.alist.dumps_alist sorts and files every entry in numpy and
 writes the digits into one byte buffer.  This module keeps the writer
-that files one entry at a time and joins one string per line, as the
-oracle the tests compare its bytes against.
+that files one entry at a time and joins one string per line, and the
+lines of a table, one string per line, as the oracles the tests
+compare its bytes against.
 """
 
 from __future__ import annotations
@@ -34,3 +35,8 @@ def reference_dumps_alist(row_supports: Sequence[Sequence[int]], ncols: int) -> 
         padded = [str(ci + 1) for ci in r] + ["0"] * (max_row - len(r))
         out.append(" ".join(padded))
     return "\n".join(out) + "\n"
+
+
+def reference_decimal_lines(table) -> str:
+    """The rows of an integer table as lines of space-separated decimals."""
+    return "".join(" ".join(str(x) for x in row) + "\n" for row in table.tolist())

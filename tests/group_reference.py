@@ -219,7 +219,7 @@ def reference_closure(gens: Sequence, identity) -> ReferenceGraph:
 
 def reference_edge_permutation(ref: ReferenceGraph, vertex_map: Sequence[int],
                                gen_perm: Sequence[int]) -> np.ndarray:
-    perm = np.empty(len(ref.edge_canonical), dtype=np.int64)
+    perm = np.empty(len(ref.edge_canonical), dtype=np.int32)
     for e, (v, i) in enumerate(ref.edge_canonical):
         perm[e] = ref.eid[vertex_map[v], gen_perm[i]]
     assert len(np.unique(perm)) == len(perm)

@@ -1,11 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleycodes.alist import dumps_alist, first_difference, loads_alist
+from cayleycodes import alist
+from cayleycodes.alist import decimal_lines, dumps_alist, first_difference, loads_alist
 
-from alist_reference import reference_dumps_alist
+from alist_reference import reference_decimal_lines, reference_dumps_alist
 from gf2_reference import csr
 
 
@@ -86,6 +89,22 @@ def test_writer_matches_the_reference_bytes(matrix):
     degree 0 (every degree line empty but still ended by a newline)."""
     rows, ncols = matrix
     assert dumps(rows, ncols) == reference_dumps_alist(rows, ncols)
+
+
+@given(matrices(max_cols=30, max_rows=30), st.integers(1, 40), st.data())
+@settings(deadline=None, max_examples=200)
+def test_writer_matches_the_reference_across_blocks(matrix, block, data):
+    """decimal_lines writes _BLOCK table entries at a time, read
+    row-major; with blocks of 1 to 40 entries the tables, the one-line
+    degree tables among them, are cut inside and at the ends of lines.
+    Whole alists and drawn tables, the values across digit counts."""
+    rows, ncols = matrix
+    shape = data.draw(st.tuples(st.integers(0, 12), st.integers(0, 12)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    table = (10 ** rng.integers(0, 6, shape) * rng.random(shape)).astype(np.int32)
+    with mock.patch.object(alist, "_BLOCK", block):
+        assert dumps(rows, ncols) == reference_dumps_alist(rows, ncols)
+        assert decimal_lines(table) == reference_decimal_lines(table).encode()
 
 
 @given(st.sampled_from([9, 10, 11, 99, 100, 101, 999, 1000, 1001]), st.data())

