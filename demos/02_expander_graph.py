@@ -47,8 +47,9 @@ print(f"same eigenvalue set as the dense reference: "
       f"{set_distance(rep.eigenvalues, dense.nontrivial) < 1e-9}")
 
 print(f"vertex transitive: {verify_vertex_transitive(graph)}")
-# one BFS over the vertices under two edge permutations; Schreier's lemma
-# turns its paths into the stabiliser of vertex 0 on its star positions
+# one BFS over the vertices under the star maps (u, tau) of two symmetry
+# generators, taken from the group; Schreier's lemma turns its paths into
+# the stabiliser of vertex 0 on its star positions
 orbit = edge_orbit(graph, symmetry_edge_permutations(graph, gens))
 print(f"edge transitive: {orbit.transitive} (orbit of one edge covers {orbit.size} of "
       f"{graph.n_edges} edges; {len(orbit.schreier)} distinct Schreier generators)")

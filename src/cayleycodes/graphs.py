@@ -15,6 +15,10 @@ order, which also handles involutive generators without double
 counting.  Edge ids are assigned in first-encounter order over
 (vertex, generator) pairs.  Vertex and edge ids are int32 (|V| x degree
 < 2^31); the closure and edge_orbit work _CHUNK products at a time.
+
+Symmetries are star maps (u, tau), acting on the flags by (v, i) ->
+(u(v), tau(i)); edge_orbit proves each a graph automorphism from one
+|V| x degree check, and no |E|-long edge permutation is formed.
 """
 
 from __future__ import annotations
@@ -180,35 +184,27 @@ def graph_from_generators(gens: GeneratorSet, cap: int | None = None) -> CayleyG
 
 
 # ---------------------------------------------------------------------------
-# Edge permutations and orbits
+# Star maps and the edge orbit
 # ---------------------------------------------------------------------------
 
-def edge_permutation(graph: CayleyGraph, vertex_map: Sequence[int],
-                     gen_perm: Sequence[int]) -> np.ndarray:
-    """Permutation of undirected edge ids induced by a graph map acting
-    as `vertex_map` on vertices and `gen_perm` on generator indices, as
-    int32.  Verified to be a bijection."""
-    v, i = graph.edge_canonical.T
-    perm = graph.eid[np.asarray(vertex_map)[v], np.asarray(gen_perm)[i]]
-    if np.bincount(perm, minlength=graph.n_edges).max() != 1:
-        raise ConstructionError("edge action is not a bijection")
-    return perm
+StarMap = tuple[np.ndarray, np.ndarray]   # (u, tau): vertex of each vertex, position of each position
 
 
 def symmetry_edge_permutations(graph: CayleyGraph, gens: GeneratorSet
-                               ) -> dict[str, np.ndarray]:
-    """Edge permutations of two generators of the semi-direct product
-    <L_s (s in S), T>: "left_s0", (v, i) -> (s0 v, i), and "torus_t0",
-    (v, i) -> (t0 v t0^-1, pi(i)) with t0 s_i t0^-1 = s_pi(i), each a
-    whole-array product over all vertex keys.  Raises, naming the
-    length, when pi is not one cycle through all of S.
+                               ) -> dict[str, StarMap]:
+    """Star maps (u, tau) of two generators of the semi-direct product
+    <L_s (s in S), T>, straight from the group: "left_s0", u(v) = s0 v
+    and tau the identity, and "torus_t0", u(v) = t0 v t0^-1 and tau = pi,
+    t0 s_i t0^-1 = s_pi(i); u is int32 per vertex, from a whole-array
+    product over the vertex keys, and tau int32 per position.  Raises,
+    naming the length, when pi is not one cycle through all of S.
 
     Proof that two suffice.  On directed edges T^-1 is (v, i) ->
     (t0^-1 v t0, pi^-1(i)), so T L_s T^-1 is (v, i) -> (t0 s t0^-1 v, i):
     T L_s T^-1 = L_{t0 s t0^-1}.  When pi is one cycle, the T^k L_s0 T^-k
     are L_s for every s in S, so <L_s0, T> = <L_S, T>, and every orbit,
-    of edges and of rows of H, is the orbit under the two permutations
-    (a BFS needs no inverses: a permutation's inverse is a power of it).
+    of edges and of rows of H, is the orbit under the two maps (a BFS
+    needs no inverses: a permutation's inverse is a power of it).
     """
     group, t0 = graph.group, gens.t0
     t0_inv = group.inverse(t0)
@@ -223,38 +219,21 @@ def symmetry_edge_permutations(graph: CayleyGraph, gens: GeneratorSet
                                 f"on S: the cycle through s0 has length {cycle}")
     left_s0 = graph.vertex_ids(group.mul(graph.gens[0], graph.keys))
     vertex_map = graph.vertex_ids(group.mul(group.mul(t0, graph.keys), t0_inv))
-    return {"left_s0": edge_permutation(graph, left_s0, np.arange(graph.degree)),
-            "torus_t0": edge_permutation(graph, vertex_map, gen_perm)}
+    return {"left_s0": (left_s0.astype(np.int32), np.arange(graph.degree, dtype=np.int32)),
+            "torus_t0": (vertex_map.astype(np.int32), gen_perm.astype(np.int32))}
 
 
 class EdgeOrbit(NamedTuple):
-    """The certificate of edge_orbit, from the star maps of the named edge
-    permutations; tanner reads it for invariance and single orbit."""
-    names: list[str]                     # the permutations, in name order
+    """The certificate of edge_orbit, from the named star maps; tanner
+    reads it for invariance and single orbit."""
+    names: list[str]                     # the star maps, in name order
     bad: tuple[str, int, int] | None     # first (name, vertex, position) of no star map
     vertices: int                        # size of the orbit of vertex 0
     missed: int | None                   # the first vertex outside it
     size: int | None                     # edges in the orbit of edge 0; None when bad
     transitive: bool                     # size == |E|
-    taus: list[tuple[str, int, list[int]]]  # per name, each distinct tau_v, its first v
+    taus: list[tuple[str, list[int]]]    # per name, its position map tau
     schreier: np.ndarray                 # (k, degree) the distinct Schreier generators
-
-
-def _star_map(graph: CayleyGraph, perm: np.ndarray):
-    """(u, tau, ok): per vertex v the vertex u(v) whose star perm maps the
-    star of v onto, and per position i the position tau_v(i) there; ok
-    where perm is a bijection and perm(eid[v, i]) = eid[u(v), tau_v(i)].
-    Distinct edges share at most one endpoint, so u(v) can only be the
-    shared endpoint of the images of eid[v, 0] and eid[v, 1]."""
-    img = perm[graph.eid]
-    a, tau = (graph.edge_canonical[:, k][img] for k in (0, 1))
-    pair = [0, min(1, graph.degree - 1)]     # degree 1: the one edge twice
-    (a0, a1), (b0, b1) = a[:, pair].T, graph.adj[a[:, pair], tau[:, pair]].T
-    u = np.where((a0 == a1) | (a0 == b1), a0, np.where((b0 == a1) | (b0 == b1), b0, -1))
-    flip = a != u[:, None]                   # the image edge is (w, j), w != u: tau = j^-1
-    tau[flip] = graph.inv_gen[tau[flip]]
-    ok = (u >= 0)[:, None] & (graph.eid[u[:, None], tau] == img)
-    return u, tau, ok & (np.bincount(perm, minlength=graph.n_edges) == 1)[img]
 
 
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
@@ -270,59 +249,69 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     return at[firsts(rows[at])]
 
 
-def edge_orbit(graph: CayleyGraph, perms: dict[str, np.ndarray]) -> EdgeOrbit:
-    """The orbit of edge 0 under the group G that the named edge
-    permutations generate, by one BFS over the vertices and Schreier's
-    lemma (Seress, Permutation Group Algorithms, CUP 2003, 4.1).
+def edge_orbit(graph: CayleyGraph, maps: dict[str, StarMap]) -> EdgeOrbit:
+    """The orbit of edge 0 under the group G that the named star maps
+    generate, by one BFS over the vertices and Schreier's lemma (Seress,
+    Permutation Group Algorithms, CUP 2003, 4.1).
 
-    Star maps.  Each pi must be a bijection that maps the star of every
-    vertex v onto the star of one vertex u(v): pi(eid[v, i]) =
-    eid[u(v), tau_v(i)] at every position i.  The first (name, vertex,
-    position) where one is not is `bad`, and nothing else is computed:
-    every check built on this certificate fails.  Otherwise pi acts on
-    the flags (v, i) by (v, i) -> (u(v), tau_v(i)), and eid carries that
-    action onto the edge action and the flag (0, 0) onto edge 0.
+    Star maps.  Each (u, tau) must pass one |V| x degree check: u is a
+    bijection of V, tau one of the positions, and u(adj[v, i]) =
+    adj[u(v), tau(i)] at every vertex v and position i.  The first
+    (name, vertex, position) where a map fails is `bad`, and nothing
+    else is computed: every check built on this certificate fails.
+
+    The check suffices.  f(v, i) = (u(v), tau(i)) is a bijection of the
+    flags.  For w = adj[v, i] the check at (w, inv_gen[i]) and at (v, i)
+    gives adj[u(w), tau(inv_gen[i])] = u(v) = adj[u(w), inv_gen[tau(i)]].
+    The generators are distinct, so u(w) is joined to u(v) at one
+    position only: tau(inv_gen[i]) = inv_gen[tau(i)], and f commutes with
+    the reversal (v, i) -> (adj[v, i], inv_gen[i]) of the flags of each
+    edge.  So f, a graph automorphism, acts on the edges by the bijection
+    eid[v, i] -> eid[u(v), tau(i)], and the flag (0, 0) is edge 0.
 
     Orbit.  The BFS from vertex 0 through the maps u records, for each
-    vertex v it reaches, the product p_v of the generators along its
-    tree path and path[v], which sends each position i of vertex 0 to
-    the position of v that p_v moves it to: reaching u = u_pi(v) from v
-    gives p_u = pi p_v and path[u] = tau_v o path[v].  The Schreier
-    generators p_u(v)^-1 pi p_v, over every reached v and every pi,
+    vertex v it reaches, the product p_v of the maps along its tree path
+    and path[v], which sends each position i of vertex 0 to the position
+    of v that p_v moves it to: reaching u(v) from v through f gives
+    p_u(v) = f p_v and path[u(v)] = tau o path[v].  The Schreier
+    generators p_u(v)^-1 f p_v, over every reached v and every f,
     generate the stabiliser of vertex 0 in the flag group (Schreier's
     lemma); on the positions of vertex 0 they act as
-    sigma = path[u(v)]^-1 o tau_v o path[v] and generate its image
+    sigma = path[u(v)]^-1 o tau o path[v] and generate its image
     Gamma.  A g that maps vertex 0 to v is p_v h with h in the
-    stabiliser, so the orbit of the flag (0, 0) is {(v, path[v][x]) :
-    v reached, x in Gamma.0}, and `size` counts the distinct edges
-    eid[v, path[v][x]] exactly: G is edge transitive iff they are all of
-    E.  An orbit of a finite group is the closure under its generators,
-    so no BFS needs inverses.  tanner.verify_single_orbit runs Gamma on
-    words.
+    stabiliser, so the orbit O of the flag (0, 0) is {(v, path[v][x]) :
+    v reached, x in Gamma.0}, of |reached| |Gamma.0| flags.  G commutes
+    with the reversal, so the reversal of O is the orbit of the flag
+    (w, j) = (adj[0, 0], inv_gen[0]): O itself when (w, j) is in O, else
+    disjoint from it.  The orbit of edge 0 thus has |O| / 2 or |O| edges
+    (`size`), and G is edge transitive iff that is |E|.  An orbit of a
+    finite group is the closure under its generators, so no BFS needs
+    inverses.  tanner.verify_single_orbit runs Gamma on words.
     """
-    names = sorted(perms)
+    names = sorted(maps)
     n, d = graph.n_vertices, graph.degree
     u = np.empty((len(names), n), dtype=np.int32)
-    tau = np.empty((len(names), n, d), dtype=np.int32)
+    tau = np.empty((len(names), d), dtype=np.int32)
     for p, name in enumerate(names):
-        u[p], tau[p], ok = _star_map(graph, np.asarray(perms[name]))
+        u[p], tau[p] = maps[name]
+        ok = (np.bincount(u[p], minlength=n)[u[p], None] == 1) & (  # both one-to-one
+            np.bincount(tau[p], minlength=d)[tau[p]] == 1)
+        ok &= u[p][graph.adj] == graph.adj[u[p, :, None], tau[p]]
         if not ok.all():
             v, i = np.unravel_index(np.argmin(ok), ok.shape)
             return EdgeOrbit(names, (name, int(v), int(i)), 0, None, None, False, [],
                              np.zeros((0, d), dtype=np.int32))
-    taus = [(name, int(v), t[v].tolist()) for name, t in zip(names, tau)
-            for v in _distinct_rows(t)]
     path = np.full((n, d), -1, dtype=np.int32)
     path[0] = np.arange(d)
     frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
-        # images in (frontier vertex, permutation) order, each new vertex
+        # images in (frontier vertex, map) order, each new vertex
         # reached through its first one
         new, first = np.unique(u[:, frontier].T.ravel(), return_index=True)
         fresh = path[new, 0] < 0
         at, p = np.divmod(first[fresh], len(names))
         frontier, v = new[fresh], frontier[at]
-        path[frontier] = np.take_along_axis(tau[p, v], path[v], axis=1)
+        path[frontier] = tau[p[:, None], path[v]]
     is_reached = path[:, 0] >= 0
     reached = np.flatnonzero(is_reached)
     step = max(1, _CHUNK // d)              # vertices per block; a block keeps its distinct sigma
@@ -331,16 +320,17 @@ def edge_orbit(graph: CayleyGraph, perms: dict[str, np.ndarray]) -> EdgeOrbit:
     inverse[reached[:, None], path[reached]] = np.arange(d, dtype=np.int32)
     sigma = np.concatenate([np.zeros((0, d), dtype=np.int32)] + [
         block[_distinct_rows(block)] for block in (
-            inverse[u[p, v, None], tau[p, v[:, None], path[v]]]
+            inverse[u[p, v, None], tau[p][path[v]]]
             for p in range(len(names)) for v in blocks)])
     schreier = sigma[_distinct_rows(sigma)]
-    # Gamma.0, then the edges at the positions path[v][Gamma.0]
+    # Gamma.0, then whether the reversed flag (w, j) of (0, 0) is in its orbit
     gamma_0 = [0]
     for x in gamma_0:                    # the list grows as it is read
         gamma_0 += sorted(set(schreier[:, x].tolist()) - set(gamma_0))
-    hit = np.zeros(graph.n_edges, dtype=bool)
-    hit[graph.eid[reached[:, None], path[reached][:, gamma_0]]] = True
-    size = int(hit.sum())
+    w, j = graph.adj[0, 0], graph.inv_gen[0]
+    paired = is_reached[w] and int(inverse[w, j]) in gamma_0
+    size = len(reached) * len(gamma_0) // (2 if paired else 1)
     return EdgeOrbit(names, None, len(reached),
                      None if is_reached.all() else int(np.argmin(is_reached)),
-                     size, size == graph.n_edges, taus, schreier)
+                     size, size == graph.n_edges,
+                     [(name, t.tolist()) for name, t in zip(names, tau)], schreier)

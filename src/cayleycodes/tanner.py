@@ -430,11 +430,11 @@ def measured_rate(inst: CayleyCodeInstance) -> Fraction:
 # Invariance of the row space under the symmetry generators
 # ---------------------------------------------------------------------------
 
-def _star_failure_text(perm: str, vertex: int, position: Optional[int]) -> str:
+def _star_failure_text(perm: str, vertex: Optional[int], position: Optional[int]) -> str:
     if position is not None:
         return (f"{perm!r} maps position {position} of the star of vertex {vertex} "
                 "off the image star")
-    return (f"{perm!r} permutes the star positions of vertex {vertex} by a map that "
+    return (f"{perm!r} permutes the star positions by a map that "
             "does not preserve the dual of the inner code")
 
 
@@ -442,9 +442,9 @@ def _star_failure_text(perm: str, vertex: int, position: Optional[int]) -> str:
 class InvarianceReport:
     passed: bool
     perm_names: list[str]
-    bad_perm: Optional[str] = None       # the first failure: permutation,
+    bad_perm: Optional[str] = None       # the first failure: star map,
     bad_vertex: Optional[int] = None     # vertex and star position there,
-    bad_position: Optional[int] = None   # None when tau breaks B-dual
+    bad_position: Optional[int] = None   # both None when tau breaks B-dual
 
     def require(self) -> None:
         if not self.passed:
@@ -458,33 +458,33 @@ def _word_moved(word: int, tau: Sequence[int]) -> int:
 
 
 def _star_failure(inst: CayleyCodeInstance, orbit: EdgeOrbit
-                  ) -> Optional[tuple[str, int, Optional[int]]]:
-    """The first (permutation, vertex, position) where a permutation is no
-    star map; else the first (permutation, vertex, None), in name and then
-    vertex order, whose tau_v does not map B-dual onto itself; else None."""
+                  ) -> Optional[tuple[str, Optional[int], Optional[int]]]:
+    """The first (map, vertex, position) where a map is no star map; else
+    the first (map, None, None), in name order, whose tau does not map
+    B-dual onto itself; else None."""
     if orbit.bad is not None:
         return orbit.bad
     rank_b = int_rank(inst.dual_rows)
-    for name, v, tau in orbit.taus:
+    for name, tau in orbit.taus:
         moved = [_word_moved(w, tau) for w in inst.dual_rows]
         if not int_rank(moved) == rank_b == int_rank(inst.dual_rows + moved):
-            return name, v, None
+            return name, None, None
     return None
 
 
 def verify_invariance(inst: CayleyCodeInstance, orbit: EdgeOrbit) -> InvarianceReport:
-    """Each edge permutation maps rowspace(H) onto itself, proven for
-    every row by a local certificate: no sampling, no elimination.
+    """Each star map's edge permutation maps rowspace(H) onto itself,
+    proven row by row by a local certificate: no sampling, no elimination.
 
-    The check, on the star maps of graphs.edge_orbit: every pi is a star
-    map, img[v, i] = pi(eid[v, i]) = eid[u(v), tau_v(i)] for every vertex
-    v and position i, and every distinct tau_v maps B-dual :=
-    span(inst.dual_rows) onto itself, tau w having bit tau(i) = bit i of
-    w.  The first failure is named: permutation, vertex and position.
+    The check, on the certificate of graphs.edge_orbit: every (u, tau) is
+    a star map, whose edge permutation pi is eid[v, i] -> eid[u(v),
+    tau(i)], and every tau maps B-dual := span(inst.dual_rows) onto
+    itself, tau w having bit tau(i) = bit i of w.  The first failure is
+    named: the map, and where it is no star map, vertex and position.
 
     Proof.  Row L_v(w) of H puts bit i of the dual word w on eid[v, i];
-    pi moves it to eid[u(v), tau_v(i)], so pi(L_v(w)) = L_{u(v)}(tau_v w),
-    a sum of rows of H at u(v) since tau_v w is in B-dual.  So the
+    pi moves it to eid[u(v), tau(i)], so pi(L_v(w)) = L_{u(v)}(tau w),
+    a sum of rows of H at u(v) since tau w is in B-dual.  So the
     injective linear map pi sends rowspace(H) into, hence onto, itself.
 
     Sufficient, not necessary, and verify_single_orbit asks the same:
@@ -534,17 +534,17 @@ def verify_single_orbit(inst: CayleyCodeInstance, orbit: EdgeOrbit) -> SingleOrb
     w0 = dual_rows[0], under the group of graphs.edge_orbit spans the
     whole row space of H, certified on the stabiliser of vertex 0.
 
-    The check: every pi is a star map (one that is not fails this,
-    invariance and edge transitivity alike, named by permutation, vertex
-    and position), every distinct tau_v maps B-dual :=
-    span(inst.dual_rows) onto itself, the orbit of vertex 0 is all of V,
-    and span(Gamma.w0) = B-dual; the first failure is named.
+    The check: every map is a star map (one that is not fails this,
+    invariance and edge transitivity alike, named by map, vertex and
+    position), every tau maps B-dual := span(inst.dual_rows) onto
+    itself, the orbit of vertex 0 is all of V, and span(Gamma.w0) =
+    B-dual; the first failure is named.
 
     Proof.  Let L_v map a local word (bit i at position i) to the edge
     vector with the same bits on the star of v; L_v is injective, as
     generate_group rejects repeated generators and the identity, and
-    rowspace(H) = sum over v of L_v(B-dual).  A star map pi sends L_v(w)
-    to L_{u(v)}(tau_v w), so with g = p_v h as in graphs.edge_orbit the
+    rowspace(H) = sum over v of L_v(B-dual).  A star map sends L_v(w)
+    to L_{u(v)}(tau w), so with g = p_v h as in graphs.edge_orbit the
     orbit of the row is {L_v(path[v] x) : v reached, x in Gamma.w0};
     orbit_size = |V| |Gamma.w0| counts its rows when w0 has weight 2 or
     more (two stars share at most one edge).  path[v] is a product of
@@ -554,7 +554,7 @@ def verify_single_orbit(inst: CayleyCodeInstance, orbit: EdgeOrbit) -> SingleOrb
     every orbit row lies in rowspace(H).  Conversely, for star maps the
     check holds exactly when the orbit's local words span B-dual at
     every vertex: at vertex 0 that is span(Gamma.w0) = B-dual, and then
-    tau_v = path[u(v)] o sigma o path[v]^-1, sigma in Gamma, maps B-dual
+    tau = path[u(v)] o sigma o path[v]^-1, sigma in Gamma, maps B-dual
     onto itself, as Gamma permutes Gamma.w0.
     """
     words = row_orbit(inst, orbit)
@@ -633,8 +633,8 @@ def run_verification(gens, graph: CayleyGraph, inner: CyclicCode, seed: int = 0,
     expansion certificate, edge transitivity, single orbit (which
     computes rank(H), so star elimination runs inside it), the code's
     rate bound and invariance.  The three symmetry checks read one
-    certificate, graphs.edge_orbit of the two generating edge
-    permutations of symmetry_edge_permutations.
+    certificate, graphs.edge_orbit of the star maps that
+    symmetry_edge_permutations takes from the group.
 
     inner_d_lower, when given, is a proven distance bound for the inner
     code (e.g. its designed distance); otherwise the exact distance is

@@ -64,8 +64,16 @@ def q19_instance(q19_psl_graph, inner20):
 
 
 @pytest.fixture(scope="session")
-def q19_perms(q19_psl_graph, q19_psl_gens):
+def q19_maps(q19_psl_graph, q19_psl_gens):
+    """The star maps (u, tau) of left_s0 and torus_t0 at q = 19 PSL."""
     return symmetry_edge_permutations(q19_psl_graph, q19_psl_gens)
+
+
+@pytest.fixture(scope="session")
+def q19_edge_perms(q19_psl_graph, q19_maps):
+    """The edge permutations the q19 star maps induce, for the oracles."""
+    from group_reference import edge_permutation
+    return {name: edge_permutation(q19_psl_graph, *m) for name, m in q19_maps.items()}
 
 
 @pytest.fixture

@@ -8,10 +8,11 @@ independent oracle for the tests; plus ZnGroup, Z_n on integer keys,
 the toy group the tests and demos build Cayley graphs of, and the
 object-level helpers the tests use: proj, conj_action, SdpElement, sdp_act_directed_edge,
 parse_edge_list, reference_export_edges (the graph.edges writer with one
-f-string per edge) and verify_vertex_transitive; and left_translation_maps,
-all |S| left translations of a keyed graph, where cayleycodes.graphs
-computes only the one by s0.  The matrix objects come from
-field_reference.
+f-string per edge), verify_vertex_transitive and flag_map_keeps_edges; and
+on keyed graphs left_translation_maps, all |S| left translations, where
+cayleycodes.graphs computes only the one by s0, and edge_permutation, the
+edge map that a star map (u, tau) induces, which cayleycodes.graphs never
+forms but the oracles read.  The matrix objects come from field_reference.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from cayleycodes.errors import ConstructionError
-from cayleycodes.graphs import CayleyGraph, KeyIndex, edge_permutation
+from cayleycodes.graphs import CayleyGraph, KeyIndex
 
 from field_reference import FiniteField, ProjectiveMatrix, decode, matrix_key
 from orbit_reference import point_orbit
@@ -244,18 +245,33 @@ def sdp_gen_perm(ref: ReferenceGraph, h: SdpElement) -> list[int]:
     return [lookup[s.conjugate_by(h.t_mat)] for s in ref.gens]
 
 
-def reference_symmetry_permutations(ref: ReferenceGraph, t0: ProjectiveMatrix
-                                    ) -> dict[str, np.ndarray]:
-    """The left translations by S and the torus generator t0, as edge
-    permutations of the object graph."""
+def reference_symmetry_maps(ref: ReferenceGraph, t0: ProjectiveMatrix
+                            ) -> dict[str, tuple[np.ndarray, list[int]]]:
+    """The left translations by S and the torus generator t0, as star
+    maps (vertex map, generator permutation) of the object graph."""
     ident = list(range(len(ref.gens)))
-    perms = {f"left_s{i}": reference_edge_permutation(
-                 ref, left_translation_vertex_map(ref, s), ident)
-             for i, s in enumerate(ref.gens)}
+    maps = {f"left_s{i}": (left_translation_vertex_map(ref, s), ident)
+            for i, s in enumerate(ref.gens)}
     h_t0 = SdpElement(ProjectiveMatrix.identity(t0.field), t0)
-    perms["torus_t0"] = reference_edge_permutation(
-        ref, sdp_vertex_map(ref, h_t0), sdp_gen_perm(ref, h_t0))
-    return perms
+    maps["torus_t0"] = (sdp_vertex_map(ref, h_t0), sdp_gen_perm(ref, h_t0))
+    return maps
+
+
+def flag_map_keeps_edges(ref: ReferenceGraph, vertex_map: Sequence[int],
+                         gen_perm: Sequence[int]) -> bool:
+    """Whether the flag map (v, i) -> (vertex_map[v], gen_perm[i]) sends
+    the two flags of every edge {v, v s_i}, (v, i) and (v s_i, j) with
+    s_j = s_i^-1, onto the two flags of one edge, on the group elements
+    of the object graph."""
+    gen_index = {s: i for i, s in enumerate(ref.gens)}
+    for v, g in enumerate(ref.vertices):
+        for i, s in enumerate(ref.gens):
+            w, j = ref.vindex[g * s], gen_index[s.inverse()]
+            a, b = ref.vertices[vertex_map[v]], ref.vertices[vertex_map[w]]
+            image = ref.gens[gen_perm[i]]
+            if b != a * image or ref.gens[gen_perm[j]] != image.inverse():
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +303,15 @@ def sdp_maps(graph: CayleyGraph, h: SdpElement) -> tuple[np.ndarray, np.ndarray]
 def left_translation_maps(graph: CayleyGraph) -> np.ndarray:
     """Row i is the vertex permutation v -> s_i * v."""
     return graph.vertex_ids(graph.group.mul(graph.gens[:, None], graph.keys[None, :]))
+
+
+def edge_permutation(graph: CayleyGraph, vertex_map: Sequence[int],
+                     gen_perm: Sequence[int]) -> np.ndarray:
+    """The edge map induced by a star map, as int32: edge e with canonical
+    form (v, i) goes to eid[vertex_map[v], gen_perm[i]].  A bijection when
+    (vertex_map, gen_perm) is a star map; otherwise perhaps not."""
+    v, i = graph.edge_canonical.T
+    return graph.eid[np.asarray(vertex_map)[v], np.asarray(gen_perm)[i]]
 
 
 def sdp_edge_permutation(graph: CayleyGraph, h: SdpElement) -> np.ndarray:

@@ -110,7 +110,7 @@ def test_criterion_4_edge_transitivity(q19_psl_graph, q19_psl_gens):
     _report(4, "edge transitivity", t0, 60)
 
 
-def test_criterion_5_structural_code_checks(q19_instance, q19_perms):
+def test_criterion_5_structural_code_checks(q19_instance, q19_maps):
     t0 = time.time()
     inst = q19_instance
     assert inst.inner.n == 20 and inst.inner.rate > Fraction(1, 2)
@@ -118,8 +118,8 @@ def test_criterion_5_structural_code_checks(q19_instance, q19_perms):
     assert rate == Fraction(inst.n - inst.rank, 34200)
     assert rate >= 2 * inst.inner.rate - 1  # exact rational comparison
     # exhaustive: every vertex star and every star position of both maps
-    orbit = edge_orbit(inst.graph, {"left_gamma": q19_perms["left_s0"],
-                                    "torus_t0": q19_perms["torus_t0"]})
+    orbit = edge_orbit(inst.graph, {"left_gamma": q19_maps["left_s0"],
+                                    "torus_t0": q19_maps["torus_t0"]})
     inv = verify_invariance(inst, orbit)
     assert inv.passed and inv.perm_names == ["left_gamma", "torus_t0"]
     assert inv.bad_perm is inv.bad_vertex is inv.bad_position is None

@@ -1,16 +1,20 @@
 from dataclasses import replace
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleycodes.errors import ConstructionError
-from cayleycodes.graphs import (edge_orbit, edge_permutation,
-                                generate_group, graph_from_generators,
+from cayleycodes.graphs import (KeyIndex, edge_orbit, generate_group, graph_from_generators,
                                 symmetry_edge_permutations)
 
 from field_reference import decode
-from group_reference import (SdpElement, ZnGroup, left_translation_maps, object_vertices,
-                             parse_edge_list, reference_export_edges, sdp_edge_permutation,
+from group_reference import (AddGroupElement, SdpElement, ZnGroup, edge_permutation,
+                             flag_map_keeps_edges, left_translation_maps, object_vertices,
+                             parse_edge_list, reference_closure, reference_edge_permutation,
+                             reference_export_edges, sdp_edge_permutation,
                              verify_vertex_transitive)
 
 
@@ -136,12 +140,13 @@ def test_edge_permutation_bijection_and_composition(q19_psl_graph, q19_psl_gens)
     p1 = sdp_edge_permutation(graph, h1)
     p2 = sdp_edge_permutation(graph, h2)
     p12 = sdp_edge_permutation(graph, h1 * h2)
+    assert all(np.bincount(p, minlength=graph.n_edges).max() == 1 for p in (p1, p2, p12))
     # e^(h1 h2) == (e^h2)^h1
     assert np.array_equal(p12, p1[p2])
 
 
-def test_edge_transitive_q19(q19_psl_graph, q19_perms):
-    orbit = edge_orbit(q19_psl_graph, q19_perms)
+def test_edge_transitive_q19(q19_psl_graph, q19_maps):
+    orbit = edge_orbit(q19_psl_graph, q19_maps)
     assert orbit.transitive and orbit.size == 34200
     assert orbit.bad is None and orbit.missed is None and orbit.vertices == 3420
 
@@ -150,15 +155,54 @@ def test_toy_edge_orbit_under_translations_only():
     # the cycle C_8 is edge transitive under rotations alone
     g = zn_graph(8, [1, 7])
     ident_gen_perm = list(range(g.degree))
-    perms = {f"left_{i}": edge_permutation(g, vm, ident_gen_perm)
-             for i, vm in enumerate(left_translation_maps(g))}
-    orbit = edge_orbit(g, perms)
+    maps = {f"left_{i}": (vm, ident_gen_perm) for i, vm in enumerate(left_translation_maps(g))}
+    orbit = edge_orbit(g, maps)
     assert orbit.transitive and orbit.size == g.n_edges
 
 
-def test_symmetry_perms_count(q19_perms):
+@given(st.integers(min_value=3, max_value=16), st.data())
+@settings(deadline=None, max_examples=200)
+def test_star_map_check_is_the_edge_condition(n, data):
+    """The proof in edge_orbit's docstring, on toy Z_n graphs.  (u, tau)
+    is drawn as a translation or a multiplication by a unit that fixes
+    S, either of them sometimes with two entries of u or of tau swapped,
+    or as two random permutations.  The check on u(adj[v, i]) alone
+    passes exactly when the flag map (v, i) -> (u(v), tau(i)) sends the
+    two flags of every edge {v, v s_i} onto the two flags of one edge,
+    checked on the group elements; and then the induced edge map is a
+    bijection, the object reference's."""
+    half = data.draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4))
+    steps = data.draw(st.permutations(sorted({s % n for h in half for s in (h, -h)})))
+    ref = reference_closure([AddGroupElement(n, s) for s in steps], AddGroupElement(n, 0))
+    graph = generate_group(ZnGroup(n), steps, cap=len(ref.vertices))
+    kind = data.draw(st.sampled_from(["translation", "multiplier", "random"]))
+    if kind == "random":
+        u = np.array(data.draw(st.permutations(range(graph.n_vertices))))
+        tau = np.array(data.draw(st.permutations(range(graph.degree))))
+    elif kind == "translation":
+        x = data.draw(st.sampled_from(graph.keys.tolist()))
+        u, tau = graph.vertex_ids((graph.keys + x) % n), np.arange(graph.degree)
+    else:
+        m = data.draw(st.sampled_from([m for m in range(1, n) if gcd(m, n) == 1
+                                       and {m * s % n for s in steps} == set(steps)]))
+        u = graph.vertex_ids(m * graph.keys % n)
+        tau = KeyIndex(graph.gens).find(m * graph.gens % n)
+    if kind != "random" and data.draw(st.booleans()):
+        part = data.draw(st.sampled_from([u, tau]))
+        a, b = data.draw(st.lists(st.integers(0, len(part) - 1), min_size=2, max_size=2))
+        part[[a, b]] = part[[b, a]]
+    orbit = edge_orbit(graph, {"m": (u, tau)})
+    keeps = flag_map_keeps_edges(ref, u.tolist(), tau.tolist())
+    assert (orbit.bad is None) == keeps
+    if keeps:
+        perm = edge_permutation(graph, u, tau)
+        assert np.bincount(perm, minlength=graph.n_edges).max() == 1
+        assert np.array_equal(perm, reference_edge_permutation(ref, u, tau))
+
+
+def test_symmetry_perms_count(q19_maps):
     # the translation by s0 and the torus generator generate the group
-    assert list(q19_perms) == ["left_s0", "torus_t0"]
+    assert list(q19_maps) == ["left_s0", "torus_t0"]
 
 
 def test_torus_that_is_not_one_cycle_is_rejected(q19_psl_graph, q19_psl_gens):

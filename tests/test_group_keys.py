@@ -11,17 +11,18 @@ from hypothesis import strategies as st
 from cayleycodes import cli
 from cayleycodes.fields import FieldTables
 from cayleycodes.cyclic import CyclicCode
-from cayleycodes.graphs import (edge_orbit, edge_permutation, generate_group,
-                                graph_from_generators, symmetry_edge_permutations)
+from cayleycodes.graphs import (edge_orbit, generate_group, graph_from_generators,
+                                symmetry_edge_permutations)
 from cayleycodes.projective import KEY_ORDER_LIMIT, PglGroup, require_key_fits
 from cayleycodes.quaternion import build_generators, choose_ideal
 from cayleycodes.tanner import build_parity_check, row_orbit
 
 from field_reference import (ProjectiveMatrix, matrix_key, reference_field,
                              reference_generators)
-from group_reference import (AddGroupElement, ZnGroup, left_translation_maps,
-                             left_translation_vertex_map, reference_closure,
-                             reference_edge_permutation, reference_symmetry_permutations)
+from group_reference import (AddGroupElement, ZnGroup, edge_permutation,
+                             left_translation_maps, left_translation_vertex_map,
+                             reference_closure, reference_edge_permutation,
+                             reference_symmetry_maps)
 from orbit_reference import point_orbit, row_orbit as reference_row_orbit
 
 GROUPS = {"F_19": PglGroup(FieldTables(19)), "F_25": PglGroup(FieldTables(5, 2)),
@@ -134,44 +135,50 @@ def test_closure_matches_object_bfs(keyed_and_reference):
 
 
 @pytest.fixture(scope="module")
-def reference_perms(keyed_and_reference):
-    """All q + 2 symmetry permutations of the object graph: the left
+def reference_maps(keyed_and_reference):
+    """All q + 2 symmetry star maps of the object graph: the left
     translations by every s in S and the torus generator."""
     _, _, ref, obj = keyed_and_reference
-    return reference_symmetry_permutations(ref, obj.t0_embedded)
+    return reference_symmetry_maps(ref, obj.t0_embedded)
 
 
-def test_symmetry_permutations_match_object_reference(keyed_and_reference, reference_perms):
-    gens, graph, _, _ = keyed_and_reference
-    perms = symmetry_edge_permutations(graph, gens)
-    assert list(perms) == ["left_s0", "torus_t0"]
-    for name, perm in perms.items():
-        expected = reference_perms[name]
-        assert perm.dtype == expected.dtype and np.array_equal(perm, expected), name
+def test_symmetry_permutations_match_object_reference(keyed_and_reference, reference_maps):
+    """The two star maps, taken from the keyed group, are the object
+    ones as int32 arrays, and induce the object edge permutations."""
+    gens, graph, ref, _ = keyed_and_reference
+    maps = symmetry_edge_permutations(graph, gens)
+    assert list(maps) == ["left_s0", "torus_t0"]
+    for name, (u, tau) in maps.items():
+        ref_u, ref_tau = reference_maps[name]
+        assert u.dtype == tau.dtype == np.int32, name
+        assert u.tolist() == ref_u.tolist() and tau.tolist() == list(ref_tau), name
+        assert np.array_equal(edge_permutation(graph, u, tau),
+                              reference_edge_permutation(ref, ref_u, ref_tau)), name
 
 
 # by degree: [20,16] with generator (x+1)^4, [6,4] with x^2+x+1
 INNER_CODES = {20: CyclicCode(20, 0x11), 6: CyclicCode(6, 0b111)}
 
 
-def test_two_generators_give_the_orbits_of_all(keyed_and_reference, reference_perms):
+def test_two_generators_give_the_orbits_of_all(keyed_and_reference, reference_maps):
     """The orbits that build reports, under left_s0 and torus_t0 alone,
     are those under all |S| left translations and the torus: the same
     set of rows of H in the orbit of row 0 ([20,16] at q = 19, [6,4] at
     q = 5, e = 2) and the same number of edges in the orbit of edge 0,
     by the certificate and by the BFS oracles over rows and edges."""
-    gens, graph, _, _ = keyed_and_reference
-    two = symmetry_edge_permutations(graph, gens)
-    every = reference_perms
+    gens, graph, ref, _ = keyed_and_reference
+    two_maps = symmetry_edge_permutations(graph, gens)
+    two = [edge_permutation(graph, *m) for m in two_maps.values()]
+    every = [reference_edge_permutation(ref, *m) for m in reference_maps.values()]
     assert len(every) == graph.degree + 1
     inst = build_parity_check(graph, INNER_CODES[graph.degree])
-    rows = [{tuple(r) for r in reference_row_orbit(inst, list(perms.values())).tolist()}
+    rows = [{tuple(r) for r in reference_row_orbit(inst, perms).tolist()}
             for perms in (two, every)]
     assert rows[0] == rows[1]
-    edges = point_orbit(list(every.values()), graph.n_edges)
-    assert point_orbit(list(two.values()), graph.n_edges) == edges
-    for perms in (two, every):
-        orbit = edge_orbit(graph, perms)
+    edges = point_orbit(every, graph.n_edges)
+    assert point_orbit(two, graph.n_edges) == edges
+    for maps in (two_maps, reference_maps):
+        orbit = edge_orbit(graph, maps)
         assert orbit.size == edges == graph.n_edges
         assert orbit.vertices * len(row_orbit(inst, orbit)) == len(rows[0])
 

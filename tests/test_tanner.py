@@ -17,8 +17,7 @@ from cayleycodes.cyclic import CyclicCode, dual_basis_rows
 from cayleycodes.errors import CheckFailure, ConstructionError
 from cayleycodes.gf2 import Gf2Matrix, int_rank
 from cayleycodes.gf2poly import divmod_, mul, x_pow_n_minus_1
-from cayleycodes.graphs import (KeyIndex, edge_orbit, edge_permutation, generate_group,
-                                graph_from_generators)
+from cayleycodes.graphs import KeyIndex, edge_orbit, generate_group, graph_from_generators
 from cayleycodes.tanner import (StarPivots, build_parity_check,
                                 measured_rate, row_orbit, edge_code_bounds,
                                 require_packed_fits, residual_rank, run_verification,
@@ -27,7 +26,7 @@ from cayleycodes.tanner import (StarPivots, build_parity_check,
 from code_reference import codeword_set_brute_force, codeword_set_from_nullspace, local_view
 from gf2_reference import (contains, csr, int_span_equal, reference_echelon,
                            reference_from_supports, rows_of)
-from group_reference import ZnGroup, left_translation_maps
+from group_reference import ZnGroup, edge_permutation, left_translation_maps
 import orbit_reference as oracle
 
 
@@ -35,18 +34,35 @@ def zn_graph(n, steps):
     return generate_group(ZnGroup(n), steps, cap=n + 1)
 
 
-def toy_perms(graph, mult=None):
-    """Edge permutations of the toy symmetry generators: all left
+def toy_maps(graph, mult=None):
+    """Star maps (u, tau) of the toy symmetry generators: all left
     translations, plus multiplication by `mult` (an automorphism of
     Z_n) permuting both vertices and generator positions."""
-    ident = list(range(graph.degree))
-    perms = [edge_permutation(graph, vm, ident) for vm in left_translation_maps(graph)]
+    ident = np.arange(graph.degree)
+    maps = [(vm, ident) for vm in left_translation_maps(graph)]
     if mult is not None:
         n = graph.group.n
-        vmap = graph.vertex_ids(mult * graph.keys % n)
-        gp = KeyIndex(graph.gens).find(mult * graph.gens % n)
-        perms.append(edge_permutation(graph, vmap, gp))
-    return perms
+        maps.append((graph.vertex_ids(mult * graph.keys % n),
+                     KeyIndex(graph.gens).find(mult * graph.gens % n)))
+    return maps
+
+
+def edge_perms(graph, maps):
+    """The edge maps that star maps induce, for the oracles."""
+    return [edge_permutation(graph, *m) for m in maps]
+
+
+def toy_perms(graph, mult=None):
+    """The edge permutations of toy_maps."""
+    return edge_perms(graph, toy_maps(graph, mult))
+
+
+def swapped(star_map, part, a, b):
+    """A copy of the star map with entries a and b of u (part 0) or of
+    tau (part 1) swapped."""
+    out = [np.array(x) for x in star_map]
+    out[part][[a, b]] = out[part][[b, a]]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +214,17 @@ def permuted_rows(inst, perm):
     return Gf2Matrix.from_supports(inst.n, inst.indptr, perm[inst.indices])
 
 
-def certify(inst, perms):
-    """graphs.edge_orbit of a dict of permutations, or of a list named
+def certify(inst, maps):
+    """graphs.edge_orbit of a dict of star maps, or of a list named
     p0, p1, ..."""
-    if not isinstance(perms, dict):
-        perms = {f"p{i}": p for i, p in enumerate(perms)}
-    return edge_orbit(inst.graph, perms)
+    if not isinstance(maps, dict):
+        maps = {f"p{i}": m for i, m in enumerate(maps)}
+    return edge_orbit(inst.graph, maps)
 
 
 def test_invariance_toy():
     inst = z17_torus_instance()
-    named = {f"p{i}": p for i, p in enumerate(toy_perms(inst.graph, mult=2))}
+    named = {f"p{i}": m for i, m in enumerate(toy_maps(inst.graph, mult=2))}
     rep = verify_invariance(inst, certify(inst, named))
     assert rep.passed and rep.perm_names == sorted(named)
     assert rep.bad_perm is rep.bad_vertex is rep.bad_position is None
@@ -217,96 +233,102 @@ def test_invariance_toy():
 
 def test_invariance_identity_perm_trivial():
     inst = z6_even_instance()
-    ident = np.arange(inst.n, dtype=np.int64)
+    ident = (np.arange(6), np.arange(3))
     rep = verify_invariance(inst, certify(inst, {"id": ident}))
     assert rep.passed
     # degree 1 (K_2): the one star edge is paired with itself
     k2 = build_parity_check(zn_graph(2, [1]), CyclicCode(1, 1))
-    assert verify_invariance(k2, certify(k2, {"id": np.arange(1)})).passed
+    assert verify_invariance(k2, certify(k2, {"id": (np.arange(2), np.arange(1))})).passed
 
 
 def test_invariance_detects_broken_permutation():
-    """Edges 0 and 1 both lie on the star of vertex 0 (the edge toward
-    key 1 and toward key 2).  Swapping them keeps that star, but at the
-    other endpoint of edge 0, vertex 1 (key 1), the position of edge 0
-    (generator 16 = -1, position 4) now holds an edge off its star."""
+    """The identity with u swapped at vertices 9 and 10 (keys 3 and 5,
+    both off the star of key 0) is a bijection of the flags, but no star
+    map: vertex 1 (key 1) is joined to key 3 at position 1 (generator 2),
+    and its image, vertex 1, is not joined there to key 5.  The rows of
+    H pushed through the induced edge map leave rowspace(H)."""
     inst = z17_torus_instance()
-    bad = np.arange(inst.n, dtype=np.int64)
-    bad[[0, 1]] = bad[[1, 0]]  # a transposition is not a code symmetry here
+    graph = inst.graph
+    assert graph.keys[[1, 9, 10]].tolist() == [1, 3, 5] and graph.adj[1, 1] == 9
+    bad = swapped((np.arange(17), np.arange(8)), 0, 9, 10)
     rep = verify_invariance(inst, certify(inst, {"bad": bad}))
     assert not rep.passed
-    assert (rep.bad_perm, rep.bad_vertex, rep.bad_position) == ("bad", 1, 4)
-    assert inst.graph.eid[1, 4] == 0
+    assert (rep.bad_perm, rep.bad_vertex, rep.bad_position) == ("bad", 1, 1)
     with pytest.raises(CheckFailure,
-                       match="'bad' maps position 4 of the star of vertex 1 "):
+                       match="'bad' maps position 1 of the star of vertex 1 "):
         rep.require()
-    # a map that is not a bijection fails where an image edge is hit twice
-    merged = np.arange(inst.n, dtype=np.int64)
+    moved = permuted_rows(inst, edge_permutation(graph, *bad))
+    assert inst.matrix.echelon().reduce_batch(moved.data).any()
+    # a vertex map, or a position map, that is not a bijection fails at
+    # the first flag it sends where another flag goes
+    merged = np.arange(17)
     merged[0] = 1
-    rep = verify_invariance(inst, certify(inst, {"merged": merged}))
+    rep = verify_invariance(inst, certify(inst, {"merged": (merged, np.arange(8))}))
     assert (rep.passed, rep.bad_vertex, rep.bad_position) == (False, 0, 0)
+    merged = np.arange(8)
+    merged[3] = 2
+    rep = verify_invariance(inst, certify(inst, {"merged": (np.arange(17), merged)}))
+    assert (rep.passed, rep.bad_vertex, rep.bad_position) == (False, 0, 2)
 
 
-def assert_swap_in_star_rejected(inst, left, torus, v, i1, i2):
-    """The torus permutation with the images of edges eid[v, i1] and
-    eid[v, i2] swapped maps the star of v onto the same star, but each
-    swapped edge's other endpoint now has an image edge off its image
-    star: the one certificate names the first of the two, and fails
-    invariance, edge transitivity and single orbit with it; and the
-    permuted rows of H do leave rowspace(H)."""
+def assert_swap_in_star_rejected(inst, left, torus, i1, i2):
+    """The torus star map with entries i1 and i2 of tau swapped still
+    maps each star onto the star of u(v), but positions i1 and i2 onto
+    each other's images, already at vertex 0: the one certificate names
+    vertex 0 and the first of the two, and fails invariance, edge
+    transitivity and single orbit with it; and the rows of H pushed
+    through the induced edge map do leave rowspace(H)."""
     graph = inst.graph
     assert verify_invariance(inst, certify(inst, {"left": left, "torus": torus})).passed
-    e1, e2 = graph.eid[v, i1], graph.eid[v, i2]
-    bad = torus.copy()
-    bad[[e1, e2]] = bad[[e2, e1]]
+    bad = swapped(torus, 1, i1, i2)
     orbit = certify(inst, {"left": left, "torus": bad})
     rep = verify_invariance(inst, orbit)
     assert not rep.passed and rep.bad_perm == "torus"
-    ends = [(int(graph.adj[v, i]), int(graph.inv_gen[i])) for i in (i1, i2)]
-    assert (rep.bad_vertex, rep.bad_position) == min(ends)
-    assert orbit.bad == ("torus", *min(ends))
+    assert (rep.bad_vertex, rep.bad_position) == (0, min(i1, i2))
+    assert orbit.bad == ("torus", 0, min(i1, i2))
     assert not orbit.transitive and orbit.size is None
     single = verify_single_orbit(inst, orbit)
     assert not single.passed and single.orbit_rank is None
-    with pytest.raises(CheckFailure, match=f"'torus' maps position {min(ends)[1]} of the "
-                                           f"star of vertex {min(ends)[0]} "):
+    with pytest.raises(CheckFailure, match=f"'torus' maps position {min(i1, i2)} of the "
+                                           "star of vertex 0 "):
         single.require()
-    assert inst.matrix.echelon().reduce_batch(permuted_rows(inst, bad).data).any()
+    moved = permuted_rows(inst, edge_permutation(graph, *bad))
+    assert inst.matrix.echelon().reduce_batch(moved.data).any()
 
 
 def test_invariance_detects_swap_inside_one_star():
     inst = z17_torus_instance()
-    perms = toy_perms(inst.graph, mult=2)
-    assert_swap_in_star_rejected(inst, perms[0], perms[-1], 5, 2, 6)
+    maps = toy_maps(inst.graph, mult=2)
+    assert_swap_in_star_rejected(inst, maps[0], maps[-1], 6, 2)
 
 
-def test_invariance_detects_swap_inside_one_star_q19(q19_psl_graph, q19_perms):
+def test_invariance_detects_swap_inside_one_star_q19(q19_psl_graph, q19_maps):
     inst = build_parity_check(q19_psl_graph, CyclicCode(20, 0b10001))
-    assert_swap_in_star_rejected(inst, q19_perms["left_s0"], q19_perms["torus_t0"],
-                                 2954, 0, 1)
+    assert_swap_in_star_rejected(inst, q19_maps["left_s0"], q19_maps["torus_t0"], 0, 1)
 
 
 def test_invariance_certificate_rejects_a_position_map_off_the_dual():
     """Z_19, S = [1, 18, 2, 17, 5, 14], the graph automorphism x -> -x:
     every star maps onto a star, by tau = (01)(23)(45).  With h = x^2+x+1
     tau does not preserve the dual of the inner code, the certificate
-    fails naming vertex 0 and no position, for invariance and single
-    orbit alike, and the reference reduction confirms that H is not
-    invariant."""
+    fails naming the map only, no vertex and no position (tau is one map
+    for every vertex), for invariance and single orbit alike, and the
+    reference reduction confirms that H is not invariant."""
     graph = zn_graph(19, [1, 18, 2, 17, 5, 14])
     inst = build_parity_check(graph, CyclicCode(6, 0b111))
-    neg = toy_perms(graph, mult=18)[-1]
+    neg = toy_maps(graph, mult=18)[-1]
     orbit = certify(inst, {"neg": neg})
+    assert orbit.taus == [("neg", [1, 0, 3, 2, 5, 4])]
     rep = verify_invariance(inst, orbit)
     assert not rep.passed
-    assert (rep.bad_perm, rep.bad_vertex, rep.bad_position) == ("neg", 0, None)
-    message = "'neg' permutes the star positions of vertex 0 by a map that does not preserve"
+    assert (rep.bad_perm, rep.bad_vertex, rep.bad_position) == ("neg", None, None)
+    message = "'neg' permutes the star positions by a map that does not preserve"
     with pytest.raises(CheckFailure, match=message):
         rep.require()
     with pytest.raises(CheckFailure, match=message):
         verify_single_orbit(inst, orbit).require()
     ech = reference_echelon(inst.matrix)
-    moved = permuted_rows(inst, neg)
+    moved = permuted_rows(inst, edge_permutation(graph, *neg))
     assert not all(contains(ech, row) for row in moved.data)
 
 
@@ -314,11 +336,13 @@ def test_invariance_certificate_rejects_a_position_map_off_the_dual():
 @settings(deadline=None, max_examples=150)
 def test_invariance_pass_implies_rows_in_span(n, data):
     """Soundness on toy Z_n instances: whenever the certificate passes a
-    permutation (a left translation, a multiplication by a unit that
-    fixes S, or either with two random edges swapped), every permuted
-    row of H reduces to zero against the echelon form of H.  S comes in
-    a random order, so a multiplication permutes the star positions by
-    a random-looking tau that often breaks the cyclic dual."""
+    star map (a left translation, a multiplication by a unit that fixes
+    S, or either with two entries of u or of tau swapped), every row of
+    H pushed through the induced edge map reduces to zero against the
+    echelon form of H.  S comes in a random order, so a multiplication
+    permutes the star positions by a random-looking tau that often
+    breaks the cyclic dual; a failure names the map, and a vertex and a
+    position exactly when the map is no star map."""
     steps = data.draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=6))
     steps = data.draw(st.permutations(sorted(steps | {n - s for s in steps})))
     graph = zn_graph(n, steps)
@@ -326,17 +350,28 @@ def test_invariance_pass_implies_rows_in_span(n, data):
     units = [u for u in range(2, n) if gcd(u, n) == 1
              and {u * s % n for s in steps} == set(steps)]
     mult = data.draw(st.sampled_from([None] + units))
-    perms = toy_perms(graph, mult)
-    perm = (perms[-1] if mult else data.draw(st.sampled_from(perms))).copy()
+    maps = toy_maps(graph, mult)
+    star_map = maps[-1] if mult else data.draw(st.sampled_from(maps))
     if data.draw(st.booleans()):
-        e1, e2 = data.draw(st.lists(st.integers(0, inst.n - 1), min_size=2, max_size=2))
-        perm[[e1, e2]] = perm[[e2, e1]]
-    rep = verify_invariance(inst, certify(inst, {"p": perm}))
+        star_map = draw_swap(star_map, data)
+    orbit = certify(inst, {"p": star_map})
+    rep = verify_invariance(inst, orbit)
     if rep.passed:
-        residual = inst.matrix.echelon().reduce_batch(permuted_rows(inst, perm).data)
-        assert not residual.any()
+        moved = permuted_rows(inst, edge_permutation(graph, *star_map))
+        assert not inst.matrix.echelon().reduce_batch(moved.data).any()
+    elif orbit.bad is None:
+        assert (rep.bad_perm, rep.bad_vertex, rep.bad_position) == ("p", None, None)
     else:
         assert rep.bad_perm == "p" and 0 <= rep.bad_vertex < graph.n_vertices
+        assert 0 <= rep.bad_position < graph.degree
+
+
+def draw_swap(star_map, data):
+    """The star map with two drawn entries of u, or of tau, swapped."""
+    part = data.draw(st.integers(0, 1))
+    a, b = data.draw(st.lists(st.integers(0, len(star_map[part]) - 1),
+                              min_size=2, max_size=2))
+    return swapped(star_map, part, a, b)
 
 
 def factor_x_pow_n_minus_1(n):
@@ -390,12 +425,12 @@ def assert_orbit_matches_reference(inst, perms, start_row=0):
     assert [tuple(r) for r in orbit.tolist()] == reference_row_orbit(inst, perms, start_row)
 
 
-def assert_certificate_matches_row_oracle(inst, perms):
-    """From row 0 the oracle's row orbit has |orbit of vertex 0| x
-    |Gamma.w0| rows, and those on the star of vertex 0 are L_0 of the
-    words of tanner.row_orbit, Gamma.w0."""
-    rows = oracle.row_orbit(inst, perms)
-    orbit = certify(inst, perms)
+def assert_certificate_matches_row_oracle(inst, maps):
+    """From row 0 the oracle's row orbit under the induced edge maps has
+    |orbit of vertex 0| x |Gamma.w0| rows, and those on the star of
+    vertex 0 are L_0 of the words of tanner.row_orbit, Gamma.w0."""
+    rows = oracle.row_orbit(inst, edge_perms(inst.graph, maps))
+    orbit = certify(inst, maps)
     words = row_orbit(inst, orbit)
     assert words[0] == inst.dual_rows[0] and len(set(words)) == len(words)
     assert len(rows) == orbit.vertices * len(words)
@@ -406,22 +441,22 @@ def assert_certificate_matches_row_oracle(inst, perms):
 def test_row_orbit_matches_reference_toys():
     inst = z6_even_instance()
     assert_orbit_matches_reference(inst, toy_perms(inst.graph))
-    assert_certificate_matches_row_oracle(inst, toy_perms(inst.graph))
+    assert_certificate_matches_row_oracle(inst, toy_maps(inst.graph))
     inst = z17_torus_instance()
     for mult in (None, 2):
         for start in (0, 1, 7):
             assert_orbit_matches_reference(inst, toy_perms(inst.graph, mult), start)
-        assert_certificate_matches_row_oracle(inst, toy_perms(inst.graph, mult))
+        assert_certificate_matches_row_oracle(inst, toy_maps(inst.graph, mult))
 
 
-def test_row_orbit_matches_reference_q19(q19_psl_graph, q19_perms):
+def test_row_orbit_matches_reference_q19(q19_psl_graph, q19_maps, q19_edge_perms):
     # the [20, 16] inner code h = (x + 1)^4 keeps the tuple BFS short
     inst = build_parity_check(q19_psl_graph, CyclicCode(20, 0b10001))
-    perms = list(q19_perms.values())
+    perms = list(q19_edge_perms.values())
     assert_orbit_matches_reference(inst, perms)
     assert_orbit_matches_reference(inst, perms[::-1], start_row=5)
-    assert_certificate_matches_row_oracle(inst, perms)
-    assert len(row_orbit(inst, certify(inst, q19_perms))) == 4
+    assert_certificate_matches_row_oracle(inst, list(q19_maps.values()))
+    assert len(row_orbit(inst, certify(inst, q19_maps))) == 4
 
 
 def endpoint_vertices(graph, e):
@@ -472,19 +507,18 @@ def assert_oracle_matches_reference(inst, perms, start_row=0):
     return result
 
 
-def test_single_orbit_matches_reference_q19(q19_psl_graph, q19_perms):
+def test_single_orbit_matches_reference_q19(q19_psl_graph, q19_maps, q19_edge_perms):
     """Passing and failing runs on q = 19 with the [20, 16] inner code:
     the certificate agrees with the per-vertex oracle, which agrees with
     the row-by-row reference.  Without the torus the left translation by
     s0 alone reaches only the coset of its cyclic group."""
     inst = build_parity_check(q19_psl_graph, CyclicCode(20, 0b10001))
-    perms = list(q19_perms.values())
+    perms = list(q19_edge_perms.values())
     assert assert_oracle_matches_reference(inst, perms[::-1], start_row=5)[0]
     assert assert_oracle_matches_reference(inst, perms)[0]
-    assert verify_single_orbit(inst, certify(inst, q19_perms)).passed
-    no_torus = {"left_s0": q19_perms["left_s0"]}
-    assert assert_oracle_matches_reference(inst, list(no_torus.values()))[2] is not None
-    orbit = certify(inst, no_torus)
+    assert verify_single_orbit(inst, certify(inst, q19_maps)).passed
+    assert assert_oracle_matches_reference(inst, [q19_edge_perms["left_s0"]])[2] is not None
+    orbit = certify(inst, {"left_s0": q19_maps["left_s0"]})
     assert orbit.missed is not None and orbit.vertices < 3420
     rep = verify_single_orbit(inst, orbit)
     with pytest.raises(CheckFailure, match=f"never reach vertex {orbit.missed} from vertex 0"):
@@ -523,7 +557,7 @@ def test_single_orbit_toy_even_weight():
     all-ones star row under translations is exactly the row set."""
     inst = z6_even_instance()
     perms = toy_perms(inst.graph)
-    rep = verify_single_orbit(inst, certify(inst, perms))
+    rep = verify_single_orbit(inst, certify(inst, toy_maps(inst.graph)))
     assert rep.passed and rep.orbit_size == 6 == len(oracle.row_orbit(inst, perms))
     assert rep.orbit_rank == rep.rank_h == 5
     # the global route agrees with the local certificate
@@ -533,7 +567,7 @@ def test_single_orbit_toy_even_weight():
 def test_single_orbit_toy_torus():
     inst = z17_torus_instance()
     perms = toy_perms(inst.graph, mult=2)
-    rep = verify_single_orbit(inst, certify(inst, perms))
+    rep = verify_single_orbit(inst, certify(inst, toy_maps(inst.graph, mult=2)))
     assert rep.passed and rep.failure is None
     assert rep.orbit_rank == rep.rank_h
     assert orbit_oracle(inst, perms) == (rep.rank_h, True)
@@ -545,7 +579,7 @@ def test_single_orbit_fails_without_torus():
     span misses the shifted dual words, as the oracles confirm."""
     inst = z17_torus_instance()
     perms = toy_perms(inst.graph)  # translations only
-    orbit = certify(inst, perms)
+    orbit = certify(inst, toy_maps(inst.graph))
     assert orbit.missed is None and orbit.schreier.tolist() == [list(range(8))]
     rep = verify_single_orbit(inst, orbit)
     assert not rep.passed and rep.orbit_rank is None
@@ -559,29 +593,26 @@ def test_single_orbit_fails_without_torus():
 
 
 def test_single_orbit_names_a_permutation_that_is_no_star_map():
-    """A permutation that swaps one edge of the starting star with an
-    edge far from it is no star map: the certificate names it, with the
-    vertex and position where it breaks, an endpoint of a swapped edge,
-    and fails all three checks; the oracle's orbit leaves the stars."""
+    """The identity with u swapped at vertex 0, where the starting row
+    lies, and vertex 9 (key 3), off its star, is no star map: the
+    certificate names it at the first flag where it breaks, position 0
+    of vertex 0, and fails all three checks; the oracle's orbit under
+    the induced edge maps leaves the stars, first at its row 11."""
     inst = z17_torus_instance()
     graph = inst.graph
-    perms = toy_perms(graph, mult=2)
-    start = rows_of(inst.indptr, inst.indices)[0]
-    far = next(e for e in range(inst.n) if e not in graph.eid[0].tolist()
-               and not set(endpoint_vertices(graph, e))
-               & set(endpoint_vertices(graph, start[0])))
-    swap = np.arange(inst.n, dtype=np.int64)
-    swap[[start[0], far]] = swap[[far, start[0]]]
-    orbit = certify(inst, {"swap": swap, **{f"p{i}": p for i, p in enumerate(perms)}})
-    name, v, i = orbit.bad
-    assert name == "swap" and v in endpoint_vertices(graph, start[0]) + endpoint_vertices(graph, far)
+    maps = toy_maps(graph, mult=2)
+    assert 9 not in graph.adj[0] and graph.keys[9] == 3
+    swap = swapped((np.arange(17), np.arange(8)), 0, 0, 9)
+    orbit = certify(inst, {"swap": swap, **{f"p{i}": m for i, m in enumerate(maps)}})
+    assert orbit.bad == ("swap", 0, 0)
     assert orbit.size is None and not orbit.transitive
     assert not verify_invariance(inst, orbit).passed
     rep = verify_single_orbit(inst, orbit)
     assert not rep.passed and rep.orbit_rank is None
-    with pytest.raises(CheckFailure, match=f"'swap' maps position {i} of the star of vertex {v} "):
+    with pytest.raises(CheckFailure, match="'swap' maps position 0 of the star of vertex 0 "):
         rep.require()
-    assert oracle.single_orbit(inst, oracle.row_orbit(inst, [swap] + perms))[1] == 1
+    rows = oracle.row_orbit(inst, edge_perms(graph, [swap] + maps))
+    assert oracle.single_orbit(inst, rows)[1] == 11
 
 
 def test_single_orbit_names_a_vertex_the_orbit_misses():
@@ -590,27 +621,29 @@ def test_single_orbit_names_a_vertex_the_orbit_misses():
     vertex 1 (key 1), and the certificate names it; the per-vertex
     oracle fails too."""
     inst = z6_even_instance()
-    half_turn = toy_perms(inst.graph)[2]
+    half_turn = toy_maps(inst.graph)[2]
     orbit = certify(inst, {"half_turn": half_turn})
     assert (orbit.vertices, orbit.missed, orbit.transitive) == (2, 1, False)
     rep = verify_single_orbit(inst, orbit)
     assert not rep.passed and rep.orbit_size == 2
     with pytest.raises(CheckFailure, match="never reach vertex 1 from vertex 0"):
         rep.require()
-    assert not oracle.single_orbit(inst, oracle.row_orbit(inst, [half_turn]))[0]
+    moved = edge_permutation(inst.graph, *half_turn)
+    assert not oracle.single_orbit(inst, oracle.row_orbit(inst, [moved]))[0]
 
 
 @given(st.integers(min_value=5, max_value=16), st.data())
 @settings(deadline=None, max_examples=60)
 def test_single_orbit_pass_implies_global_oracle(n, data):
     """The certificate against the oracles on toy Z_n instances: S in a
-    drawn order, a drawn multiplier, a drawn subset of the permutations,
-    a drawn cyclic inner code, and sometimes two edges swapped in one
-    permutation.  While every permutation is a star map the certificate
-    counts the oracle's edge orbit and agrees with the per-vertex oracle
-    (the converse in verify_single_orbit); whenever it passes, the
-    oracle passes with as many rows, and the global route agrees: the
-    raw orbit rows have rank(H) and lie in the row space of H."""
+    drawn order, a drawn multiplier, a drawn subset of the star maps, a
+    drawn cyclic inner code, and sometimes two entries of u or of tau
+    swapped in one map; the oracles run on the induced edge maps.  While
+    every map is a star map the certificate counts the oracle's edge
+    orbit and agrees with the per-vertex oracle (the converse in
+    verify_single_orbit); whenever it passes, the oracle passes with as
+    many rows, and the global route agrees: the raw orbit rows have
+    rank(H) and lie in the row space of H."""
     steps = data.draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=6))
     steps = data.draw(st.permutations(sorted(steps | {n - s for s in steps})))
     graph = zn_graph(n, steps)
@@ -619,16 +652,15 @@ def test_single_orbit_pass_implies_global_oracle(n, data):
         return
     units = [u for u in range(2, n) if gcd(u, n) == 1
              and {u * s % n for s in steps} == set(steps)]
-    all_perms = toy_perms(graph, mult=data.draw(st.sampled_from([None] + units)))
-    keep = data.draw(st.lists(st.booleans(), min_size=len(all_perms),
-                              max_size=len(all_perms)))
-    perms = [p for p, k in zip(all_perms, keep) if k] or all_perms[:1]
+    all_maps = toy_maps(graph, mult=data.draw(st.sampled_from([None] + units)))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(all_maps),
+                              max_size=len(all_maps)))
+    maps = [m for m, k in zip(all_maps, keep) if k] or all_maps[:1]
     if data.draw(st.booleans()):
-        t = data.draw(st.integers(0, len(perms) - 1))
-        e1, e2 = data.draw(st.lists(st.integers(0, inst.n - 1), min_size=2, max_size=2))
-        perms[t] = perms[t].copy()
-        perms[t][[e1, e2]] = perms[t][[e2, e1]]
-    orbit = certify(inst, perms)
+        t = data.draw(st.integers(0, len(maps) - 1))
+        maps[t] = draw_swap(maps[t], data)
+    perms = edge_perms(graph, maps)
+    orbit = certify(inst, maps)
     rep = verify_single_orbit(inst, orbit)
     rows = oracle.row_orbit(inst, perms)
     passed = oracle.single_orbit(inst, rows)[0]
