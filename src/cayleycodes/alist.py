@@ -11,34 +11,36 @@ Layout (all indices 1-based, entries space-separated):
 
 The writer is deterministic (bit-exact for equal input), and the reader
 validates both perspectives against each other.  The writer takes the
-matrix as a CSR pair and has no loop per entry: the entries are already
-in row order, so one stable sort puts them in column order, each
-column's rows ascending; both perspectives become zero-padded int32
-tables of 1-based indices, which decimal_lines writes.  The tests keep
+matrix as a CSR pair and has no loop per entry: the keys col * m + row,
+sorted in place, give the column perspective; both become zero-padded
+int32 tables of 1-based indices, _BLOCK cells at a time, which
+decimal_lines hands to a sink (a file, or matches_file).  The tests keep
 the writer that files one entry at a time as the byte-exact reference.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import re
+from typing import Callable, Optional
 
 import numpy as np
 
 _BLOCK = 1 << 14       # table entries per block of digit cells
 
 
-def decimal_lines(table: np.ndarray, out: bytearray | None = None) -> bytearray:
+def decimal_lines(table: np.ndarray, write: Callable | None = None) -> bytearray:
     """The rows of a table of non-negative int32 values as ASCII lines,
     one per row, its entries in decimal separated by single spaces,
-    appended to `out` (a new bytearray by default), which is returned.
+    handed to write block by block (returned as a bytearray without it).
     Per block of _BLOCK entries, read row-major, each entry gets a row of
     uint8 cells, as many digits as the block's largest entry has and its
     separator; the leading zeros are masked out and the kept cells
-    appended in order.  A table of width 0 gives empty lines."""
-    out = bytearray() if out is None else out
+    written in order.  A table of width 0 gives empty lines."""
+    out = bytearray()
+    write = write or out.extend
     lines, width = table.shape
     flat = table.reshape(-1)
-    out += b"\n" * (lines if width == 0 else 0)
+    write(b"\n" * (lines if width == 0 else 0))
     for start in range(0, flat.size, _BLOCK):
         value = flat[start:start + _BLOCK].astype(np.int32)
         ndigits = len(str(int(value.max())))
@@ -50,69 +52,84 @@ def decimal_lines(table: np.ndarray, out: bytearray | None = None) -> bytearray:
             value //= 10
             if k:
                 keep[:, k - 1] = value > 0
-        out += cells[keep].data
+        write(cells[keep].data)
     return out
 
 
-def dumps_alist(indptr: np.ndarray, indices: np.ndarray, ncols: int) -> bytearray:
+def dumps_alist(indptr: np.ndarray, indices: np.ndarray, ncols: int,
+                write: Callable | None = None) -> bytearray:
     """The alist of the matrix whose row i has a 1 in each column of
     indices[indptr[i]:indptr[i + 1]], written in that order (the rows of
-    H are sorted); ValueError names the first column out of range, in row
-    order, the smallest of its row."""
-    cols, lengths = indices, np.diff(indptr)
-    m = lengths.size
-    rows = np.repeat(np.arange(m, dtype=np.int32), lengths)
+    H are sorted), handed to write as by decimal_lines; ValueError names
+    the first column out of range, in row order, the smallest of its row."""
+    out = bytearray()
+    write = write or out.extend
+    cols, lengths, m = indices, np.diff(indptr), indptr.size - 1
     bad = (cols < 0) | (cols >= ncols)
     if bad.any():
+        rows = np.repeat(np.arange(m, dtype=np.int32), lengths)
         first = rows[np.argmax(bad)]
         raise ValueError(f"column index {cols[bad & (rows == first)].min()} out of range")
-    col_deg = np.bincount(cols, minlength=ncols)
-    max_col = int(col_deg.max(initial=0))
-    max_row = int(lengths.max(initial=0))
+    del bad
 
-    def table(key: np.ndarray, start: np.ndarray, entry: np.ndarray, shape) -> np.ndarray:
-        """Zero-padded table of 1-based indices: entry[t] at row key[t], slot t - start[key[t]]."""
-        slot = np.arange(key.size, dtype=np.int32)
-        slot -= start.astype(np.int32)[key]
-        table = np.zeros(shape, dtype=np.int32)
-        table[key, slot] = entry
-        return table
+    def padded_lines(ptr: np.ndarray, width: int, values: Callable) -> None:
+        """Lines values(ptr[i], ptr[i + 1]) zero-padded to width, _BLOCK // width at a time."""
+        step = max(1, _BLOCK // max(width, 1))
+        for i in range(0, ptr.size - 1, step):
+            p = ptr[i:i + step + 1]
+            line = np.repeat(np.arange(p.size - 1, dtype=np.int32), np.diff(p))
+            table = np.zeros((p.size - 1, width), dtype=np.int32)
+            table[line, np.arange(p[-1] - p[0]) - (p[:-1] - p[0])[line]] = values(p[0], p[-1])
+            decimal_lines(table, write)
 
-    out = bytearray(f"{ncols} {m}\n{max_col} {max_row}\n".encode())
-    decimal_lines(lengths[None], decimal_lines(col_deg[None], out))
-    order = np.argsort(cols, kind="stable")       # column order, rows ascending
-    key, entry = cols[order], rows[order] + 1
-    del order
-    decimal_lines(table(key, np.cumsum(col_deg) - col_deg, entry, (ncols, max_col)), out)
-    del key, entry
-    return decimal_lines(table(rows, indptr[:-1], cols + 1, (m, max_row)), out)
+    key = np.multiply(cols, m, dtype=np.int32 if m * ncols < 2**31 else np.int64)
+    key += np.repeat(np.arange(m, dtype=key.dtype), lengths)
+    key.sort()                                     # column order, rows ascending
+    col_ptr = np.searchsorted(key, np.arange(ncols + 1, dtype=key.dtype) * m)
+    max_col, max_row = int(np.diff(col_ptr).max(initial=0)), int(lengths.max(initial=0))
+    write(f"{ncols} {m}\n{max_col} {max_row}\n".encode())
+    decimal_lines(np.diff(col_ptr)[None], write)     # the column degrees
+    decimal_lines(lengths[None], write)
+    padded_lines(col_ptr, max_col, lambda a, b: key[a:b] % m + 1)
+    padded_lines(indptr, max_row, lambda a, b: cols[a:b] + 1)
+    return out
+
+
+def matches_file(path, emit: Callable[[Callable], object]) -> bool:
+    """Whether the file at path holds exactly the bytes that emit(write)
+    hands to write, read block by block beside them, never whole."""
+    with open(path, "rb") as fh:
+        differ = []            # set at the first block that differs; no block is read after it
+        emit(lambda block: differ or fh.read(len(block)) == block or differ.append(True))
+        return not differ and not fh.read(1)
 
 
 def first_difference(data: bytes, expected: bytes) -> Optional[str]:
     """Where the alist bytes `data` depart from `expected`, or None when
-    the two are equal; they are decoded only when they differ.
+    the two are equal.
 
-    Row lines are compared first and the first differing one is named
-    by its 0-based row: one flipped entry changes one row line but also
-    two column lines, which come earlier in the file.  When every row
-    line agrees, the first differing header or column line is named.
+    The lines are those of bytes.splitlines (b"\r\n" and b"\r" become
+    b"\n" first), read one at a time.  Row lines come first and the first
+    differing one is named by its 0-based row: one flipped entry changes
+    one row line but also two column lines, which come earlier in the
+    file.  When every row line agrees, the first differing header or
+    column line is named.
     """
     if data == expected:
         return None
-    got, want = data.decode().splitlines(), expected.decode().splitlines()
-    n, m = (int(t) for t in want[0].split())
-
-    def differs(i: int) -> bool:
-        return i >= len(got) or got[i] != want[i]
-
-    for ri in range(m):
-        if differs(4 + n + ri):
-            return f"row {ri} differs (line {5 + n + ri})"
-    for i in range(4 + n):
-        if differs(i):
-            part = "header" if i < 4 else f"column {i - 4}"
-            return f"{part} differs (line {i + 1})"
-    return "line count or line endings differ"
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if data and not data.endswith(b"\n"):
+        data += b"\n"         # the last line, without its line break
+    n = int(expected[:expected.index(b" ")])
+    got, want = (map(re.Match.group, re.finditer(rb".*\n", b)) for b in (data, expected))
+    head = None
+    for i, line in enumerate(want):
+        if next(got, None) != line:
+            if i >= 4 + n:
+                return f"row {i - 4 - n} differs (line {i + 1})"
+            head = i if head is None else head
+    return ("line count or line endings differ" if head is None else
+            f"{'header' if head < 4 else f'column {head - 4}'} differs (line {head + 1})")
 
 
 def loads_alist(text: str) -> tuple[int, int, list[list[int]]]:

@@ -15,6 +15,7 @@ verify import tanner and alist first, the order that peaked lowest.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -99,7 +100,8 @@ def cmd_graph(args) -> int:
           f"lambda_min={spec.lambda_min:.9f} bound={cyclic.ramanujan_bound(params.q):.9f}")
     print(f"ramanujan: {'pass' if ram else 'FAIL'}")
     if args.out:
-        Path(args.out).write_bytes(graph.export_edges())
+        with open(args.out, "wb") as fh:
+            graph.export_edges(fh.write)
         print(f"wrote {args.out}")
     if not ram:
         raise CheckFailure("graph failed the expansion certificate")
@@ -146,8 +148,9 @@ def cmd_build(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(report.to_json())
-    (outdir / "graph.edges").write_bytes(graph.export_edges())
-    (outdir / "code.alist").write_bytes(alist.dumps_alist(inst.indptr, inst.indices, inst.n))
+    with open(outdir / "graph.edges", "wb") as edges, open(outdir / "code.alist", "wb") as code:
+        graph.export_edges(edges.write)
+        alist.dumps_alist(inst.indptr, inst.indices, inst.n, code.write)
     (outdir / "inner.code").write_text(cyclic.dumps_code(inner))
     for name in ("classification", "regular", "ramanujan", "edge_transitive",
                  "rate_bound", "invariance", "single_orbit"):
@@ -196,15 +199,16 @@ def cmd_verify(args) -> int:
         and graph.n_edges == want["graph.edges"]
         and graph.bipartite == want["graph.bipartite"]
     )
-    results["edge_list"] = edges_path.read_bytes() == graph.export_edges()
+    results["edge_list"] = alist.matches_file(edges_path, graph.export_edges)
 
     inst = tanner.build_parity_check(graph, inner)
+    shipped = functools.partial(alist.dumps_alist, inst.indptr, inst.indices, inst.n)
     # byte equality makes the shipped matrix the rebuilt H itself, so the
     # rank check and the symmetry certificate (proven on every row of H)
-    # below cover the shipped constraints; on a mismatch verify has
-    # failed, and they and the spectrum are skipped
-    where = alist.first_difference(alist_path.read_bytes(),
-                                   alist.dumps_alist(inst.indptr, inst.indices, inst.n))
+    # below cover the shipped constraints; on a mismatch verify has failed,
+    # they and the spectrum are skipped, and the alist is rebuilt to name it
+    where = None if alist.matches_file(alist_path, shipped) else alist.first_difference(
+        alist_path.read_bytes(), shipped())
     if where is None:
         # neither the whole Gelfand-Graev matrix nor a packed H is ever
         # allocated: the spectrum eigensolves its determinant-class blocks

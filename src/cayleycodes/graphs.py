@@ -14,7 +14,7 @@ of the two directed forms (vertex id, generator index) in lexicographic
 order, which also handles involutive generators without double
 counting.  Edge ids are assigned in first-encounter order over
 (vertex, generator) pairs.  Vertex and edge ids are int32 (|V| x degree
-< 2^31); the closure and edge_orbit work _CHUNK products at a time.
+< 2^31); the closure, edge_orbit and export_edges work _CHUNK at a time.
 
 Symmetries are star maps (u, tau), acting on the flags by (v, i) ->
 (u(v), tau(i)); edge_orbit proves each a graph automorphism from one
@@ -24,7 +24,7 @@ Symmetries are star maps (u, tau), acting on the flags by (v, i) ->
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .alist import decimal_lines
 from .errors import ConstructionError
 from .quaternion import GeneratorSet
 
-_CHUNK = 1 << 14       # products or flags per step of the closure and edge_orbit
+_CHUNK = 1 << 14       # products, flags or edges per step of closure, edge_orbit, export_edges
 
 
 class KeyIndex:
@@ -79,12 +79,16 @@ class CayleyGraph:
                 f"{int((ids < 0).sum())} group elements are not vertices of the graph")
         return ids
 
-    def export_edges(self) -> bytearray:
+    def export_edges(self, write: Callable | None = None) -> bytearray:
         """graph.edges: "vertices edges degree", then per edge id "a b i" for
-        its canonical form (a, i), b = adj[a, i]; by alist's digit writer."""
-        v, i = self.edge_canonical.T
-        head = f"{self.n_vertices} {self.n_edges} {self.degree}\n".encode()
-        return decimal_lines(np.stack([v, self.adj[v, i], i], axis=1), bytearray(head))
+        its canonical form (a, i), b = adj[a, i]; to write as by decimal_lines."""
+        out = bytearray()
+        write = write or out.extend
+        write(f"{self.n_vertices} {self.n_edges} {self.degree}\n".encode())
+        for start in range(0, self.n_edges, _CHUNK):
+            v, i = self.edge_canonical[start:start + _CHUNK].T
+            decimal_lines(np.stack([v, self.adj[v, i], i], axis=1), write)
+        return out
 
 
 def generate_group(group, gens: Sequence[int], cap: int) -> CayleyGraph:

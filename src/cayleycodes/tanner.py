@@ -95,7 +95,7 @@ rounds end, and the roots left are one per component, its smallest
 vertex.
 
 Working memory: the residual is int32 entries, summed in one key array
-sorted in place; only what contraction leaves is packed, once.
+sorted and compacted in place; only what contraction leaves is packed.
 """
 
 from __future__ import annotations
@@ -114,6 +114,8 @@ from .cyclic import CyclicCode, dual_basis_rows, edge_code_bounds
 from .errors import CheckFailure, ConstructionError
 from .gf2 import Gf2Matrix, int_rank
 from .graphs import CayleyGraph, EdgeOrbit
+
+_STEP = 1 << 14        # sorted keys per step of _odd_entries
 
 
 class StarPivots(NamedTuple):
@@ -320,20 +322,23 @@ def _odd_entries(nrows: int, ncols: int, size: int, parts) -> tuple[np.ndarray, 
     """The GF(2) sum of the `size` entries (row, col) of the parts, in row
     order as int32: their keys row * ncols + col (int64 once nrows x ncols
     passes 2^31, as at q = 43) are sorted in place, and a run of equal keys
-    survives when its last position and that of the run before (-1 for
-    the first) differ in parity: when its length is odd."""
+    survives when its length (from the run end before, -1 for the first)
+    is odd; _STEP keys a step, survivors move forward in the same buffer."""
     key = np.empty(size, dtype=np.int32 if nrows * ncols < 2**31 else np.int64)
     end = 0
     for row, col in parts:
         part = key[end:(end := end + row.size)]
         np.add(np.multiply(row, ncols, out=part, dtype=key.dtype), col, out=part)
     key.sort()
-    last = np.ones(key.size, dtype=bool)           # the last entry of each run
-    np.not_equal(key[1:], key[:-1], out=last[:-1])
-    ends = np.resize(np.array([False, True]), key.size)[last]    # at an odd position
-    last[last] = ends != np.append(True, ends[:-1])
-    key = key[last]                                # row = key // ncols < nrows fits int32
-    return tuple(f(key, ncols, out=np.empty(key.size, dtype=np.int32), casting="unsafe")
+    kept, before = 0, -1
+    for start in range(0, size, _STEP):
+        block = key[start:start + _STEP + 1]        # and the next key, if any
+        ends = start + np.flatnonzero(np.append(block[1:] != block[:-1], start + _STEP >= size))
+        survivors = key[ends[np.diff(ends, prepend=before) % 2 == 1]]   # odd runs
+        key[kept:(kept := kept + survivors.size)] = survivors
+        before = ends[-1] if ends.size else before
+    key = key[:kept]                               # row = key // ncols < nrows fits int32
+    return tuple(f(key, ncols, out=np.empty(kept, dtype=np.int32), casting="unsafe")
                  for f in (np.floor_divide, np.remainder))
 
 

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleycodes import alist
-from cayleycodes.alist import decimal_lines, dumps_alist, first_difference, loads_alist
+from cayleycodes.alist import (decimal_lines, dumps_alist, first_difference, loads_alist,
+                               matches_file)
 
-from alist_reference import reference_decimal_lines, reference_dumps_alist
+from alist_reference import (decoded_lines, reference_decimal_lines, reference_dumps_alist,
+                             reference_first_difference)
 from gf2_reference import csr
 
 
@@ -164,3 +166,78 @@ def test_first_difference_names_row_before_columns():
     assert where(text.rstrip("\n")) == "line count or line endings differ"
     assert where(text.replace("\n", "\r\n")) == "line count or line endings differ"
     assert where(text.rsplit("\n", 2)[0]) == "row 2 differs (line 14)"
+
+
+@given(matrices(max_cols=30, max_rows=30), st.integers(1, 40), st.data())
+@settings(deadline=None, max_examples=200)
+def test_sink_gets_the_bytes_returned_without_one(matrix, block, data):
+    """dumps_alist and decimal_lines handed a sink write the bytes they
+    return without one, those of the reference, block by block, and
+    return nothing themselves; tables of width 0 (no columns, or every
+    degree 0) among them."""
+    rows, ncols = matrix
+    indptr, indices = csr([sorted(r) for r in rows])
+    shape = data.draw(st.tuples(st.integers(0, 12), st.integers(0, 3)))
+    table = np.arange(np.prod(shape), dtype=np.int32).reshape(shape) * 37
+    with mock.patch.object(alist, "_BLOCK", block):
+        for write_to, want in [
+                (lambda write: dumps_alist(indptr, indices, ncols, write),
+                 reference_dumps_alist(rows, ncols)),
+                (lambda write: decimal_lines(table, write), reference_decimal_lines(table))]:
+            blocks = []
+            assert write_to(blocks.append) == b""
+            assert b"".join(blocks) == write_to(None) == want.encode()
+
+
+def test_width_zero_tables_and_bad_columns_with_a_sink():
+    blocks = []
+    for shape, want in [((3, 0), b"\n\n\n"), ((0, 4), b""), ((0, 0), b"")]:
+        decimal_lines(np.zeros(shape, dtype=np.int32), blocks.append)
+        assert b"".join(blocks) == want
+        blocks.clear()
+    with pytest.raises(ValueError, match="^column index 9 out of range$"):
+        dumps_alist(*csr([[1, 9]]), 7, blocks.append)
+    assert blocks == []              # refused before any byte is written
+
+
+def test_matches_file_compares_every_byte(tmp_path):
+    """matches_file reads the file beside the blocks of the writer: equal
+    bytes match; one extra trailing byte, one byte missing, one changed
+    byte or an empty file do not."""
+    indptr, indices = csr([[0, 3, 5], [1, 2], [0, 1, 2, 6]])
+    whole = bytes(dumps_alist(indptr, indices, 7))
+    path = tmp_path / "code.alist"
+    with mock.patch.object(alist, "_BLOCK", 3):
+        for data, same in [(whole, True), (whole + b"\n", False), (whole + b"0", False),
+                           (whole[:-1], False), (whole[:9] + b"7" + whole[10:], False),
+                           (b"", False)]:
+            path.write_bytes(data)
+            assert matches_file(
+                path, lambda write: dumps_alist(indptr, indices, 7, write)) is same
+
+
+_PIECES = [b"\n", b"\r", b"\r\n", b" ", b"0", b"1", b"7", b"\x0b", b"\x0c", b"\x1c",
+           b"\x1e", "\x85".encode(), "\u2028".encode(), "\xe9".encode(), b"\xff"]
+
+
+@given(matrices(max_cols=9, max_rows=9), st.data())
+@settings(deadline=None, max_examples=400)
+def test_first_difference_on_bytes_matches_the_reference(matrix, data):
+    """first_difference, on the bytes a line at a time, names what the
+    reference names on the whole split files: after up to three
+    insertions, deletions or replacements among digits, spaces, line
+    breaks, other control and non-ASCII characters, and bytes that are
+    no UTF-8, which are no line breaks.  On digits, spaces and line
+    breaks it also names what the decoded files split by str.splitlines
+    give."""
+    rows, ncols = matrix
+    expected = bytes(dumps(rows, ncols), "ascii")
+    got = bytearray(expected)
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, len(got)))
+        cut = data.draw(st.integers(0, 2))
+        got[at:at + cut] = data.draw(st.sampled_from(_PIECES + [b""]))
+    where = first_difference(bytes(got), bytearray(expected))
+    assert where == reference_first_difference(bytes(got), expected)
+    if set(got) <= set(b"0123456789 \r\n"):
+        assert where == reference_first_difference(bytes(got), expected, decoded_lines)

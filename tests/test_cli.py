@@ -256,6 +256,36 @@ def test_tampered_verify_fails_before_elimination(tmp_path, monkeypatch, capsys)
         assert skipped not in captured.out
 
 
+@pytest.fixture(scope="module")
+def q5e2_dir(tmp_path_factory):
+    """A built q = 5, e = 2 PSL [6,4] instance directory."""
+    work = tmp_path_factory.mktemp("q5e2")
+    (work / "inner6.code").write_text("6 4\n7\n")
+    assert cli.main(["build", "--q", "5", "--e", "2", "--inner", str(work / "inner6.code"),
+                     "--out", str(work / "out")]) == 0
+    return work / "out"
+
+
+@pytest.mark.parametrize("name,message", [
+    ("code.alist", "alist_exact; code.alist: line count or line endings differ"),
+    ("graph.edges", "edge_list"),
+])
+def test_verify_rejects_one_byte_more_or_less(q5e2_dir, tmp_path, capsys, name, message):
+    """verify compares the shipped files with the rebuilt bytes block by
+    block, to the end of the file: one extra trailing byte or one
+    missing final byte fails it with exit 1 and the usual message."""
+    out = tmp_path / "q5e2"
+    shutil.copytree(q5e2_dir, out)
+    pristine = (out / name).read_bytes()
+    for damaged in (pristine + b"\n", pristine + b"7", pristine[:-1]):
+        (out / name).write_bytes(damaged)
+        capsys.readouterr()
+        assert cli.main(["verify", str(out)]) == 1
+        assert capsys.readouterr().err == f"CHECK FAILED: verification failed: {message}\n"
+    (out / name).write_bytes(pristine)
+    assert cli.main(["verify", str(out)]) == 0
+
+
 def test_trials_flags_are_gone(tmp_path, capsys):
     """Invariance is proven on every row, so neither build nor verify
     takes a sample size any more, and the distance guarantee is the

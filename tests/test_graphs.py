@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayleycodes import graphs
 from cayleycodes.errors import ConstructionError
 from cayleycodes.graphs import (KeyIndex, edge_orbit, generate_group, graph_from_generators,
                                 symmetry_edge_permutations)
@@ -99,6 +100,18 @@ def test_export_edges_matches_the_reference_writer_on_toys(n, steps):
     vertex and edge ids across the digit counts up to 4."""
     g = zn_graph(n, steps)
     assert g.export_edges() == reference_export_edges(g).encode()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+def test_export_edges_hands_its_blocks_to_a_sink(monkeypatch, chunk):
+    """_CHUNK edges at a time, handed to a sink block by block, are the
+    bytes returned without one, those of the reference writer."""
+    g = zn_graph(1000, [1, 999, 10, 990])
+    monkeypatch.setattr(graphs, "_CHUNK", chunk)
+    blocks = []
+    assert g.export_edges(blocks.append) == b""
+    assert len(blocks) > 2000 // chunk
+    assert b"".join(blocks) == g.export_edges() == reference_export_edges(g).encode()
 
 
 def test_export_edges_matches_the_reference_writer_on_q19(q19_psl_graph, q19_pgl_graph):

@@ -877,7 +877,9 @@ def test_odd_entries_keeps_odd_multiplicities(nrows, ncols, wide, data):
     """Entries repeated 1 to 3 times, shuffled and split into two parts:
     those of odd multiplicity survive, once each, in row order, as int32.
     With `wide` the rows start past 2^31 / ncols, so nrows x ncols passes
-    2^31 and the sort key must be int64; otherwise it is int32."""
+    2^31 and the sort key must be int64; otherwise it is int32.  The
+    sorted keys are read _STEP at a time, here 1 to 5 as well, so runs
+    cross the steps and are copied forward over keys already read."""
     entries = data.draw(st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)),
                                  unique=True, max_size=40))
     times = data.draw(st.lists(st.integers(1, 3), min_size=len(entries),
@@ -887,8 +889,9 @@ def test_odd_entries_keeps_odd_multiplicities(nrows, ncols, wide, data):
     row = np.array([r + offset for r, _ in flat], dtype=np.int32).reshape(-1)
     col = np.array([c for _, c in flat], dtype=np.int32).reshape(-1)
     cut = data.draw(st.integers(0, len(flat)))
-    got = tanner._odd_entries(offset + nrows, ncols, len(flat),
-                              [(row[:cut], col[:cut]), (row[cut:], col[cut:])])
+    with mock.patch.object(tanner, "_STEP", data.draw(st.sampled_from([1, 2, 3, 5, 1 << 14]))):
+        got = tanner._odd_entries(offset + nrows, ncols, len(flat),
+                                  [(row[:cut], col[:cut]), (row[cut:], col[cut:])])
     assert got[0].dtype == got[1].dtype == np.int32
     assert list(zip(*(a.tolist() for a in got))) == sorted(
         (r + offset, c) for (r, c), k in zip(entries, times) if k % 2)
