@@ -48,8 +48,9 @@ print(f"same eigenvalue set as the dense reference: "
 
 print(f"vertex transitive: {verify_vertex_transitive(graph)}")
 # one BFS over the vertices under the star maps (u, tau) of two symmetry
-# generators, taken from the group; Schreier's lemma turns its paths into
-# the stabiliser of vertex 0 on its star positions
+# generators, taken from the group, gives each vertex the class of its
+# path; Schreier's lemma turns each pair of classes that a map joins into
+# a generator of the stabiliser of vertex 0 on its star positions
 orbit = edge_orbit(graph, symmetry_edge_permutations(graph, gens))
 print(f"edge transitive: {orbit.transitive} (orbit of one edge covers {orbit.size} of "
       f"{graph.n_edges} edges; {len(orbit.schreier)} distinct Schreier generators)")

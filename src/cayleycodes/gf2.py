@@ -46,7 +46,7 @@ column, and nothing for the x^4 + 1 codes.  H itself is never packed.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -199,17 +199,20 @@ class Echelon:
         return m
 
 
-def int_rank(rows: Sequence[int]) -> int:
-    """Rank of integer-encoded rows; handy for narrow matrices."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        while row:
-            low = (row & -row).bit_length() - 1
-            p = pivots.get(low)
-            if p is None:
-                pivots[low] = row
-                rank += 1
+def independent(rows: Sequence[int], order: Iterable[int] | None = None,
+                limit: int | None = None) -> list[int]:
+    """The indices, in `order` (default: ascending), of the integer-encoded
+    rows independent of the rows taken before, at most `limit` of them: a
+    greedy basis, whose length is the rank when neither is given."""
+    basis: dict[int, int] = {}                # leading bit -> reduced row
+    taken: list[int] = []
+    for i in range(len(rows)) if order is None else order:
+        row = rows[i]
+        while row and row.bit_length() in basis:
+            row ^= basis[row.bit_length()]
+        if row:
+            basis[row.bit_length()] = row
+            taken.append(i)
+            if len(taken) == limit:
                 break
-            row ^= p
-    return rank
+    return taken

@@ -14,11 +14,14 @@ of the two directed forms (vertex id, generator index) in lexicographic
 order, which also handles involutive generators without double
 counting.  Edge ids are assigned in first-encounter order over
 (vertex, generator) pairs.  Vertex and edge ids are int32 (|V| x degree
-< 2^31); the closure, edge_orbit and export_edges work _CHUNK at a time.
+< 2^31); the closure and export_edges work _CHUNK at a time.
 
 Symmetries are star maps (u, tau), acting on the flags by (v, i) ->
 (u(v), tau(i)); edge_orbit proves each a graph automorphism from one
-|V| x degree check, and no |E|-long edge permutation is formed.
+|V| x degree check, and no |E|-long edge permutation is formed.  Its
+BFS gives each vertex the class of its tree path, a product of the maps
+tau: at most min(|V|, |<taus>|) classes, at most degree when <taus> =
+<pi>.  A Schreier generator depends only on its pair of classes.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .alist import decimal_lines
 from .errors import ConstructionError
 from .quaternion import GeneratorSet
 
-_CHUNK = 1 << 14       # products, flags or edges per step of closure, edge_orbit, export_edges
+_CHUNK = 1 << 14       # products or edges per step of the closure and export_edges
 
 
 class KeyIndex:
@@ -240,19 +243,6 @@ class EdgeOrbit(NamedTuple):
     schreier: np.ndarray                 # (k, degree) the distinct Schreier generators
 
 
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """Index of the first occurrence of each distinct row, ascending: the
-    first ones inside each block of _CHUNK entries, then among those."""
-    def firsts(block: np.ndarray) -> np.ndarray:
-        key = np.ascontiguousarray(block).view(f"V{block.itemsize * block.shape[1]}")
-        return np.sort(np.unique(key.ravel(), return_index=True)[1])
-
-    step = max(1, _CHUNK // rows.shape[1])
-    at = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        s + firsts(rows[s:s + step]) for s in range(0, len(rows), step)])
-    return at[firsts(rows[at])]
-
-
 def edge_orbit(graph: CayleyGraph, maps: dict[str, StarMap]) -> EdgeOrbit:
     """The orbit of edge 0 under the group G that the named star maps
     generate, by one BFS over the vertices and Schreier's lemma (Seress,
@@ -273,29 +263,34 @@ def edge_orbit(graph: CayleyGraph, maps: dict[str, StarMap]) -> EdgeOrbit:
     edge.  So f, a graph automorphism, acts on the edges by the bijection
     eid[v, i] -> eid[u(v), tau(i)], and the flag (0, 0) is edge 0.
 
-    Orbit.  The BFS from vertex 0 through the maps u records, for each
-    vertex v it reaches, the product p_v of the maps along its tree path
-    and path[v], which sends each position i of vertex 0 to the position
-    of v that p_v moves it to: reaching u(v) from v through f gives
-    p_u(v) = f p_v and path[u(v)] = tau o path[v].  The Schreier
-    generators p_u(v)^-1 f p_v, over every reached v and every f,
-    generate the stabiliser of vertex 0 in the flag group (Schreier's
-    lemma); on the positions of vertex 0 they act as
-    sigma = path[u(v)]^-1 o tau o path[v] and generate its image
-    Gamma.  A g that maps vertex 0 to v is p_v h with h in the
-    stabiliser, so the orbit O of the flag (0, 0) is {(v, path[v][x]) :
-    v reached, x in Gamma.0}, of |reached| |Gamma.0| flags.  G commutes
-    with the reversal, so the reversal of O is the orbit of the flag
-    (w, j) = (adj[0, 0], inv_gen[0]): O itself when (w, j) is in O, else
-    disjoint from it.  The orbit of edge 0 thus has |O| / 2 or |O| edges
-    (`size`), and G is edge transitive iff that is |E|.  An orbit of a
-    finite group is the closure under its generators, so no BFS needs
-    inverses.  tanner.verify_single_orbit runs Gamma on words.
+    Orbit.  The BFS from vertex 0 through the maps u reaches each vertex
+    v by a tree path; p_v is the product of the maps along it and path[v]
+    sends each position i of vertex 0 to the position of v that p_v
+    moves it to: reaching u(v) from v through f gives p_u(v) = f p_v and
+    path[u(v)] = tau o path[v].  So path[v] lies in the group <taus>, and
+    there are at most min(|V|, |<taus>|) distinct paths (at most degree
+    on the command-line instances, where <taus> = <pi>); the BFS keeps
+    the class cls[v] of path[v] and composes tau o path once per (class,
+    map) pair of a level.  The Schreier generators p_u(v)^-1 f p_v, over
+    every reached v and every f, generate the stabiliser of vertex 0 in
+    the flag group (Schreier's lemma); on the positions of vertex 0 they
+    act as sigma = path[u(v)]^-1 o tau o path[v], which depends on v only
+    through (cls[v], cls[u(v)]), and generate its image Gamma:
+    `schreier` holds one sigma per distinct pair.  A g that maps vertex 0
+    to v is p_v h with h in the stabiliser, so the orbit O of the flag
+    (0, 0) is {(v, path[v][x]) : v reached, x in Gamma.0}, of |reached|
+    |Gamma.0| flags, with Gamma.0 the word_orbit of the word 1 << 0.  G
+    commutes with the reversal, so the reversal of O is the orbit of the
+    flag (w, j) = (adj[0, 0], inv_gen[0]): O itself when (w, j) is in O,
+    else disjoint from it.  The orbit of edge 0 thus has |O| / 2 or |O|
+    edges (`size`), and G is edge transitive iff that is |E|.  An orbit
+    of a finite group is the closure under its generators, so no BFS
+    needs inverses.  tanner.row_orbit runs Gamma on words.
     """
     names = sorted(maps)
-    n, d = graph.n_vertices, graph.degree
-    u = np.empty((len(names), n), dtype=np.int32)
-    tau = np.empty((len(names), d), dtype=np.int32)
+    n, d, m = graph.n_vertices, graph.degree, len(maps)
+    u = np.empty((m, n), dtype=np.int32)
+    tau = np.empty((m, d), dtype=np.int32)
     for p, name in enumerate(names):
         u[p], tau[p] = maps[name]
         ok = (np.bincount(u[p], minlength=n)[u[p], None] == 1) & (  # both one-to-one
@@ -305,36 +300,63 @@ def edge_orbit(graph: CayleyGraph, maps: dict[str, StarMap]) -> EdgeOrbit:
             v, i = np.unravel_index(np.argmin(ok), ok.shape)
             return EdgeOrbit(names, (name, int(v), int(i)), 0, None, None, False, [],
                              np.zeros((0, d), dtype=np.int32))
-    path = np.full((n, d), -1, dtype=np.int32)
-    path[0] = np.arange(d)
+    cls = np.full(n, -1, dtype=np.int32)
+    cls[0] = 0
+    # the distinct paths, numbered level by level, keyed by their bytes:
+    # tuple keys would outlive the call in the tuple free list
+    classes = {np.arange(d, dtype=np.int32).tobytes(): 0}
     frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
         # images in (frontier vertex, map) order, each new vertex
-        # reached through its first one
+        # reached through its first one; a path per (class, map) pair
         new, first = np.unique(u[:, frontier].T.ravel(), return_index=True)
-        fresh = path[new, 0] < 0
-        at, p = np.divmod(first[fresh], len(names))
-        frontier, v = new[fresh], frontier[at]
-        path[frontier] = tau[p[:, None], path[v]]
-    is_reached = path[:, 0] >= 0
-    reached = np.flatnonzero(is_reached)
-    step = max(1, _CHUNK // d)              # vertices per block; a block keeps its distinct sigma
-    blocks = [reached[s:s + step] for s in range(0, reached.size, step)]
-    inverse = np.empty((n, d), dtype=np.int32)          # inverse[v, path[v][i]] = i
-    inverse[reached[:, None], path[reached]] = np.arange(d, dtype=np.int32)
-    sigma = np.concatenate([np.zeros((0, d), dtype=np.int32)] + [
-        block[_distinct_rows(block)] for block in (
-            inverse[u[p, v, None], tau[p][path[v]]]
-            for p in range(len(names)) for v in blocks)])
-    schreier = sigma[_distinct_rows(sigma)]
-    # Gamma.0, then whether the reversed flag (w, j) of (0, 0) is in its orbit
-    gamma_0 = [0]
-    for x in gamma_0:                    # the list grows as it is read
-        gamma_0 += sorted(set(schreier[:, x].tolist()) - set(gamma_0))
+        fresh = cls[new] < 0
+        at, p = np.divmod(first[fresh], m)
+        pair = cls[frontier[at]].astype(np.int64) * m + p
+        pairs = np.unique(pair, return_index=True)[0]
+        a, b = np.divmod(pairs, m)
+        paths = np.frombuffer(b"".join(classes), dtype=np.int32).reshape(-1, d)
+        made = [classes.setdefault(row.tobytes(), len(classes))
+                for row in tau[b[:, None], paths[a]]]
+        frontier = new[fresh]
+        cls[frontier] = np.array(made, dtype=np.int32)[np.searchsorted(pairs, pair)]
+    paths = np.frombuffer(b"".join(classes), dtype=np.int32).reshape(-1, d)
+    # inverse[c, paths[c][i]] = i, scattered: an argsort would page in its sort code here
+    inverse = np.empty_like(paths)
+    inverse[np.arange(len(paths))[:, None], paths] = np.arange(d, dtype=np.int32)
+    # sigma depends on v only through (cls[v], cls[u(v)]): one per distinct pair
+    reached = np.flatnonzero(cls >= 0)
+    sigma = [np.zeros((0, d), dtype=np.int32)]
+    for p in range(m):
+        pairs = np.unique(cls[reached].astype(np.int64) * len(paths) + cls[u[p, reached]],
+                          return_index=True)[0]
+        a, b = np.divmod(pairs, len(paths))
+        sigma.append(inverse[b[:, None], tau[p][paths[a]]])
+    sigma = np.concatenate(sigma)
+    schreier = sigma[np.sort(np.unique(sigma.view(f"V{4 * d}").ravel(), return_index=True)[1])]
+    # Gamma.0 as the orbit of the word 1, then whether the reversed flag
+    # (w, j) of (0, 0) is in its orbit
+    gamma_0 = set(word_orbit(1, schreier))
     w, j = graph.adj[0, 0], graph.inv_gen[0]
-    paired = is_reached[w] and int(inverse[w, j]) in gamma_0
+    paired = cls[w] >= 0 and 1 << int(inverse[cls[w], j]) in gamma_0
     size = len(reached) * len(gamma_0) // (2 if paired else 1)
     return EdgeOrbit(names, None, len(reached),
-                     None if is_reached.all() else int(np.argmin(is_reached)),
+                     None if len(reached) == n else int(np.argmin(cls >= 0)),
                      size, size == graph.n_edges,
                      [(name, t.tolist()) for name, t in zip(names, tau)], schreier)
+
+
+def word_moved(word: int, tau: Sequence[int]) -> int:
+    """tau w: bit tau(i) is bit i of w."""
+    return sum(1 << tau[i] for i in range(word.bit_length()) if word >> i & 1)
+
+
+def word_orbit(word: int, perms) -> list[int]:
+    """The orbit of an integer word under the permutations (rows of
+    positions) that word_moved applies, breadth first from the word."""
+    perms, words, seen = np.asarray(perms).tolist(), [word], {word}
+    for w in words:                      # the list grows as it is read
+        new = [x for x in dict.fromkeys(word_moved(w, s) for s in perms) if x not in seen]
+        seen.update(new)
+        words += new
+    return words

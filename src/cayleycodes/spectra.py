@@ -200,7 +200,7 @@ def gelfand_graev_block(group: PglGroup, gens: np.ndarray, reps: np.ndarray,
     return block
 
 
-def spectrum(group: PglGroup, gens, tol: float = SPECTRUM_TOL) -> SpectrumReport:
+def spectrum(group: PglGroup, gens) -> SpectrumReport:
     """The nontrivial normalized spectrum of the Cayley graph of the
     generator keys, from the determinant-class blocks of the
     Gelfand-Graev matrix (no closure needed).  Raises ValueError over
@@ -232,18 +232,18 @@ def spectrum(group: PglGroup, gens, tol: float = SPECTRUM_TOL) -> SpectrumReport
                            f"{len(gens) - n_square} nonsquare")
     eigs /= len(gens)
     for e in (eigs[-1], eigs[0]):
-        if abs(e) >= 1.0 - tol:
+        if abs(e) >= 1.0 - SPECTRUM_TOL:
             raise CheckFailure(
-                f"nontrivial eigenvalue {float(e)!r} within {tol} of +-1: the "
+                f"nontrivial eigenvalue {float(e)!r} within {SPECTRUM_TOL} of +-1: the "
                 "generators do not generate the group, or the graph has an "
                 "extra bipartition")
     return SpectrumReport(
-        method="gelfand-graev", tolerance=tol, lambda2=float(eigs[-1]),
+        method="gelfand-graev", tolerance=SPECTRUM_TOL, lambda2=float(eigs[-1]),
         lambda_min=float(eigs[0]), eigenvalues=eigs)
 
 
-def is_ramanujan(report: SpectrumReport, q: int, tol: float = SPECTRUM_TOL) -> bool:
+def is_ramanujan(report: SpectrumReport, q: int) -> bool:
     """Every nontrivial eigenvalue within the optimal-expansion bound;
     the extremes lambda2 and lambda_min bound all the others."""
-    bound = ramanujan_bound(q) + tol
+    bound = ramanujan_bound(q) + SPECTRUM_TOL
     return report.lambda2 <= bound and report.lambda_min >= -bound

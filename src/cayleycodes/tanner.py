@@ -112,8 +112,8 @@ import numpy as np
 from . import gf2poly
 from .cyclic import CyclicCode, dual_basis_rows, edge_code_bounds
 from .errors import CheckFailure, ConstructionError
-from .gf2 import Gf2Matrix, int_rank
-from .graphs import CayleyGraph, EdgeOrbit
+from .gf2 import Gf2Matrix, independent
+from .graphs import CayleyGraph, EdgeOrbit, word_moved, word_orbit
 
 _STEP = 1 << 14        # sorted keys per step of _odd_entries
 
@@ -201,23 +201,6 @@ def _columns(dual_rows: Sequence[int], degree: int) -> list[int]:
             for i in range(degree)]
 
 
-def _independent(cols: list[int], order: Sequence[int], r: int) -> list[int]:
-    """The positions in `order` whose column is independent of the
-    columns taken before, at most r of them."""
-    basis: dict[int, int] = {}                # leading bit -> reduced column
-    taken: list[int] = []
-    for i in order:
-        c = cols[i]
-        while c and c.bit_length() in basis:
-            c ^= basis[c.bit_length()]
-        if c:
-            basis[c.bit_length()] = c
-            taken.append(i)
-            if len(taken) == r:
-                break
-    return taken
-
-
 def star_pivots(graph: CayleyGraph, dual_rows: Sequence[int]) -> StarPivots:
     """The greedy of the module docstring (I is empty when B-dual is)."""
     r, cols = len(dual_rows), _columns(dual_rows, graph.degree)
@@ -235,7 +218,7 @@ def star_pivots(graph: CayleyGraph, dual_rows: Sequence[int]) -> StarPivots:
         near = [state[u] for u in nbrs]
         # receivers first, then open neighbours, each in position order
         order = sorted(range(graph.degree), key=near.__getitem__)
-        taken = _independent(cols, order[:len(order) - near.count(IN)], r)
+        taken = independent(cols, order[:len(order) - near.count(IN)], r)
         if len(taken) < r:
             state[v] = OUT
             continue
@@ -271,7 +254,7 @@ def star_rank(inst: CayleyCodeInstance) -> int:
     # pos[a] an information set: word b has bit pos[a, b] and no other
     # pivot bit, and is orthogonal to the complement of span(dual), whose
     # basis is read off the systematic form on the first information set
-    first = _independent(_columns(dual, degree), range(degree), r)
+    first = independent(_columns(dual, degree), limit=r)
     ref = _systematic(dual, first)[:len(first)]
     complement = np.array([1 << f | sum(1 << p for p, w in zip(first, ref) if w >> f & 1)
                            for f in range(degree) if f not in first], dtype=np.int64)
@@ -457,11 +440,6 @@ class InvarianceReport:
                 self.bad_perm, self.bad_vertex, self.bad_position))
 
 
-def _word_moved(word: int, tau: Sequence[int]) -> int:
-    """tau w: bit tau(i) is bit i of w."""
-    return sum((word >> i & 1) << p for i, p in enumerate(tau))
-
-
 def _star_failure(inst: CayleyCodeInstance, orbit: EdgeOrbit
                   ) -> Optional[tuple[str, Optional[int], Optional[int]]]:
     """The first (map, vertex, position) where a map is no star map; else
@@ -469,10 +447,10 @@ def _star_failure(inst: CayleyCodeInstance, orbit: EdgeOrbit
     B-dual onto itself; else None."""
     if orbit.bad is not None:
         return orbit.bad
-    rank_b = int_rank(inst.dual_rows)
+    rank_b = len(independent(inst.dual_rows))
     for name, tau in orbit.taus:
-        moved = [_word_moved(w, tau) for w in inst.dual_rows]
-        if not int_rank(moved) == rank_b == int_rank(inst.dual_rows + moved):
+        moved = [word_moved(w, tau) for w in inst.dual_rows]
+        if not len(independent(moved)) == rank_b == len(independent(inst.dual_rows + moved)):
             return name, None, None
     return None
 
@@ -526,12 +504,7 @@ def row_orbit(inst: CayleyCodeInstance, orbit: EdgeOrbit) -> list[int]:
     """Gamma.w0, breadth first from w0 = dual_rows[0] (none when B-dual
     is empty): the local words at vertex 0 of the orbit of row 0 of H,
     L_0(w0), with Gamma generated by orbit.schreier."""
-    words = inst.dual_rows[:1]
-    schreier = orbit.schreier.tolist()
-    for word in words:                   # the list grows as it is read
-        words += [w for w in dict.fromkeys(_word_moved(word, s) for s in schreier)
-                  if w not in words]
-    return words
+    return word_orbit(inst.dual_rows[0], orbit.schreier) if inst.dual_rows else []
 
 
 def verify_single_orbit(inst: CayleyCodeInstance, orbit: EdgeOrbit) -> SingleOrbitReport:
@@ -564,13 +537,13 @@ def verify_single_orbit(inst: CayleyCodeInstance, orbit: EdgeOrbit) -> SingleOrb
     """
     words = row_orbit(inst, orbit)
     rank_h = inst.rank
-    bad, rank_b = _star_failure(inst, orbit), int_rank(inst.dual_rows)
+    bad, rank_b = _star_failure(inst, orbit), len(independent(inst.dual_rows))
     if bad is not None:
         failure = _star_failure_text(*bad)
     elif orbit.missed is not None:
         failure = f"the permutations never reach vertex {orbit.missed} from vertex 0"
-    elif not int_rank(words) == rank_b == int_rank(inst.dual_rows + words):
-        failure = (f"the stabiliser orbit of the start word spans rank {int_rank(words)}, "
+    elif not len(independent(words)) == rank_b == len(independent(inst.dual_rows + words)):
+        failure = (f"the stabiliser orbit of the start word spans rank {len(independent(words))}, "
                    f"not the dual of the inner code (rank {rank_b})")
     else:
         failure = None

@@ -46,8 +46,13 @@ def q19_pgl_graph(q19_pgl_gens):
 
 
 @pytest.fixture(scope="session")
-def q5e2_psl_graph():
-    return graph_from_generators(build_generators(choose_ideal(5, 2, "psl")))
+def q5e2_psl_gens():
+    return build_generators(choose_ideal(5, 2, "psl"))
+
+
+@pytest.fixture(scope="session")
+def q5e2_psl_graph(q5e2_psl_gens):
+    return graph_from_generators(q5e2_psl_gens)
 
 
 @pytest.fixture(scope="session")

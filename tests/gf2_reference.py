@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cayleycodes.gf2 import Echelon, Gf2Matrix, int_rank
+from cayleycodes.gf2 import Echelon, Gf2Matrix, independent
 from cayleycodes.gf2poly import mod
 
 _ONE = np.uint64(1)
@@ -171,6 +171,6 @@ def contains_int(ech: Echelon, value: int) -> bool:
 
 def int_span_equal(rows_a, rows_b) -> bool:
     """Whether two sets of integer-encoded rows span the same space."""
-    ra = int_rank(list(rows_a))
-    rb = int_rank(list(rows_b))
-    return ra == rb == int_rank(list(rows_a) + list(rows_b))
+    ra = len(independent(list(rows_a)))
+    rb = len(independent(list(rows_b)))
+    return ra == rb == len(independent(list(rows_a) + list(rows_b)))

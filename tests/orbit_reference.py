@@ -1,14 +1,17 @@
 """The orbit enumerations that graphs.edge_orbit and
 tanner.verify_single_orbit replace, kept as oracles: a BFS over points
 (edge or vertex ids) under permutations, a BFS over the sorted supports
-of rows of H, the vertex star that holds each orbit row, and the
-per-vertex single-orbit check built on them."""
+of rows of H, the vertex star that holds each orbit row, the per-vertex
+single-orbit check built on them, and the Schreier generators formed
+once per vertex and map."""
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from cayleycodes.gf2 import int_rank
+from cayleycodes.gf2 import independent
 
 
 def point_orbit(perms, n_points: int, start: int = 0) -> int:
@@ -81,8 +84,67 @@ def single_orbit(inst, orbit: np.ndarray) -> tuple[bool, int | None, int | None]
     local_masks: list[list[int]] = [[] for _ in range(inst.graph.n_vertices)]
     for v, mask in zip(vertex.tolist(), masks):
         local_masks[v].append(mask)
-    rank_b = int_rank(inst.dual_rows)
+    rank_b = len(independent(inst.dual_rows))
     for v, local in enumerate(local_masks):
-        if not int_rank(local) == rank_b == int_rank(inst.dual_rows + local):
+        if not len(independent(local)) == rank_b == len(independent(inst.dual_rows + local)):
             return False, None, v
     return True, None, None
+
+
+class SchreierReference(NamedTuple):
+    schreier: set[tuple[int, ...]]       # the distinct Schreier generators
+    vertices: int                        # size of the orbit of vertex 0
+    missed: int | None                   # the first vertex outside it
+    gamma_0: set[int]                    # the stabiliser orbit of position 0
+    size: int                            # edges in the orbit of edge 0
+
+
+def schreier_certificate(graph, maps) -> SchreierReference:
+    """The stabiliser certificate of graphs.edge_orbit, per vertex, for
+    named star maps (u, tau): a sequential BFS from vertex 0, frontier
+    by frontier in id order and through the maps in name order, that
+    records the |V| x degree table path[u(v)] = tau o path[v]; one
+    sigma = path[u(v)]^-1 o tau o path[v] for every reached vertex v and
+    every map, kept as a set of rows; Gamma.0 closed on positions; and
+    the orbit of edge 0, halved when the reversed flag (adj[0, 0],
+    inv_gen[0]) is in the orbit of the flag (0, 0)."""
+    names = sorted(maps)
+    n, d = graph.n_vertices, graph.degree
+    u = [np.asarray(maps[name][0]).tolist() for name in names]
+    tau = [np.asarray(maps[name][1]).tolist() for name in names]
+    path: list[list[int] | None] = [None] * n
+    path[0] = list(range(d))
+    frontier = [0]
+    while frontier:
+        reached = []
+        for v in frontier:
+            for p in range(len(names)):
+                w = u[p][v]
+                if path[w] is None:
+                    path[w] = [tau[p][x] for x in path[v]]
+                    reached.append(w)
+        frontier = sorted(reached)
+    inverse = [None if row is None else np.argsort(row).tolist() for row in path]
+    schreier = {tuple(inverse[u[p][v]][tau[p][x]] for x in path[v])
+                for p in range(len(names)) for v in range(n) if path[v] is not None}
+    gamma_0 = [0]
+    for x in gamma_0:                    # the list grows as it is read
+        gamma_0 += sorted({s[x] for s in schreier} - set(gamma_0))
+    w, j = int(graph.adj[0, 0]), int(graph.inv_gen[0])
+    paired = path[w] is not None and inverse[w][j] in gamma_0
+    vertices = sum(row is not None for row in path)
+    return SchreierReference(
+        schreier, vertices, next((v for v in range(n) if path[v] is None), None),
+        set(gamma_0), vertices * len(gamma_0) // (2 if paired else 1))
+
+
+def word_orbit(word: int, perms) -> set[int]:
+    """The orbit of an integer word under permutations of its bit
+    positions, bit s[i] of the image being bit i of the word."""
+    orbit, frontier = {word}, [word]
+    while frontier:
+        images = {sum((w >> i & 1) << p for i, p in enumerate(s))
+                  for w in frontier for s in perms}
+        frontier = list(images - orbit)
+        orbit |= images
+    return orbit

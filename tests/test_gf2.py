@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleycodes.cyclic import CyclicCode
-from cayleycodes.gf2 import Gf2Matrix, int_rank
+from cayleycodes.gf2 import Gf2Matrix, independent
 from cayleycodes.gf2poly import x_pow_n_minus_1
 from cayleycodes.graphs import generate_group
 from cayleycodes.tanner import build_parity_check
@@ -70,8 +70,11 @@ def test_reduce_batch_matches_single():
         assert unpack_int(red[i]) == unpack_int(reduce(ech, pack_int(120, p)))
 
 
-def test_int_rank_and_span():
-    assert int_rank([0b11, 0b01, 0b10]) == 2
+def test_independent_and_span():
+    assert independent([0b11, 0b01, 0b10]) == [0, 1]
+    assert independent([0b11, 0b01, 0b10], order=[2, 1, 0]) == [2, 1]
+    assert independent([0b11, 0b01, 0b10, 0b100], limit=2) == [0, 1]
+    assert independent([0, 0b110, 0b011, 0b101], order=[3, 2, 1, 0], limit=3) == [3, 2]
     assert int_span_equal([0b11, 0b01], [0b10, 0b01])
     assert not int_span_equal([0b11], [0b10, 0b01])
 
@@ -171,7 +174,7 @@ def _check_against_reference(width, rows, probe_seed):
     ech = from_ints(width, rows).echelon()
     ref = reference_echelon(from_ints(width, rows))
 
-    assert ech.rank == ref.rank == int_rank(rows)
+    assert ech.rank == ref.rank == len(independent(rows))
     cols = [c for _, c in ech.pivots]
     assert cols == [c for _, c in ref.pivots]
     assert sorted(i for i, _ in ech.pivots) == list(range(ech.rank))
@@ -184,7 +187,7 @@ def _check_against_reference(width, rows, probe_seed):
         assert ints[i] >> c & 1 and ints[i] & ((1 << c) - 1) == 0
         assert all(not ints[j] >> c & 1 for j, _ in ech.pivots[k + 1:])
 
-    # reduce_batch decides membership exactly as int_rank does
+    # reduce_batch decides membership exactly as the greedy basis does
     rng = random.Random(probe_seed)
     probes = [rng.getrandbits(width) for _ in range(6)]
     for _ in range(6):
@@ -195,7 +198,7 @@ def _check_against_reference(width, rows, probe_seed):
         probes += [member, member ^ (1 << rng.randrange(width))]
     residual = ech.reduce_batch(np.stack([pack_int(width, p) for p in probes]))
     for p, res in zip(probes, residual):
-        assert (not res.any()) == (int_rank(rows + [p]) == ech.rank)
+        assert (not res.any()) == (len(independent(rows + [p])) == ech.rank)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleycodes import graphs
+from cayleycodes.cyclic import CyclicCode, dual_basis_rows
 from cayleycodes.errors import ConstructionError
 from cayleycodes.graphs import (KeyIndex, edge_orbit, generate_group, graph_from_generators,
-                                symmetry_edge_permutations)
+                                symmetry_edge_permutations, word_orbit)
+from cayleycodes.tanner import row_orbit
 
 from field_reference import decode
 from group_reference import (AddGroupElement, SdpElement, ZnGroup, edge_permutation,
@@ -17,6 +20,7 @@ from group_reference import (AddGroupElement, SdpElement, ZnGroup, edge_permutat
                              parse_edge_list, reference_closure, reference_edge_permutation,
                              reference_export_edges, sdp_edge_permutation,
                              verify_vertex_transitive)
+from orbit_reference import schreier_certificate, word_orbit as reference_word_orbit
 
 
 def zn_graph(n, steps):
@@ -173,13 +177,34 @@ def test_toy_edge_orbit_under_translations_only():
     assert orbit.transitive and orbit.size == g.n_edges
 
 
+def draw_star_map(data, graph, n, steps):
+    """A map (u, tau) of the toy Z_n graph: a translation or a
+    multiplication by a unit that fixes S, either of them sometimes with
+    two entries of u or of tau swapped, or two random permutations."""
+    kind = data.draw(st.sampled_from(["translation", "multiplier", "random"]))
+    if kind == "random":
+        return (np.array(data.draw(st.permutations(range(graph.n_vertices)))),
+                np.array(data.draw(st.permutations(range(graph.degree)))))
+    if kind == "translation":
+        x = data.draw(st.sampled_from(graph.keys.tolist()))
+        u, tau = graph.vertex_ids((graph.keys + x) % n), np.arange(graph.degree)
+    else:
+        m = data.draw(st.sampled_from([m for m in range(1, n) if gcd(m, n) == 1
+                                       and {m * s % n for s in steps} == set(steps)]))
+        u = graph.vertex_ids(m * graph.keys % n)
+        tau = KeyIndex(graph.gens).find(m * graph.gens % n)
+    if data.draw(st.booleans()):
+        part = data.draw(st.sampled_from([u, tau]))
+        a, b = data.draw(st.lists(st.integers(0, len(part) - 1), min_size=2, max_size=2))
+        part[[a, b]] = part[[b, a]]
+    return u, tau
+
+
 @given(st.integers(min_value=3, max_value=16), st.data())
 @settings(deadline=None, max_examples=200)
 def test_star_map_check_is_the_edge_condition(n, data):
-    """The proof in edge_orbit's docstring, on toy Z_n graphs.  (u, tau)
-    is drawn as a translation or a multiplication by a unit that fixes
-    S, either of them sometimes with two entries of u or of tau swapped,
-    or as two random permutations.  The check on u(adj[v, i]) alone
+    """The proof in edge_orbit's docstring, on toy Z_n graphs, with
+    (u, tau) drawn by draw_star_map.  The check on u(adj[v, i]) alone
     passes exactly when the flag map (v, i) -> (u(v), tau(i)) sends the
     two flags of every edge {v, v s_i} onto the two flags of one edge,
     checked on the group elements; and then the induced edge map is a
@@ -188,22 +213,7 @@ def test_star_map_check_is_the_edge_condition(n, data):
     steps = data.draw(st.permutations(sorted({s % n for h in half for s in (h, -h)})))
     ref = reference_closure([AddGroupElement(n, s) for s in steps], AddGroupElement(n, 0))
     graph = generate_group(ZnGroup(n), steps, cap=len(ref.vertices))
-    kind = data.draw(st.sampled_from(["translation", "multiplier", "random"]))
-    if kind == "random":
-        u = np.array(data.draw(st.permutations(range(graph.n_vertices))))
-        tau = np.array(data.draw(st.permutations(range(graph.degree))))
-    elif kind == "translation":
-        x = data.draw(st.sampled_from(graph.keys.tolist()))
-        u, tau = graph.vertex_ids((graph.keys + x) % n), np.arange(graph.degree)
-    else:
-        m = data.draw(st.sampled_from([m for m in range(1, n) if gcd(m, n) == 1
-                                       and {m * s % n for s in steps} == set(steps)]))
-        u = graph.vertex_ids(m * graph.keys % n)
-        tau = KeyIndex(graph.gens).find(m * graph.gens % n)
-    if kind != "random" and data.draw(st.booleans()):
-        part = data.draw(st.sampled_from([u, tau]))
-        a, b = data.draw(st.lists(st.integers(0, len(part) - 1), min_size=2, max_size=2))
-        part[[a, b]] = part[[b, a]]
+    u, tau = draw_star_map(data, graph, n, steps)
     orbit = edge_orbit(graph, {"m": (u, tau)})
     keeps = flag_map_keeps_edges(ref, u.tolist(), tau.tolist())
     assert (orbit.bad is None) == keeps
@@ -211,6 +221,49 @@ def test_star_map_check_is_the_edge_condition(n, data):
         perm = edge_permutation(graph, u, tau)
         assert np.bincount(perm, minlength=graph.n_edges).max() == 1
         assert np.array_equal(perm, reference_edge_permutation(ref, u, tau))
+
+
+def assert_certificate_is_the_reference(graph, maps, w0):
+    """edge_orbit's certificate, formed once per pair of path classes,
+    against the per-vertex Schreier construction: the same set of
+    Schreier generators (each once), orbit of vertex 0, first missed
+    vertex, Gamma.0 and orbit size, and row_orbit has the word set of
+    the reference orbit of w0."""
+    orbit, ref = edge_orbit(graph, maps), schreier_certificate(graph, maps)
+    schreier = [tuple(s) for s in orbit.schreier.tolist()]
+    assert orbit.schreier.shape[1] == graph.degree and orbit.schreier.dtype == np.int32
+    assert len(schreier) == len(ref.schreier) and set(schreier) == ref.schreier
+    assert (orbit.vertices, orbit.missed, orbit.size) == (ref.vertices, ref.missed, ref.size)
+    assert {w.bit_length() - 1 for w in word_orbit(1, orbit.schreier)} == ref.gamma_0
+    words = row_orbit(SimpleNamespace(dual_rows=[w0]), orbit)
+    assert words[0] == w0 and len(words) == len(set(words))
+    assert set(words) == reference_word_orbit(w0, ref.schreier)
+
+
+@given(st.integers(min_value=3, max_value=16), st.data())
+@settings(deadline=None, max_examples=200)
+def test_certificate_is_the_per_vertex_schreier_construction(n, data):
+    """On toy Z_n graphs, under one to three maps drawn by
+    draw_star_map; a set of maps with one that is no star map gets no
+    certificate."""
+    half = data.draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4))
+    steps = data.draw(st.permutations(sorted({s % n for h in half for s in (h, -h)})))
+    graph = zn_graph(n, steps)
+    maps = {f"m{k}": draw_star_map(data, graph, n, steps)
+            for k in range(data.draw(st.integers(1, 3)))}
+    if edge_orbit(graph, maps).bad is None:
+        w0 = data.draw(st.integers(1, (1 << graph.degree) - 1))
+        assert_certificate_is_the_reference(graph, maps, w0)
+
+
+@pytest.mark.parametrize("name", ["q19_psl", "q19_pgl", "q5e2_psl"])
+def test_certificate_is_the_per_vertex_schreier_construction_on_instances(name, request):
+    """The same on the symmetry star maps of the fixtures, with w0 the
+    first dual word of [20,16] (q = 19) and [6,4] (q = 5, e = 2)."""
+    graph = request.getfixturevalue(f"{name}_graph")
+    maps = symmetry_edge_permutations(graph, request.getfixturevalue(f"{name}_gens"))
+    inner = CyclicCode(20, 0x11) if graph.degree == 20 else CyclicCode(6, 0b111)
+    assert_certificate_is_the_reference(graph, maps, dual_basis_rows(inner)[0])
 
 
 def test_symmetry_perms_count(q19_maps):

@@ -10,9 +10,9 @@ from cayleycodes import alist, graphs, tanner
 from cayleycodes.cyclic import CyclicCode
 
 # tracemalloc peaks of the stages of a q = 19 PSL [20,16] build (MB,
-# measured with numpy 2.4: 1.90, 1.15, 2.03, 0.56 and 1.25), plus about
+# measured with numpy 2.4: 1.90, 0.81, 2.03, 0.56 and 1.25), plus about
 # 25%; the files go to a sink block by block, as build writes them
-BOUNDS = {"closure": 2.4, "symmetry": 1.45, "star_rank": 2.5, "export_edges": 0.7,
+BOUNDS = {"closure": 2.4, "symmetry": 1.0, "star_rank": 2.5, "export_edges": 0.7,
           "dumps_alist": 1.6}
 
 
@@ -42,8 +42,10 @@ def test_build_stages_hold_bounded_scratch(traced, monkeypatch, q19_psl_gens):
     that size is 0.55 MB).  With int64 temporaries of that size they
     peaked at 4.1, 2.9 (the edge orbit alone), 4.2, 3.1 and 4.1 MB; with
     |E|-long edge permutations the symmetry certificate took 2.49 MB,
-    with the np.resize below star elimination 2.50 MB, and with
-    whole-file buffers and whole tables the writers 1.10 and 2.40 MB.
+    and with |V| x degree path tables and one Schreier generator per
+    vertex and map 1.15 MB; with the np.resize below star elimination
+    took 2.50 MB, and with whole-file buffers and whole tables the
+    writers 1.10 and 2.40 MB.
 
     The GF(2) sum of the residual entries (_odd_entries) holds its sorted
     keys, the outputs, and scratch of at most two bool masks as long as
