@@ -12,10 +12,12 @@ Layout (all indices 1-based, entries space-separated):
 The writer is deterministic (bit-exact for equal input), and the reader
 validates both perspectives against each other.  The writer takes the
 matrix as a CSR pair and has no loop per entry: the keys col * m + row,
-sorted in place, give the column perspective; both become zero-padded
-int32 tables of 1-based indices, _BLOCK cells at a time, which
-decimal_lines hands to a sink (a file, or matches_file).  The tests keep
-the writer that files one entry at a time as the byte-exact reference.
+their rows added _BLOCK rows at a time and sorted in place, give the
+column perspective, its column pointers found _BLOCK columns at a time;
+both become zero-padded int32 tables of 1-based indices, _BLOCK cells
+at a time, which decimal_lines hands to a sink (a file, or
+matches_file).  The tests keep the writer that files one entry at a
+time as the byte-exact reference.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-_BLOCK = 1 << 14       # table entries per block of digit cells
+_BLOCK = 1 << 14       # table entries per block of digit cells, rows or columns per step
 
 
 def decimal_lines(table: np.ndarray, write: Callable | None = None) -> bytearray:
@@ -83,9 +85,14 @@ def dumps_alist(indptr: np.ndarray, indices: np.ndarray, ncols: int,
             decimal_lines(table, write)
 
     key = np.multiply(cols, m, dtype=np.int32 if m * ncols < 2**31 else np.int64)
-    key += np.repeat(np.arange(m, dtype=key.dtype), lengths)
+    for i in range(0, m, _BLOCK):                  # plus the row, _BLOCK rows at a time
+        rows = np.arange(i, min(i + _BLOCK, m), dtype=key.dtype)
+        key[indptr[i]:indptr[i + rows.size]] += np.repeat(rows, lengths[i:i + rows.size])
     key.sort()                                     # column order, rows ascending
-    col_ptr = np.searchsorted(key, np.arange(ncols + 1, dtype=key.dtype) * m)
+    col_ptr = np.empty(ncols + 1, dtype=np.int32 if key.size < 2**31 else np.int64)
+    for c in range(0, ncols + 1, _BLOCK):
+        bounds = np.arange(c, min(c + _BLOCK, ncols + 1), dtype=key.dtype) * m
+        col_ptr[c:c + bounds.size] = np.searchsorted(key, bounds)
     max_col, max_row = int(np.diff(col_ptr).max(initial=0)), int(lengths.max(initial=0))
     write(f"{ncols} {m}\n{max_col} {max_row}\n".encode())
     decimal_lines(np.diff(col_ptr)[None], write)     # the column degrees

@@ -17,11 +17,12 @@ counting.  Edge ids are assigned in first-encounter order over
 < 2^31); the closure and export_edges work _CHUNK at a time.
 
 Symmetries are star maps (u, tau), acting on the flags by (v, i) ->
-(u(v), tau(i)); edge_orbit proves each a graph automorphism from one
-|V| x degree check, and no |E|-long edge permutation is formed.  Its
-BFS gives each vertex the class of its tree path, a product of the maps
-tau: at most min(|V|, |<taus>|) classes, at most degree when <taus> =
-<pi>.  A Schreier generator depends only on its pair of classes.
+(u(v), tau(i)); edge_orbit proves each a graph automorphism by a check
+run _CHUNK flags at a time, and no |E|-long edge permutation is formed.
+Its BFS gives each vertex the class of its tree path, a product of the
+maps tau: at most min(|V|, |<taus>|) classes, at most degree when
+<taus> = <pi>.  A Schreier generator depends only on its pair of
+classes.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .alist import decimal_lines
 from .errors import ConstructionError
 from .quaternion import GeneratorSet
 
-_CHUNK = 1 << 14       # products or edges per step of the closure and export_edges
+_CHUNK = 1 << 14       # products, edges or flags per step
 
 
 class KeyIndex:
@@ -248,11 +249,12 @@ def edge_orbit(graph: CayleyGraph, maps: dict[str, StarMap]) -> EdgeOrbit:
     generate, by one BFS over the vertices and Schreier's lemma (Seress,
     Permutation Group Algorithms, CUP 2003, 4.1).
 
-    Star maps.  Each (u, tau) must pass one |V| x degree check: u is a
-    bijection of V, tau one of the positions, and u(adj[v, i]) =
-    adj[u(v), tau(i)] at every vertex v and position i.  The first
-    (name, vertex, position) where a map fails is `bad`, and nothing
-    else is computed: every check built on this certificate fails.
+    Star maps.  Each (u, tau) must pass one check, run on _CHUNK // degree
+    vertices at a time: u is a bijection of V, tau one of the positions,
+    and u(adj[v, i]) = adj[u(v), tau(i)] at every vertex v and position
+    i.  The first (name, vertex, position) where a map fails, in row-major
+    order, is `bad`, and nothing else is computed: every check built on
+    this certificate fails.
 
     The check suffices.  f(v, i) = (u(v), tau(i)) is a bijection of the
     flags.  For w = adj[v, i] the check at (w, inv_gen[i]) and at (v, i)
@@ -291,15 +293,19 @@ def edge_orbit(graph: CayleyGraph, maps: dict[str, StarMap]) -> EdgeOrbit:
     n, d, m = graph.n_vertices, graph.degree, len(maps)
     u = np.empty((m, n), dtype=np.int32)
     tau = np.empty((m, d), dtype=np.int32)
+    step = max(1, _CHUNK // d)
     for p, name in enumerate(names):
         u[p], tau[p] = maps[name]
-        ok = (np.bincount(u[p], minlength=n)[u[p], None] == 1) & (  # both one-to-one
-            np.bincount(tau[p], minlength=d)[tau[p]] == 1)
-        ok &= u[p][graph.adj] == graph.adj[u[p, :, None], tau[p]]
-        if not ok.all():
-            v, i = np.unravel_index(np.argmin(ok), ok.shape)
-            return EdgeOrbit(names, (name, int(v), int(i)), 0, None, None, False, [],
-                             np.zeros((0, d), dtype=np.int32))
+        once = np.bincount(u[p], minlength=n) == 1              # both one-to-one
+        tau_once = np.bincount(tau[p], minlength=d)[tau[p]] == 1
+        for s in range(0, n, step):                             # step vertices at a time
+            us = u[p, s:s + step]
+            ok = once[us, None] & tau_once
+            ok &= u[p][graph.adj[s:s + step]] == graph.adj[us[:, None], tau[p]]
+            if not ok.all():
+                v, i = np.unravel_index(np.argmin(ok), ok.shape)
+                return EdgeOrbit(names, (name, s + int(v), int(i)), 0, None, None, False, [],
+                                 np.zeros((0, d), dtype=np.int32))
     cls = np.full(n, -1, dtype=np.int32)
     cls[0] = 0
     # the distinct paths, numbered level by level, keyed by their bytes:

@@ -74,33 +74,43 @@ ground.  So the indicator vectors of the c0 components without ground
 (an isolated row is one) are a basis of the left kernel, rank A =
 rows - c0, and N B is the c0 x |B| matrix whose rows are the sums of
 each such component's rows on the heavy columns.  Each round of
-residual_rank adds rows - c0 and replaces R by N B with its empty
-columns dropped; a light column either joins two components or joins a
-row to ground, so c0 < rows and the rounds end.  A round costs
-O(entries), so the contraction also stops after a round that keeps more
-than half of its rows, and the packed kernel takes the rest: the rows
-halve in every round before that one, so there are at most
-log2(rows) + 1 rounds, where a cascade (an all-ones triangle loses two
-rows a round) would take rows / 2 of them.  When every column has
+residual_rank adds rows - c0 and replaces R by N B (the empty columns
+are dropped once, before packing); a light column either joins two
+components or joins a row to ground, so c0 < rows and the rounds end.
+A round costs O(entries), so the contraction also stops after a round
+that keeps more than half of its rows, and the packed kernel takes the
+rest: the rows halve in every round before that one, so there are at
+most log2(rows) + 1 rounds, where a cascade (an all-ones triangle loses
+two rows a round) would take rows / 2 of them.  When every column has
 weight 0 or 2, as for x^4 + 1, N B is empty after the first round and
 rank R = rows - components.
 
 The components are found by min-label propagation with pointer
 jumping: each vertex points at a vertex of its component with no
-larger index; every round hooks the larger of the two roots of every
-light column under the smaller one, then jumps pointers until each
-vertex points at a root, and stops when both ends of every column share
-a root.  A round that does not stop hooks at least one root, so the
-rounds end, and the roots left are one per component, its smallest
+larger index.  A pass reads the light columns _STEP at a time; each
+step hooks the larger of the two roots of each of its columns under
+the smaller one, then jumps pointers until each vertex points at a
+root, and the passes stop at one that finds both ends of every column
+at one root.  A pass that does not stop hooks at least one root, so the
+passes end, and the roots left are one per component, its smallest
 vertex.
 
-Working memory: the residual is int32 entries, summed in one key array
-sorted and compacted in place; only what contraction leaves is packed.
+Working memory: star elimination holds its inputs and outputs plus
+bounded scratch.  The pivot loop writes two int32 per vertex of I (the
+vertex and the number of its P_v among the distinct ones); the
+information-set check reads one pivot position or one complement word
+at a time; the residual's int32 entries are summed _BLOCK outside
+vertices at a time, each block's keys sorted on their own (the rows of
+a block are contiguous and the keys row-major), and its columns
+renumbered _STEP entries at a time.  A contraction round holds one int32
+per column and two bool masks, compacts the two rows of each light
+column in place, and reads the entries _STEP at a time, as _gather does
+(a whole-array fancy index would copy an int32 index to int64).  Only
+what contraction leaves is packed.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
@@ -115,7 +125,8 @@ from .errors import CheckFailure, ConstructionError
 from .gf2 import Gf2Matrix, independent
 from .graphs import CayleyGraph, EdgeOrbit, word_moved, word_orbit
 
-_STEP = 1 << 14        # sorted keys per step of _odd_entries
+_STEP = 1 << 14        # keys, entries or light columns per step
+_BLOCK = 1 << 8        # outside vertices per block of the residual sum
 
 
 class StarPivots(NamedTuple):
@@ -202,15 +213,19 @@ def _columns(dual_rows: Sequence[int], degree: int) -> list[int]:
 
 
 def star_pivots(graph: CayleyGraph, dual_rows: Sequence[int]) -> StarPivots:
-    """The greedy of the module docstring (I is empty when B-dual is)."""
+    """The greedy of the module docstring (I is empty when B-dual is).
+    The loop writes each vertex of I and the number of its P_v among the
+    distinct ones into two int32 arrays of |V| entries; each distinct P_v
+    is brought to systematic form once, after the loop."""
     r, cols = len(dual_rows), _columns(dual_rows, graph.degree)
     if r == 0:
-        none = np.zeros((0, 0), dtype=np.int64)
-        return StarPivots(none.reshape(0), none, none)
+        return StarPivots(np.zeros(0, dtype=np.int32), np.zeros((0, 0), dtype=np.int32),
+                          np.zeros((0, 0), dtype=np.int64))
     OUT, OPEN, IN = 0, 1, 2
-    state = [OPEN] * graph.n_vertices
-    systematic: dict[tuple, list[int]] = {}
-    chosen, positions, words = [], [], []
+    state = bytearray([OPEN]) * graph.n_vertices
+    chosen, form = (np.empty(graph.n_vertices, dtype=np.int32) for _ in range(2))
+    forms: dict[tuple, int] = {}             # P_v in taken order -> its number
+    size = 0
     for v in range(graph.n_vertices):
         if state[v] != OPEN:
             continue
@@ -225,16 +240,13 @@ def star_pivots(graph: CayleyGraph, dual_rows: Sequence[int]) -> StarPivots:
         state[v] = IN
         for p in taken:
             state[nbrs[p]] = OUT
-        key = tuple(taken)
-        if key not in systematic:
-            systematic[key] = _systematic(dual_rows, key)
-        chosen.append(v)
-        positions.append(taken)
-        words.append(systematic[key])
-    shape = (len(chosen), r)
-    return StarPivots(np.array(chosen, dtype=np.int64),
-                      np.array(positions, dtype=np.int64).reshape(shape),
-                      np.array(words, dtype=np.int64).reshape(shape))
+        chosen[size], form[size] = v, forms.setdefault(tuple(taken), len(forms))
+        size += 1
+    form = form[:size]
+    return StarPivots(chosen[:size].copy(),
+                      np.array(list(forms), dtype=np.int32).reshape(-1, r)[form],
+                      np.array([_systematic(dual_rows, p) for p in forms],
+                               dtype=np.int64).reshape(-1, r)[form])
 
 
 def star_rank(inst: CayleyCodeInstance) -> int:
@@ -253,16 +265,19 @@ def star_rank(inst: CayleyCodeInstance) -> int:
     # 1. words[a] is span(dual) in systematic form on pos[a], which makes
     # pos[a] an information set: word b has bit pos[a, b] and no other
     # pivot bit, and is orthogonal to the complement of span(dual), whose
-    # basis is read off the systematic form on the first information set
+    # basis is read off the systematic form on the first information set;
+    # one pivot position and one complement word at a time
     first = independent(_columns(dual, degree), limit=r)
     ref = _systematic(dual, first)[:len(first)]
-    complement = np.array([1 << f | sum(1 << p for p, w in zip(first, ref) if w >> f & 1)
-                           for f in range(degree) if f not in first], dtype=np.int64)
-    unit = (words[:, :, None] >> pos[:, None, :] & 1) == np.eye(r, dtype=np.int64)
-    orth = np.bitwise_count(words[:, :, None] & complement) & 1 == 0
-    bad = ~(unit.all(axis=(1, 2)) & orth.all(axis=(1, 2)))
-    if bad.any():
-        a = int(np.argmax(bad))
+    ok = np.ones(chosen.size, dtype=bool)
+    for b, unit in enumerate(np.eye(r, dtype=np.int64)):
+        ok &= (words >> pos[:, b, None] & 1 == unit).all(axis=1)
+    for f in range(degree):
+        if f not in first:
+            word = 1 << f | sum(1 << p for p, w in zip(first, ref) if w >> f & 1)
+            ok &= (np.bitwise_count(words & word) & 1 == 0).all(axis=1)
+    if not ok.all():
+        a = int(np.argmin(ok))
         fail(a, f"has pivot positions {pos[a].tolist()}, not an information set")
     # 2. the vertices of I are distinct, and every pivot edge leads out of I
     twice = np.bincount(chosen, minlength=graph.n_vertices) > 1
@@ -275,54 +290,88 @@ def star_rank(inst: CayleyCodeInstance) -> int:
     if into_i.any():
         fail(int(np.argmax(into_i)), "has a pivot edge into I")
 
-    # pivot k = r a + b is the edge at position pos[a, b] of vertex chosen[a]
-    pivot_of = np.full(n, -1, dtype=np.int32)
-    pivot_of[graph.eid[chosen[:, None], pos].ravel()] = np.arange(pos.size, dtype=np.int32)
+    # slot[e] is the residual column of a non-pivot edge e, and -1 - k for
+    # pivot k = r a + b, the edge at position pos[a, b] of vertex chosen[a]
+    pivot = graph.eid[chosen[:, None], pos].ravel()
+    slot = np.ones(n, dtype=bool)
+    slot[pivot] = False
+    slot = np.cumsum(slot, dtype=np.int32)
+    slot -= 1
+    slot[pivot] = -1 - np.arange(pivot.size, dtype=np.int32)
+    del pivot
     # residual row r x + j is L_u(dual[j]) for u = outside[x] ...
     outside = np.flatnonzero(~in_i)
-    j, i = np.nonzero(np.array(dual, dtype=np.int64)[:, None] >> np.arange(degree) & 1)
-    row = (r * np.arange(outside.size, dtype=np.int32)[:, None] + j.astype(np.int32)).ravel()
-    edge = graph.eid[outside[:, None], i].ravel()
-    # ... plus L_v(s_p) for each pivot edge p of a vertex v it meets, bit by bit
-    hit = np.flatnonzero(pivot_of[edge] >= 0)
-    k = pivot_of[edge[hit]]
-    word, vertex = words.reshape(-1)[k], chosen[k // r]
-    parts = ((row[hit[t]], graph.eid[vertex[t], b]) for b, t in
-             enumerate(np.flatnonzero(word >> b & 1) for b in range(degree)))
-    row, edge = _odd_entries(r * outside.size, n, edge.size + int(np.bitwise_count(word).sum()),
-                             itertools.chain([(row, edge)], parts))
-    # 3. the residual is zero on the pivot columns
-    left = pivot_of[edge] >= 0
-    if left.any():
-        fail(int(pivot_of[edge[np.argmax(left)]] // r),
-             "leaves its pivot column in the residual")
-    col = (np.cumsum(pivot_of < 0, dtype=np.int32) - 1)[edge]   # non-pivot edges, renumbered
-    del pivot_of, left, edge
+    j, i = (x.astype(np.int32) for x in
+            np.nonzero(np.array(dual, dtype=np.int64)[:, None] >> np.arange(degree) & 1))
+    # ... plus L_v(s_p) for each pivot edge p of a vertex v it meets: the
+    # other end of p is outside I, at position inv_gen[pos] of its star,
+    # where the rows of the dual words with that bit meet it
+    size = outside.size * i.size + int(
+        (np.bitwise_count(words) * np.bincount(i, minlength=degree)[graph.inv_gen[pos]]).sum())
+
+    def blocks():
+        """The entries of the rows of _BLOCK outside vertices at a time."""
+        for x in range(0, outside.size, _BLOCK):
+            u = outside[x:x + _BLOCK]
+            row = (r * np.arange(x, x + u.size, dtype=np.int32)[:, None] + j).ravel()
+            edge = graph.eid[u[:, None], i].ravel()
+            hit = np.flatnonzero(slot[edge] < 0)
+            k = -1 - slot[edge[hit]]
+            word, vertex = words.reshape(-1)[k], chosen[k // r]
+            yield r * x, r * (x + u.size), [(row, edge)] + [
+                (row[hit[t]], graph.eid[vertex[t], b])
+                for b, t in enumerate(np.flatnonzero(word >> b & 1) for b in range(degree))]
+
+    row, col = _odd_entries(n, size, blocks())
+    # 3. the residual is zero on the pivot columns; the others are renumbered
+    col = _gather(slot, col, out=col)
+    if col.size and col.min() < 0:
+        fail(int(-1 - col[np.argmax(col < 0)]) // r, "leaves its pivot column in the residual")
+    del slot
     return r * chosen.size + residual_rank(r * outside.size, n - r * chosen.size, row, col)
 
 
-def _odd_entries(nrows: int, ncols: int, size: int, parts) -> tuple[np.ndarray, np.ndarray]:
-    """The GF(2) sum of the `size` entries (row, col) of the parts, in row
-    order as int32: their keys row * ncols + col (int64 once nrows x ncols
-    passes 2^31, as at q = 43) are sorted in place, and a run of equal keys
-    survives when its length (from the run end before, -1 for the first)
-    is odd; _STEP keys a step, survivors move forward in the same buffer."""
-    key = np.empty(size, dtype=np.int32 if nrows * ncols < 2**31 else np.int64)
-    end = 0
-    for row, col in parts:
-        part = key[end:(end := end + row.size)]
-        np.add(np.multiply(row, ncols, out=part, dtype=key.dtype), col, out=part)
-    key.sort()
-    kept, before = 0, -1
-    for start in range(0, size, _STEP):
-        block = key[start:start + _STEP + 1]        # and the next key, if any
-        ends = start + np.flatnonzero(np.append(block[1:] != block[:-1], start + _STEP >= size))
-        survivors = key[ends[np.diff(ends, prepend=before) % 2 == 1]]   # odd runs
-        key[kept:(kept := kept + survivors.size)] = survivors
-        before = ends[-1] if ends.size else before
-    key = key[:kept]                               # row = key // ncols < nrows fits int32
-    return tuple(f(key, ncols, out=np.empty(kept, dtype=np.int32), casting="unsafe")
-                 for f in (np.floor_divide, np.remainder))
+def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """table[index], _STEP indices at a time (out may be index): a
+    whole-array fancy index would first copy an int32 index to int64."""
+    out = np.empty(index.size, dtype=table.dtype) if out is None else out
+    for s in range(0, index.size, _STEP):
+        out[s:s + _STEP] = table[index[s:s + _STEP]]
+    return out
+
+
+def _odd_entries(ncols: int, size: int, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The GF(2) sum of `size` entries (row, col), in row order as int32.
+    They come in blocks (start, stop, parts), the rows of a block in
+    range(start, stop) and after those of the blocks before it, so each
+    block is summed on its own: the keys (row - start) * ncols + col of its
+    parts (int64 once (stop - start) x ncols passes 2^31) are sorted in
+    place, a run of equal keys survives when its length (from the run end
+    before, -1 for the first) is odd, _STEP keys a step, and the survivors
+    are appended to the outputs."""
+    out = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
+    kept = 0
+    for start, stop, parts in blocks:
+        key = np.empty(sum(row.size for row, _ in parts),
+                       dtype=np.int32 if (stop - start) * ncols < 2**31 else np.int64)
+        end = 0
+        for row, col in parts:
+            part = key[end:(end := end + row.size)]
+            np.subtract(row, start, out=part, dtype=key.dtype)
+            np.add(np.multiply(part, ncols, out=part), col, out=part)
+        key.sort()
+        before = -1
+        for s in range(0, key.size, _STEP):
+            step = key[s:s + _STEP + 1]                # and the next key, if any
+            ends = s + np.flatnonzero(np.append(step[1:] != step[:-1], s + _STEP >= key.size))
+            survivors = key[ends[np.diff(ends, prepend=before) % 2 == 1]]   # odd runs
+            row, col = (x[kept:kept + survivors.size] for x in out)
+            np.floor_divide(survivors, ncols, out=row, casting="unsafe")
+            row += start
+            np.remainder(survivors, ncols, out=col, casting="unsafe")
+            kept += survivors.size
+            before = ends[-1] if ends.size else before
+    return out[0][:kept], out[1][:kept]
 
 
 def require_packed_fits(what: str, nrows: int, ncols: int) -> None:
@@ -341,18 +390,30 @@ def require_packed_fits(what: str, nrows: int, ncols: int) -> None:
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The root of each vertex of the multigraph on range(n) with edges
     {a[t], b[t]}, the smallest vertex of its component: min-label
-    propagation with pointer jumping (module docstring)."""
+    propagation with pointer jumping, _STEP edges a step (module
+    docstring)."""
     root = np.arange(n, dtype=np.int32)
     while True:
-        ra, rb = root[a], root[b]
-        if np.array_equal(ra, rb):
+        joined = False
+        for s in range(0, a.size, _STEP):
+            ra, rb = root[a[s:s + _STEP]], root[b[s:s + _STEP]]
+            if np.array_equal(ra, rb):
+                continue
+            joined = True
+            np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+            while not np.array_equal(jumped := root[root], root):
+                root = jumped
+        if not joined:
             return root
-        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
+
+
+def _compress(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """x[mask], written over the front of x _STEP entries at a time."""
+    kept = 0
+    for s in range(0, x.size, _STEP):
+        part = x[s:s + _STEP][mask[s:s + _STEP]]
+        x[kept:(kept := kept + part.size)] = part
+    return x[:kept]
 
 
 def residual_rank(nrows: int, ncols: int, row: np.ndarray, col: np.ndarray) -> int:
@@ -361,38 +422,48 @@ def residual_rank(nrows: int, ncols: int, row: np.ndarray, col: np.ndarray) -> i
     of weight 1 or 2 are contracted, round by round, into rows -
     components (module docstring); what is left once none remains, or
     once a round keeps more than half of its rows, is packed, within
-    require_packed_fits, and eliminated."""
-    rank = 0
+    require_packed_fits, with its empty columns dropped, and eliminated.
+    The per-entry passes run _STEP entries at a time."""
+    rank, stalled = 0, False
     while True:
-        weight = np.bincount(col, minlength=ncols)
+        weight, ones = np.zeros(ncols, dtype=np.int32), np.ones(_STEP, dtype=np.int32)
+        for s in range(0, col.size, _STEP):
+            part = col[s:s + _STEP]
+            np.add.at(weight, part, ones[:part.size])
         light = (weight == 1) | (weight == 2)
-        if not light.any():
+        if stalled or not light.any():
             break
         # the rows of a light column are its smallest and largest; a
         # weight-1 column joins its row to the ground vertex, nrows
+        one = weight == 1
+        del weight
         first, last = np.full(ncols, nrows, dtype=np.int32), np.full(ncols, -1, dtype=np.int32)
         np.minimum.at(first, col, row)
         np.maximum.at(last, col, row)
-        root = _components(nrows + 1, first[light],
-                           np.where(weight[light] == 2, last[light], nrows))
-        # the roots of the ground-free components, each of which becomes
-        # one row: the sum of its rows on the heavy columns
+        last[one] = nrows
+        del one
+        root = _components(nrows + 1, _compress(first, light), _compress(last, light))
+        del first, last
+        # the ground-free components become one row each: the sum of its
+        # rows on the heavy columns
         free = root == np.arange(nrows + 1)
         free[root[nrows]] = False
-        free = free[:nrows]
-        component = np.cumsum(free, dtype=np.int32) - 1
-        keep = ~light[col] & free[root[row]]
         c0 = int(np.count_nonzero(free))
-        row, col = _odd_entries(c0, ncols, int(np.count_nonzero(keep)),
-                                [(component[root[row[keep]]], col[keep])])
+        component = (np.cumsum(free, dtype=np.int32) - 1)[root[:nrows]]
+        free = free[root[:nrows]]             # per row: its component is ground-free
+        keep = np.empty(row.size, dtype=bool)
+        for s in range(0, row.size, _STEP):
+            keep[s:s + _STEP] = ~light[col[s:s + _STEP]] & free[row[s:s + _STEP]]
+        row, col = row[keep], col[keep]
+        del keep, light
+        row, col = _odd_entries(ncols, row.size, [(0, c0, [(_gather(component, row), col)])])
         rank += nrows - c0
-        stalled = 2 * c0 > nrows
-        used = np.bincount(col, minlength=ncols) > 0
-        nrows, ncols, col = c0, int(used.sum()), (np.cumsum(used, dtype=np.int32) - 1)[col]
-        if stalled:
-            break
+        nrows, stalled = c0, 2 * c0 > nrows
     if row.size == 0:
         return rank
+    used = weight > 0
+    ncols = int(np.count_nonzero(used))
+    col = _gather(np.cumsum(used, dtype=np.int32) - 1, col)
     require_packed_fits("the star-elimination residual", nrows, ncols)
     indptr = np.searchsorted(row, np.arange(nrows + 1))
     return rank + Gf2Matrix.from_supports(ncols, indptr, col).echelon().rank

@@ -56,6 +56,11 @@ def q5e2_psl_graph(q5e2_psl_gens):
 
 
 @pytest.fixture(scope="session")
+def q43_psl_graph():
+    return graph_from_generators(build_generators(choose_ideal(43, 1, "psl")))
+
+
+@pytest.fixture(scope="session")
 def inner20():
     # [20, 12] cyclic code: h = (x + 1)^4 (x^4 + x^3 + x^2 + x + 1)
     return CyclicCode(20, mul(0b10001, 0b11111))

@@ -2,8 +2,9 @@
 tanner.verify_single_orbit replace, kept as oracles: a BFS over points
 (edge or vertex ids) under permutations, a BFS over the sorted supports
 of rows of H, the vertex star that holds each orbit row, the per-vertex
-single-orbit check built on them, and the Schreier generators formed
-once per vertex and map."""
+single-orbit check built on them, the Schreier generators formed
+once per vertex and map, and the star-map check on all |V| x degree
+flags at once."""
 
 from __future__ import annotations
 
@@ -148,3 +149,19 @@ def word_orbit(word: int, perms) -> set[int]:
         frontier = list(images - orbit)
         orbit |= images
     return orbit
+
+
+def star_map_failure(graph, maps) -> tuple[str, int, int] | None:
+    """The first (name, vertex, position), maps in name order and flags
+    in row-major order, where a map (u, tau) is no star map, from one
+    check on every flag at once: u and tau one-to-one, and u(adj[v, i]) =
+    adj[u(v), tau(i)]."""
+    for name in sorted(maps):
+        u, tau = (np.asarray(x) for x in maps[name])
+        ok = (np.bincount(u, minlength=graph.n_vertices)[u, None] == 1) & (
+            np.bincount(tau, minlength=graph.degree)[tau] == 1)
+        ok &= u[graph.adj] == graph.adj[u[:, None], tau]
+        if not ok.all():
+            v, i = np.unravel_index(np.argmin(ok), ok.shape)
+            return name, int(v), int(i)
+    return None

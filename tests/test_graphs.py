@@ -1,6 +1,7 @@
 from dataclasses import replace
 from math import gcd
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from group_reference import (AddGroupElement, SdpElement, ZnGroup, edge_permutat
                              parse_edge_list, reference_closure, reference_edge_permutation,
                              reference_export_edges, sdp_edge_permutation,
                              verify_vertex_transitive)
-from orbit_reference import schreier_certificate, word_orbit as reference_word_orbit
+from orbit_reference import (schreier_certificate, star_map_failure,
+                             word_orbit as reference_word_orbit)
 
 
 def zn_graph(n, steps):
@@ -208,19 +210,38 @@ def test_star_map_check_is_the_edge_condition(n, data):
     passes exactly when the flag map (v, i) -> (u(v), tau(i)) sends the
     two flags of every edge {v, v s_i} onto the two flags of one edge,
     checked on the group elements; and then the induced edge map is a
-    bijection, the object reference's."""
+    bijection, the object reference's.  Run a block of _CHUNK // degree
+    vertices (at least one) at a time, it names the first failing flag
+    that the check on all flags at once names."""
     half = data.draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4))
     steps = data.draw(st.permutations(sorted({s % n for h in half for s in (h, -h)})))
     ref = reference_closure([AddGroupElement(n, s) for s in steps], AddGroupElement(n, 0))
     graph = generate_group(ZnGroup(n), steps, cap=len(ref.vertices))
     u, tau = draw_star_map(data, graph, n, steps)
-    orbit = edge_orbit(graph, {"m": (u, tau)})
+    with mock.patch.object(graphs, "_CHUNK", data.draw(st.sampled_from([1, 5, 1 << 14]))):
+        orbit = edge_orbit(graph, {"m": (u, tau)})
     keeps = flag_map_keeps_edges(ref, u.tolist(), tau.tolist())
     assert (orbit.bad is None) == keeps
+    assert orbit.bad == star_map_failure(graph, {"m": (u, tau)})
     if keeps:
         perm = edge_permutation(graph, u, tau)
         assert np.bincount(perm, minlength=graph.n_edges).max() == 1
         assert np.array_equal(perm, reference_edge_permutation(ref, u, tau))
+
+
+def test_star_map_check_names_a_failure_in_the_last_block(monkeypatch):
+    """On the cycle C_16 (S = [1, 15], so vertex ids 12 to 15 are the
+    keys 10, 7, 9 and 8), the rotation by 1 with its images of the last
+    two ids swapped fails only at flags of ids 12 to 15: with _CHUNK = 8
+    the check runs 4 vertices at a time, and the first of them, in the
+    last block, is named as the check on all flags at once names it."""
+    graph = zn_graph(16, [1, 15])
+    u = graph.vertex_ids((graph.keys + 1) % 16)
+    u[[14, 15]] = u[[15, 14]]
+    maps = {"rotation": (u, np.arange(2))}
+    monkeypatch.setattr(graphs, "_CHUNK", 8)
+    bad = edge_orbit(graph, maps).bad
+    assert bad == star_map_failure(graph, maps) == ("rotation", 12, 1)
 
 
 def assert_certificate_is_the_reference(graph, maps, w0):

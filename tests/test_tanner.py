@@ -12,12 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cayleycodes import build_generators, choose_ideal, spectra, tanner
+from cayleycodes import spectra, tanner
 from cayleycodes.cyclic import CyclicCode, dual_basis_rows
 from cayleycodes.errors import CheckFailure, ConstructionError
 from cayleycodes.gf2 import Gf2Matrix, independent
 from cayleycodes.gf2poly import divmod_, mul, x_pow_n_minus_1
-from cayleycodes.graphs import KeyIndex, edge_orbit, generate_group, graph_from_generators
+from cayleycodes.graphs import KeyIndex, edge_orbit, generate_group
 from cayleycodes.tanner import (StarPivots, build_parity_check,
                                 measured_rate, row_orbit, edge_code_bounds,
                                 require_packed_fits, residual_rank, run_verification,
@@ -28,6 +28,7 @@ from gf2_reference import (contains, csr, int_span_equal, reference_echelon,
                            reference_from_supports, rows_of)
 from group_reference import ZnGroup, edge_permutation, left_translation_maps
 import orbit_reference as oracle
+from residual_reference import odd_entries, star_residual
 
 
 def zn_graph(n, steps):
@@ -698,15 +699,7 @@ def test_star_rank_matches_reference(packed, n, involution, data):
     the pivot columns of I, and I is not empty when B-dual is not."""
     packed.clear()
     graph = draw_zn_graph(n, involution, data)
-    factors = factor_x_pow_n_minus_1(graph.degree)
-    chosen = data.draw(st.lists(st.booleans(), min_size=len(factors),
-                                max_size=len(factors)))
-    chosen[0] = chosen[0] and not all(chosen)  # the zero code is excluded
-    h = 1
-    for f, take in zip(factors, chosen):
-        if take:
-            h = mul(h, f)
-    inst = build_parity_check(graph, CyclicCode(graph.degree, h))
+    inst = build_parity_check(graph, CyclicCode(graph.degree, draw_check_poly(graph, data)))
     rank = inst.rank
     assert all(ncols < inst.n for ncols, _ in packed)
     assert rank == reference_echelon(inst.matrix).rank
@@ -871,30 +864,75 @@ def test_residual_rank_sort_key_passes_int32(packed):
     assert [i for i, r in enumerate(rows_left) if r] == [n - 4]
 
 
-@given(st.integers(1, 30), st.integers(2, 30), st.booleans(), st.data())
+@given(st.integers(1, 30), st.integers(2, 30), st.booleans(), st.integers(1, 40), st.data())
 @settings(deadline=None, max_examples=200)
-def test_odd_entries_keeps_odd_multiplicities(nrows, ncols, wide, data):
-    """Entries repeated 1 to 3 times, shuffled and split into two parts:
-    those of odd multiplicity survive, once each, in row order, as int32.
-    With `wide` the rows start past 2^31 / ncols, so nrows x ncols passes
-    2^31 and the sort key must be int64; otherwise it is int32.  The
-    sorted keys are read _STEP at a time, here 1 to 5 as well, so runs
-    cross the steps and are copied forward over keys already read."""
+def test_blocked_sum_is_the_whole_array_sum(nrows, ncols, wide, height, data):
+    """Entries repeated 1 to 3 times, in blocks of `height` rows, each
+    block shuffled and split into two parts: the blocked sum keeps those
+    of odd multiplicity, once each, in row order, as int32, exactly as the
+    whole-array sum of residual_reference does.  The sorted keys are read
+    _STEP at a time, here 1 to 5 as well, so runs cross the steps.  With
+    `wide` the rows start past 2^31 / ncols and the first block reaches
+    back to row 0, so its keys (row - start) * ncols + col pass 2^31 and
+    must be int64 (int32 keys would wrap and break the equality); every
+    other block has int32 keys."""
     entries = data.draw(st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)),
                                  unique=True, max_size=40))
     times = data.draw(st.lists(st.integers(1, 3), min_size=len(entries),
                                max_size=len(entries)))
-    flat = data.draw(st.permutations([e for e, k in zip(entries, times) for _ in range(k)]))
+    flat = [e for e, k in zip(entries, times) for _ in range(k)]
     offset = -(-2**31 // ncols) if wide else 0
-    row = np.array([r + offset for r, _ in flat], dtype=np.int32).reshape(-1)
-    col = np.array([c for _, c in flat], dtype=np.int32).reshape(-1)
-    cut = data.draw(st.integers(0, len(flat)))
+    blocks = []
+    for start in range(0, nrows, height):
+        inside = data.draw(st.permutations([(r + offset, c) for r, c in flat
+                                            if start <= r < start + height]))
+        row, col = np.array(inside, dtype=np.int32).reshape(-1, 2).T
+        cut = data.draw(st.integers(0, len(inside)))
+        blocks.append((0 if wide and start == 0 else offset + start,
+                       offset + min(start + height, nrows),
+                       [(row[:cut], col[:cut]), (row[cut:], col[cut:])]))
+    whole = np.array([(r + offset, c) for r, c in flat], dtype=np.int32).reshape(-1, 2).T
+    want = odd_entries(offset + nrows, ncols, len(flat), [tuple(whole)])
     with mock.patch.object(tanner, "_STEP", data.draw(st.sampled_from([1, 2, 3, 5, 1 << 14]))):
-        got = tanner._odd_entries(offset + nrows, ncols, len(flat),
-                                  [(row[:cut], col[:cut]), (row[cut:], col[cut:])])
+        got = tanner._odd_entries(ncols, len(flat), blocks)
     assert got[0].dtype == got[1].dtype == np.int32
-    assert list(zip(*(a.tolist() for a in got))) == sorted(
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    assert list(zip(*want)) == sorted(
         (r + offset, c) for (r, c), k in zip(entries, times) if k % 2)
+
+
+def assert_residual_is_the_whole_array_residual(inst):
+    """star_rank hands residual_rank the residual that residual_reference
+    builds whole, and the rank does not change."""
+    with mock.patch.object(tanner, "residual_rank", wraps=tanner.residual_rank) as rounds:
+        rank = tanner.star_rank(inst)
+    if inst.dual_rows:
+        nrows, ncols, row, col = rounds.call_args.args
+        want = star_residual(inst)
+        assert (nrows, ncols) == want[:2]
+        assert row.tolist() == want[2].tolist() and col.tolist() == want[3].tolist()
+    return rank
+
+
+@given(st.integers(min_value=3, max_value=24), st.booleans(), st.integers(1, 40), st.data())
+@settings(deadline=None, max_examples=100)
+def test_star_residual_in_blocks_is_the_whole_array_residual(n, involution, block, data):
+    """The residual is summed _BLOCK outside vertices at a time, here 1 to
+    40, on toy Z_n instances with a drawn inner code."""
+    graph = draw_zn_graph(n, involution, data)
+    inst = build_parity_check(graph, CyclicCode(graph.degree, draw_check_poly(graph, data)))
+    with mock.patch.object(tanner, "_BLOCK", block):
+        rank = assert_residual_is_the_whole_array_residual(inst)
+    assert rank == reference_echelon(inst.matrix).rank
+
+
+@pytest.mark.parametrize("block", [1, 37, 1 << 8])
+def test_star_residual_in_blocks_on_instances(block, q19_instance, q5e2_psl_graph):
+    """The same on q = 19 PSL [20,12] and q = 5, e = 2 PSL [6,4]."""
+    q5e2 = build_parity_check(q5e2_psl_graph, CyclicCode(6, 0b111))
+    with mock.patch.object(tanner, "_BLOCK", block):
+        assert assert_residual_is_the_whole_array_residual(q19_instance) == 27032
+        assert assert_residual_is_the_whole_array_residual(q5e2) == 15598
 
 
 def test_residual_memory_guard(monkeypatch, packed, q5e2_psl_graph):
@@ -949,14 +987,13 @@ def test_star_rank_exact_on_cli_instances(name, q19_psl_graph, q5e2_psl_graph, p
 
 
 @pytest.mark.parametrize("q,components", [(19, 114), (43, 2)])
-def test_rank_of_h_from_its_own_column_graph(q, components, q19_psl_graph):
+def test_rank_of_h_from_its_own_column_graph(q, components, request):
     """Cross-check for x^4 + 1: rank H(B) = r|V| - dim C(G, B-dual), and
     every column of H has weight 2 (one residue class at each end), so
     dim C(G, B-dual) is the number of components of H's column graph on
     its r|V| rows, found here by union-find: 114 at q = 19 and 2 at
     q = 43 (PSL, [20,16] and [44,40])."""
-    graph = (q19_psl_graph if q == 19
-             else graph_from_generators(build_generators(choose_ideal(q, 1, "psl"))))
+    graph = request.getfixturevalue(f"q{q}_psl_graph")
     inst = build_parity_check(graph, CyclicCode(q + 1, 0b10001))
     # the two rows of each column, from the entries in column order
     order = np.argsort(inst.indices, kind="stable")
@@ -1031,6 +1068,28 @@ def test_star_rank_rejects_a_non_information_set(name, q19_psl_graph):
     a = len(vertices) // 2
     positions = positions.copy()
     positions[a] = dependent_positions(inst)
+    inst.pivots = StarPivots(vertices, positions, words)
+    with pytest.raises(CheckFailure, match=re.escape(
+            f"vertex {vertices[a]} has pivot positions {positions[a].tolist()}, "
+            "not an information set")):
+        inst.rank
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("name", ["z17", "q19"])
+def test_star_rank_rejects_a_pivot_word_outside_the_dual(name, where, q19_psl_graph):
+    """words[a, 0] + e_f, for f outside P_v, still has bit P_v[0] and no
+    other pivot bit, but it leaves span(B-dual): the complement branch of
+    check 1 names vertex a, the first or the last vertex of I."""
+    inst = (z17_torus_instance() if name == "z17"
+            else build_parity_check(q19_psl_graph, CyclicCode(20, 0b10001)))
+    vertices, positions, words = inst.pivots
+    a = 0 if where == "first" else len(vertices) - 1
+    f = min(set(range(inst.graph.degree)) - set(positions[a].tolist()))
+    words = words.copy()
+    words[a, 0] ^= 1 << f
+    r = len(inst.dual_rows)
+    assert len(independent(inst.dual_rows + [int(words[a, 0])])) == r + 1
     inst.pivots = StarPivots(vertices, positions, words)
     with pytest.raises(CheckFailure, match=re.escape(
             f"vertex {vertices[a]} has pivot positions {positions[a].tolist()}, "

@@ -10,10 +10,11 @@ from cayleycodes import alist, graphs, tanner
 from cayleycodes.cyclic import CyclicCode
 
 # tracemalloc peaks of the stages of a q = 19 PSL [20,16] build (MB,
-# measured with numpy 2.4: 1.90, 0.81, 2.03, 0.56 and 1.25), plus about
-# 25%; the files go to a sink block by block, as build writes them
-BOUNDS = {"closure": 2.4, "symmetry": 1.0, "star_rank": 2.5, "export_edges": 0.7,
-          "dumps_alist": 1.6}
+# measured with numpy 2.4: 1.90, 0.42, 1.43 with the pivots, 0.56 and
+# 1.17), plus about 25%; the files go to a sink block by block, as build
+# writes them
+BOUNDS = {"closure": 2.4, "symmetry": 0.55, "star_rank": 1.8, "export_edges": 0.7,
+          "dumps_alist": 1.5}
 
 
 @pytest.fixture
@@ -37,27 +38,32 @@ def traced():
 def test_build_stages_hold_bounded_scratch(traced, monkeypatch, q19_psl_gens):
     """A q = 19 PSL [20,16] build, stage by stage: the closure, the
     symmetry certificate (the star maps and the edge orbit), star
-    elimination, graph.edges and code.alist each peak under BOUNDS
-    above where they started (|V| x degree = 68400; one int64 array of
-    that size is 0.55 MB).  With int64 temporaries of that size they
-    peaked at 4.1, 2.9 (the edge orbit alone), 4.2, 3.1 and 4.1 MB; with
-    |E|-long edge permutations the symmetry certificate took 2.49 MB,
-    and with |V| x degree path tables and one Schreier generator per
-    vertex and map 1.15 MB; with the np.resize below star elimination
-    took 2.50 MB, and with whole-file buffers and whole tables the
-    writers 1.10 and 2.40 MB.
+    elimination with its pivots, graph.edges and code.alist each peak
+    under BOUNDS above where they started (|V| x degree = 68400; one
+    int64 array of that size is 0.55 MB).  With int64 temporaries of
+    that size they peaked at 4.1, 2.9 (the edge orbit alone), 4.2, 3.1
+    and 4.1 MB.  Since then: the symmetry certificate took 2.49 MB with
+    |E|-long edge permutations, 1.15 MB with |V| x degree path tables
+    and one Schreier generator per vertex and map, and 0.81 MB with the
+    star maps checked on all flags at once; star elimination took 2.17
+    MB (0.68 MB the pivots) with per-vertex lists of pivots, the
+    information-set check as one |I| x r x (degree - r) tensor and the
+    residual summed in one key array; the writers took 1.10 and 2.40 MB
+    with whole-file buffers and whole tables, and code.alist 1.25 MB
+    with the row numbers of its sort keys made in one array.
 
-    The GF(2) sum of the residual entries (_odd_entries) holds its sorted
-    keys, the outputs, and scratch of at most two bool masks as long as
-    the keys: 0.83 MB for the 68400 int32 keys and 52928 entries kept
-    here.  Choosing the odd run ends by np.resize of [False, True], a
-    tuple of one array reference per two keys, took it to 1.73 MB."""
+    The GF(2) sum of the residual entries (_odd_entries) holds, beyond
+    its blocks, the outputs (two int32 per entry before the sum, 0.55 MB
+    here) and the scratch of one block: its keys and at most three int64
+    arrays as long as them in the run search, 32 bytes per entry of the
+    largest block (13870 entries for 256 outside vertices, 0.44 MB).
+    One sorted key array for all 68400 entries, compacted in place, took
+    0.83 MB with outputs sized to the 52928 entries kept."""
     graph, peak = traced(lambda: graphs.graph_from_generators(q19_psl_gens))
     peaks = {"closure": peak}
     _, peaks["symmetry"] = traced(lambda: graphs.edge_orbit(
         graph, graphs.symmetry_edge_permutations(graph, q19_psl_gens)))
     inst = tanner.build_parity_check(graph, CyclicCode(20, 0b10001))
-    inst.pivots
     rank, peaks["star_rank"] = traced(lambda: tanner.star_rank(inst))
     _, peaks["export_edges"] = traced(lambda: graph.export_edges(lambda block: None))
     _, peaks["dumps_alist"] = traced(
@@ -67,15 +73,34 @@ def test_build_stages_hold_bounded_scratch(traced, monkeypatch, q19_psl_gens):
 
     sums = []
 
-    def odd_entries(nrows, ncols, size, parts):
-        out, peak = traced(lambda: summed(nrows, ncols, size, parts))
-        key_bytes = size * (4 if nrows * ncols < 2**31 else 8)
-        sums.append((size, peak, key_bytes + 2 * size + out[0].nbytes + out[1].nbytes))
+    def odd_entries(ncols, size, blocks):
+        blocks = list(blocks)                    # inputs, made before the sum
+        largest = max((sum(row.size for row, _ in parts) for _, _, parts in blocks), default=0)
+        out, peak = traced(lambda: summed(ncols, size, blocks))
+        sums.append((size, len(blocks), largest, out[0].size, peak, 8 * size + 32 * largest))
         return out
 
     summed = tanner._odd_entries
     monkeypatch.setattr(tanner, "_odd_entries", odd_entries)
-    assert tanner.star_rank(inst) == rank
-    (size, peak, bound), (left, _, _) = sums     # star_rank's sum, then the residual's
-    assert (size, bound, left) == (68400, 833824, 0)
+    assert tanner.star_rank(tanner.build_parity_check(graph, inst.inner)) == rank
+    # star_rank's sum, in blocks of 256 outside vertices, then the residual's
+    (size, blocks, largest, kept, peak, bound), residual = sums
+    assert (size, blocks, largest, kept, bound) == (68400, 6, 13870, 52928, 991040)
     assert peak <= bound
+    assert residual[:4] == (0, 1, 0, 0)
+
+
+def test_star_elimination_at_q43_holds_bounded_scratch(traced, q43_psl_graph):
+    """q = 43 PSL [44,40]: 39732 vertices, 874104 edges, 28315 vertices in
+    I and a residual of 45668 rows with 1.75 M entries before the sum and
+    1.52 M after.  Star elimination, pivots included, peaks under 29.5 MB
+    above its start (measured with numpy 2.4: 23.4 MB, plus about 25%):
+    the residual's int32 entries (14 MB) plus bounded scratch.  Per-vertex
+    lists of pivots took 9.4 MB, and the |I| x r x (degree - r) int64
+    tensor of the information-set check, one int64 key array for the whole
+    residual and four live copies over the 760844 light columns in the
+    contraction 52.2 MB after them."""
+    inst = tanner.build_parity_check(q43_psl_graph, CyclicCode(44, 0b10001))
+    rank, peak = traced(lambda: tanner.star_rank(inst))
+    assert rank == 158926
+    assert peak < 29.5 * 10**6
