@@ -21,17 +21,20 @@ from cayleycodes import build_generators, choose_ideal
 from cayleycodes.cyclic import CyclicCode
 from cayleycodes.gf2poly import mul
 from cayleycodes.graphs import graph_from_generators
+from cayleycodes.spectra import spectrum
 from cayleycodes.tanner import run_verification
 
 params = choose_ideal(19, 1, "psl")
 gens = build_generators(params)
+# the spectrum needs only the generators: it runs before the closure
+spec = spectrum(gens.group, gens.elements)
 graph = graph_from_generators(gens)
 
 # h = (x+1)^4 (x^4+x^3+x^2+x+1) divides x^20 - 1: a [20, 12] cyclic code
 inner = CyclicCode(20, mul(0b10001, 0b11111))
 print(f"inner code: [{inner.n}, {inner.dim}], rate {inner.rate}")
 
-report, inst = run_verification(gens, graph, inner)
+report, inst = run_verification(gens, graph, spec, inner)
 print(json.dumps(report.checks, indent=2, sort_keys=True))
 print(f"measured rate {report.bounds['measured_rate']} "
       f">= guaranteed {report.bounds['rate_lower']}")

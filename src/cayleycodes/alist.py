@@ -50,8 +50,9 @@ def decimal_lines(table: np.ndarray, write: Callable | None = None) -> bytearray
         cells[(width - 1 - start) % width::width, ndigits] = ord("\n")
         keep = np.ones(cells.shape, dtype=bool)
         for k in range(ndigits - 1, -1, -1):      # digit cells, right to left
-            cells[:, k] = value % 10 + ord("0")
-            value //= 10
+            digit = np.divmod(value, 10, out=(value, None))[1]   # the quotient in place
+            digit += ord("0")
+            cells[:, k] = digit
             if k:
                 keep[:, k - 1] = value > 0
         write(cells[keep].data)

@@ -10,6 +10,16 @@ Importing this module loads only the integer layer (cyclic, gf2poly,
 fpoly).  graph, build (past --paper-instance and its inner code) and
 verify (past its missing-file check) import the numpy layer; build and
 verify import tanner and alist first, the order that peaked lowest.
+
+The order of the work.  graph and build compute the spectrum from the
+generators before the closure: it needs no graph (see spectra), and
+its blocks are freed before the closure's arrays exist, so the two
+peaks do not stack.  build then runs the symmetry certificate and star
+elimination on the graph and writes the files.  verify keeps its own
+order: the closure, graph.edges, H and code.alist first, and the
+spectrum, the rank and the symmetry checks only when the shipped alist
+is the rebuilt H, so that a tampered instance fails before any of them
+runs.
 """
 
 from __future__ import annotations
@@ -90,8 +100,8 @@ def cmd_graph(args) -> int:
     params = _make_params(args)
     gens = quaternion.build_generators(params)
     variant = quaternion.classify(gens)
+    spec = spectra.spectrum(gens.group, gens.elements)
     graph = graphs.graph_from_generators(gens)
-    spec = spectra.spectrum(graph.group, graph.gens)
     ram = spectra.is_ramanujan(spec, params.q)
     print(f"group: {variant} over F_{params.q}^{params.e}; "
           f"|V|={graph.n_vertices} |E|={graph.n_edges} degree={graph.degree} "
@@ -137,14 +147,15 @@ def cmd_build(args) -> int:
     if args.q is None or args.inner is None or args.out is None:
         raise ValueError("build requires --q, --inner and --out (or --paper-instance)")
     inner = cyclic.load_code(args.inner)
-    from . import tanner, alist, graphs, quaternion
+    from . import tanner, alist, graphs, quaternion, spectra
     params = _make_params(args)
     if inner.n != params.q + 1:
         raise ValueError(f"inner code length {inner.n} != q + 1 = {params.q + 1}")
     gens = quaternion.build_generators(params)
+    spec = spectra.spectrum(gens.group, gens.elements)
     graph = graphs.graph_from_generators(gens)
     report, inst = tanner.run_verification(
-        gens, graph, inner, seed=args.seed, inner_d_lower=args.inner_dlower)
+        gens, graph, spec, inner, seed=args.seed, inner_d_lower=args.inner_dlower)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(report.to_json())

@@ -9,12 +9,25 @@ list; vertex numbering is BFS order, so every downstream index is
 reproducible.  Vertex ids of keys are found by binary search in the
 sorted keys.
 
-The undirected edge {(g, s_i), (g s_i, s_i^-1)} is keyed by the smaller
-of the two directed forms (vertex id, generator index) in lexicographic
-order, which also handles involutive generators without double
-counting.  Edge ids are assigned in first-encounter order over
-(vertex, generator) pairs.  Vertex and edge ids are int32 (|V| x degree
-< 2^31); the closure and export_edges work _CHUNK at a time.
+Flags and edges.  The flag (v, i) is the directed edge from v along
+s_i, numbered v * degree + i; its partner is the flag (adj[v, i],
+inv_gen[i]) back along s_i^-1, and the two are the undirected edge.
+The flag before its partner is the canonical one; this also handles
+involutive generators without double counting.  Canonical means
+adj[v, i] > v: the partner is w * degree + j with w = adj[v, i] != v
+(the identity is not a generator, so there are no loops) and i, j <
+degree.  eid numbers the canonical flags in row-major order, which is
+the first-encounter order of the edges over (vertex, generator) pairs,
+and gives each other flag its partner's number; generate_group does
+this one block of vertices at a time, and its docstring proves that
+each copy reads a number already set.
+
+CayleyGraph holds only what its readers take: the vertex keys and their
+index, adj, inv_gen, eid and the 2-coloring; export_edges finds the
+canonical flags again from adj, one block of vertices at a time, and
+they come out in edge-id order.  Vertex and edge ids are int32
+(|V| x degree < 2^31); the closure and export_edges work _CHUNK at a
+time.
 
 Symmetries are star maps (u, tau), acting on the flags by (v, i) ->
 (u(v), tau(i)); edge_orbit proves each a graph automorphism by a check
@@ -61,7 +74,6 @@ class CayleyGraph:
     adj: np.ndarray            # (|V|, degree) target vertex ids
     inv_gen: np.ndarray        # index of each generator's inverse
     eid: np.ndarray            # (|V|, degree) undirected edge ids
-    edge_canonical: np.ndarray  # (|E|, 2) canonical directed rep (v, i) per edge id
     n_edges: int
     bipartite: bool
     color: np.ndarray | None   # 2-coloring when bipartite
@@ -85,13 +97,26 @@ class CayleyGraph:
 
     def export_edges(self, write: Callable | None = None) -> bytearray:
         """graph.edges: "vertices edges degree", then per edge id "a b i" for
-        its canonical form (a, i), b = adj[a, i]; to write as by decimal_lines."""
+        its canonical flag (a, i), b = adj[a, i] > a; to write as by
+        decimal_lines.  The canonical flags of each block of _CHUNK //
+        degree vertices, read in row-major order, are the block's edges in
+        id order."""
         out = bytearray()
         write = write or out.extend
         write(f"{self.n_vertices} {self.n_edges} {self.degree}\n".encode())
-        for start in range(0, self.n_edges, _CHUNK):
-            v, i = self.edge_canonical[start:start + _CHUNK].T
-            decimal_lines(np.stack([v, self.adj[v, i], i], axis=1), write)
+        step = max(1, _CHUNK // self.degree)
+        position = np.tile(np.arange(self.degree, dtype=np.int32), step)  # per flag of a block
+        for s in range(0, self.n_vertices, step):
+            b = self.adj[s:s + step]
+            rows = np.arange(s, s + len(b), dtype=np.int32)
+            canonical = b > rows[:, None]
+            f = np.flatnonzero(canonical)
+            table = np.empty((f.size, 3), dtype=np.int32)
+            table[:, 0] = np.repeat(rows, np.count_nonzero(canonical, axis=1))
+            table[:, 1] = b.reshape(-1)[f]
+            table[:, 2] = position[f]
+            del f, canonical            # only the table is held while it is written
+            decimal_lines(table, write)
         return out
 
 
@@ -115,8 +140,21 @@ def generate_group(group, gens: Sequence[int], cap: int) -> CayleyGraph:
     sequential numbering is level by level, and inside a level it is
     the first-encounter order of the unseen products over (frontier
     vertex in id order, generator in list order) -- the order used
-    here.  adj, eid and edge_canonical therefore do not depend on which
-    of the two loops built them.  Needs cap x degree < 2^31 (int32 ids).
+    here.  adj and eid therefore do not depend on which of the two loops
+    built them.  Needs cap x degree < 2^31 (int32 ids).
+
+    The flags are then paired _CHUNK // degree vertices at a time, in
+    row-major order.  Per block: the partner of flag f = (v, i) is
+    adj[v, i] * degree + inv_gen[i]; the handshake requires
+    partner[partner[f]] = f; the canonical flags (f < partner[f]) take
+    the next edge ids in row-major order; and each other flag copies its
+    partner's id.  That id is already set: a non-canonical f has partner
+    p < f (p != f, there are no loops), and the handshake at f gives
+    partner[p] = f > p, so p is canonical and was numbered in its own
+    block, this one or an earlier one, before any copy of this block.
+    Raises AssertionError ("handshake failed") at the first block where
+    the flags do not pair up, or when the count of canonical flags is
+    not |V| x degree / 2.
     """
     gens = np.asarray(gens, dtype=np.int64)
     if not len(gens):
@@ -159,25 +197,34 @@ def generate_group(group, gens: Sequence[int], cap: int) -> CayleyGraph:
     adj = np.concatenate(rows).reshape(n, t)
     del rows
 
-    # the edge with directed forms f = (v, i) < partner (w, j) gets the
-    # number of such canonical forms before it, in (v, i) order
-    flat = np.arange(n * t, dtype=np.int32)
-    partner = (adj * np.int32(t) + inv_gen.astype(np.int32)).reshape(-1)
-    canonical = flat < partner
-    edge_canonical = np.stack(np.divmod(flat[canonical], np.int32(t)), axis=1)
-    n_edges = len(edge_canonical)
-    if 2 * n_edges != n * t or not np.array_equal(partner[partner], flat):
+    # the flags, step vertices at a time: the handshake, then the ids of
+    # the canonical flags, then the copies from their partners
+    inv = inv_gen.astype(np.int32)
+    eid, n_edges = np.empty((n, t), dtype=np.int32), 0
+    flat_adj, flat_eid = adj.reshape(-1), eid.reshape(-1)
+    for s in range(0, n, step):
+        flags = np.arange(s * t, min(n, s + step) * t, dtype=np.int32)
+        partner = adj[s:s + step] * np.int32(t) + inv
+        # the partner of flag (v, i) has position inv_gen[i], so its own
+        # partner has position inv_gen[inv_gen[i]]
+        if not np.array_equal((flat_adj[partner] * np.int32(t) + inv[inv]).reshape(-1), flags):
+            raise AssertionError("handshake failed: directed edges did not pair up")
+        partner = partner.reshape(-1)
+        canonical = flags < partner
+        counted = np.cumsum(canonical, dtype=np.int32)
+        block = flat_eid[flags[0]:flags[-1] + 1]
+        block[canonical] = counted[canonical] + np.int32(n_edges - 1)
+        block[~canonical] = flat_eid[partner[~canonical]]
+        n_edges += int(counted[-1])
+    if 2 * n_edges != n * t:
         raise AssertionError("handshake failed: directed edges did not pair up")
-    eid = np.cumsum(canonical, dtype=np.int32) - 1
-    eid[~canonical] = eid[partner[~canonical]]
-    eid = eid.reshape(n, t)
 
     # the graph is connected, so it is bipartite exactly when the parity
     # of the BFS level is a proper 2-coloring
     color = np.repeat(np.arange(len(levels)) % 2, [len(lv) for lv in levels]).astype(np.int8)
-    bipartite = bool((color[adj] != color[:, None]).all())
-    return CayleyGraph(group, gens, keys, index, adj, inv_gen, eid,
-                       edge_canonical, n_edges, bipartite,
+    bipartite = all((color[adj[s:s + step]] != color[s:s + step, None]).all()
+                    for s in range(0, n, step))
+    return CayleyGraph(group, gens, keys, index, adj, inv_gen, eid, n_edges, bipartite,
                        color if bipartite else None)
 
 

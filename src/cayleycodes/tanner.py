@@ -124,6 +124,7 @@ from .cyclic import CyclicCode, dual_basis_rows, edge_code_bounds
 from .errors import CheckFailure, ConstructionError
 from .gf2 import Gf2Matrix, independent
 from .graphs import CayleyGraph, EdgeOrbit, word_moved, word_orbit
+from .spectra import SpectrumReport, is_ramanujan, ramanujan_bound
 
 _STEP = 1 << 14        # keys, entries or light columns per step
 _BLOCK = 1 << 8        # outside vertices per block of the residual sum
@@ -675,13 +676,14 @@ class VerificationReport:
                     "invariance", "single_orbit", "classification"))
 
 
-def run_verification(gens, graph: CayleyGraph, inner: CyclicCode, seed: int = 0,
-                     inner_d_lower: int | None = None
+def run_verification(gens, graph: CayleyGraph, spec: SpectrumReport, inner: CyclicCode,
+                     seed: int = 0, inner_d_lower: int | None = None
                      ) -> tuple[VerificationReport, CayleyCodeInstance]:
-    """Full pipeline on a built graph: classification, spectrum and the
-    expansion certificate, edge transitivity, single orbit (which
-    computes rank(H), so star elimination runs inside it), the code's
-    rate bound and invariance.  The three symmetry checks read one
+    """Full pipeline on a built graph and its spectrum (spectra.spectrum
+    of the generators, which the caller computes before the closure):
+    classification, the expansion certificate, edge transitivity, single
+    orbit (which computes rank(H), so star elimination runs inside it),
+    the code's rate bound and invariance.  The three symmetry checks read one
     certificate, graphs.edge_orbit of the star maps that
     symmetry_edge_permutations takes from the group.
 
@@ -697,7 +699,6 @@ def run_verification(gens, graph: CayleyGraph, inner: CyclicCode, seed: int = 0,
     from .cyclic import EXACT_DISTANCE_MAX_DIM, min_distance
     from .graphs import edge_orbit, symmetry_edge_permutations
     from .quaternion import classify, expected_group_order
-    from .spectra import is_ramanujan, ramanujan_bound, spectrum
 
     params = gens.params
     q = params.q
@@ -707,7 +708,6 @@ def run_verification(gens, graph: CayleyGraph, inner: CyclicCode, seed: int = 0,
     regular_ok = graph.degree == q + 1 and 2 * graph.n_edges == graph.n_vertices * (q + 1)
     bip_ok = graph.bipartite == (variant == "pgl")
 
-    spec = spectrum(graph.group, graph.gens)
     ram = is_ramanujan(spec, q)
 
     orbit = edge_orbit(graph, symmetry_edge_permutations(graph, gens))

@@ -9,10 +9,12 @@ the toy group the tests and demos build Cayley graphs of, and the
 object-level helpers the tests use: proj, conj_action, SdpElement, sdp_act_directed_edge,
 parse_edge_list, reference_export_edges (the graph.edges writer with one
 f-string per edge), verify_vertex_transitive and flag_map_keeps_edges; and
-on keyed graphs left_translation_maps, all |S| left translations, where
-cayleycodes.graphs computes only the one by s0, and edge_permutation, the
-edge map that a star map (u, tau) induces, which cayleycodes.graphs never
-forms but the oracles read.  The matrix objects come from field_reference.
+on keyed graphs canonical_flags, the flag of each edge by edge id, which
+CayleyGraph does not keep, left_translation_maps, all |S| left
+translations, where cayleycodes.graphs computes only the one by s0, and
+edge_permutation, the edge map that a star map (u, tau) induces, which
+cayleycodes.graphs never forms but the oracles read.  The matrix objects
+come from field_reference.
 """
 
 from __future__ import annotations
@@ -123,10 +125,21 @@ def sdp_act_directed_edge(h: SdpElement, vertex: ProjectiveMatrix, gen_index: in
     return new_vertex, new_index
 
 
+def canonical_flags(graph) -> np.ndarray:
+    """(|E|, 2) int32: row e is the canonical flag (v, i) of edge e, the
+    flag numbered v * degree + i before its partner adj[v, i] * degree +
+    inv_gen[i], found over all |V| x degree flags at once from adj and
+    inv_gen; eid numbers these flags in row-major order."""
+    d = graph.degree
+    flat = np.arange(graph.n_vertices * d)
+    partner = (graph.adj.astype(np.int64) * d + graph.inv_gen).reshape(-1)
+    return np.stack(np.divmod(flat[flat < partner], d), axis=1).astype(np.int32)
+
+
 def reference_export_edges(graph) -> str:
     """graph.edges written one f-string per edge: the reference for
     CayleyGraph.export_edges."""
-    v, i = graph.edge_canonical.T
+    v, i = canonical_flags(graph).T
     lines = [f"{graph.n_vertices} {graph.n_edges} {graph.degree}"]
     lines += [f"{a} {b} {c}" for a, b, c in
               zip(v.tolist(), graph.adj[v, i].tolist(), i.tolist())]
@@ -310,7 +323,7 @@ def edge_permutation(graph: CayleyGraph, vertex_map: Sequence[int],
     """The edge map induced by a star map, as int32: edge e with canonical
     form (v, i) goes to eid[vertex_map[v], gen_perm[i]].  A bijection when
     (vertex_map, gen_perm) is a star map; otherwise perhaps not."""
-    v, i = graph.edge_canonical.T
+    v, i = canonical_flags(graph).T
     return graph.eid[np.asarray(vertex_map)[v], np.asarray(gen_perm)[i]]
 
 

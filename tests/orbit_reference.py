@@ -59,8 +59,9 @@ def locate_rows(inst, orbit: np.ndarray) -> tuple[np.ndarray, list[int]]:
     one endpoint, so only the shared endpoint of the first two edges can
     qualify; a weight-1 row lies on both endpoint stars and goes to the
     first one in Python's set order."""
+    from group_reference import canonical_flags    # it imports this module
     graph = inst.graph
-    v, j = np.moveaxis(graph.edge_canonical[orbit[:, :2]], -1, 0)
+    v, j = np.moveaxis(canonical_flags(graph)[orbit[:, :2]], -1, 0)
     w = graph.adj[v, j]
     if orbit.shape[1] == 1:
         vertex = np.array([next(iter({a, b})) for a, b in

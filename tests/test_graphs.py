@@ -16,9 +16,10 @@ from cayleycodes.graphs import (KeyIndex, edge_orbit, generate_group, graph_from
 from cayleycodes.tanner import row_orbit
 
 from field_reference import decode
-from group_reference import (AddGroupElement, SdpElement, ZnGroup, edge_permutation,
-                             flag_map_keeps_edges, left_translation_maps, object_vertices,
-                             parse_edge_list, reference_closure, reference_edge_permutation,
+from group_reference import (AddGroupElement, SdpElement, ZnGroup, canonical_flags,
+                             edge_permutation, flag_map_keeps_edges, left_translation_maps,
+                             object_vertices, parse_edge_list, reference_closure,
+                             reference_edge_permutation,
                              reference_export_edges, sdp_edge_permutation,
                              verify_vertex_transitive)
 from orbit_reference import (schreier_certificate, star_map_failure,
@@ -110,19 +111,93 @@ def test_export_edges_matches_the_reference_writer_on_toys(n, steps):
 
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
 def test_export_edges_hands_its_blocks_to_a_sink(monkeypatch, chunk):
-    """_CHUNK edges at a time, handed to a sink block by block, are the
-    bytes returned without one, those of the reference writer."""
+    """The edges of _CHUNK // degree vertices (at least one) at a time,
+    handed to a sink block by block, are the bytes returned without
+    one, those of the reference writer."""
     g = zn_graph(1000, [1, 999, 10, 990])
     monkeypatch.setattr(graphs, "_CHUNK", chunk)
     blocks = []
     assert g.export_edges(blocks.append) == b""
-    assert len(blocks) > 2000 // chunk
+    assert len(blocks) > 1000 // max(1, chunk // 4)
     assert b"".join(blocks) == g.export_edges() == reference_export_edges(g).encode()
 
 
 def test_export_edges_matches_the_reference_writer_on_q19(q19_psl_graph, q19_pgl_graph):
     for g in (q19_psl_graph, q19_pgl_graph):
         assert g.export_edges() == reference_export_edges(g).encode()
+
+
+class SelfInverseZn(ZnGroup):
+    """Z_n that calls every element its own inverse: a permutation of
+    any generator set, the true inverse only of the involutions."""
+
+    def inverse(self, x):
+        return np.asarray(x, dtype=np.int64) % self.n
+
+
+class OneWrongProductZn(ZnGroup):
+    """Z_n with one wrong product: key * step is alt."""
+
+    def __init__(self, n, key, step, alt):
+        super().__init__(n)
+        self.key, self.step, self.alt = key, step, alt
+
+    def mul(self, x, y):
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64))
+        return np.where((x == self.key) & (y == self.step), self.alt, super().mul(x, y))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40, 1 << 14])
+def test_handshake_fails_on_a_wrong_inverse(monkeypatch, chunk):
+    """On Z_12 with S = [6, 1, 11], a self-inverse that is wrong on 1 and
+    11 pairs the flag (v, 1) with (v + 1, 1), whose partner is (v + 2, 1):
+    every vertex has a bad flag, the first of them in the first block."""
+    monkeypatch.setattr(graphs, "_CHUNK", chunk)
+    with pytest.raises(AssertionError, match="handshake failed"):
+        generate_group(SelfInverseZn(12), [6, 1, 11], cap=13)
+    assert generate_group(ZnGroup(12), [6, 1, 11], cap=13).n_edges == 18
+
+
+def test_handshake_fails_in_the_last_block(monkeypatch):
+    """A wrong inverse in a group breaks the handshake at every vertex (the
+    graph is vertex transitive), so a bad flag in the last block alone
+    needs a wrong product.  On Z_40 with S = [1, 39] the BFS gives the
+    keys k and 40 - k the ids 2k - 1 and 2k (k < 20), and the key 20 the
+    last id, 39.  Make 20 * 1 the key 0, already a vertex: only the flags
+    at ids 38 (key 21) and 39 (key 20) break the handshake, and with
+    _CHUNK = 4 they are the last block of two vertices, after 19 blocks
+    that pair up."""
+    good = generate_group(ZnGroup(40), [1, 39], cap=41)
+    toy = OneWrongProductZn(40, 20, 1, 0)
+    adj = good.vertex_ids(toy.mul(good.keys[:, None], good.gens))
+    partner = (adj * 2 + good.inv_gen).reshape(-1)
+    assert np.flatnonzero(partner[partner] != np.arange(80)).tolist() == [77, 78]
+    monkeypatch.setattr(graphs, "_CHUNK", 4)
+    with pytest.raises(AssertionError, match="handshake failed"):
+        generate_group(toy, [1, 39], cap=41)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40, 1 << 14])
+def test_closure_and_export_do_not_depend_on_the_chunk(monkeypatch, chunk, q19_psl_gens,
+                                                       q19_psl_graph):
+    """adj, eid, the 2-coloring and the graph.edges bytes, on toys (an
+    involution, ids past 4 digits, and the odd cycle C_999, whose one
+    improper edge joins the last two vertices) and q = 19 PSL, are those
+    built at the default _CHUNK; eid numbers the canonical flags 0, 1,
+    ... in row-major order and gives each partner the same number."""
+    toys = [(2, [1]), (8, [1, 7, 4]), (12, [1, 11, 5, 7]), (1000, [1, 999, 10, 990]),
+            (999, [1, 998])]
+    want = [zn_graph(n, steps) for n, steps in toys] + [q19_psl_graph]
+    monkeypatch.setattr(graphs, "_CHUNK", chunk)
+    got = [zn_graph(n, steps) for n, steps in toys] + [graph_from_generators(q19_psl_gens)]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.adj, w.adj) and np.array_equal(g.eid, w.eid)
+        assert g.adj.dtype == g.eid.dtype == np.int32 and g.n_edges == w.n_edges
+        assert g.bipartite is w.bipartite and (g.color is None) == (w.color is None)
+        v, i = canonical_flags(g).T
+        assert g.eid[v, i].tolist() == list(range(g.n_edges))
+        assert np.array_equal(g.eid[g.adj[v, i], g.inv_gen[i]], g.eid[v, i])
+        assert g.export_edges() == w.export_edges() == reference_export_edges(g).encode()
 
 
 def test_q19_group_orders(q19_psl_graph, q19_pgl_graph):

@@ -26,7 +26,7 @@ from cayleycodes.tanner import (StarPivots, build_parity_check,
 from code_reference import codeword_set_brute_force, codeword_set_from_nullspace, local_view
 from gf2_reference import (contains, csr, int_span_equal, reference_echelon,
                            reference_from_supports, rows_of)
-from group_reference import ZnGroup, edge_permutation, left_translation_maps
+from group_reference import ZnGroup, canonical_flags, edge_permutation, left_translation_maps
 import orbit_reference as oracle
 from residual_reference import odd_entries, star_residual
 
@@ -460,16 +460,17 @@ def test_row_orbit_matches_reference_q19(q19_psl_graph, q19_maps, q19_edge_perms
     assert len(row_orbit(inst, certify(inst, q19_maps))) == 4
 
 
-def endpoint_vertices(graph, e):
-    v, i = graph.edge_canonical[e]
+def endpoint_vertices(graph, flags, e):
+    v, i = flags[e]
     return int(v), int(graph.adj[v, i])
 
 
-def reference_locate_row_vertex(graph, support):
+def reference_locate_row_vertex(graph, flags, support):
     """(vertex, local mask) when the support lies in one vertex's star,
-    searched row by row over the endpoint stars of its first two edges:
-    the slow reference for the oracle's locate_rows."""
-    ends = [set(endpoint_vertices(graph, e)) for e in support[:2]]
+    searched row by row over the endpoint stars of its first two edges,
+    whose canonical flags are read from flags: the slow reference for the
+    oracle's locate_rows."""
+    ends = [set(endpoint_vertices(graph, flags, e)) for e in support[:2]]
     candidates = ends[0] if len(ends) == 1 else ends[0] & ends[1]
     for v in candidates:
         positions = {e: i for i, e in enumerate(graph.eid[v].tolist())}
@@ -500,7 +501,8 @@ def assert_oracle_matches_reference(inst, perms, start_row=0):
     """The oracle locates every orbit row as the row-by-row search does,
     and its per-vertex check agrees with the reference; returns it."""
     orbit = oracle.row_orbit(inst, perms, start_row)
-    located = [reference_locate_row_vertex(inst.graph, sup) for sup in orbit.tolist()]
+    flags = canonical_flags(inst.graph)
+    located = [reference_locate_row_vertex(inst.graph, flags, sup) for sup in orbit.tolist()]
     vertex, masks = oracle.locate_rows(inst, orbit)
     assert [None if v < 0 else (v, m) for v, m in zip(vertex.tolist(), masks)] == located
     result = oracle.single_orbit(inst, orbit)
@@ -1126,6 +1128,7 @@ def test_star_rank_rejects_a_vertex_listed_twice():
 
 
 def test_run_verification_never_packs_h(q19_psl_gens, q19_psl_graph, packed):
-    report, inst = run_verification(q19_psl_gens, q19_psl_graph, CyclicCode(20, 0b10001))
+    spec = spectra.spectrum(q19_psl_gens.group, q19_psl_gens.elements)
+    report, inst = run_verification(q19_psl_gens, q19_psl_graph, spec, CyclicCode(20, 0b10001))
     assert report.bounds["rank"] == inst.rank == 13566 and report.all_passed
     assert packed == []

@@ -6,13 +6,13 @@ import tracemalloc
 
 import pytest
 
-from cayleycodes import alist, graphs, tanner
+from cayleycodes import alist, build_generators, choose_ideal, cli, graphs, spectra, tanner
 from cayleycodes.cyclic import CyclicCode
 
 # tracemalloc peaks of the stages of a q = 19 PSL [20,16] build (MB,
-# measured with numpy 2.4: 1.90, 0.42, 1.43 with the pivots, 0.56 and
-# 1.17), plus about 25%; the files go to a sink block by block, as build
-# writes them
+# measured with numpy 2.4: 1.89, 0.42, 1.43 with the pivots, 0.61 and
+# 1.17), plus about 25% (export_edges: 14%, see below); the files go to
+# a sink block by block, as build writes them
 BOUNDS = {"closure": 2.4, "symmetry": 0.55, "star_rank": 1.8, "export_edges": 0.7,
           "dumps_alist": 1.5}
 
@@ -51,6 +51,10 @@ def test_build_stages_hold_bounded_scratch(traced, monkeypatch, q19_psl_gens):
     residual summed in one key array; the writers took 1.10 and 2.40 MB
     with whole-file buffers and whole tables, and code.alist 1.25 MB
     with the row numbers of its sort keys made in one array.
+    graph.edges took 0.56 MB when it read the canonical flags from a
+    stored |E| x 2 table; it now finds them per block of vertices, with
+    one int32 table of the position of each flag of a block (64 KB,
+    kept for speed), and stays under the old bound.
 
     The GF(2) sum of the residual entries (_odd_entries) holds, beyond
     its blocks, the outputs (two int32 per entry before the sum, 0.55 MB
@@ -104,3 +108,44 @@ def test_star_elimination_at_q43_holds_bounded_scratch(traced, q43_psl_graph):
     rank, peak = traced(lambda: tanner.star_rank(inst))
     assert rank == 158926
     assert peak < 29.5 * 10**6
+
+
+def test_closure_at_q43_holds_bounded_scratch(traced):
+    """q = 43 PSL: 39732 vertices of degree 44, so adj and eid are 7.0 MB
+    each.  The closure, which pairs the flags and checks the 2-coloring
+    _CHUNK // degree vertices at a time and keeps no table of canonical
+    flags, peaks under 21.5 MB above its start (measured with numpy 2.4:
+    17.0 MB, plus about 25%).  With the |E| x 2 edge_canonical table and
+    the flags paired over whole |V| x degree arrays it took 45.05 MB."""
+    gens = build_generators(choose_ideal(43, 1, "psl"))
+    graph, peak = traced(lambda: graphs.graph_from_generators(gens))
+    assert (graph.n_vertices, graph.n_edges) == (39732, 874104)
+    assert peak < 21.5 * 10**6
+
+
+def test_graph_and_build_take_the_spectrum_before_the_closure(tmp_path, monkeypatch, capsys):
+    """The spectrum needs only the generators, so graph and build compute
+    it first: its blocks are freed before the closure's arrays exist,
+    and the two peaks do not stack.  verify keeps its order: the closure
+    first, the spectrum only once the shipped alist is the rebuilt H."""
+    calls = []
+
+    def record(module, name):
+        original = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, recorded)
+
+    record(spectra, "spectrum")
+    record(graphs, "graph_from_generators")
+    (tmp_path / "inner.code").write_text("20 16\n11\n")
+    out = tmp_path / "q19"
+    assert cli.main(["graph", "--q", "19"]) == 0
+    assert calls == ["spectrum", "graph_from_generators"]
+    assert cli.main(["build", "--q", "19", "--inner", str(tmp_path / "inner.code"),
+                     "--out", str(out)]) == 0
+    assert calls[2:] == ["spectrum", "graph_from_generators"]
+    assert cli.main(["verify", str(out)]) == 0
+    assert calls[4:] == ["graph_from_generators", "spectrum"]
