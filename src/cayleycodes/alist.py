@@ -11,23 +11,22 @@ Layout (all indices 1-based, entries space-separated):
 
 The writer is deterministic (bit-exact for equal input), and the reader
 validates both perspectives against each other.  The writer takes the
-matrix as a CSR pair and has no loop per entry: the keys col * m + row,
-their rows added _BLOCK rows at a time and sorted in place, give the
-column perspective, its column pointers found _BLOCK columns at a time;
-both become zero-padded int32 tables of 1-based indices, _BLOCK cells
-at a time, which decimal_lines hands to a sink (a file, or
-matches_file).  The tests keep the writer that files one entry at a
-time as the byte-exact reference.
+alist as integer tables whose rows are its lines (tanner.alist_tables
+makes those of H from the graph and the dual words, a block of vertices
+at a time), and has no loop per entry: decimal_lines hands the digits
+of each table to a sink (a file, or matches_file), _BLOCK cells at a
+time.  The tests keep the writer that files one entry at a time as the
+byte-exact reference.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-_BLOCK = 1 << 14       # table entries per block of digit cells, rows or columns per step
+_BLOCK = 1 << 14       # table entries per block of digit cells
 
 
 def decimal_lines(table: np.ndarray, write: Callable | None = None) -> bytearray:
@@ -59,47 +58,14 @@ def decimal_lines(table: np.ndarray, write: Callable | None = None) -> bytearray
     return out
 
 
-def dumps_alist(indptr: np.ndarray, indices: np.ndarray, ncols: int,
-                write: Callable | None = None) -> bytearray:
-    """The alist of the matrix whose row i has a 1 in each column of
-    indices[indptr[i]:indptr[i + 1]], written in that order (the rows of
-    H are sorted), handed to write as by decimal_lines; ValueError names
-    the first column out of range, in row order, the smallest of its row."""
+def dumps_alist(tables: Iterable[np.ndarray], write: Callable | None = None) -> bytearray:
+    """The alist whose lines are the rows of `tables`, in file order (the
+    two header lines, the two degree lines, the column lines, the row
+    lines, each line's indices 1-based and zero-padded to the largest
+    degree), handed to write table by table as by decimal_lines."""
     out = bytearray()
-    write = write or out.extend
-    cols, lengths, m = indices, np.diff(indptr), indptr.size - 1
-    bad = (cols < 0) | (cols >= ncols)
-    if bad.any():
-        rows = np.repeat(np.arange(m, dtype=np.int32), lengths)
-        first = rows[np.argmax(bad)]
-        raise ValueError(f"column index {cols[bad & (rows == first)].min()} out of range")
-    del bad
-
-    def padded_lines(ptr: np.ndarray, width: int, values: Callable) -> None:
-        """Lines values(ptr[i], ptr[i + 1]) zero-padded to width, _BLOCK // width at a time."""
-        step = max(1, _BLOCK // max(width, 1))
-        for i in range(0, ptr.size - 1, step):
-            p = ptr[i:i + step + 1]
-            line = np.repeat(np.arange(p.size - 1, dtype=np.int32), np.diff(p))
-            table = np.zeros((p.size - 1, width), dtype=np.int32)
-            table[line, np.arange(p[-1] - p[0]) - (p[:-1] - p[0])[line]] = values(p[0], p[-1])
-            decimal_lines(table, write)
-
-    key = np.multiply(cols, m, dtype=np.int32 if m * ncols < 2**31 else np.int64)
-    for i in range(0, m, _BLOCK):                  # plus the row, _BLOCK rows at a time
-        rows = np.arange(i, min(i + _BLOCK, m), dtype=key.dtype)
-        key[indptr[i]:indptr[i + rows.size]] += np.repeat(rows, lengths[i:i + rows.size])
-    key.sort()                                     # column order, rows ascending
-    col_ptr = np.empty(ncols + 1, dtype=np.int32 if key.size < 2**31 else np.int64)
-    for c in range(0, ncols + 1, _BLOCK):
-        bounds = np.arange(c, min(c + _BLOCK, ncols + 1), dtype=key.dtype) * m
-        col_ptr[c:c + bounds.size] = np.searchsorted(key, bounds)
-    max_col, max_row = int(np.diff(col_ptr).max(initial=0)), int(lengths.max(initial=0))
-    write(f"{ncols} {m}\n{max_col} {max_row}\n".encode())
-    decimal_lines(np.diff(col_ptr)[None], write)     # the column degrees
-    decimal_lines(lengths[None], write)
-    padded_lines(col_ptr, max_col, lambda a, b: key[a:b] % m + 1)
-    padded_lines(indptr, max_row, lambda a, b: cols[a:b] + 1)
+    for table in tables:
+        decimal_lines(table, write or out.extend)
     return out
 
 

@@ -25,7 +25,6 @@ runs.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -161,7 +160,7 @@ def cmd_build(args) -> int:
     (outdir / "report.json").write_text(report.to_json())
     with open(outdir / "graph.edges", "wb") as edges, open(outdir / "code.alist", "wb") as code:
         graph.export_edges(edges.write)
-        alist.dumps_alist(inst.indptr, inst.indices, inst.n, code.write)
+        alist.dumps_alist(tanner.alist_tables(inst), code.write)
     (outdir / "inner.code").write_text(cyclic.dumps_code(inner))
     for name in ("classification", "regular", "ramanujan", "edge_transitive",
                  "rate_bound", "invariance", "single_orbit"):
@@ -213,7 +212,9 @@ def cmd_verify(args) -> int:
     results["edge_list"] = alist.matches_file(edges_path, graph.export_edges)
 
     inst = tanner.build_parity_check(graph, inner)
-    shipped = functools.partial(alist.dumps_alist, inst.indptr, inst.indices, inst.n)
+
+    def shipped(write=None):
+        return alist.dumps_alist(tanner.alist_tables(inst), write)
     # byte equality makes the shipped matrix the rebuilt H itself, so the
     # rank check and the symmetry certificate (proven on every row of H)
     # below cover the shipped constraints; on a mismatch verify has failed,

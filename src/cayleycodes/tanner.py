@@ -4,10 +4,23 @@ A word indexed by the undirected edges is a codeword when, at every
 vertex g, the local view (the q+1 incident edge bits read in generator
 order, position i at the edge toward g*s_i) lies in the inner cyclic
 code B.  The parity-check matrix H therefore has one row per vertex per
-dual-basis word of B: the row places the dual word's bits on the star
-of the vertex.  Rows are a spanning set of the dual, possibly
-redundant; the rank of H, not its row count, defines the code.  H is
-one CSR pair (int64 indptr, int32 indices) that every reader takes as is.
+dual-basis word of B: row (v, w), number r v + j for w = dual_rows[j]
+(r = n - k words), is eid[v] at the bits of w, sorted.  Rows are a spanning
+set of the dual, possibly redundant; the rank of H, not its row count,
+defines the code.
+
+H is never held: alist_tables makes its alist lines from adj, eid,
+inv_gen and the dual words, _BLOCK vertices at a time, with no entry
+array, sort or column pointer of the size of H.  Row (v, w) has the
+weight of w as its degree, and distinct entries, as a Cayley graph has
+no multi-edges.  Edge e has one canonical flag (a, i), b = adj[a, i] >
+a, and lies on the stars of a (at i) and b (at inv_gen[i]) alone, so
+its rows are (a, w) for the w with bit i, then (b, w) for the w with
+bit inv_gen[i]: ascending and distinct, as a < b.  With c_i words
+having bit i its degree is c_i + c_{inv_gen[i]}, the largest of which
+over i is max_col, as every flag of vertex 0 is canonical; the
+canonical flags of a block of vertices, read row-major, are its edges
+in id order (graphs).
 
 Reading the view in generator order, with S ordered by torus powers, is
 the one convention that turns the torus action on views into the
@@ -19,7 +32,6 @@ T-IT 1981): H is the union of the local checks L_v(B-dual), L_v placing
 a local word on the star of v, so most of its rank is local.  This is
 the structured Gaussian elimination of LaMacchia and Odlyzko (CRYPTO
 1990) applied to stars; the rank never packs H.
-Write r = n - k = len(dual_rows).
 
   1. Pivots (star_pivots, with the instance).  In id order, an open
      vertex v joins I when r of its star positions whose neighbours are
@@ -115,7 +127,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -127,7 +139,7 @@ from .graphs import CayleyGraph, EdgeOrbit, word_moved, word_orbit
 from .spectra import SpectrumReport, is_ramanujan, ramanujan_bound
 
 _STEP = 1 << 14        # keys, entries or light columns per step
-_BLOCK = 1 << 8        # outside vertices per block of the residual sum
+_BLOCK = 1 << 8        # vertices per block of the residual sum or of H's lines
 
 
 class StarPivots(NamedTuple):
@@ -138,13 +150,11 @@ class StarPivots(NamedTuple):
     words: np.ndarray                    # (|I|, r) dual words, systematic on P_v
 
 
-@dataclass(eq=False)                     # compared by identity: H is arrays
+@dataclass(eq=False)                     # compared by identity: the graph is arrays
 class CayleyCodeInstance:
     graph: CayleyGraph
     inner: CyclicCode
     dual_rows: list[int]                 # basis of B-dual, integer words
-    indptr: np.ndarray                   # H as CSR: row i holds the sorted
-    indices: np.ndarray                  # edge ids indices[indptr[i]:indptr[i + 1]]
 
     @cached_property
     def pivots(self) -> StarPivots:
@@ -157,12 +167,14 @@ class CayleyCodeInstance:
 
     @property
     def matrix(self) -> Gf2Matrix:
-        """H, one row per (vertex, dual word), packed afresh on every read
-        (an echelon consumes it).  Nothing in the package reads it: the
-        tests pack H as the input of their oracles, and the benchmark
-        tracer's tanner.assemble span records its row count."""
-        require_packed_fits("H", self.indptr.size - 1, self.n)
-        return Gf2Matrix.from_supports(self.n, self.indptr, self.indices)
+        """H, one row per (vertex, dual word), packed afresh from h_rows on
+        every read (an echelon consumes it).  Nothing in the package reads
+        it: the tests pack H as the input of their oracles, and the
+        benchmark tracer's tanner.assemble span records its row count."""
+        require_packed_fits("H", len(self.dual_rows) * self.graph.n_vertices, self.n)
+        rows = np.concatenate(list(h_rows(self)))
+        indptr = np.append(0, np.cumsum(np.count_nonzero(rows, axis=1)))
+        return Gf2Matrix.from_supports(self.n, indptr, rows[rows > 0] - 1)
 
     @cached_property
     def rank(self) -> int:
@@ -175,19 +187,69 @@ class CayleyCodeInstance:
 
 
 def build_parity_check(graph: CayleyGraph, inner: CyclicCode) -> CayleyCodeInstance:
-    """H as CSR: row (v, w) is eid[v] at the bits of dual word w, sorted, in (vertex,
-    word) order, the words' tables side by side read row-major (an empty one for r = 0)."""
+    """The code on the edges of graph with local code inner: the graph and
+    the dual words, from which h_rows and alist_tables make H."""
     if inner.n != graph.degree:
-        raise ConstructionError(
-            f"inner code length {inner.n} != graph degree {graph.degree}"
-        )
-    rows = dual_basis_rows(inner)
-    bits = [[i for i in range(inner.n) if word >> i & 1] for word in rows]
-    table = np.concatenate([graph.eid[:, :0]] + [np.sort(graph.eid[:, b], axis=1)
-                                                 for b in bits], axis=1)
-    indptr = np.append(0, np.cumsum(np.tile([len(b) for b in bits], graph.n_vertices),
-                                    dtype=np.int64))
-    return CayleyCodeInstance(graph, inner, rows, indptr, table.reshape(-1))
+        raise ConstructionError(f"inner code length {inner.n} != graph degree {graph.degree}")
+    return CayleyCodeInstance(graph, inner, dual_basis_rows(inner))
+
+
+def alist_tables(inst: CayleyCodeInstance) -> Iterator[np.ndarray]:
+    """The alist of H as tables for alist.dumps_alist, made _BLOCK vertices
+    at a time (module docstring); a degree line is one table, of one byte
+    per entry.  Slot t of the column of the edge with canonical flag
+    (a, i) is a near[t, i] + adj[a, i] far[t, i] + offset[t, i] (0 in the
+    padding), made on all the flags of a block; np.compress keeps the
+    canonical ones (a broadcast over the slots or a boolean index took 4
+    to 6 times as long)."""
+    graph, r, d = inst.graph, len(inst.dual_rows), inst.graph.degree
+    bit = _bits(inst.dual_rows, d)
+    count, weight = bit.sum(axis=0, dtype=np.int32), bit.sum(axis=1, dtype=np.int32)
+    degree = count + count[graph.inv_gen]
+    max_col, max_row = int(degree.max(initial=0)), int(weight.max(initial=0))
+    near, far, offset = (np.zeros((max_col, d), dtype=np.int32) for _ in range(3))
+    for i, words in enumerate(np.concatenate([bit, bit[:, graph.inv_gen]]).T):
+        near[:count[i], i] = far[count[i]:degree[i], i] = r
+        offset[:degree[i], i] = np.flatnonzero(words) % r + 1
+
+    def flags():                        # per block: adj, its vertices, canonical flags in id order
+        for s in range(0, graph.n_vertices, _BLOCK):
+            b = graph.adj[s:s + _BLOCK]
+            vertex = np.arange(s, s + len(b), dtype=np.int32)[:, None]
+            yield b, vertex, (b > vertex).ravel()
+
+    yield np.array([[inst.n, r * graph.n_vertices], [max_col, max_row]])
+    line, end = np.empty((1, inst.n), dtype=np.min_scalar_type(max_col)), 0
+    for b, _, keep in flags():
+        part = np.compress(keep, np.tile(degree, len(b)))
+        line[0, end:(end := end + part.size)] = part
+    yield line
+    del line                            # not held while the lines are made
+    yield np.tile(weight.astype(np.min_scalar_type(max_row)), graph.n_vertices)[None]
+    for b, vertex, keep in flags():
+        table = np.empty(b.shape + (max_col,), dtype=np.int32)
+        for t in range(max_col):
+            np.add(b * far[t], vertex * near[t] + offset[t], out=table[..., t])
+        yield np.compress(keep, table.reshape(b.size, max_col), axis=0)
+    yield from h_rows(inst)
+
+
+def _bits(words: Sequence[int], degree: int) -> np.ndarray:
+    """The bits of each word, (len(words), degree) bool."""
+    return np.array(words, dtype=np.int64)[:, None] >> np.arange(degree) & 1 == 1
+
+
+def h_rows(inst: CayleyCodeInstance) -> Iterator[np.ndarray]:
+    """The rows of H, _BLOCK vertices at a time, as tables of their 1-based
+    edge ids zero-padded to the largest weight of a dual word."""
+    graph, r = inst.graph, len(inst.dual_rows)
+    bit = _bits(inst.dual_rows, graph.degree)
+    weight = bit.sum(axis=1)
+    position = np.argsort(~bit, axis=1, kind="stable")[:, :weight.max(initial=0)]
+    pad = np.arange(position.shape[1]) >= weight[:, None]      # after each word's bits
+    for s in range(0, graph.n_vertices, _BLOCK):
+        star = np.where(pad, inst.n, graph.eid[s:s + _BLOCK][:, position])   # sorts last
+        yield ((np.sort(star, axis=2) + 1) * ~pad).reshape(len(star) * r, position.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +364,7 @@ def star_rank(inst: CayleyCodeInstance) -> int:
     del pivot
     # residual row r x + j is L_u(dual[j]) for u = outside[x] ...
     outside = np.flatnonzero(~in_i)
-    j, i = (x.astype(np.int32) for x in
-            np.nonzero(np.array(dual, dtype=np.int64)[:, None] >> np.arange(degree) & 1))
+    j, i = (x.astype(np.int32) for x in np.nonzero(_bits(dual, degree)))
     # ... plus L_v(s_p) for each pivot edge p of a vertex v it meets: the
     # other end of p is outside I, at position inv_gen[pos] of its star,
     # where the rows of the dual words with that bit meet it

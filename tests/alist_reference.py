@@ -1,16 +1,43 @@
-"""Slow reference for the alist writer.
+"""Slow reference for the alist writer, and its input from a CSR pair.
 
-cayleycodes.alist.dumps_alist sorts and files every entry in numpy and
-writes the digits block by block; first_difference works on the bytes.
-This module keeps the writer that files one entry at a time and joins
-one string per line, the lines of a table, one string per line, and
-the line comparison on whole split files, as the oracles the tests
-compare them against.
+cayleycodes.alist.dumps_alist writes the tables it is handed, digits
+block by block; first_difference works on the bytes.  This module
+keeps the writer that files one entry at a time and joins one string
+per line, the lines of a table, one string per line, and the line
+comparison on whole split files, as the oracles the tests compare them
+against; and csr_tables, the transposition of any CSR pair into the
+writer's tables by one sort, which hands it the toy matrices.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
+
+import numpy as np
+
+
+def csr_tables(indptr, indices, ncols: int) -> list[np.ndarray]:
+    """The alist tables of the matrix whose row i has a 1 in each column of
+    indices[indptr[i]:indptr[i + 1]], written in that order; the keys
+    col * m + row, sorted, give the column lines.  ValueError names the
+    first column out of range, in row order, the smallest of its row."""
+    cols, lengths, m = np.asarray(indices), np.diff(indptr), len(indptr) - 1
+    rows = np.repeat(np.arange(m), lengths)
+    bad = (cols < 0) | (cols >= ncols)
+    if bad.any():
+        first = rows[np.argmax(bad)]
+        raise ValueError(f"column index {cols[bad & (rows == first)].min()} out of range")
+    key = np.sort(cols.astype(np.int64) * m + rows)      # column order, rows ascending
+    col_deg = np.bincount(cols, minlength=ncols)
+
+    def padded(degrees, values):
+        table = np.zeros((degrees.size, degrees.max(initial=0)), dtype=np.int32)
+        line = np.repeat(np.arange(degrees.size), degrees)
+        table[line, np.arange(values.size) - (np.cumsum(degrees) - degrees)[line]] = values + 1
+        return table
+
+    return [np.array([[ncols, m], [col_deg.max(initial=0), lengths.max(initial=0)]]),
+            col_deg[None], lengths[None], padded(col_deg, key % max(m, 1)), padded(lengths, cols)]
 
 
 def reference_dumps_alist(row_supports: Sequence[Sequence[int]], ncols: int) -> str:

@@ -5,16 +5,29 @@ These two enumerations define the code twice more, independently: by
 spanning the nullspace of H, and by filtering every edge vector through
 the per-vertex local-view definition.  Tests and demo 04 require the
 two sets to be equal on toys small enough to enumerate, and read local
-views with local_view.
+views with local_view; h_csr lays H out from its definition.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from cayleycodes.cyclic import gray_codewords
 
 from gf2_reference import reference_nullspace, to_ints
 
 BRUTE_FORCE_MAX_EDGES = 24
+
+
+def h_csr(inst) -> tuple[np.ndarray, np.ndarray]:
+    """H as a CSR pair (int64 indptr, int32 indices), from its definition
+    and one table per dual word: row v r + j is eid[v] at the bits of
+    dual word j, sorted."""
+    eid = inst.graph.eid
+    bits = [[i for i in range(eid.shape[1]) if w >> i & 1] for w in inst.dual_rows]
+    table = np.concatenate([eid[:, :0]] + [np.sort(eid[:, b], axis=1) for b in bits], axis=1)
+    indptr = np.append(0, np.cumsum(np.tile([len(b) for b in bits], len(eid)), dtype=np.int64))
+    return indptr, table.reshape(-1)
 
 
 def local_view(inst, word: int, vertex: int) -> int:

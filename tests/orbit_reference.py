@@ -14,6 +14,8 @@ import numpy as np
 
 from cayleycodes.gf2 import independent
 
+from code_reference import h_csr
+
 
 def point_orbit(perms, n_points: int, start: int = 0) -> int:
     """Size of the orbit of one point under permutations of
@@ -36,7 +38,8 @@ def row_orbit(inst, perms, start_row: int = 0) -> np.ndarray:
     images read in (frontier row, permutation) order, unseen ones kept in
     order of first encounter."""
     table = np.stack(perms).astype(np.int32)
-    frontier = inst.indices[inst.indptr[start_row]:inst.indptr[start_row + 1]][None]
+    indptr, indices = h_csr(inst)
+    frontier = indices[indptr[start_row]:indptr[start_row + 1]][None]
     k = frontier.shape[1]
     as_key = np.dtype((np.void, 4 * k))   # a support as one opaque value
     levels, seen = [frontier], frontier.view(as_key).ravel()

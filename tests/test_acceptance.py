@@ -28,6 +28,7 @@ from cayleycodes.tanner import (build_parity_check, measured_rate, verify_invari
 
 from field_reference import raw_mul, reference_field, split_matrices
 
+from alist_reference import csr_tables
 from code_reference import codeword_set_brute_force, codeword_set_from_nullspace
 from gf2_reference import csr, cyclic_shift
 from group_reference import ZnGroup
@@ -192,7 +193,7 @@ def test_criterion_8a_tampered_alist_fails_verify(built_instance_dir, tmp_path, 
     c = rows[100][0]
     rows[100][0] = (c + 1) % n if (c + 1) % n not in rows[100] else (c + 2) % n
     rows[100].sort()
-    (bad / "code.alist").write_bytes(alist.dumps_alist(*csr(rows), n))
+    (bad / "code.alist").write_bytes(alist.dumps_alist(csr_tables(*csr(rows), n)))
     capsys.readouterr()
     tampered = cli.main(["verify", str(bad)])
     assert tampered == 1

@@ -9,15 +9,15 @@ from cayleycodes import alist
 from cayleycodes.alist import (decimal_lines, dumps_alist, first_difference, loads_alist,
                                matches_file)
 
-from alist_reference import (decoded_lines, reference_decimal_lines, reference_dumps_alist,
-                             reference_first_difference)
+from alist_reference import (csr_tables, decoded_lines, reference_decimal_lines,
+                             reference_dumps_alist, reference_first_difference)
 from gf2_reference import csr
 
 
 def dumps(rows, ncols) -> str:
     """The alist text of a matrix given by its rows, each sorted first,
     as the rows of H are."""
-    return dumps_alist(*csr([sorted(r) for r in rows]), ncols).decode("ascii")
+    return dumps_alist(csr_tables(*csr([sorted(r) for r in rows]), ncols)).decode("ascii")
 
 
 def test_round_trip():
@@ -32,11 +32,11 @@ def test_deterministic():
     """The bytes depend on the matrix only, not on the integer widths of
     the CSR pair."""
     indptr, indices = csr([[0, 3, 5], [1, 2]])
-    want = dumps_alist(indptr, indices, 6)
+    want = dumps_alist(csr_tables(indptr, indices, 6))
     assert want == reference_dumps_alist([[5, 3, 0], [2, 1]], 6).encode()
     for ptr in (indptr, indptr.astype(np.int32)):
         for idx in (indices, indices.astype(np.int64)):
-            assert dumps_alist(ptr, idx, 6) == want
+            assert dumps_alist(csr_tables(ptr, idx, 6)) == want
 
 
 def test_header_shape():
@@ -135,14 +135,14 @@ def test_writer_edge_shapes(rows, ncols):
 @given(st.lists(st.lists(st.integers(-12, 20), max_size=5), min_size=1, max_size=6))
 @settings(deadline=None, max_examples=200)
 def test_out_of_range_names_the_first_bad_column_in_row_order(rows):
-    """The first row with a column outside range(7) names its first such
-    column once sorted, as the reference does, whatever the order of the
-    row in the CSR pair."""
+    """csr_tables, the writer's input from a CSR pair, names the first
+    row's first column outside range(7) once sorted, as the reference
+    does, whatever the order of the row in the CSR pair."""
     try:
         want = reference_dumps_alist(rows, 7)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{exc}$"):
-            dumps_alist(*csr(rows), 7)
+            csr_tables(*csr(rows), 7)
     else:
         assert dumps(rows, 7) == want
 
@@ -181,7 +181,7 @@ def test_sink_gets_the_bytes_returned_without_one(matrix, block, data):
     table = np.arange(np.prod(shape), dtype=np.int32).reshape(shape) * 37
     with mock.patch.object(alist, "_BLOCK", block):
         for write_to, want in [
-                (lambda write: dumps_alist(indptr, indices, ncols, write),
+                (lambda write: dumps_alist(csr_tables(indptr, indices, ncols), write),
                  reference_dumps_alist(rows, ncols)),
                 (lambda write: decimal_lines(table, write), reference_decimal_lines(table))]:
             blocks = []
@@ -196,7 +196,7 @@ def test_width_zero_tables_and_bad_columns_with_a_sink():
         assert b"".join(blocks) == want
         blocks.clear()
     with pytest.raises(ValueError, match="^column index 9 out of range$"):
-        dumps_alist(*csr([[1, 9]]), 7, blocks.append)
+        dumps_alist(csr_tables(*csr([[1, 9]]), 7), blocks.append)
     assert blocks == []              # refused before any byte is written
 
 
@@ -205,7 +205,7 @@ def test_matches_file_compares_every_byte(tmp_path):
     bytes match; one extra trailing byte, one byte missing, one changed
     byte or an empty file do not."""
     indptr, indices = csr([[0, 3, 5], [1, 2], [0, 1, 2, 6]])
-    whole = bytes(dumps_alist(indptr, indices, 7))
+    whole = bytes(dumps_alist(csr_tables(indptr, indices, 7)))
     path = tmp_path / "code.alist"
     with mock.patch.object(alist, "_BLOCK", 3):
         for data, same in [(whole, True), (whole + b"\n", False), (whole + b"0", False),
@@ -213,7 +213,7 @@ def test_matches_file_compares_every_byte(tmp_path):
                            (b"", False)]:
             path.write_bytes(data)
             assert matches_file(
-                path, lambda write: dumps_alist(indptr, indices, 7, write)) is same
+                path, lambda write: dumps_alist(csr_tables(indptr, indices, 7), write)) is same
 
 
 _PIECES = [b"\n", b"\r", b"\r\n", b" ", b"0", b"1", b"7", b"\x0b", b"\x0c", b"\x1c",

@@ -14,6 +14,7 @@ import pytest
 import cayleycodes
 from cayleycodes import cli, cyclic, quaternion, spectra, tanner
 
+from alist_reference import csr_tables
 from gf2_reference import csr
 
 
@@ -238,7 +239,7 @@ def test_tampered_verify_fails_before_elimination(tmp_path, monkeypatch, capsys)
     n, _, rows = alist.read_alist(out / "code.alist")
     rows[100][0] = next(c for c in range(n) if c not in rows[100])
     rows[100].sort()
-    (out / "code.alist").write_bytes(alist.dumps_alist(*csr(rows), n))
+    (out / "code.alist").write_bytes(alist.dumps_alist(csr_tables(*csr(rows), n)))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("verify kept working after the alist mismatch")

@@ -13,17 +13,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cayleycodes import spectra, tanner
+from cayleycodes.alist import dumps_alist, loads_alist
 from cayleycodes.cyclic import CyclicCode, dual_basis_rows
 from cayleycodes.errors import CheckFailure, ConstructionError
 from cayleycodes.gf2 import Gf2Matrix, independent
 from cayleycodes.gf2poly import divmod_, mul, x_pow_n_minus_1
 from cayleycodes.graphs import KeyIndex, edge_orbit, generate_group
-from cayleycodes.tanner import (StarPivots, build_parity_check,
+from cayleycodes.tanner import (StarPivots, alist_tables, build_parity_check,
                                 measured_rate, row_orbit, edge_code_bounds,
                                 require_packed_fits, residual_rank, run_verification,
                                 star_pivots, verify_invariance, verify_single_orbit)
 
-from code_reference import codeword_set_brute_force, codeword_set_from_nullspace, local_view
+from alist_reference import reference_dumps_alist
+from code_reference import (codeword_set_brute_force, codeword_set_from_nullspace, h_csr,
+                            local_view)
 from gf2_reference import (contains, csr, int_span_equal, reference_echelon,
                            reference_from_supports, rows_of)
 from group_reference import ZnGroup, canonical_flags, edge_permutation, left_translation_maps
@@ -94,9 +97,9 @@ def test_build_validates_length(q19_psl_graph):
 
 def test_parity_check_rows_are_the_dual_words_on_each_star(monkeypatch):
     """Row v r + j of H is dual word j on the star of vertex v, its edge
-    ids sorted, as an int64 indptr and int32 indices.  A basis of the
-    dual with words of weight 4, 8 and 4 is laid out as well, and spans
-    the same rows."""
+    ids sorted, in the packed H and in the streamed alist, whose two
+    perspectives agree.  A basis of the dual with words of weight 4, 8
+    and 4 is laid out as well, and spans the same rows."""
     inst = z17_torus_instance()
     d = inst.dual_rows
     monkeypatch.setattr(tanner, "dual_basis_rows", lambda inner: [d[0], d[0] ^ d[2], d[1]])
@@ -104,18 +107,18 @@ def test_parity_check_rows_are_the_dual_words_on_each_star(monkeypatch):
     assert [bin(w).count("1") for w in mixed.dual_rows] == [4, 8, 4]
     for h in (inst, mixed):
         eid = h.graph.eid.tolist()
-        assert rows_of(h.indptr, h.indices) == [
-            sorted(star[i] for i in range(h.graph.degree) if w >> i & 1)
-            for star in eid for w in h.dual_rows]
-        assert h.indptr.dtype == np.int64 and h.indices.dtype == np.int32
+        want = [sorted(star[i] for i in range(h.graph.degree) if w >> i & 1)
+                for star in eid for w in h.dual_rows]
+        assert [h.matrix.row_support(i) for i in range(len(want))] == want
+        assert loads_alist(dumps_alist(alist_tables(h)).decode()) == (h.n, len(want), want)
     assert mixed.rank == inst.rank == reference_echelon(mixed.matrix).rank
 
 
 def test_build_parity_check_allocates_under_1_mb(q19_psl_graph):
-    """H at q = 19 with [20,16] is 13680 rows of 5 edge ids, 0.4 MB as a
-    CSR pair; its build, numpy's allocations included (tracemalloc counts
-    them, and unlike RSS repeats exactly), peaks under 1 MB.  As lists of
-    Python ints it took 3.7 MB."""
+    """H at q = 19 with [20,16] is 13680 rows of 5 edge ids; the build,
+    numpy's allocations included (tracemalloc counts them, and unlike RSS
+    repeats exactly), peaks under 1 MB, as it holds only the dual words.
+    As lists of Python ints H took 3.7 MB, and as a CSR pair 0.4 MB."""
     inner = CyclicCode(20, 0b10001)
     tracemalloc.start()
     try:
@@ -123,8 +126,42 @@ def test_build_parity_check_allocates_under_1_mb(q19_psl_graph):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert inst.indptr.size == 13681 and inst.indices.dtype == np.int32
+    assert next(alist_tables(inst)).tolist() == [[34200, 13680], [2, 5]]
     assert peak < 10**6
+
+
+@pytest.mark.parametrize("name", ["z6", "z20", "z17", "r0", "q19", "q19_20_12", "q19_pgl",
+                                  "q5e2"])
+def test_streamed_alist_is_the_reference_alist_of_h(name, request, monkeypatch, inner20):
+    """The alist that alist_tables makes from the flags and the dual
+    words is byte for byte the per-entry reference's alist of H's rows,
+    laid out from H's definition (h_csr; on the toys they are also the
+    rows of the packed H), with vertex blocks of 1, 7, 40 and 2^14
+    vertices: Z_6 and Z_20 with an involutive generator, the Z_17 torus,
+    an r = 0 inner code (no rows, width-0 column lines), q = 19 PSL with
+    [20,16] and [20,12], q = 19 PGL and q = 5, e = 2 PSL."""
+    inst = {
+        "z6": lambda: build_parity_check(zn_graph(6, [1, 5, 3]), CyclicCode(3, 0b11)),
+        "z20": lambda: build_parity_check(zn_graph(20, [10, 1, 19, 3, 17]),
+                                          CyclicCode(5, 0b11)),
+        "z17": z17_torus_instance,
+        "r0": lambda: build_parity_check(zn_graph(6, [1, 5, 3]), CyclicCode(3, 1)),
+        "q19": lambda: build_parity_check(request.getfixturevalue("q19_psl_graph"),
+                                          CyclicCode(20, 0b10001)),
+        "q19_20_12": lambda: build_parity_check(request.getfixturevalue("q19_psl_graph"),
+                                                inner20),
+        "q19_pgl": lambda: build_parity_check(request.getfixturevalue("q19_pgl_graph"),
+                                              CyclicCode(20, 0b10001)),
+        "q5e2": lambda: build_parity_check(request.getfixturevalue("q5e2_psl_graph"),
+                                           CyclicCode(6, 0b111)),
+    }[name]()
+    rows = rows_of(*h_csr(inst))
+    if inst.n < 100:
+        assert [inst.matrix.row_support(i) for i in range(inst.matrix.nrows)] == rows
+    want = reference_dumps_alist(rows, inst.n).encode()
+    for block in (1, 7, 40, 1 << 14):
+        monkeypatch.setattr(tanner, "_BLOCK", block)
+        assert dumps_alist(alist_tables(inst)) == want
 
 
 def test_full_space_inner_gives_no_constraints():
@@ -212,7 +249,8 @@ def test_rate_example_values():
 
 def permuted_rows(inst, perm):
     """Every row of H pushed through an edge permutation, packed."""
-    return Gf2Matrix.from_supports(inst.n, inst.indptr, perm[inst.indices])
+    indptr, indices = h_csr(inst)
+    return Gf2Matrix.from_supports(inst.n, indptr, perm[indices])
 
 
 def certify(inst, maps):
@@ -406,7 +444,7 @@ def reference_row_orbit(inst, perms, start_row=0):
     """The one-support-at-a-time BFS over sorted support tuples: the
     slow reference for the row BFS oracle."""
     plists = [perm.tolist() for perm in perms]
-    start = tuple(rows_of(inst.indptr, inst.indices)[start_row])
+    start = tuple(rows_of(*h_csr(inst))[start_row])
     seen = {start}
     queue = [start]
     head = 0
@@ -531,14 +569,13 @@ def test_single_orbit_matches_reference_q19(q19_psl_graph, q19_maps, q19_edge_pe
 def test_single_orbit_weight_one_rows_match_reference():
     """A weight-1 row lies on both endpoint stars; the vertex the oracle
     credits it to, and its mask there, must be the reference's choice.  No
-    nonzero cyclic inner code has weight-1 dual words, so the rows are
-    made by hand: one per edge, against all unit words as the local dual."""
+    nonzero cyclic inner code has weight-1 dual words, so the local dual
+    is made by hand: all unit words, whose rows are the single edges, each
+    on the stars of both its ends (row j < degree is edge j)."""
     for n, steps, mult in ((6, [1, 5, 3], None), (17, [pow(2, i, 17) for i in range(8)], 2),
                            (40, [1, 39, 9, 31], None)):
         graph = zn_graph(n, steps)
         inst = replace(build_parity_check(graph, CyclicCode(graph.degree, 0b11)),
-                       indptr=np.arange(graph.n_edges + 1),
-                       indices=np.arange(graph.n_edges, dtype=np.int32),
                        dual_rows=[1 << i for i in range(graph.degree)])
         perms = toy_perms(graph, mult)
         for start in (0, 1, 2):
@@ -998,10 +1035,11 @@ def test_rank_of_h_from_its_own_column_graph(q, components, request):
     graph = request.getfixturevalue(f"q{q}_psl_graph")
     inst = build_parity_check(graph, CyclicCode(q + 1, 0b10001))
     # the two rows of each column, from the entries in column order
-    order = np.argsort(inst.indices, kind="stable")
-    assert np.array_equal(inst.indices[order], np.repeat(np.arange(inst.n), 2))
-    ends = np.repeat(np.arange(inst.indptr.size - 1), np.diff(inst.indptr))[order]
-    parent = list(range(inst.indptr.size - 1))
+    indptr, indices = h_csr(inst)
+    order = np.argsort(indices, kind="stable")
+    assert np.array_equal(indices[order], np.repeat(np.arange(inst.n), 2))
+    ends = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))[order]
+    parent = list(range(indptr.size - 1))
 
     def find(x):
         while parent[x] != x:

@@ -4,6 +4,7 @@ index arrays), not arrays of |V| x degree int64 entries."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from cayleycodes import alist, build_generators, choose_ideal, cli, graphs, spectra, tanner
@@ -11,10 +12,10 @@ from cayleycodes.cyclic import CyclicCode
 
 # tracemalloc peaks of the stages of a q = 19 PSL [20,16] build (MB,
 # measured with numpy 2.4: 1.89, 0.42, 1.43 with the pivots, 0.61 and
-# 1.17), plus about 25% (export_edges: 14%, see below); the files go to
+# 0.32), plus about 25% (export_edges: 14%, see below); the files go to
 # a sink block by block, as build writes them
 BOUNDS = {"closure": 2.4, "symmetry": 0.55, "star_rank": 1.8, "export_edges": 0.7,
-          "dumps_alist": 1.5}
+          "dumps_alist": 0.4}
 
 
 @pytest.fixture
@@ -49,8 +50,10 @@ def test_build_stages_hold_bounded_scratch(traced, monkeypatch, q19_psl_gens):
     MB (0.68 MB the pivots) with per-vertex lists of pivots, the
     information-set check as one |I| x r x (degree - r) tensor and the
     residual summed in one key array; the writers took 1.10 and 2.40 MB
-    with whole-file buffers and whole tables, and code.alist 1.25 MB
-    with the row numbers of its sort keys made in one array.
+    with whole-file buffers and whole tables, code.alist 1.25 MB with
+    the row numbers of its sort keys made in one array, and 1.17 MB when
+    it transposed a CSR pair of H by one sort (its lines now come from
+    the flags and the dual words, a block of vertices at a time).
     graph.edges took 0.56 MB when it read the canonical flags from a
     stored |E| x 2 table; it now finds them per block of vertices, with
     one int32 table of the position of each flag of a block (64 KB,
@@ -71,7 +74,7 @@ def test_build_stages_hold_bounded_scratch(traced, monkeypatch, q19_psl_gens):
     rank, peaks["star_rank"] = traced(lambda: tanner.star_rank(inst))
     _, peaks["export_edges"] = traced(lambda: graph.export_edges(lambda block: None))
     _, peaks["dumps_alist"] = traced(
-        lambda: alist.dumps_alist(inst.indptr, inst.indices, inst.n, lambda block: None))
+        lambda: alist.dumps_alist(tanner.alist_tables(inst), lambda block: None))
     assert rank == 13566
     assert {name: peak for name, peak in peaks.items() if peak >= BOUNDS[name] * 10**6} == {}
 
@@ -108,6 +111,27 @@ def test_star_elimination_at_q43_holds_bounded_scratch(traced, q43_psl_graph):
     rank, peak = traced(lambda: tanner.star_rank(inst))
     assert rank == 158926
     assert peak < 29.5 * 10**6
+
+
+def test_alist_writer_at_q43_holds_bounded_scratch(traced, q43_psl_graph):
+    """q = 43 PSL [44,40]: H is 158928 x 874104 with 1.75 M entries.  The
+    alist writer makes its lines from the flags and the dual words, 256
+    vertices at a time, and holds the column-degree line whole, one byte
+    per edge (0.87 MB); it peaks under 1.45 MB above its start (measured
+    with numpy 2.4: 1.15 MB, plus about 25%).  Transposing a CSR pair of
+    H by one sort took 22.7 MB, about 12 bytes per entry."""
+    inst = tanner.build_parity_check(q43_psl_graph, CyclicCode(44, 0b10001))
+    _, peak = traced(lambda: alist.dumps_alist(tanner.alist_tables(inst), lambda block: None))
+    assert peak < 1.45 * 10**6
+
+
+def test_build_parity_check_holds_no_array(q19_psl_graph):
+    """The instance is the graph, the inner code and the dual words: H
+    is never held, and no array of its size lives through star
+    elimination or the spectrum."""
+    inst = tanner.build_parity_check(q19_psl_graph, CyclicCode(20, 0b10001))
+    assert not [name for name, value in vars(inst).items() if isinstance(value, np.ndarray)]
+    assert inst.dual_rows == [0b10001000100010001 << k for k in range(4)]
 
 
 def test_closure_at_q43_holds_bounded_scratch(traced):
